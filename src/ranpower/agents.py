@@ -1,16 +1,16 @@
 """Power-control agents and the exhaustive search oracle.
 
-All learning agents share the same inner loop on a frozen step: draw a joint
-power assignment for the active stations (epsilon-greedy per station), rate
-it jointly so every station's SINR reflects the others' draws, flag it
-feasible when the summed rate deltas stay non-negative, and finally accept
-the feasible candidate whose summed action values are largest.  Only the
-accepted candidate touches the environment or the learners.
+All learning agents share the same inner search on a frozen step: draw K
+joint power assignments for the active stations (epsilon-greedy per
+station), rate them in one batched evaluation so every station's SINR
+reflects the others' draws, flag each feasible when its summed rate deltas
+stay non-negative, and accept the feasible candidate whose summed action
+values are largest.  Only the accepted candidate touches the environment or
+the learners.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +22,6 @@ from .rl import (
     ReplayMemory,
     Transition,
     backward_and_step,
-    epsilon_greedy,
     minibatch_targets,
     state_bin,
     sync_target,
@@ -31,6 +30,8 @@ from .rl import (
 from .scenario import StepContext, StepEval
 
 MAX_ORACLE_NODES = 1_000_000
+# Joint assignments rated per batched evaluation in the oracle.
+ORACLE_CHUNK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,29 +69,38 @@ def _inner_search(
     rng: np.random.Generator,
     collect: list[IterationRecord] | None = None,
 ) -> tuple[StepEval | None, int | None, float]:
-    """Run the candidate loop; returns (best eval, its 1-based index, score).
+    """Draw and rate all candidates at once; returns (best eval, its 1-based
+    index, score).
 
-    Ties on the score keep the earliest feasible candidate, which is also
-    what makes the recorded iteration count meaningful as a search cost.
+    Each active station explores with probability ``epsilon`` (a uniform
+    level) and otherwise takes its greedy level, the lowest index among its
+    largest action values.  The explore mask and the random levels are two
+    (K, active) draws, filled candidate by candidate.  Ties on the score keep
+    the earliest feasible candidate, which is also what makes the recorded
+    iteration count meaningful as a search cost.  The returned eval is the
+    very row the feasibility test saw.
     """
-    sleep_idx = ctx.n_levels - 1
-    best_ev: StepEval | None = None
-    best_n: int | None = None
-    best_score = -np.inf
-    for n in range(1, n_iterations + 1):
-        idx = np.full(ctx.n_sites, sleep_idx, dtype=int)
-        score = 0.0
-        for b in ctx.active_sites:
-            a = epsilon_greedy(qrows[b], epsilon, rng)
-            idx[b] = a
-            score += float(qrows[b, a])
-        ev = ctx.evaluate(idx)
-        feasible = ev.rate_delta_sum >= 0.0
-        if collect is not None:
-            collect.append(IterationRecord(n, idx, score, ev.rate_delta_sum, feasible))
-        if feasible and score > best_score:
-            best_ev, best_n, best_score = ev, n, score
-    return best_ev, best_n, best_score
+    active = ctx.active_sites
+    n_actions = qrows.shape[1]
+    greedy = np.argmax(qrows[active], axis=1)
+    explore = rng.random((n_iterations, active.size)) < epsilon
+    random_levels = rng.integers(n_actions, size=(n_iterations, active.size))
+    picks = np.where(explore, random_levels, greedy)
+    idx = np.full((n_iterations, ctx.n_sites), ctx.n_levels - 1, dtype=int)
+    idx[:, active] = picks
+    scores = qrows[active, picks].sum(axis=1)
+    evs = ctx.evaluate_many(idx)
+    feasible = evs.rate_delta_sum >= 0.0
+    if collect is not None:
+        collect.extend(
+            IterationRecord(n + 1, idx[n], float(scores[n]), float(evs.rate_delta_sum[n]),
+                            bool(feasible[n]))
+            for n in range(n_iterations)
+        )
+    if not feasible.any():
+        return None, None, -np.inf
+    best = int(np.argmax(np.where(feasible, scores, -np.inf)))
+    return evs.row(best), best + 1, float(scores[best])
 
 
 def _fallback_full_power(ctx: StepContext) -> StepEval:
@@ -295,10 +305,12 @@ def exhaustive_oracle(
     """Enumerate every joint assignment over the active stations and return
     the feasible one with the highest network efficiency.
 
-    Ties resolve to the lexicographically smallest index vector.  The
-    full-power assignment has zero rate deltas by construction, so the
-    feasible set is never empty.  Raises ``SearchSpaceTooLarge`` when the
-    enumeration would exceed ``max_nodes`` assignments.
+    Assignments are rated in lexicographic chunks of ``ORACLE_CHUNK``, so
+    memory stays bounded, and ties resolve to the lexicographically smallest
+    index vector.  The full-power assignment has zero rate deltas by
+    construction, so the feasible set is never empty.  Raises
+    ``SearchSpaceTooLarge`` when the enumeration would exceed ``max_nodes``
+    assignments.
     """
     active = ctx.active_sites
     if active.size == 0:
@@ -309,15 +321,18 @@ def exhaustive_oracle(
         raise SearchSpaceTooLarge(
             f"{n_nodes} joint assignments exceed the {max_nodes} cap"
         )
+    shape = (ctx.n_levels,) * active.size
     best_idx: np.ndarray | None = None
     best_ee = -np.inf
-    idx = np.full(ctx.n_sites, ctx.n_levels - 1, dtype=int)
-    for combo in itertools.product(range(ctx.n_levels), repeat=active.size):
-        idx[active] = combo
-        ev = ctx.evaluate(idx)
-        if ev.rate_delta_sum >= 0.0 and ev.network_ee > best_ee:
-            best_idx = idx.copy()
-            best_ee = ev.network_ee
+    for start in range(0, n_nodes, ORACLE_CHUNK):
+        plans = np.arange(start, min(start + ORACLE_CHUNK, n_nodes))
+        idx = np.full((plans.size, ctx.n_sites), ctx.n_levels - 1, dtype=int)
+        idx[:, active] = np.stack(np.unravel_index(plans, shape), axis=1)
+        evs = ctx.evaluate_many(idx)
+        ee = np.where(evs.rate_delta_sum >= 0.0, evs.network_ee, -np.inf)
+        k = int(np.argmax(ee))
+        if ee[k] > best_ee:
+            best_idx, best_ee = idx[k].copy(), ee[k]
     if best_idx is None:
         raise InvariantViolation("the full-power assignment should be feasible")
     return best_idx, float(best_ee)

@@ -216,30 +216,17 @@ class QNetwork:
             mine[:] = theirs
 
 
-def epsilon_greedy(qvals: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
-    """Pick an action index: explore uniformly with probability ``epsilon``,
-    otherwise take the greedy action (ties resolve to the lowest index)."""
-    if rng.random() < epsilon:
-        return int(rng.integers(len(qvals)))
-    return int(np.argmax(qvals))
-
-
-def td_target(
-    r: float,
-    s_next: np.ndarray | None,
-    target_net: QNetwork,
-    discount: float,
-) -> float:
-    """One-step bootstrap target; the bootstrap is dropped on terminal steps."""
-    if s_next is None:
-        return r
-    return r + discount * float(np.max(target_net.forward(s_next)))
-
-
 def minibatch_targets(
     batch: Sequence[Transition], target_net: QNetwork, discount: float
 ) -> np.ndarray:
-    return np.array([td_target(tr.r, tr.s_next, target_net, discount) for tr in batch])
+    """One-step bootstrap targets from one forward pass over the non-terminal
+    successors; terminal samples keep the bare reward."""
+    targets = np.array([tr.r for tr in batch], dtype=float)
+    live = [k for k, tr in enumerate(batch) if tr.s_next is not None]
+    if live:
+        q_next = target_net.forward_batch(np.stack([batch[k].s_next for k in live]))
+        targets[live] += discount * q_next.max(axis=1)
+    return targets
 
 
 def minibatch_loss(

@@ -305,8 +305,45 @@ class StepEval:
 
 
 @dataclass(frozen=True, eq=False)
+class StepEvals:
+    """Outcomes of K candidate assignments on one frozen step, one row each.
+
+    Fields mirror :class:`StepEval` with a leading candidate axis: per-site
+    arrays are (K, B), user rates (K, U), the two sums (K,).
+    """
+
+    power_idx: np.ndarray
+    power_dbw: np.ndarray
+    user_rates_bps: np.ndarray
+    rate_bps: np.ndarray
+    power_delta_db: np.ndarray
+    rate_delta_bps: np.ndarray
+    rate_delta_sum: np.ndarray
+    link_ee: np.ndarray
+    network_ee: np.ndarray
+
+    def row(self, k: int) -> StepEval:
+        return StepEval(
+            power_idx=self.power_idx[k],
+            power_dbw=self.power_dbw[k],
+            user_rates_bps=self.user_rates_bps[k],
+            rate_bps=self.rate_bps[k],
+            power_delta_db=self.power_delta_db[k],
+            rate_delta_bps=self.rate_delta_bps[k],
+            rate_delta_sum=float(self.rate_delta_sum[k]),
+            link_ee=self.link_ee[k],
+            network_ee=float(self.network_ee[k]),
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class StepContext:
-    """Frozen physics of one time step, shared by every candidate evaluation."""
+    """Frozen physics of one time step, shared by every candidate evaluation.
+
+    ``own_gain[u]`` is the gain of user u's own site towards it (all of that
+    site's active sectors), the diagonal of ``site_to_user_gain`` along
+    ``sched_site``.
+    """
 
     t: int
     n_sites: int
@@ -317,6 +354,7 @@ class StepContext:
     sched_users: np.ndarray
     sched_site: np.ndarray
     serving_gain: np.ndarray
+    own_gain: np.ndarray
     site_to_user_gain: np.ndarray
     residual_bits: np.ndarray
     ref_rate_bps: np.ndarray
@@ -335,42 +373,61 @@ class StepContext:
     def any_active(self) -> bool:
         return bool(self.active_sites.size)
 
-    def _user_rates(self, power_w: np.ndarray) -> np.ndarray:
-        total = power_w @ self.site_to_user_gain
-        cols = np.arange(self.sched_users.size)
-        own = power_w[self.sched_site] * self.site_to_user_gain[self.sched_site, cols]
-        serving = power_w[self.sched_site] * self.serving_gain
-        snr = serving / (total - own + self.noise_w)
-        return self.bandwidth_hz * np.log2(1.0 + snr)
-
-    def evaluate(self, power_idx: np.ndarray) -> StepEval:
-        """Rates, deltas and efficiencies under one joint power assignment.
+    def evaluate_many(self, power_idx: np.ndarray) -> StepEvals:
+        """Rates, deltas and efficiencies of K joint assignments, ``power_idx``
+        of shape (K, B): one (K, B) @ (B, U) interference product for all.
 
         Sleeping sites neither transmit nor count toward averages regardless
         of the index they carry.
         """
         power_idx = np.asarray(power_idx)
-        power_dbw = self.power_levels_dbw[power_idx]
-        power_w = self.power_levels_w[power_idx] * self.phi
-        rates = self._user_rates(power_w)
-        rate_b = np.bincount(
-            self.sched_site, weights=rates, minlength=self.n_sites
+        return StepEvals(power_idx, *self._outcomes(power_idx))
+
+    def evaluate(self, power_idx: np.ndarray) -> StepEval:
+        """One joint assignment of shape (B,): the arithmetic of
+        :meth:`evaluate_many` without the candidate axis, so a single plan
+        pays for no broadcasting; bit-identical to row 0 of
+        ``evaluate_many(power_idx[None])``."""
+        power_idx = np.asarray(power_idx)
+        power_dbw, rates, rate_b, power_delta, rate_delta, delta_sum, link_ee, ee = (
+            self._outcomes(power_idx)
         )
-        power_delta = self.phi * (self.power_levels_dbw[-1] - power_dbw)
+        return StepEval(
+            power_idx, power_dbw, rates, rate_b, power_delta, rate_delta,
+            float(delta_sum), link_ee, float(ee),
+        )
+
+    def _outcomes(self, power_idx: np.ndarray) -> tuple:
+        """The fields after ``power_idx`` in :class:`StepEval` order, for an
+        index array of shape (K, B) or (B,)."""
+        power_dbw = self.power_levels_dbw.take(power_idx)
+        power_w = self.power_levels_w.take(power_idx) * self.phi
+        total = power_w @ self.site_to_user_gain
+        site_w = power_w.take(self.sched_site, axis=-1)
+        snr = site_w * self.serving_gain / (total - site_w * self.own_gain + self.noise_w)
+        rates = self.bandwidth_hz * np.log2(1.0 + snr)
+        bins = self.sched_site
+        if power_idx.ndim == 2:
+            # Row k's users land in bins k*B + site, summed in column order.
+            bins = bins + self.n_sites * np.arange(len(power_idx))[:, None]
+        rate_b = np.bincount(
+            bins.ravel(), weights=rates.ravel(), minlength=power_idx.size
+        ).reshape(power_idx.shape)
         rate_delta = self.phi * (self.ref_rate_bps - rate_b)
         link_ee = self.phi * (rate_b / 1e6) / power_dbw
-        n_active = self.phi.sum()
-        network_ee = float(link_ee.sum() / n_active) if n_active else 0.0
-        return StepEval(
-            power_idx=power_idx,
-            power_dbw=power_dbw,
-            user_rates_bps=rates,
-            rate_bps=rate_b,
-            power_delta_db=power_delta,
-            rate_delta_bps=rate_delta,
-            rate_delta_sum=float(rate_delta.sum()),
-            link_ee=link_ee,
-            network_ee=network_ee,
+        n_active = self.active_sites.size
+        network_ee = (
+            link_ee.sum(axis=-1) / n_active if n_active else np.zeros(power_idx.shape[:-1])
+        )
+        return (
+            power_dbw,
+            rates,
+            rate_b,
+            self.phi * (self.power_levels_dbw[-1] - power_dbw),
+            rate_delta,
+            rate_delta.sum(axis=-1),
+            link_ee,
+            network_ee,
         )
 
     def drained_residual(self, ev: StepEval) -> np.ndarray:
@@ -495,6 +552,7 @@ class Scenario:
             sched_users=sched_users,
             sched_site=sched_site,
             serving_gain=self.serving_gain_u[sched_users],
+            own_gain=site_to_user[sched_site, np.arange(sched_users.size)],
             site_to_user_gain=site_to_user,
             residual_bits=self.residual_bits[sched_users].copy(),
             ref_rate_bps=np.zeros(n_sites),

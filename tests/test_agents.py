@@ -1,10 +1,12 @@
 """Inner search mechanics, the three agents, and the exhaustive oracle."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ranpower import agents
 from ranpower.agents import (
     DqnAgent,
     QLearningAgent,
@@ -15,7 +17,7 @@ from ranpower.agents import (
 )
 from ranpower.errors import InvalidConfig, InvariantViolation, SearchSpaceTooLarge
 from ranpower.rl import Hyperparams, state_bin, tabular_q_update
-from ranpower.scenario import StepEval
+from ranpower.scenario import StepEvals
 
 from conftest import make_scenario
 
@@ -39,20 +41,24 @@ class InfeasibleCtx:
         self.any_active = True
         self.features = np.full((n_sites, 2), 0.5)
 
-    def evaluate(self, power_idx):
+    def evaluate_many(self, power_idx):
         power_idx = np.asarray(power_idx, dtype=int)
-        full = bool(np.all(power_idx == self.n_levels - 1))
-        return StepEval(
+        shape = power_idx.shape
+        full = np.all(power_idx == self.n_levels - 1, axis=1)
+        return StepEvals(
             power_idx=power_idx,
-            power_dbw=np.full(self.n_sites, 15.2),
-            user_rates_bps=np.zeros(self.n_sites),
-            rate_bps=np.full(self.n_sites, 1e6),
-            power_delta_db=np.zeros(self.n_sites),
-            rate_delta_bps=np.zeros(self.n_sites),
-            rate_delta_sum=0.0 if full else -1.0,
-            link_ee=np.full(self.n_sites, 0.25),
-            network_ee=0.25,
+            power_dbw=np.full(shape, 15.2),
+            user_rates_bps=np.zeros(shape),
+            rate_bps=np.full(shape, 1e6),
+            power_delta_db=np.zeros(shape),
+            rate_delta_bps=np.zeros(shape),
+            rate_delta_sum=np.where(full, 0.0, -1.0),
+            link_ee=np.full(shape, 0.25),
+            network_ee=np.full(shape[0], 0.25),
         )
+
+    def evaluate(self, power_idx):
+        return self.evaluate_many(np.asarray(power_idx)[None, :]).row(0)
 
     def next_features(self, ev):
         return self.features
@@ -67,6 +73,14 @@ def test_search_greedy_tie_keeps_earliest_iteration(loaded_ctx):
     assert len(records) == 10
     assert all(r.feasible for r in records)
     assert np.array_equal(ev.power_idx, np.zeros(3, dtype=int))
+
+
+def test_search_ties_break_low(loaded_ctx):
+    """Tied action values go to the lowest power level."""
+    qrows = np.tile([7.0, 7.0, 1.0, 7.0], (3, 1))
+    records = []
+    _inner_search(loaded_ctx, qrows, 5, 0.0, np.random.default_rng(0), records)
+    assert all(np.array_equal(r.power_idx, np.zeros(3, dtype=int)) for r in records)
 
 
 def test_search_accepts_highest_scoring_feasible_candidate(loaded_ctx):
@@ -109,6 +123,74 @@ def test_search_returns_none_when_nothing_is_feasible(loaded_ctx):
     ev, n_star, _ = _inner_search(loaded_ctx, qrows, 8, 0.0, np.random.default_rng(0))
     assert ev is None
     assert n_star is None
+
+
+def test_search_exploits_argmax(loaded_ctx):
+    """With no exploration every candidate is each station's argmax."""
+    qrows = np.zeros((3, loaded_ctx.n_levels))
+    qrows[0, 1] = qrows[1, 2] = qrows[2, 3] = 1.0
+    records = []
+    ev, n_star, score = _inner_search(
+        loaded_ctx, qrows, 5, 0.0, np.random.default_rng(0), records
+    )
+    assert all(np.array_equal(r.power_idx, [1, 2, 3]) for r in records)
+    assert n_star == 1
+    assert score == 3.0
+    assert np.array_equal(ev.power_idx, [1, 2, 3])
+
+
+def test_search_explore_is_roughly_uniform(loaded_ctx):
+    """Epsilon 1 ignores the values: every level of every station is drawn
+    about equally often."""
+    qrows = np.tile([9.0, 0.0, 0.0, 0.0], (3, 1))
+    records = []
+    _inner_search(loaded_ctx, qrows, 2000, 1.0, np.random.default_rng(12), records)
+    picks = np.stack([r.power_idx for r in records])
+    counts = np.bincount(picks.ravel(), minlength=4)
+    # 6000 draws, each level expects 1500, sigma ~ 33.5; allow 4 sigma
+    assert np.all(np.abs(counts - 1500) < 134)
+
+
+def test_search_scale_invariance(loaded_ctx):
+    qrows = np.random.default_rng(3).normal(size=(3, loaded_ctx.n_levels))
+    ev_a, n_a, _ = _inner_search(loaded_ctx, qrows, 30, 0.3, np.random.default_rng(4))
+    ev_b, n_b, _ = _inner_search(loaded_ctx, qrows * 37.5, 30, 0.3, np.random.default_rng(4))
+    assert n_a == n_b
+    assert np.array_equal(ev_a.power_idx, ev_b.power_idx)
+
+
+class CountingCtx:
+    """Forwards to a real step and records every evaluator call."""
+
+    def __init__(self, ctx):
+        self._ctx = ctx
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
+
+    def evaluate_many(self, power_idx):
+        self.calls.append(("many", len(power_idx)))
+        return self._ctx.evaluate_many(power_idx)
+
+    def evaluate(self, power_idx):
+        self.calls.append(("one", 1))
+        return self._ctx.evaluate(power_idx)
+
+
+def test_search_accepts_the_row_it_tested(loaded_ctx):
+    """One batched evaluation rates every candidate, and the accepted eval is
+    that batch's row: nothing is re-evaluated after the feasibility test."""
+    ctx = CountingCtx(loaded_ctx)
+    qrows = np.random.default_rng(3).normal(size=(3, loaded_ctx.n_levels))
+    records = []
+    ev, n_star, _ = _inner_search(ctx, qrows, 40, 0.5, np.random.default_rng(7), records)
+    assert ctx.calls == [("many", 40)]
+    tested = records[n_star - 1]
+    assert ev.rate_delta_sum == tested.rate_delta_sum
+    assert ev.rate_delta_sum >= 0.0
+    assert np.array_equal(ev.power_idx, tested.power_idx)
+    _check_accepted(ev)
 
 
 def test_check_accepted_raises_on_negative_delta_sum(loaded_ctx):
@@ -316,16 +398,36 @@ def test_agent_constructor_validation():
         QLearningAgent(4, Hyperparams(), alpha=1.5)
 
 
-def test_exhaustive_oracle_matches_hand_enumeration(loaded_ctx):
-    idx, ee = exhaustive_oracle(loaded_ctx)
-
+def test_exhaustive_oracle_matches_hand_enumeration(loaded_ctx, monkeypatch):
+    """A per-plan evaluate loop is the reference; any chunking of the batched
+    enumeration must give its result."""
     best_idx, best_ee = None, -np.inf
     for combo in itertools.product(range(loaded_ctx.n_levels), repeat=3):
         ev = loaded_ctx.evaluate(np.asarray(combo, dtype=int))
         if ev.rate_delta_sum >= 0.0 and ev.network_ee > best_ee:
             best_idx, best_ee = np.asarray(combo, dtype=int), ev.network_ee
-    assert np.array_equal(idx, best_idx)
-    assert ee == pytest.approx(best_ee, rel=1e-12)
+
+    for chunk in (agents.ORACLE_CHUNK, 1, 5, 64):
+        monkeypatch.setattr(agents, "ORACLE_CHUNK", chunk)
+        idx, ee = exhaustive_oracle(loaded_ctx)
+        assert np.array_equal(idx, best_idx)
+        assert ee == pytest.approx(best_ee, rel=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 4096])
+def test_exhaustive_oracle_ties_go_to_the_smallest_plan(monkeypatch, chunk):
+    """Every plan scores the same here; the lexicographically first feasible
+    plan wins across chunk boundaries too."""
+    class FlatCtx(InfeasibleCtx):
+        def evaluate_many(self, power_idx):
+            evs = super().evaluate_many(power_idx)
+            feasible = power_idx.sum(axis=1) >= 2
+            return replace(evs, rate_delta_sum=np.where(feasible, 0.0, -1.0))
+
+    monkeypatch.setattr(agents, "ORACLE_CHUNK", chunk)
+    idx, ee = exhaustive_oracle(FlatCtx(n_sites=2, n_levels=3))
+    assert np.array_equal(idx, [0, 2])
+    assert ee == 0.25
 
 
 def test_exhaustive_oracle_beats_or_ties_every_feasible_assignment(loaded_ctx):

@@ -25,7 +25,6 @@ from ranpower.rl import (
     backward_and_step,
     discounted_return,
     empirical_policy_prob,
-    epsilon_greedy,
     load_weights,
     minibatch_loss,
     minibatch_targets,
@@ -34,7 +33,6 @@ from ranpower.rl import (
     state_bin,
     sync_target,
     tabular_q_update,
-    td_target,
 )
 
 
@@ -180,39 +178,32 @@ def test_sync_target_mismatch_raises():
         sync_target(pred, target)
 
 
-def test_epsilon_greedy_exploits_argmax():
-    rng = np.random.default_rng(0)
-    assert epsilon_greedy(np.array([1.0, 5.0, 2.0]), 0.0, rng) == 1
-
-
-def test_epsilon_greedy_ties_break_low():
-    rng = np.random.default_rng(0)
-    assert epsilon_greedy(np.array([7.0, 7.0, 1.0]), 0.0, rng) == 0
-
-
-def test_epsilon_greedy_explore_is_roughly_uniform():
-    rng = np.random.default_rng(12)
-    counts = np.zeros(4)
-    for _ in range(20000):
-        counts[epsilon_greedy(np.array([9.0, 0.0, 0.0, 0.0]), 1.0, rng)] += 1
-    # each arm expects 5000 draws, sigma ~ 61; allow 4 sigma
-    assert np.all(np.abs(counts - 5000) < 245)
-
-
-def test_epsilon_greedy_scale_invariance():
-    rng = np.random.default_rng(3)
-    q = np.array([0.2, 1.4, -0.7, 1.1])
-    assert epsilon_greedy(q, 0.0, rng) == epsilon_greedy(q * 37.5, 0.0, rng)
-
-
-def test_td_target_values():
+def test_minibatch_targets_values():
+    """Bootstrap r + discount * max Q(s'); a terminal sample keeps r alone."""
     net = QNetwork(
         [np.zeros((2, 3))],
         [np.array([0.5, 2.0, -1.0])],
     )
-    assert td_target(1.0, np.array([0.0, 0.0]), net, 0.9) == pytest.approx(2.8)
-    assert td_target(1.0, None, net, 0.9) == 1.0
-    assert td_target(1.0, np.array([0.0, 0.0]), net, 0.0) == 1.0
+    batch = [
+        Transition(np.zeros(2), 0, 1.0, np.array([0.0, 0.0])),
+        Transition(np.zeros(2), 1, 1.0, None),
+        Transition(np.zeros(2), 2, -0.5, np.array([0.3, 0.7])),
+    ]
+    assert minibatch_targets(batch, net, 0.9) == pytest.approx([2.8, 1.0, 1.3])
+    assert np.array_equal(minibatch_targets(batch, net, 0.0), [1.0, 1.0, -0.5])
+    terminal = [Transition(np.zeros(2), 0, 4.0, None)] * 2
+    assert np.array_equal(minibatch_targets(terminal, net, 0.9), [4.0, 4.0])
+
+
+def test_minibatch_targets_match_per_sample_forward():
+    rng = np.random.default_rng(5)
+    net = QNetwork.create([2, 8, 4], rng, zero_output=False)
+    batch = random_batch(rng, 20, 2, 4, terminal_every=3)
+    expected = [
+        tr.r if tr.s_next is None else tr.r + 0.9 * float(np.max(net.forward(tr.s_next)))
+        for tr in batch
+    ]
+    assert minibatch_targets(batch, net, 0.9) == pytest.approx(expected, rel=1e-12)
 
 
 def test_minibatch_loss_single_sample():

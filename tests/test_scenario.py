@@ -1,9 +1,13 @@
 """Topology, traffic, scheduling, and the frozen per-step physics."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranpower.errors import DistanceTooSmall, InvalidConfig
 from ranpower.radio import Position, channel_gain, dbw_to_watts
@@ -11,6 +15,7 @@ from ranpower.scenario import (
     ArrivalConfig,
     RadioParams,
     Scenario,
+    StepEval,
     Topology,
     associate_max_rsrp,
     build_topology,
@@ -208,6 +213,53 @@ def test_evaluate_against_scalar_oracle(three_site_scenario):
             (rates[b] / 1e6) / levels[idx[b]], rel=1e-12
         )
     assert ev.network_ee == pytest.approx(ev.link_ee.sum() / 3.0, rel=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def seven_site_step():
+    """Seven sites, two users per sector, about 60% of the users of sites
+    0-4 pending: sites 5 and 6 sleep, the others serve up to three sectors."""
+    topo = build_topology(rings=1, isd_m=500.0, p_max_dbw=15.2, delta_p_max_db=2.0, n_levels=5)
+    scn = make_scenario(topo, RadioParams(), seed=3, per_sector=2)
+    coin = np.random.default_rng(4).random(scn.n_users) < 0.6
+    pending = coin & (scn.serving_site < 5)
+    scn.residual_bits[pending] = 1e5
+    scn.arrival_step[pending] = 0
+    ctx = scn.build_step(volume_scale_bits=2e5)
+    assert 0 < ctx.active_sites.size < ctx.n_sites
+    assert np.bincount(ctx.sched_site).max() > 1
+    return ctx
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(0, 4), min_size=7, max_size=7), min_size=1, max_size=12
+    )
+)
+def test_evaluate_many_rows_match_evaluate(plans):
+    """Each row of the batched evaluator is the single-plan evaluation of
+    that row to 1e-12 relative.  Rate deltas are differences of nearly equal
+    rates, so theirs is relative to the reference throughput."""
+    ctx = seven_site_step()
+    idx = np.array(plans)
+    evs = ctx.evaluate_many(idx)
+    delta_tol = 1e-12 * ctx.ref_rate_bps.sum()
+    for k, plan in enumerate(idx):
+        one, row = ctx.evaluate(plan), evs.row(k)
+        assert np.array_equal(row.power_idx, one.power_idx)
+        assert np.array_equal(row.power_dbw, one.power_dbw)
+        assert np.array_equal(row.power_delta_db, one.power_delta_db)
+        for field in ("user_rates_bps", "rate_bps", "link_ee"):
+            np.testing.assert_allclose(getattr(row, field), getattr(one, field), rtol=1e-12)
+        assert row.network_ee == pytest.approx(one.network_ee, rel=1e-12)
+        np.testing.assert_allclose(row.rate_delta_bps, one.rate_delta_bps, rtol=0, atol=delta_tol)
+        assert row.rate_delta_sum == pytest.approx(one.rate_delta_sum, rel=0, abs=delta_tol)
+    # a batch of one is the single-plan path bit for bit
+    single = ctx.evaluate_many(idx[:1]).row(0)
+    one = ctx.evaluate(idx[0])
+    for field in dataclasses.fields(StepEval):
+        assert np.array_equal(getattr(single, field.name), getattr(one, field.name))
 
 
 def test_full_power_reference_has_zero_delta(three_site_scenario):
