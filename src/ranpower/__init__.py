@@ -11,7 +11,7 @@ from .agents import DqnAgent, QLearningAgent, SleepAgent, exhaustive_oracle
 from .config import RunConfig, load_config
 from .metrics import CSV_COLUMNS, MetricsAccumulator, MetricsRow
 from .radio import LinkBudget, Position
-from .rl import Hyperparams, QNetwork, ReplayMemory, State, Transition
+from .rl import Hyperparams, QNetwork, ReplayMemory
 from .runner import run, run_compare, run_oracle_check, run_sweep
 from .scenario import (
     ArrivalConfig,
@@ -41,10 +41,8 @@ __all__ = [
     "RunConfig",
     "Scenario",
     "SleepAgent",
-    "State",
     "StepContext",
     "Topology",
-    "Transition",
     "build_topology",
     "drop_users",
     "exhaustive_oracle",

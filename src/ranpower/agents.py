@@ -20,7 +20,6 @@ from .rl import (
     Hyperparams,
     QNetwork,
     ReplayMemory,
-    Transition,
     backward_and_step,
     minibatch_targets,
     state_bin,
@@ -115,6 +114,32 @@ def _check_accepted(ev: StepEval) -> None:
         )
 
 
+def _all_sleep(ctx: StepContext) -> EpisodeOutcome:
+    """No station has traffic: nothing to decide, and no reward."""
+    return EpisodeOutcome(
+        ev=_fallback_full_power(ctx), reward=0.0, feasible=False,
+        accepted_iteration=None, all_sleep=True,
+    )
+
+
+def _decide(
+    ctx: StepContext,
+    qrows: np.ndarray,
+    n_iterations: int,
+    epsilon: float,
+    rng: np.random.Generator,
+    collect: list[IterationRecord] | None,
+) -> EpisodeOutcome:
+    """Accept the search's best feasible candidate, or keep full power when
+    none is feasible; either way the reward is the executed efficiency."""
+    ev, n_star, _ = _inner_search(ctx, qrows, n_iterations, epsilon, rng, collect)
+    if ev is None:
+        ev = _fallback_full_power(ctx)
+        return EpisodeOutcome(ev=ev, reward=ev.network_ee, feasible=False, accepted_iteration=None)
+    _check_accepted(ev)
+    return EpisodeOutcome(ev=ev, reward=ev.network_ee, feasible=True, accepted_iteration=n_star)
+
+
 class DqnAgent:
     """Deep Q-learning over the shared per-station network with replay.
 
@@ -143,6 +168,7 @@ class DqnAgent:
         self.hyper = hyper
         self.n_iterations = n_iterations
         self.training_rounds = 0
+        self.target_syncs = 0
 
     def run_episode(
         self,
@@ -165,40 +191,18 @@ class DqnAgent:
         collect: list[IterationRecord] | None,
     ) -> EpisodeOutcome:
         if not ctx.any_active:
-            return EpisodeOutcome(
-                ev=_fallback_full_power(ctx),
-                reward=0.0,
-                feasible=False,
-                accepted_iteration=None,
-                all_sleep=True,
-            )
+            return _all_sleep(ctx)
         qrows = self.predicted.forward_batch(ctx.features)
-        ev, n_star, _ = _inner_search(
-            ctx, qrows, self.n_iterations, self.hyper.epsilon, rng, collect
-        )
-        if ev is None:
-            fallback = _fallback_full_power(ctx)
-            return EpisodeOutcome(
-                ev=fallback,
-                reward=fallback.network_ee,
-                feasible=False,
-                accepted_iteration=None,
-            )
-        _check_accepted(ev)
-        reward = ev.network_ee
-        nxt = None if terminal else ctx.next_features(ev)
-        for b in ctx.active_sites:
+        outcome = _decide(ctx, qrows, self.n_iterations, self.hyper.epsilon, rng, collect)
+        if outcome.feasible:
+            ev, active = outcome.ev, ctx.active_sites
             self.memory.push(
-                Transition(
-                    s=ctx.features[b].copy(),
-                    a=int(ev.power_idx[b]),
-                    r=reward,
-                    s_next=None if nxt is None else nxt[b].copy(),
-                )
+                ctx.features[active],
+                ev.power_idx[active],
+                outcome.reward,
+                None if terminal else ctx.next_features(ev)[active],
             )
-        return EpisodeOutcome(
-            ev=ev, reward=reward, feasible=True, accepted_iteration=n_star
-        )
+        return outcome
 
     def _maybe_train(self, episode: int, rng: np.random.Generator) -> None:
         h = self.hyper
@@ -211,6 +215,7 @@ class DqnAgent:
         self.training_rounds += 1
         if self.training_rounds % h.sync_interval == 0:
             sync_target(self.predicted, self.target)
+            self.target_syncs += 1
 
 
 class QLearningAgent:
@@ -244,42 +249,25 @@ class QLearningAgent:
         collect: list[IterationRecord] | None = None,
     ) -> EpisodeOutcome:
         if not ctx.any_active:
-            return EpisodeOutcome(
-                ev=_fallback_full_power(ctx),
-                reward=0.0,
-                feasible=False,
-                accepted_iteration=None,
-                all_sleep=True,
-            )
+            return _all_sleep(ctx)
         bins = [state_bin(ctx.features[b], self.n_bins) for b in range(ctx.n_sites)]
         qrows = np.stack([self.table[bins[b]] for b in range(ctx.n_sites)])
-        ev, n_star, _ = _inner_search(
-            ctx, qrows, self.n_iterations, self.hyper.epsilon, rng_explore, collect
-        )
-        if ev is None:
-            fallback = _fallback_full_power(ctx)
-            return EpisodeOutcome(
-                ev=fallback,
-                reward=fallback.network_ee,
-                feasible=False,
-                accepted_iteration=None,
-            )
-        _check_accepted(ev)
-        reward = ev.network_ee
+        outcome = _decide(ctx, qrows, self.n_iterations, self.hyper.epsilon, rng_explore, collect)
+        if not outcome.feasible:
+            return outcome
+        ev = outcome.ev
         nxt = None if terminal else ctx.next_features(ev)
         for b in ctx.active_sites:
             tabular_q_update(
                 self.table,
                 bins[b],
                 int(ev.power_idx[b]),
-                reward,
+                outcome.reward,
                 None if nxt is None else state_bin(nxt[b], self.n_bins),
                 self.hyper.discount,
                 self.alpha,
             )
-        return EpisodeOutcome(
-            ev=ev, reward=reward, feasible=True, accepted_iteration=n_star
-        )
+        return outcome
 
 
 class SleepAgent:
@@ -287,12 +275,9 @@ class SleepAgent:
     sleep.  No search runs, so the accepted-iteration count is recorded as 0."""
 
     def run_episode(self, ctx: StepContext, **_: object) -> EpisodeOutcome:
-        ev = _fallback_full_power(ctx)
         if not ctx.any_active:
-            return EpisodeOutcome(
-                ev=ev, reward=0.0, feasible=False, accepted_iteration=None,
-                all_sleep=True,
-            )
+            return _all_sleep(ctx)
+        ev = _fallback_full_power(ctx)
         _check_accepted(ev)
         return EpisodeOutcome(
             ev=ev, reward=ev.network_ee, feasible=True, accepted_iteration=0

@@ -8,7 +8,7 @@ Subcommands:
 * ``oracle``  - run a small instance and score it against exhaustive search
 
 Exit codes: 0 on success, 1 for configuration problems (unreadable or
-invalid config, bad sweep values), 2 for runtime failures.
+invalid config, bad sweep values or worker count), 2 for runtime failures.
 """
 
 from __future__ import annotations
@@ -103,6 +103,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load(args)
         if args.command == "sweep":
             vary = _parse_vary(args.vary, cfg)
+            if args.workers < 1:
+                raise ValidationError(f"--workers {args.workers} must be at least 1")
     except (ParseError, ValidationError, InvalidConfig, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

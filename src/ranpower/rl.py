@@ -14,7 +14,6 @@ target network that is synchronised every few training rounds.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,63 +27,21 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Normalizer:
-    """Maps raw per-station observations onto roughly unit-scale features.
-
-    Volume is scaled by the largest traffic volume a single request can
-    carry; RSRP in dBW is shifted by the noise floor and scaled by the span
-    up to 0 dBW.  Both mappings are affine and therefore invertible.
-    """
-
-    volume_scale_bits: float
-    rsrp_floor_dbw: float = -125.0
-
-    def __post_init__(self) -> None:
-        if self.volume_scale_bits <= 0.0:
-            raise InvalidConfig("volume scale must be positive")
-        if self.rsrp_floor_dbw >= 0.0:
-            raise InvalidConfig("RSRP floor must sit below 0 dBW")
-
-    def features(self, volume_bits: float, rsrp_dbw: float) -> np.ndarray:
-        return np.array(
-            [
-                volume_bits / self.volume_scale_bits,
-                (rsrp_dbw - self.rsrp_floor_dbw) / -self.rsrp_floor_dbw,
-            ]
-        )
-
-    def volume_bits(self, volume_feature: float) -> float:
-        return volume_feature * self.volume_scale_bits
-
-    def rsrp_dbw(self, rsrp_feature: float) -> float:
-        return rsrp_feature * -self.rsrp_floor_dbw + self.rsrp_floor_dbw
-
-
-@dataclass(frozen=True)
-class State:
-    """Normalised per-station observation."""
-
-    volume: float
-    rsrp: float
-
-    @property
-    def vec(self) -> np.ndarray:
-        return np.array([self.volume, self.rsrp])
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One accepted decision: state, action index, reward, successor state.
-
-    ``s_next`` is ``None`` for the final step of a run, in which case the
-    bootstrap term is dropped from the learning target.
-    """
+@dataclass(frozen=True, eq=False)
+class Minibatch:
+    """Sampled transitions as row-aligned arrays: states ``s`` and successors
+    ``s_next`` (m, 2), action indices ``a`` and rewards ``r`` (m,).  Rows
+    where ``live`` is False ended a run: their ``s_next`` is meaningless and
+    the bootstrap term is dropped from their learning target."""
 
     s: np.ndarray
-    a: int
-    r: float
-    s_next: np.ndarray | None
+    a: np.ndarray
+    r: np.ndarray
+    s_next: np.ndarray
+    live: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.a)
 
 
 @dataclass(frozen=True)
@@ -110,37 +67,63 @@ class Hyperparams:
 
 
 class ReplayMemory:
-    """Bounded FIFO store of transitions with uniform minibatch sampling."""
+    """Bounded FIFO store of transitions with uniform minibatch sampling.
+
+    Transitions live in preallocated ring arrays ``s``, ``a``, ``r``,
+    ``s_next`` and ``live``; ``head`` is the next slot written, which once
+    the ring is full is also the oldest transition.
+    """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise InvalidConfig(f"replay capacity {capacity} must be positive")
         self.capacity = capacity
-        self._buf: deque[Transition] = deque(maxlen=capacity)
+        self.s = np.zeros((capacity, 2))
+        self.a = np.zeros(capacity, dtype=np.intp)
+        self.r = np.zeros(capacity)
+        self.s_next = np.zeros((capacity, 2))
+        self.live = np.zeros(capacity, dtype=bool)
+        self.head = 0
+        self._len = 0
 
-    def push(self, tr: Transition) -> None:
-        self._buf.append(tr)
+    def push(
+        self, s: np.ndarray, a: np.ndarray, r: float, s_next: np.ndarray | None
+    ) -> None:
+        """Store one decision's transitions in order, all sharing reward ``r``:
+        ``s`` and ``s_next`` of shape (n, 2), ``a`` of shape (n,).
+        ``s_next`` None marks them as the last step of a run."""
+        n = len(a)
+        keep = min(n, self.capacity)
+        pos = np.arange(self.head + n - keep, self.head + n) % self.capacity
+        self.s[pos] = s[n - keep:]
+        self.a[pos] = a[n - keep:]
+        self.r[pos] = r
+        self.live[pos] = s_next is not None
+        self.s_next[pos] = 0.0 if s_next is None else s_next[n - keep:]
+        self.head = (self.head + n) % self.capacity
+        self._len = min(self._len + n, self.capacity)
 
     def __len__(self) -> int:
-        return len(self._buf)
+        return self._len
 
-    def __iter__(self):
-        return iter(self._buf)
+    def sample_minibatch(self, size: int, rng: np.random.Generator) -> Minibatch:
+        """Uniform sample without replacement; needs strictly more than ``size``.
 
-    def sample_minibatch(
-        self, size: int, rng: np.random.Generator
-    ) -> list[Transition]:
-        """Uniform sample without replacement; needs strictly more than ``size``."""
-        if len(self._buf) <= size:
+        ``rng`` draws indices in insertion order (oldest first), which the
+        ring maps to slots.
+        """
+        if self._len <= size:
             raise InsufficientSamples(
-                f"memory holds {len(self._buf)} transitions, need more than {size}"
+                f"memory holds {self._len} transitions, need more than {size}"
             )
-        idx = rng.choice(len(self._buf), size=size, replace=False)
-        buf = list(self._buf)
-        return [buf[i] for i in idx]
+        idx = rng.choice(self._len, size=size, replace=False)
+        slots = (self.head - self._len + idx) % self.capacity
+        return Minibatch(
+            self.s[slots], self.a[slots], self.r[slots], self.s_next[slots], self.live[slots]
+        )
 
     def action_count(self, action: int) -> int:
-        return sum(1 for tr in self._buf if tr.a == action)
+        return int(np.count_nonzero(self.a[: self._len] == action))
 
 
 class QNetwork:
@@ -165,6 +148,8 @@ class QNetwork:
                 )
         self.weights = weights
         self.biases = biases
+        # Training-round arrays, allocated on first use (see ``_scratch``).
+        self._buffers: dict[tuple[str, int], np.ndarray] = {}
 
     @classmethod
     def create(
@@ -200,6 +185,29 @@ class QNetwork:
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.forward_batch(x)[0]
 
+    def _scratch(self, key: tuple[str, int], shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        """The leading ``shape[0]`` rows of a training-round buffer of this
+        network, reallocated only when a larger batch asks for more rows."""
+        buf = self._buffers.get(key)
+        if buf is None or len(buf) < shape[0]:
+            buf = self._buffers[key] = np.empty(shape, dtype)
+        return buf[: shape[0]]
+
+    def _activations(self, x: np.ndarray) -> list[np.ndarray]:
+        """``x`` and every layer's output for its rows, the last being the
+        Q-values, written into this network's buffers: valid only until its
+        next training-round call.  Each element sees ``forward_batch``'s
+        operations in its order (``a @ w``, ``+ b``, ReLU), so the values
+        are bit-identical to it."""
+        acts = [x]
+        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = np.matmul(acts[-1], w, out=self._scratch(("out", layer), (len(x), w.shape[1])))
+            z += b
+            if layer < len(self.weights) - 1:
+                np.maximum(z, 0.0, out=z)
+            acts.append(z)
+        return acts
+
     def clone(self) -> "QNetwork":
         return QNetwork(
             [w.copy() for w in self.weights], [b.copy() for b in self.biases]
@@ -217,73 +225,64 @@ class QNetwork:
 
 
 def minibatch_targets(
-    batch: Sequence[Transition], target_net: QNetwork, discount: float
+    batch: Minibatch, target_net: QNetwork, discount: float
 ) -> np.ndarray:
-    """One-step bootstrap targets from one forward pass over the non-terminal
+    """One-step bootstrap targets from one forward pass over the live
     successors; terminal samples keep the bare reward."""
-    targets = np.array([tr.r for tr in batch], dtype=float)
-    live = [k for k, tr in enumerate(batch) if tr.s_next is not None]
-    if live:
-        q_next = target_net.forward_batch(np.stack([batch[k].s_next for k in live]))
-        targets[live] += discount * q_next.max(axis=1)
+    targets = batch.r.copy()
+    if batch.live.any():
+        q_next = target_net._activations(batch.s_next[batch.live])[-1]
+        targets[batch.live] += discount * q_next.max(axis=1)
     return targets
 
 
 def minibatch_loss(
-    batch: Sequence[Transition],
-    predicted: QNetwork,
-    target_net: QNetwork,
-    discount: float,
+    batch: Minibatch, predicted: QNetwork, target_net: QNetwork, discount: float
 ) -> float:
     """Quadratic regression loss of the predicted network against the targets."""
-    states = np.stack([tr.s for tr in batch])
-    actions = np.array([tr.a for tr in batch])
-    q = predicted.forward_batch(states)[np.arange(len(batch)), actions]
+    m = len(batch)
+    q = predicted.forward_batch(batch.s)[np.arange(m), batch.a]
     y = minibatch_targets(batch, target_net, discount)
-    return float(np.sum((q - y) ** 2) / (2 * len(batch)))
+    return float(np.sum((q - y) ** 2) / (2 * m))
 
 
 def backward_and_step(
-    net: QNetwork,
-    batch: Sequence[Transition],
-    targets: np.ndarray,
-    learning_rate: float,
+    net: QNetwork, batch: Minibatch, targets: np.ndarray, learning_rate: float
 ) -> QNetwork:
     """One plain gradient-descent step on the minibatch regression loss.
 
     Gradients are computed by hand: the error lands only on each sample's
-    chosen action output, then flows back through the ReLU stack.
+    chosen action output, then flows back through the ReLU stack.  Every
+    (m, width) array lives in the network's buffers, so a round allocates
+    only (m,)-sized temporaries.
     """
-    states = np.stack([tr.s for tr in batch])
-    actions = np.array([tr.a for tr in batch])
     m = len(batch)
-
-    acts = [states]
-    pre: list[np.ndarray] = []
-    a = states
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        z = a @ w + b
-        pre.append(z)
-        a = np.maximum(z, 0.0)
-        acts.append(a)
-    out = a @ net.weights[-1] + net.biases[-1]
-
-    delta = np.zeros_like(out)
+    acts = net._activations(batch.s)
+    out = acts.pop()
     rows = np.arange(m)
-    delta[rows, actions] = (out[rows, actions] - targets) / m
+    last = len(net.weights) - 1
+    delta = net._scratch(("delta", last), out.shape)
+    delta.fill(0.0)
+    delta[rows, batch.a] = (out[rows, batch.a] - targets) / m
 
-    grads_w: list[np.ndarray] = [None] * len(net.weights)  # type: ignore[list-item]
-    grads_b: list[np.ndarray] = [None] * len(net.biases)  # type: ignore[list-item]
-    for layer in range(len(net.weights) - 1, -1, -1):
-        grads_w[layer] = acts[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
+    grads = []
+    for layer in range(last, -1, -1):
+        w, b = net.weights[layer], net.biases[layer]
+        gw = np.matmul(acts[layer].T, delta, out=net._scratch(("grad_w", layer), w.shape))
+        gb = np.sum(delta, axis=0, out=net._scratch(("grad_b", layer), b.shape))
+        grads.append((w, gw, b, gb))
         if layer > 0:
-            delta = (delta @ net.weights[layer].T) * (pre[layer - 1] > 0.0)
+            shape = acts[layer].shape
+            delta = np.matmul(delta, w.T, out=net._scratch(("delta", layer - 1), shape))
+            # acts > 0 exactly where the pre-activation was > 0.
+            mask = np.greater(acts[layer], 0.0, out=net._scratch(("mask", layer - 1), shape, bool))
+            delta *= mask
 
-    for w, gw in zip(net.weights, grads_w):
-        w -= learning_rate * gw
-    for b, gb in zip(net.biases, grads_b):
-        b -= learning_rate * gb
+    for w, gw, b, gb in grads:
+        gw *= learning_rate
+        w -= gw
+        gb *= learning_rate
+        b -= gb
     return net
 
 
@@ -291,14 +290,6 @@ def sync_target(predicted: QNetwork, target_net: QNetwork) -> QNetwork:
     """Overwrite the target network's parameters with the predicted ones."""
     target_net.copy_from(predicted)
     return target_net
-
-
-def discounted_return(rewards: Sequence[float], discount: float) -> float:
-    """Discounted sum of a reward sequence via the backward recursion."""
-    acc = 0.0
-    for r in reversed(rewards):
-        acc = r + discount * acc
-    return acc
 
 
 def empirical_policy_prob(

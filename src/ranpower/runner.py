@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -151,6 +153,25 @@ def _format_cell(value: float | int | None) -> str:
     return repr(float(value))
 
 
+@contextmanager
+def _replacing(path: Path) -> Iterator[Path]:
+    """Yield a temp path beside ``path`` and move it onto ``path`` only when
+    the block completes, so an interrupted write never leaves a
+    complete-looking file and an earlier ``path`` stays intact."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_json(path: Path, obj) -> None:
+    with _replacing(path) as tmp, open(tmp, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
 @dataclass(frozen=True)
 class RunResult:
     config: RunConfig
@@ -184,7 +205,7 @@ def run(
 
     acc = MetricsAccumulator(p_max_dbw=cfg.p_max_dbw)
     rows: list[MetricsRow] = []
-    with open(csv_path, "w", newline="") as fh:
+    with _replacing(csv_path) as tmp, open(tmp, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for t in range(cfg.episodes):
             scn.spawn_arrivals(streams["traffic"])
@@ -199,9 +220,6 @@ def run(
             if episode_hook is not None:
                 episode_hook(t, ctx, outcome)
 
-    if isinstance(agent, DqnAgent):
-        save_weights(agent.predicted, str(out / "weights.bin"))
-
     summary = {
         "agent": cfg.agent,
         "seed": cfg.seed,
@@ -209,9 +227,15 @@ def run(
         "wall_clock_s": time.perf_counter() - started,
         "config": asdict(cfg),
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    if isinstance(agent, DqnAgent):
+        with _replacing(out / "weights.bin") as tmp:
+            save_weights(agent.predicted, str(tmp))
+        summary["learner"] = {
+            "training_rounds": agent.training_rounds,
+            "target_syncs": agent.target_syncs,
+            "replay_fill": len(agent.memory),
+        }
+    _write_json(out / "summary.json", summary)
     if not quiet:
         ee = summary["ee_overall_mbps_per_dbw"]
         print(f"[{cfg.agent}] seed={cfg.seed} episodes={cfg.episodes} ee={ee:.4f}")
@@ -253,7 +277,7 @@ def run_compare(
         )
         table.append(entry)
     columns = list(table[0].keys())
-    with open(out / "comparison.csv", "w", newline="") as fh:
+    with _replacing(out / "comparison.csv") as tmp, open(tmp, "w", newline="") as fh:
         fh.write(",".join(columns) + "\n")
         for entry in table:
             fh.write(
@@ -287,7 +311,8 @@ def run_sweep(
     """Cartesian sweep over the listed keys; one subdirectory per combo.
 
     Combos are independent runs, so ``workers > 1`` executes them in
-    parallel processes without changing any output.
+    parallel processes without changing any output.  The pool never holds
+    more processes than there are combos or CPUs.
     """
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -297,14 +322,13 @@ def run_sweep(
         tags = dict(zip(keys, combo))
         sub = out / "_".join(f"{k}={v}" for k, v in tags.items())
         jobs.append((replace(cfg, **tags).validate(), str(sub)))
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_sweep_one, jobs))
     else:
         entries = [_sweep_one(job) for job in jobs]
-    with open(out / "sweep.json", "w") as fh:
-        json.dump(entries, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "sweep.json", entries)
     if not quiet:
         for entry in entries:
             print(f"{entry['out']}: ee={entry['ee_overall_mbps_per_dbw']:.4f}")
@@ -333,7 +357,7 @@ def run_oracle_check(
         ratios.append((t, achieved, best_ee, ratio))
 
     run(cfg, out, quiet=True, episode_hook=hook)
-    with open(out / "oracle.csv", "w", newline="") as fh:
+    with _replacing(out / "oracle.csv") as tmp, open(tmp, "w", newline="") as fh:
         fh.write("t,achieved_ee,oracle_ee,ratio\n")
         for t, achieved, best, ratio in ratios:
             fh.write(f"{t},{achieved!r},{best!r},{ratio!r}\n")
@@ -342,9 +366,7 @@ def run_oracle_check(
         "mean_ratio": float(np.mean([r[3] for r in ratios])) if ratios else None,
         "min_ratio": float(np.min([r[3] for r in ratios])) if ratios else None,
     }
-    with open(out / "oracle_summary.json", "w") as fh:
-        json.dump(stats, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "oracle_summary.json", stats)
     if not quiet and stats["mean_ratio"] is not None:
         print(
             f"oracle check: {stats['steps_scored']} steps, "

@@ -297,7 +297,6 @@ class StepEval:
     power_dbw: np.ndarray
     user_rates_bps: np.ndarray
     rate_bps: np.ndarray
-    power_delta_db: np.ndarray
     rate_delta_bps: np.ndarray
     rate_delta_sum: float
     link_ee: np.ndarray
@@ -316,7 +315,6 @@ class StepEvals:
     power_dbw: np.ndarray
     user_rates_bps: np.ndarray
     rate_bps: np.ndarray
-    power_delta_db: np.ndarray
     rate_delta_bps: np.ndarray
     rate_delta_sum: np.ndarray
     link_ee: np.ndarray
@@ -328,7 +326,6 @@ class StepEvals:
             power_dbw=self.power_dbw[k],
             user_rates_bps=self.user_rates_bps[k],
             rate_bps=self.rate_bps[k],
-            power_delta_db=self.power_delta_db[k],
             rate_delta_bps=self.rate_delta_bps[k],
             rate_delta_sum=float(self.rate_delta_sum[k]),
             link_ee=self.link_ee[k],
@@ -389,12 +386,11 @@ class StepContext:
         pays for no broadcasting; bit-identical to row 0 of
         ``evaluate_many(power_idx[None])``."""
         power_idx = np.asarray(power_idx)
-        power_dbw, rates, rate_b, power_delta, rate_delta, delta_sum, link_ee, ee = (
+        power_dbw, rates, rate_b, rate_delta, delta_sum, link_ee, ee = (
             self._outcomes(power_idx)
         )
         return StepEval(
-            power_idx, power_dbw, rates, rate_b, power_delta, rate_delta,
-            float(delta_sum), link_ee, float(ee),
+            power_idx, power_dbw, rates, rate_b, rate_delta, float(delta_sum), link_ee, float(ee),
         )
 
     def _outcomes(self, power_idx: np.ndarray) -> tuple:
@@ -423,7 +419,6 @@ class StepContext:
             power_dbw,
             rates,
             rate_b,
-            self.phi * (self.power_levels_dbw[-1] - power_dbw),
             rate_delta,
             rate_delta.sum(axis=-1),
             link_ee,

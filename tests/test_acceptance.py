@@ -228,7 +228,6 @@ def test_criterion_04_throughput_constraint_soundness(small_dqn_run):
                 power_dbw=np.full(3, 13.2),
                 user_rates_bps=np.zeros(3),
                 rate_bps=np.zeros(3),
-                power_delta_db=np.zeros(3),
                 rate_delta_bps=np.zeros(3),
                 rate_delta_sum=-1.0,
                 link_ee=np.zeros(3),

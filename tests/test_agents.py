@@ -50,7 +50,6 @@ class InfeasibleCtx:
             power_dbw=np.full(shape, 15.2),
             user_rates_bps=np.zeros(shape),
             rate_bps=np.full(shape, 1e6),
-            power_delta_db=np.zeros(shape),
             rate_delta_bps=np.zeros(shape),
             rate_delta_sum=np.where(full, 0.0, -1.0),
             link_ee=np.full(shape, 0.25),
@@ -219,13 +218,16 @@ def test_dqn_pushes_one_transition_per_active_station(loaded_ctx):
     out = agent.run_episode(
         loaded_ctx, np.random.default_rng(1), np.random.default_rng(2), episode=1
     )
-    assert len(agent.memory) == loaded_ctx.active_sites.size
+    n = loaded_ctx.active_sites.size
+    mem = agent.memory
+    assert len(mem) == n
     nxt = loaded_ctx.next_features(out.ev)
-    for b, tr in zip(loaded_ctx.active_sites, agent.memory._buf):
-        assert tr.r == pytest.approx(out.reward, rel=1e-12)
-        assert tr.a == int(out.ev.power_idx[b])
-        assert np.array_equal(tr.s, loaded_ctx.features[b])
-        assert np.allclose(tr.s_next, nxt[b])
+    for k, b in enumerate(loaded_ctx.active_sites):
+        assert mem.r[k] == pytest.approx(out.reward, rel=1e-12)
+        assert mem.a[k] == int(out.ev.power_idx[b])
+        assert np.array_equal(mem.s[k], loaded_ctx.features[b])
+        assert np.allclose(mem.s_next[k], nxt[b])
+        assert mem.live[k]
 
 
 def test_dqn_terminal_step_stores_no_next_state(loaded_ctx):
@@ -234,7 +236,8 @@ def test_dqn_terminal_step_stores_no_next_state(loaded_ctx):
         loaded_ctx, np.random.default_rng(1), np.random.default_rng(2),
         episode=1, terminal=True,
     )
-    assert all(tr.s_next is None for tr in agent.memory._buf)
+    assert len(agent.memory) == loaded_ctx.active_sites.size
+    assert not agent.memory.live[: len(agent.memory)].any()
 
 
 def test_dqn_fallback_keeps_full_power_and_pushes_nothing():
@@ -385,8 +388,7 @@ def test_agents_never_accept_negative_delta_sums(loaded_ctx):
             if out.feasible:
                 assert out.ev.rate_delta_sum >= 0.0
     assert saw_infeasible_draw
-    for tr in dqn.memory._buf:
-        assert tr.r >= 0.0
+    assert np.all(dqn.memory.r[: len(dqn.memory)] >= 0.0)
 
 
 def test_agent_constructor_validation():

@@ -2,8 +2,12 @@
 
 The gradient test treats a parameter-space copy of the network as the oracle:
 analytic gradients recovered from a unit-rate update step must agree with
-central finite differences of the minibatch loss.
+central finite differences of the minibatch loss.  The ring replay and the
+buffered training round are checked against allocate-as-you-go reference
+models kept here: a deque of tuples and the per-op forward and backward.
 """
+
+from collections import deque
 
 import numpy as np
 import pytest
@@ -18,12 +22,10 @@ from ranpower.errors import (
 )
 from ranpower.rl import (
     Hyperparams,
-    Normalizer,
+    Minibatch,
     QNetwork,
     ReplayMemory,
-    Transition,
     backward_and_step,
-    discounted_return,
     empirical_policy_prob,
     load_weights,
     minibatch_loss,
@@ -37,34 +39,37 @@ from ranpower.rl import (
 
 
 def random_batch(rng, n, state_dim, n_actions, terminal_every=0):
-    batch = []
+    """n random transitions; every ``terminal_every``-th one is terminal."""
+    s = np.zeros((n, state_dim))
+    a = np.zeros(n, dtype=int)
+    r = np.zeros(n)
+    s_next = np.zeros((n, state_dim))
+    live = np.ones(n, dtype=bool)
     for k in range(n):
-        s_next = None
         if not terminal_every or (k + 1) % terminal_every:
-            s_next = rng.random(state_dim)
-        batch.append(
-            Transition(
-                s=rng.random(state_dim),
-                a=int(rng.integers(n_actions)),
-                r=float(rng.normal()),
-                s_next=s_next,
-            )
-        )
-    return batch
+            s_next[k] = rng.random(state_dim)
+        else:
+            live[k] = False
+        s[k] = rng.random(state_dim)
+        a[k] = rng.integers(n_actions)
+        r[k] = rng.normal()
+    return Minibatch(s, a, r, s_next, live)
 
 
-def test_normalizer_round_trip():
-    norm = Normalizer(volume_scale_bits=2e5, rsrp_floor_dbw=-125.0)
-    feats = norm.features(1.3e5, -42.0)
-    assert norm.volume_bits(feats[0]) == pytest.approx(1.3e5, rel=1e-12)
-    assert norm.rsrp_dbw(feats[1]) == pytest.approx(-42.0, rel=1e-12)
+def one_row(s, a, r, s_next=None):
+    """Arguments of a one-transition ``ReplayMemory.push``."""
+    return (
+        np.atleast_2d(np.asarray(s, dtype=float)),
+        np.array([a]),
+        r,
+        None if s_next is None else np.atleast_2d(np.asarray(s_next, dtype=float)),
+    )
 
 
-def test_normalizer_rejects_bad_scales():
-    with pytest.raises(InvalidConfig):
-        Normalizer(volume_scale_bits=0.0)
-    with pytest.raises(InvalidConfig):
-        Normalizer(volume_scale_bits=1.0, rsrp_floor_dbw=3.0)
+def concat(*batches):
+    return Minibatch(*(np.concatenate(parts) for parts in zip(
+        *((b.s, b.a, b.r, b.s_next, b.live) for b in batches)
+    )))
 
 
 def test_hyperparams_validate():
@@ -81,17 +86,17 @@ def test_hyperparams_validate():
 def test_replay_memory_evicts_oldest():
     mem = ReplayMemory(capacity=3)
     for k in range(5):
-        mem.push(Transition(np.array([float(k), 0.0]), 0, 0.0, None))
+        mem.push(*one_row([float(k), 0.0], 0, 0.0))
     assert len(mem) == 3
-    stored = [tr.s[0] for tr in mem]
-    assert stored == [2.0, 3.0, 4.0]
+    assert sorted(mem.s[:, 0]) == [2.0, 3.0, 4.0]
+    assert mem.s[mem.head, 0] == 2.0  # the oldest sits at the head
 
 
 def test_replay_memory_needs_strictly_more_than_size():
     rng = np.random.default_rng(0)
     mem = ReplayMemory(capacity=10)
     for k in range(4):
-        mem.push(Transition(np.array([float(k)]), 0, 0.0, None))
+        mem.push(*one_row([float(k), 0.0], 0, 0.0))
     with pytest.raises(InsufficientSamples):
         mem.sample_minibatch(4, rng)
     batch = mem.sample_minibatch(3, rng)
@@ -102,18 +107,60 @@ def test_replay_memory_samples_without_replacement():
     rng = np.random.default_rng(1)
     mem = ReplayMemory(capacity=16)
     for k in range(10):
-        mem.push(Transition(np.array([float(k)]), 0, 0.0, None))
+        mem.push(*one_row([float(k), 0.0], 0, 0.0))
     batch = mem.sample_minibatch(9, rng)
-    seen = {tr.s[0] for tr in batch}
-    assert len(seen) == 9
+    assert len(set(batch.s[:, 0])) == 9
 
 
 def test_replay_memory_action_count():
     mem = ReplayMemory(capacity=8)
     for a in [0, 1, 1, 2, 1]:
-        mem.push(Transition(np.zeros(1), a, 0.0, None))
+        mem.push(*one_row([0.0, 0.0], a, 0.0))
     assert mem.action_count(1) == 3
     assert mem.action_count(3) == 0
+
+
+def test_replay_memory_push_keeps_the_last_capacity_rows():
+    mem = ReplayMemory(capacity=3)
+    s = np.arange(14.0).reshape(7, 2)
+    mem.push(s, np.arange(7), 1.5, s + 0.5)
+    assert len(mem) == 3
+    assert sorted(mem.a) == [4, 5, 6]
+    assert np.array_equal(mem.s_next, mem.s + 0.5)
+    assert np.all(mem.r == 1.5) and np.all(mem.live)
+
+
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=15),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_ring_replay_samples_what_a_deque_would(capacity, push_sizes, seed):
+    """Across wrap-around, the ring samples the very transitions a
+    deque-of-tuples replay would, with the same generator state."""
+    data = np.random.default_rng(seed)
+    mem = ReplayMemory(capacity)
+    ref = deque(maxlen=capacity)
+    for n in push_sizes:
+        s, s_next = data.random((n, 2)), data.random((n, 2))
+        a, r = data.integers(5, size=n), float(data.normal())
+        terminal = data.random() < 0.3
+        mem.push(s, a, r, None if terminal else s_next)
+        ref.extend((s[k], a[k], r, None if terminal else s_next[k]) for k in range(n))
+        assert len(mem) == len(ref)
+        if len(ref) < 2:
+            continue
+        size = int(data.integers(1, len(ref)))
+        batch = mem.sample_minibatch(size, np.random.default_rng(seed))
+        idx = np.random.default_rng(seed).choice(len(ref), size=size, replace=False)
+        expected = [list(ref)[i] for i in idx]
+        assert np.array_equal(batch.s, [tr[0] for tr in expected])
+        assert np.array_equal(batch.a, [tr[1] for tr in expected])
+        assert np.array_equal(batch.r, [tr[2] for tr in expected])
+        assert np.array_equal(batch.live, [tr[3] is not None for tr in expected])
+        for row, tr in zip(batch.s_next, expected):
+            if tr[3] is not None:
+                assert np.array_equal(row, tr[3])
 
 
 def test_qnetwork_fresh_forward_is_zero():
@@ -184,14 +231,17 @@ def test_minibatch_targets_values():
         [np.zeros((2, 3))],
         [np.array([0.5, 2.0, -1.0])],
     )
-    batch = [
-        Transition(np.zeros(2), 0, 1.0, np.array([0.0, 0.0])),
-        Transition(np.zeros(2), 1, 1.0, None),
-        Transition(np.zeros(2), 2, -0.5, np.array([0.3, 0.7])),
-    ]
+    batch = Minibatch(
+        s=np.zeros((3, 2)),
+        a=np.array([0, 1, 2]),
+        r=np.array([1.0, 1.0, -0.5]),
+        s_next=np.array([[0.0, 0.0], [9.0, 9.0], [0.3, 0.7]]),
+        live=np.array([True, False, True]),
+    )
     assert minibatch_targets(batch, net, 0.9) == pytest.approx([2.8, 1.0, 1.3])
     assert np.array_equal(minibatch_targets(batch, net, 0.0), [1.0, 1.0, -0.5])
-    terminal = [Transition(np.zeros(2), 0, 4.0, None)] * 2
+    terminal = Minibatch(np.zeros((2, 2)), np.zeros(2, dtype=int), np.full(2, 4.0),
+                         np.zeros((2, 2)), np.zeros(2, dtype=bool))
     assert np.array_equal(minibatch_targets(terminal, net, 0.9), [4.0, 4.0])
 
 
@@ -200,8 +250,8 @@ def test_minibatch_targets_match_per_sample_forward():
     net = QNetwork.create([2, 8, 4], rng, zero_output=False)
     batch = random_batch(rng, 20, 2, 4, terminal_every=3)
     expected = [
-        tr.r if tr.s_next is None else tr.r + 0.9 * float(np.max(net.forward(tr.s_next)))
-        for tr in batch
+        r + 0.9 * float(np.max(net.forward(s_next))) if live else r
+        for r, s_next, live in zip(batch.r, batch.s_next, batch.live)
     ]
     assert minibatch_targets(batch, net, 0.9) == pytest.approx(expected, rel=1e-12)
 
@@ -210,11 +260,13 @@ def test_minibatch_loss_single_sample():
     # prediction 1 against target 3 gives (1/2) * (1 - 3)^2 = 2
     pred = QNetwork([np.zeros((1, 1))], [np.array([1.0])])
     target = QNetwork([np.zeros((1, 1))], [np.array([3.0])])
-    batch = [Transition(np.array([0.0]), 0, 3.0, None)]
-    assert minibatch_loss(batch, pred, target, 0.9) == pytest.approx(2.0)
+    def terminal(r):
+        return Minibatch(np.zeros((1, 1)), np.zeros(1, dtype=int), np.array([r]),
+                         np.zeros((1, 1)), np.zeros(1, dtype=bool))
+
+    assert minibatch_loss(terminal(3.0), pred, target, 0.9) == pytest.approx(2.0)
     # terminal transition: target is r alone, so matching r zeroes the loss
-    batch = [Transition(np.array([0.0]), 0, 1.0, None)]
-    assert minibatch_loss(batch, pred, pred, 0.9) == pytest.approx(0.0)
+    assert minibatch_loss(terminal(1.0), pred, pred, 0.9) == pytest.approx(0.0)
 
 
 def test_minibatch_loss_duplication_invariant():
@@ -223,7 +275,7 @@ def test_minibatch_loss_duplication_invariant():
     target = pred.clone()
     batch = random_batch(rng, 8, 2, 3)
     once = minibatch_loss(batch, pred, target, 0.9)
-    twice = minibatch_loss(batch + batch, pred, target, 0.9)
+    twice = minibatch_loss(concat(batch, batch), pred, target, 0.9)
     assert once == pytest.approx(twice, rel=1e-12)
 
 
@@ -297,28 +349,97 @@ def test_zero_learning_rate_changes_nothing():
         assert np.array_equal(w, ws)
 
 
-def test_discounted_return_values():
-    assert discounted_return([1.0, 1.0, 1.0], 0.9) == pytest.approx(2.71)
-    assert discounted_return([], 0.9) == 0.0
-    assert discounted_return([0.0, 0.0], 0.5) == 0.0
+def reference_forward(net, x):
+    """Allocate-per-op forward pass: a fresh array for every layer."""
+    acts, pre = [x], []
+    a = x
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        z = a @ w + b
+        pre.append(z)
+        a = np.maximum(z, 0.0)
+        acts.append(a)
+    return acts, pre, a @ net.weights[-1] + net.biases[-1]
 
 
-@given(
-    st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=12),
-    st.floats(min_value=0.0, max_value=1.0),
-)
-def test_discounted_return_recursion(rewards, discount):
-    head = rewards[0]
-    tail = discounted_return(rewards[1:], discount)
-    assert discounted_return(rewards, discount) == pytest.approx(
-        head + discount * tail, rel=1e-9, abs=1e-9
-    )
+def reference_round(pred, target, batch, discount, learning_rate):
+    """One training round the allocate-per-op way: targets from the stacked
+    live successors, then backpropagation with fresh arrays throughout."""
+    targets = batch.r.copy()
+    live = np.flatnonzero(batch.live)
+    if live.size:
+        q_next = reference_forward(target, np.stack([batch.s_next[k] for k in live]))[2]
+        targets[live] += discount * q_next.max(axis=1)
+    states = np.stack(list(batch.s))
+    m = len(batch)
+    acts, pre, out = reference_forward(pred, states)
+    delta = np.zeros_like(out)
+    rows = np.arange(m)
+    delta[rows, batch.a] = (out[rows, batch.a] - targets) / m
+    grads_w, grads_b = [None] * len(pred.weights), [None] * len(pred.biases)
+    for layer in range(len(pred.weights) - 1, -1, -1):
+        grads_w[layer] = acts[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ pred.weights[layer].T) * (pre[layer - 1] > 0.0)
+    for w, gw in zip(pred.weights, grads_w):
+        w -= learning_rate * gw
+    for b, gb in zip(pred.biases, grads_b):
+        b -= learning_rate * gb
+
+
+def test_buffered_rounds_match_the_allocating_reference_bit_for_bit():
+    """Consecutive rounds on the networks' buffers, with terminal rows, a
+    target sync and a smaller batch after a larger one, reproduce the
+    allocate-per-op round exactly."""
+    rng = np.random.default_rng(77)
+    pred = QNetwork.create([2, 32, 32, 5], rng, zero_output=False)
+    target = pred.clone()
+    ref_pred, ref_target = pred.clone(), target.clone()
+    mem = ReplayMemory(capacity=300)
+    replay = np.random.default_rng(5)
+    for step, size in enumerate([64, 64, 128, 40, 64, 128]):
+        for _ in range(20):
+            n = int(rng.integers(1, 8))
+            terminal = rng.random() < 0.2
+            mem.push(rng.random((n, 2)), rng.integers(5, size=n), float(rng.normal()),
+                     None if terminal else rng.random((n, 2)))
+        batch = mem.sample_minibatch(size, replay)
+        assert not batch.live.all()
+        targets = minibatch_targets(batch, target, 0.9)
+        backward_and_step(pred, batch, targets, learning_rate=0.05)
+        reference_round(ref_pred, ref_target, batch, 0.9, learning_rate=0.05)
+        for mine, ref in zip(pred.weights + pred.biases, ref_pred.weights + ref_pred.biases):
+            assert mine.tobytes() == ref.tobytes()
+        if step % 2:
+            sync_target(pred, target)
+            sync_target(ref_pred, ref_target)
+
+
+def test_training_round_leaves_earlier_forward_results_alone():
+    """Arrays from ``forward_batch`` are the caller's: a training round on
+    either network's buffers, already sized by an earlier round, must not
+    write into the search's Q-rows taken between the two."""
+    rng = np.random.default_rng(19)
+    pred = QNetwork.create([2, 16, 16, 4], rng, zero_output=False)
+    target = pred.clone()
+    batch = random_batch(rng, 30, 2, 4, terminal_every=4)
+
+    def train():
+        backward_and_step(pred, batch, minibatch_targets(batch, target, 0.9), 0.1)
+
+    train()
+    x = rng.random((7, 2))
+    qrows, target_rows = pred.forward_batch(x), target.forward_batch(x)
+    kept, target_kept = qrows.copy(), target_rows.copy()
+    train()
+    assert np.array_equal(qrows, kept)
+    assert np.array_equal(target_rows, target_kept)
+    assert not np.array_equal(pred.forward_batch(x), kept)
 
 
 def test_empirical_policy_prob_values():
     mem = ReplayMemory(capacity=10)
-    for a in [2, 2, 0, 1, 2]:
-        mem.push(Transition(np.zeros(1), a, 0.0, None))
+    mem.push(np.zeros((5, 2)), np.array([2, 2, 0, 1, 2]), 0.0, None)
     # exploit mass 0.9 * 2/5, explore mass 0.1/5
     assert empirical_policy_prob(mem, 0, 0.1, 5) == pytest.approx(0.9 * 0.2 + 0.02)
     total = sum(empirical_policy_prob(mem, a, 0.1, 5) for a in range(5))

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from ranpower import runner
 from ranpower.cli import main
 from ranpower.config import RunConfig
 from ranpower.metrics import CSV_COLUMNS
@@ -77,10 +78,56 @@ def test_run_writes_csv_summary_and_weights(tmp_path):
 
 
 def test_run_without_learning_agent_writes_no_weights(tmp_path):
-    run(small_cfg(agent="sleep"), tmp_path / "out")
+    sleep = run(small_cfg(agent="sleep"), tmp_path / "out")
     assert not (tmp_path / "out" / "weights.bin").exists()
-    run(small_cfg(agent="qlearning"), tmp_path / "ql")
+    ql = run(small_cfg(agent="qlearning"), tmp_path / "ql")
     assert not (tmp_path / "ql" / "weights.bin").exists()
+    assert "learner" not in sleep.summary and "learner" not in ql.summary
+
+
+def test_learner_block_counts_rounds_by_the_interval_and_fill_rule(tmp_path):
+    """A round runs at every train_interval-th slot after slot 0 once replay
+    holds more than a minibatch, counting that slot's own pushes."""
+    cfg = small_cfg(episodes=80, minibatch_size=6, train_interval=3, sync_interval=2,
+                    replay_capacity=15)
+    pushed = []
+
+    def hook(t, ctx, outcome):
+        accepted = outcome.feasible and not outcome.all_sleep
+        pushed.append(ctx.active_sites.size if accepted else 0)
+
+    result = run(cfg, tmp_path / "out", episode_hook=hook)
+    fill = rounds = 0
+    for t, n in enumerate(pushed):
+        fill = min(cfg.replay_capacity, fill + n)
+        if t > 0 and t % cfg.train_interval == 0 and fill > cfg.minibatch_size:
+            rounds += 1
+    learner = json.loads((tmp_path / "out" / "summary.json").read_text())["learner"]
+    assert learner == result.summary["learner"]
+    assert rounds > 0
+    assert learner == {
+        "training_rounds": rounds,
+        "target_syncs": rounds // cfg.sync_interval,
+        "replay_fill": fill,
+    }
+
+
+def test_interrupted_run_leaves_no_complete_looking_output(tmp_path):
+    def interrupt(t, ctx, outcome):
+        if t == 5:
+            raise KeyboardInterrupt
+
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        run(small_cfg(), out, episode_hook=interrupt)
+    assert not any(out.iterdir())
+
+    run(small_cfg(), out)
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert set(before) == {"metrics.csv", "summary.json", "weights.bin"}
+    with pytest.raises(KeyboardInterrupt):
+        run(small_cfg(seed=4), out, episode_hook=interrupt)
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_csv_floats_survive_a_parse_round_trip(tmp_path):
@@ -150,6 +197,58 @@ def test_run_sweep_serial_and_parallel_agree(tmp_path):
         assert a[key] == b[key]
     assert (tmp_path / "s1" / "agent=sleep_seed=0" / "metrics.csv").exists()
     assert json.loads((tmp_path / "s1" / "sweep.json").read_text())[0]["agent"] == "sleep"
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size it was
+    asked for and runs the jobs in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, seeds, pool",
+    [
+        (10000, 2, [0, 1, 2], [2]),
+        (10000, 64, [0, 1, 2], [3]),
+        (2, 64, [0, 1, 2], [2]),
+        (8, 4, [0], []),
+        (8, None, [0, 1], []),
+        (1, 4, [0, 1, 2], []),
+    ],
+    ids=["cpus", "jobs", "asked", "one-job", "cpus-unknown", "serial"],
+)
+def test_run_sweep_clamps_workers_to_jobs_and_cpus(tmp_path, monkeypatch, workers, cpus,
+                                                    seeds, pool):
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    entries = run_sweep(small_cfg(episodes=3, agent="sleep"), {"seed": seeds},
+                        tmp_path, workers=workers)
+    assert RecordingPool.sizes == pool
+    assert [entry["seed"] for entry in entries] == seeds
+
+
+def test_cli_rejects_fewer_than_one_worker(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "rings = 0\nepisodes = 3\n")
+    for workers in ("0", "-3"):
+        code = main(["sweep", "--config", cfg, "--vary", "seed=0,1", "--workers", workers,
+                     "--out", str(tmp_path / "sw")])
+        assert code == 1
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
 
 
 def test_oracle_check_scores_active_steps(tmp_path):
