@@ -102,11 +102,6 @@ def _inner_search(
     return evs.row(best), best + 1, float(scores[best])
 
 
-def _fallback_full_power(ctx: StepContext) -> StepEval:
-    """Defensive path when no candidate was feasible: keep everyone at max."""
-    return ctx.evaluate(np.full(ctx.n_sites, ctx.n_levels - 1, dtype=int))
-
-
 def _check_accepted(ev: StepEval) -> None:
     if ev.rate_delta_sum < 0.0:
         raise InvariantViolation(
@@ -117,7 +112,7 @@ def _check_accepted(ev: StepEval) -> None:
 def _all_sleep(ctx: StepContext) -> EpisodeOutcome:
     """No station has traffic: nothing to decide, and no reward."""
     return EpisodeOutcome(
-        ev=_fallback_full_power(ctx), reward=0.0, feasible=False,
+        ev=ctx.full_power, reward=0.0, feasible=False,
         accepted_iteration=None, all_sleep=True,
     )
 
@@ -134,7 +129,7 @@ def _decide(
     none is feasible; either way the reward is the executed efficiency."""
     ev, n_star, _ = _inner_search(ctx, qrows, n_iterations, epsilon, rng, collect)
     if ev is None:
-        ev = _fallback_full_power(ctx)
+        ev = ctx.full_power
         return EpisodeOutcome(ev=ev, reward=ev.network_ee, feasible=False, accepted_iteration=None)
     _check_accepted(ev)
     return EpisodeOutcome(ev=ev, reward=ev.network_ee, feasible=True, accepted_iteration=n_star)
@@ -250,22 +245,21 @@ class QLearningAgent:
     ) -> EpisodeOutcome:
         if not ctx.any_active:
             return _all_sleep(ctx)
-        bins = [state_bin(ctx.features[b], self.n_bins) for b in range(ctx.n_sites)]
-        qrows = np.stack([self.table[bins[b]] for b in range(ctx.n_sites)])
+        bins = state_bin(ctx.features, self.n_bins)
+        qrows = self.table[bins[:, 0], bins[:, 1]]
         outcome = _decide(ctx, qrows, self.n_iterations, self.hyper.epsilon, rng_explore, collect)
         if not outcome.feasible:
             return outcome
         ev = outcome.ev
-        nxt = None if terminal else ctx.next_features(ev)
-        for b in ctx.active_sites:
+        cell = [tuple(c) for c in bins.tolist()]
+        nxt = [None] * ctx.n_sites if terminal else [
+            tuple(c) for c in state_bin(ctx.next_features(ev), self.n_bins).tolist()
+        ]
+        # One station at a time, in order: two stations may share a cell.
+        for b in ctx.active_sites.tolist():
             tabular_q_update(
-                self.table,
-                bins[b],
-                int(ev.power_idx[b]),
-                outcome.reward,
-                None if nxt is None else state_bin(nxt[b], self.n_bins),
-                self.hyper.discount,
-                self.alpha,
+                self.table, cell[b], int(ev.power_idx[b]), outcome.reward, nxt[b],
+                self.hyper.discount, self.alpha,
             )
         return outcome
 
@@ -277,7 +271,7 @@ class SleepAgent:
     def run_episode(self, ctx: StepContext, **_: object) -> EpisodeOutcome:
         if not ctx.any_active:
             return _all_sleep(ctx)
-        ev = _fallback_full_power(ctx)
+        ev = ctx.full_power
         _check_accepted(ev)
         return EpisodeOutcome(
             ev=ev, reward=ev.network_ee, feasible=True, accepted_iteration=0

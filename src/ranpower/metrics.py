@@ -189,7 +189,8 @@ class MetricsAccumulator:
     def push(self, row: MetricsRow) -> dict[str, float | int | None]:
         """Fold one row in and return its CSV record keyed by column name."""
         self.n_rows += 1
-        self._ee_sum += ee_step(row)
+        ee = ee_step(row)
+        self._ee_sum += ee
         self._thr_sum += throughput_step(row)
         pwr = power_step_dbw(row)
         if pwr is not None:
@@ -205,7 +206,7 @@ class MetricsAccumulator:
         return {
             "t": row.t,
             "ee_reward": row.ee_reward,
-            "ee_avg_allB": ee_step(row),
+            "ee_avg_allB": ee,
             "ee_cum": self.ee_overall,
             "thr_cum_bps": self.throughput_overall,
             "pwr_avg_dbw": pwr,

@@ -92,15 +92,18 @@ class ReplayMemory:
         """Store one decision's transitions in order, all sharing reward ``r``:
         ``s`` and ``s_next`` of shape (n, 2), ``a`` of shape (n,).
         ``s_next`` None marks them as the last step of a run."""
-        n = len(a)
-        keep = min(n, self.capacity)
-        pos = np.arange(self.head + n - keep, self.head + n) % self.capacity
-        self.s[pos] = s[n - keep:]
-        self.a[pos] = a[n - keep:]
-        self.r[pos] = r
-        self.live[pos] = s_next is not None
-        self.s_next[pos] = 0.0 if s_next is None else s_next[n - keep:]
-        self.head = (self.head + n) % self.capacity
+        n, cap = len(a), self.capacity
+        keep = min(n, cap)
+        start = (self.head + n - keep) % cap
+        wrap = n - keep + min(keep, cap - start)  # first input row that lands in slot 0
+        # At most two slices: up to the end of the ring, then from its start.
+        for lo, rows in ((start, slice(n - keep, wrap)), (0, slice(wrap, n))):
+            dst = slice(lo, lo + rows.stop - rows.start)
+            if dst.start < dst.stop:
+                self.s[dst], self.a[dst], self.r[dst] = s[rows], a[rows], r
+                self.live[dst] = s_next is not None
+                self.s_next[dst] = 0.0 if s_next is None else s_next[rows]
+        self.head = (self.head + n) % cap
         self._len = min(self._len + n, self.capacity)
 
     def __len__(self) -> int:
@@ -311,16 +314,14 @@ def policy_prob_branches(
     return exploit, epsilon / n_actions
 
 
-def state_bin(features: np.ndarray, n_bins: int) -> tuple[int, int]:
-    """Quantise a two-feature state onto a uniform ``n_bins`` x ``n_bins`` grid.
+def state_bin(features: np.ndarray, n_bins: int) -> np.ndarray:
+    """Quantise two-feature states, shape (..., 2), onto a uniform
+    ``n_bins`` x ``n_bins`` grid: integer (i, j) cells of the same shape.
 
     Features are clipped to [0, 1) first, so out-of-range observations land
     in the edge bins.
     """
-    clipped = np.clip(features, 0.0, np.nextafter(1.0, 0.0))
-    i = int(clipped[0] * n_bins)
-    j = int(clipped[1] * n_bins)
-    return i, j
+    return (np.clip(features, 0.0, np.nextafter(1.0, 0.0)) * n_bins).astype(int)
 
 
 def tabular_q_update(

@@ -40,12 +40,15 @@ class Topology:
     sectors_per_site: int = 3
     boresights_deg: tuple[float, ...] = (0.0, 120.0, 240.0)
     backlobe_atten_db: float = 25.0
+    site_xy: np.ndarray = field(init=False, repr=False)  # (B, 2) planar positions
 
     def __post_init__(self) -> None:
         if self.isd_m <= 0.0:
             raise InvalidConfig(f"inter-site distance {self.isd_m} must be positive")
         if self.sectors_per_site != len(self.boresights_deg):
             raise InvalidConfig("one boresight per sector is required")
+        if not all(0.0 <= b < 360.0 for b in self.boresights_deg):
+            raise InvalidConfig("boresights must lie in [0, 360) degrees")
         levels = np.asarray(self.power_levels_dbw, dtype=float)
         if levels.size < 2:
             raise InvalidConfig("at least two power levels are required")
@@ -57,6 +60,8 @@ class Topology:
                 f"{MIN_POWER_DBW} dBW guard"
             )
         object.__setattr__(self, "power_levels_dbw", levels)
+        site_xy = np.array([[p.x, p.y] for p in self.site_positions])
+        object.__setattr__(self, "site_xy", site_xy)
 
     @property
     def n_sites(self) -> int:
@@ -202,10 +207,14 @@ def sector_gain_matrix(
     and a flat backlobe attenuation outside it.  With ``clamp`` the distance
     is floored at the model minimum instead of raising; the moving-user path
     uses that so a drifting user cannot crash a long run.
+
+    Angles fold into [0, 360) by one add or subtract with the bits of ``% 360``:
+    on (-360, 720), where boresights in [0, 360) keep them, ``%`` is an exact
+    ``fmod`` plus ``+360`` when negative, and ``x - 360`` is exact on [360, 720].
     """
-    site_xy = np.array([[p.x, p.y] for p in topo.site_positions])
-    dxy = user_xy[None, :, :] - site_xy[:, None, :]
-    planar = np.hypot(dxy[:, :, 0], dxy[:, :, 1])
+    dx = user_xy[:, 0] - topo.site_xy[:, 0, None]
+    dy = user_xy[:, 1] - topo.site_xy[:, 1, None]
+    planar = np.hypot(dx, dy)
     dz = user_h - radio.bs_height_m
     dist = np.sqrt(planar**2 + dz**2)
     if clamp:
@@ -213,15 +222,19 @@ def sector_gain_matrix(
     elif np.any(dist < MIN_DISTANCE_M):
         raise DistanceTooSmall("a user sits closer to a site than the model allows")
 
-    angles = np.degrees(np.arctan2(dxy[:, :, 1], dxy[:, :, 0])) % 360.0
+    angles = np.degrees(np.arctan2(dy, dx))  # [-180, 180]
+    angles += np.where(angles < 0.0, 360.0, 0.0)
     boresights = np.asarray(topo.boresights_deg)
-    offset = (angles[:, None, :] - boresights[None, :, None] + SECTOR_WIDTH_DEG / 2.0) % 360.0
+    offset = angles[:, None, :] - boresights[None, :, None] + SECTOR_WIDTH_DEG / 2.0
+    offset -= np.where(offset >= 360.0, 360.0, 0.0)  # first: -1e-14 folds to 360.0, as in %
+    offset += np.where(offset < 0.0, 360.0, 0.0)
     in_arc = offset < SECTOR_WIDTH_DEG
-    pattern = np.where(in_arc, 1.0, 10.0 ** (-topo.backlobe_atten_db / 10.0))
+    tx = radio.tx_gain_lin
+    tx_pattern = np.where(in_arc, tx, tx * 10.0 ** (-topo.backlobe_atten_db / 10.0))
     path = (
         SPEED_OF_LIGHT_M_S / (4.0 * math.pi * radio.fc_hz * dist)
     ) ** radio.path_loss_exponent
-    return radio.tx_gain_lin * pattern * path[:, None, :] * radio.rx_gain_lin
+    return tx_pattern * path[:, None, :] * radio.rx_gain_lin
 
 
 def associate_max_rsrp(
@@ -263,30 +276,20 @@ class ArrivalConfig:
         return min(max(p, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class TrafficRequest:
-    user: int
-    volume_bits: float
-    arrival_step: int
-
-
 def generate_traffic(
     t: int,
     idle_users: np.ndarray,
     rng: np.random.Generator,
     cfg: ArrivalConfig,
-) -> list[TrafficRequest]:
-    """Draw this step's new requests for the currently idle users."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """This step's new requests for the idle users: (users hit, volumes in bits).
+    All hits are drawn before all volumes, so no volume depends on who was hit."""
     if idle_users.size == 0:
-        return []
+        return idle_users, np.zeros(0)
     p = cfg.probability(t)
     hits = rng.random(idle_users.size) < p
     volumes = rng.uniform(cfg.volume_lo_bits, cfg.volume_hi_bits, idle_users.size)
-    return [
-        TrafficRequest(int(u), float(v), t)
-        for u, v, hit in zip(idle_users, volumes, hits)
-        if hit
-    ]
+    return idle_users[hits], volumes[hits]
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,7 +342,8 @@ class StepContext:
 
     ``own_gain[u]`` is the gain of user u's own site towards it (all of that
     site's active sectors), the diagonal of ``site_to_user_gain`` along
-    ``sched_site``.
+    ``sched_site``.  ``full_power`` is the evaluation of every station at
+    the top level, which sets ``ref_rate_bps``; its rate deltas are zero.
     """
 
     t: int
@@ -361,6 +365,7 @@ class StepContext:
     slot_s: float
     volume_scale_bits: float
     rsrp_floor_dbw: float
+    full_power: StepEval | None = None
 
     @property
     def n_levels(self) -> int:
@@ -480,20 +485,14 @@ class Scenario:
         self.serving_site, self.serving_sector = associate_max_rsrp(
             topo, radio, user_positions
         )
-        self._refresh_gains()
+        # Moving users' gains are computed per slot instead (see build_step).
+        self.gains = sector_gain_matrix(topo, radio, self.user_xy, self.user_h)
+        self.power_levels_w = 10.0 ** (topo.power_levels_dbw / 10.0)
         self.residual_bits = np.zeros(self.n_users)
         self.arrival_step = np.full(self.n_users, -1, dtype=int)
         self.current_power_idx = np.full(topo.n_sites, topo.n_levels - 1, dtype=int)
         self.t = 0
         self._waypoints: np.ndarray | None = None
-
-    def _refresh_gains(self) -> None:
-        moving = self.user_speed_mps > 0.0
-        self.gains = sector_gain_matrix(
-            self.topo, self.radio, self.user_xy, self.user_h, clamp=moving
-        )
-        users = np.arange(self.n_users)
-        self.serving_gain_u = self.gains[self.serving_site, self.serving_sector, users]
 
     @property
     def idle_users(self) -> np.ndarray:
@@ -501,53 +500,58 @@ class Scenario:
 
     def spawn_arrivals(self, rng: np.random.Generator) -> int:
         """Draw new requests for idle users; returns how many arrived."""
-        requests = generate_traffic(self.t, self.idle_users, rng, self.arrival)
-        for req in requests:
-            self.residual_bits[req.user] = req.volume_bits
-            self.arrival_step[req.user] = req.arrival_step
-        return len(requests)
+        users, volumes = generate_traffic(self.t, self.idle_users, rng, self.arrival)
+        self.residual_bits[users] = volumes
+        self.arrival_step[users] = self.t
+        return users.size
 
-    def _schedule(self) -> tuple[np.ndarray, np.ndarray]:
-        """Pick one pending user per sector, oldest request first."""
+    def _schedule(self) -> np.ndarray:
+        """Pick one pending user per sector, oldest request first (lower user
+        id on ties); returned by site, then user id."""
         pending = np.flatnonzero(self.residual_bits > 0.0)
-        order = sorted(pending, key=lambda u: (self.arrival_step[u], u))
-        taken: dict[tuple[int, int], int] = {}
-        for u in order:
-            key = (int(self.serving_site[u]), int(self.serving_sector[u]))
-            taken.setdefault(key, u)
-        sched = sorted(taken.values(), key=lambda u: (self.serving_site[u], u))
-        sched_users = np.asarray(sched, dtype=int)
-        phi = np.zeros(self.topo.n_sites)
-        if sched_users.size:
-            phi[self.serving_site[sched_users]] = 1.0
-        return sched_users, phi
+        # pending is ascending, so a stable sort on arrival breaks ties by id
+        order = pending[np.argsort(self.arrival_step[pending], kind="stable")]
+        site, sector = self.serving_site[order], self.serving_sector[order]
+        taken = order[np.unique(site * self.topo.sectors_per_site + sector, return_index=True)[1]]
+        return taken[np.lexsort((taken, self.serving_site[taken]))]
 
     def build_step(self, volume_scale_bits: float) -> StepContext:
         """Freeze the current step: scheduling, gains, reference rates, features."""
-        sched_users, phi = self._schedule()
+        sched_users = self._schedule()
         sched_site = self.serving_site[sched_users]
+        sched_sector = self.serving_sector[sched_users]
         n_sites = self.topo.n_sites
+        phi = np.zeros(n_sites)
+        phi[sched_site] = 1.0
 
+        if self.user_speed_mps > 0.0 and sched_users.size:
+            gains = sector_gain_matrix(
+                self.topo, self.radio, self.user_xy[sched_users], self.user_h, clamp=True
+            )
+        else:
+            gains = self.gains[:, :, sched_users]
+        cols = np.arange(sched_users.size)
+        serving_gain = gains[sched_site, sched_sector, cols]
         sector_active = np.zeros((n_sites, self.topo.sectors_per_site), dtype=bool)
-        for u in sched_users:
-            sector_active[self.serving_site[u], self.serving_sector[u]] = True
-        site_gain = np.where(sector_active[:, :, None], self.gains[:, :, sched_users], 0.0)
-        site_to_user = site_gain.sum(axis=1) if sched_users.size else np.zeros(
-            (n_sites, 0)
+        sector_active[sched_site, sched_sector] = True
+        # Column-major, as the fancy-indexed slice of the static matrix comes
+        # out: the layout picks the BLAS kernel of ``power_w @ site_to_user``,
+        # and a C-ordered matrix rounds the rates differently in the last ulp.
+        site_to_user = np.asfortranarray(
+            np.where(sector_active[:, :, None], gains, 0.0).sum(axis=1)
         )
 
-        levels = self.topo.power_levels_dbw
         ctx = StepContext(
             t=self.t,
             n_sites=n_sites,
             phi=phi,
             active_sites=np.flatnonzero(phi),
-            power_levels_dbw=levels,
-            power_levels_w=10.0 ** (levels / 10.0),
+            power_levels_dbw=self.topo.power_levels_dbw,
+            power_levels_w=self.power_levels_w,
             sched_users=sched_users,
             sched_site=sched_site,
-            serving_gain=self.serving_gain_u[sched_users],
-            own_gain=site_to_user[sched_site, np.arange(sched_users.size)],
+            serving_gain=serving_gain,
+            own_gain=site_to_user[sched_site, cols],
             site_to_user_gain=site_to_user,
             residual_bits=self.residual_bits[sched_users].copy(),
             ref_rate_bps=np.zeros(n_sites),
@@ -558,10 +562,12 @@ class Scenario:
             volume_scale_bits=volume_scale_bits,
             rsrp_floor_dbw=self.radio.noise_dbw,
         )
+        full = ctx.evaluate(np.full(n_sites, self.topo.n_levels - 1))
+        ctx.ref_rate_bps[:] = full.rate_bps
+        # Measured against its own rates, the plan's deltas are phi * 0.0.
+        zero = {"rate_delta_bps": np.zeros(n_sites), "rate_delta_sum": 0.0}
+        object.__setattr__(ctx, "full_power", StepEval(**{**vars(full), **zero}))
         if sched_users.size:
-            full = np.full(n_sites, self.topo.n_levels - 1)
-            ref = ctx.evaluate(full)
-            ctx.ref_rate_bps[:] = ref.rate_bps
             ctx.features[:] = ctx._site_features(
                 ctx.residual_bits, ctx.power_levels_w[self.current_power_idx]
             )
@@ -587,18 +593,14 @@ class Scenario:
         delta = self._waypoints - self.user_xy
         dist = np.hypot(delta[:, 0], delta[:, 1])
         arrived = dist <= step
-        far = ~arrived & (dist > 0.0)
+        far = ~arrived  # so dist > step >= 0
         self.user_xy[far] += delta[far] * (step / dist[far])[:, None]
-        self.user_xy[arrived] = self._waypoints[arrived]
-        if np.any(arrived):
-            self._waypoints[arrived] = self._draw_waypoints(
-                rng, np.flatnonzero(arrived)
-            )
-        self._refresh_gains()
+        if arrived.any():
+            self.user_xy[arrived] = self._waypoints[arrived]
+            self._waypoints[arrived] = self._draw_waypoints(rng, np.flatnonzero(arrived))
 
     def _draw_waypoints(self, rng: np.random.Generator, users: np.ndarray) -> np.ndarray:
-        sites = np.array([[p.x, p.y] for p in self.topo.site_positions])
-        anchors = sites[self.serving_site[users]]
+        anchors = self.topo.site_xy[self.serving_site[users]]
         radius = np.sqrt(
             rng.uniform(MIN_DROP_RADIUS_M**2, (self.topo.isd_m / 2.0) ** 2, users.size)
         )

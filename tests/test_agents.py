@@ -40,6 +40,7 @@ class InfeasibleCtx:
         self.active_sites = np.arange(n_sites)
         self.any_active = True
         self.features = np.full((n_sites, 2), 0.5)
+        self.full_power = self.evaluate(np.full(n_sites, n_levels - 1))
 
     def evaluate_many(self, power_idx):
         power_idx = np.asarray(power_idx, dtype=int)
@@ -317,10 +318,10 @@ def test_ql_update_matches_replayed_rule(loaded_ctx):
     for b in loaded_ctx.active_sites:
         tabular_q_update(
             expected,
-            state_bin(loaded_ctx.features[b], agent.n_bins),
+            tuple(state_bin(loaded_ctx.features[b], agent.n_bins)),
             int(out.ev.power_idx[b]),
             out.reward,
-            state_bin(nxt[b], agent.n_bins),
+            tuple(state_bin(nxt[b], agent.n_bins)),
             agent.hyper.discount,
             agent.alpha,
         )
@@ -331,7 +332,7 @@ def test_ql_update_matches_replayed_rule(loaded_ctx):
 def test_ql_terminal_update_drops_bootstrap(loaded_ctx):
     agent = QLearningAgent(loaded_ctx.n_levels, greedy_hyper())
     out = agent.run_episode(loaded_ctx, np.random.default_rng(1), terminal=True)
-    bins = state_bin(loaded_ctx.features[0], agent.n_bins)
+    bins = tuple(state_bin(loaded_ctx.features[0], agent.n_bins))
     # three stations share this bin, each folding in alpha * reward
     a = agent.alpha
     expected = 0.0

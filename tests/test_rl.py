@@ -452,11 +452,14 @@ def test_policy_prob_branches_empty_memory():
 
 
 def test_state_bin_edges():
-    assert state_bin(np.array([0.0, 0.0]), 16) == (0, 0)
-    assert state_bin(np.array([0.5, 0.25]), 16) == (8, 4)
+    assert state_bin(np.array([0.0, 0.0]), 16).tolist() == [0, 0]
+    assert state_bin(np.array([0.5, 0.25]), 16).tolist() == [8, 4]
     # values at or above 1 clip into the last bin, negatives into the first
-    assert state_bin(np.array([1.0, 2.5]), 16) == (15, 15)
-    assert state_bin(np.array([-0.3, 0.999]), 16) == (0, 15)
+    assert state_bin(np.array([1.0, 2.5]), 16).tolist() == [15, 15]
+    assert state_bin(np.array([-0.3, 0.999]), 16).tolist() == [0, 15]
+    # a (B, 2) block bins row by row
+    block = np.array([[0.0, 0.0], [0.5, 0.25], [1.0, 2.5], [-0.3, 0.999]])
+    assert state_bin(block, 16).tolist() == [[0, 0], [8, 4], [15, 15], [0, 15]]
 
 
 def test_tabular_q_update_spot_values():

@@ -10,8 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ranpower.errors import DistanceTooSmall, InvalidConfig
-from ranpower.radio import Position, channel_gain, dbw_to_watts
+from ranpower.radio import (
+    MIN_DISTANCE_M,
+    SPEED_OF_LIGHT_M_S,
+    Position,
+    channel_gain,
+    dbw_to_watts,
+)
 from ranpower.scenario import (
+    SECTOR_WIDTH_DEG,
     ArrivalConfig,
     RadioParams,
     Scenario,
@@ -127,6 +134,56 @@ def test_sector_gain_rejects_near_field_without_clamp(single_site, radio_params)
     assert np.all(np.isfinite(clamped))
 
 
+def remainder_gain_matrix(topo, radio, user_xy, user_h):
+    """The (B, S, U) gains with both angle folds done by ``% 360``, clamped:
+    the arithmetic the fold-based :func:`sector_gain_matrix` must reproduce."""
+    site_xy = np.array([[p.x, p.y] for p in topo.site_positions])
+    dxy = user_xy[None, :, :] - site_xy[:, None, :]
+    planar = np.hypot(dxy[:, :, 0], dxy[:, :, 1])
+    dist = np.maximum(np.sqrt(planar**2 + (user_h - radio.bs_height_m) ** 2), MIN_DISTANCE_M)
+    angles = np.degrees(np.arctan2(dxy[:, :, 1], dxy[:, :, 0])) % 360.0
+    boresights = np.asarray(topo.boresights_deg)
+    offset = (angles[:, None, :] - boresights[None, :, None] + SECTOR_WIDTH_DEG / 2.0) % 360.0
+    pattern = np.where(offset < SECTOR_WIDTH_DEG, 1.0, 10.0 ** (-topo.backlobe_atten_db / 10.0))
+    path = (
+        SPEED_OF_LIGHT_M_S / (4.0 * math.pi * radio.fc_hz * dist)
+    ) ** radio.path_loss_exponent
+    return radio.tx_gain_lin * pattern * path[:, None, :] * radio.rx_gain_lin
+
+
+NINETEEN_SITES = build_topology(rings=2, isd_m=500.0, p_max_dbw=15.2, delta_p_max_db=2.0, n_levels=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_sector_gain_fold_matches_remainder_bit_for_bit(seed):
+    """Random users, plus users on the sector edges (the boresights +-60
+    degrees, nudged by an ulp either way) and due west of a site (+-180
+    degrees, with dy = +0.0 and -0.0): the full matrix and any subset of its
+    users carry the same bits as the ``%`` form."""
+    topo, radio = NINETEEN_SITES, RadioParams()
+    rng = np.random.default_rng(seed)
+    site_xy = np.array([[p.x, p.y] for p in topo.site_positions])
+    anchor = site_xy[rng.integers(topo.n_sites, size=30)]
+    edge = np.radians(rng.choice([60.0, 180.0, 300.0, -60.0, 0.0, 120.0, 240.0], 30))
+    radius = rng.uniform(2.0, 600.0, 30)
+    on_edge = anchor + np.stack([radius * np.cos(edge), radius * np.sin(edge)], axis=1)
+    on_edge[::2] = np.nextafter(on_edge[::2], rng.choice([-np.inf, np.inf], (15, 2)))
+    west = np.array([[-100.0, 0.0], [-100.0, -0.0], [site_xy[3, 0] - 40.0, site_xy[3, 1]]])
+    user_xy = np.concatenate([rng.uniform(-1400.0, 1400.0, (40, 2)), on_edge, west])
+    ref = remainder_gain_matrix(topo, radio, user_xy, 1.5)
+    assert sector_gain_matrix(topo, radio, user_xy, 1.5, clamp=True).tobytes() == ref.tobytes()
+    sub = rng.choice(len(user_xy), size=rng.integers(1, len(user_xy)), replace=False)
+    got = sector_gain_matrix(topo, radio, user_xy[sub], 1.5, clamp=True)
+    assert got.tobytes() == np.ascontiguousarray(ref[:, :, sub]).tobytes()
+
+
+def test_topology_rejects_boresights_outside_one_turn():
+    with pytest.raises(InvalidConfig):
+        Topology((Position(0, 0, 25),), 500.0, np.array([13.2, 15.2]),
+                 boresights_deg=(0.0, 120.0, 360.0))
+
+
 def test_association_picks_nearest_site(three_site, radio_params):
     users = [Position(40.0, 0.0, 1.5), Position(480.0, 10.0, 1.5)]
     site, sector = associate_max_rsrp(three_site, radio_params, users)
@@ -160,12 +217,14 @@ def test_arrival_config_validation():
 
 def test_generate_traffic_extremes():
     idle = np.array([0, 1, 2])
-    none = generate_traffic(0, idle, np.random.default_rng(0), ArrivalConfig(p0=0.0))
-    assert none == []
+    users, volumes = generate_traffic(0, idle, np.random.default_rng(0), ArrivalConfig(p0=0.0))
+    assert users.size == 0 and volumes.size == 0
     cfg = ArrivalConfig(p0=1.0, period_steps=0, volume_lo_bits=1e4, volume_hi_bits=2e4)
-    all_hit = generate_traffic(0, idle, np.random.default_rng(0), cfg)
-    assert [r.user for r in all_hit] == [0, 1, 2]
-    assert all(1e4 <= r.volume_bits <= 2e4 for r in all_hit)
+    users, volumes = generate_traffic(0, idle, np.random.default_rng(0), cfg)
+    assert users.tolist() == [0, 1, 2]
+    assert np.all((1e4 <= volumes) & (volumes <= 2e4))
+    users, volumes = generate_traffic(0, np.array([], dtype=int), np.random.default_rng(0), cfg)
+    assert users.size == 0 and volumes.size == 0
 
 
 def test_generate_traffic_volume_stream_is_stable():
@@ -173,8 +232,9 @@ def test_generate_traffic_volume_stream_is_stable():
     idle = np.array([3, 5, 8, 9])
     cfg_half = ArrivalConfig(p0=0.5, period_steps=0)
     cfg_full = ArrivalConfig(p0=1.0, period_steps=0)
-    half = {r.user: r.volume_bits for r in generate_traffic(7, idle, np.random.default_rng(2), cfg_half)}
-    full = {r.user: r.volume_bits for r in generate_traffic(7, idle, np.random.default_rng(2), cfg_full)}
+    half = dict(zip(*generate_traffic(7, idle, np.random.default_rng(2), cfg_half)))
+    full = dict(zip(*generate_traffic(7, idle, np.random.default_rng(2), cfg_full)))
+    assert 0 < len(half) < len(full)
     for user, volume in half.items():
         assert volume == full[user]
 
@@ -313,6 +373,44 @@ def test_next_features_reflect_chosen_power(three_site_scenario):
     assert np.all((0.0 <= lo) & (lo <= 1.5))
 
 
+def reference_schedule(scn):
+    """The sort / setdefault / sort loop the array scheduler replaced."""
+    pending = np.flatnonzero(scn.residual_bits > 0.0)
+    order = sorted(pending, key=lambda u: (scn.arrival_step[u], u))
+    taken = {}
+    for u in order:
+        taken.setdefault((int(scn.serving_site[u]), int(scn.serving_sector[u])), u)
+    sched = sorted(taken.values(), key=lambda u: (scn.serving_site[u], u))
+    return np.asarray(sched, dtype=int)
+
+
+@functools.lru_cache(maxsize=None)
+def seven_site_scenario():
+    topo = build_topology(rings=1, isd_m=500.0, p_max_dbw=15.2, delta_p_max_db=2.0, n_levels=5)
+    return make_scenario(topo, RadioParams(), seed=5, per_sector=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_schedule_matches_the_sort_and_setdefault_loop(data):
+    """Random pending sets, arrival steps with many ties, and any number of
+    users per sector: the array scheduler picks the same users in the same
+    order as the loop it replaced."""
+    scn = seven_site_scenario()
+    n = scn.n_users
+    n_sites = data.draw(st.integers(1, 7))
+    n_steps = data.draw(st.integers(1, 6))
+    ints = lambda hi: st.lists(st.integers(0, hi), min_size=n, max_size=n)  # noqa: E731
+    scn.serving_site = np.array(data.draw(ints(n_sites - 1)))
+    scn.serving_sector = np.array(data.draw(ints(2)))
+    scn.arrival_step = np.array(data.draw(ints(n_steps - 1)))
+    scn.residual_bits = np.array(data.draw(ints(1)), dtype=float) * 1e5
+    got = scn._schedule()
+    want = reference_schedule(scn)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+
+
 def test_schedule_is_fifo_within_sector(three_site, radio_params):
     scn = make_scenario(three_site, radio_params, seed=11, per_sector=2)
     # two users share each sector; stagger their arrival steps
@@ -378,3 +476,68 @@ def test_static_scenario_ignores_motion_rng(three_site_scenario):
     ctx = scn.build_step(2e5)
     scn.apply(ctx, ctx.evaluate(np.zeros(ctx.n_sites, dtype=int)), np.random.default_rng(0))
     assert np.array_equal(scn.user_xy, before)
+
+
+def moving_scenario(seed=11):
+    topo = build_topology(rings=1, isd_m=500.0, p_max_dbw=15.2, delta_p_max_db=2.0, n_levels=5)
+    scn = make_scenario(topo, RadioParams(), seed=seed, per_sector=2)
+    scn.user_speed_mps = 300.0  # metres a slot, so positions drift visibly
+    return scn
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_moving_build_step_matches_the_full_matrix_slice(seed):
+    """Gains computed for the scheduled users only equal the slice of the
+    full (B, S, U) matrix the moving path used to rebuild every slot, in
+    values and in memory order, so every evaluation rounds the same."""
+    scn = moving_scenario(seed)
+    rng, plans = np.random.default_rng(seed), np.random.default_rng(seed + 1)
+    for _ in range(8):
+        pending = rng.random(scn.n_users) < 0.6
+        scn.residual_bits[:] = np.where(pending, 1e5, 0.0)
+        scn.arrival_step[:] = np.where(pending, rng.integers(0, 3, scn.n_users), -1)
+        ctx = scn.build_step(2e5)
+        users, site = ctx.sched_users, ctx.sched_site
+        full = sector_gain_matrix(scn.topo, scn.radio, scn.user_xy, scn.user_h, clamp=True)
+        sector_active = np.zeros((ctx.n_sites, scn.topo.sectors_per_site), dtype=bool)
+        sector_active[site, scn.serving_sector[users]] = True
+        stu = np.where(sector_active[:, :, None], full[:, :, users], 0.0).sum(axis=1)
+        ref = dataclasses.replace(
+            ctx,
+            site_to_user_gain=stu,
+            serving_gain=full[site, scn.serving_sector[users], users],
+            own_gain=stu[site, np.arange(users.size)],
+        )
+        assert ctx.site_to_user_gain.tobytes() == stu.tobytes()
+        assert ctx.site_to_user_gain.flags.f_contiguous == stu.flags.f_contiguous
+        assert ctx.serving_gain.tobytes() == ref.serving_gain.tobytes()
+        idx = plans.integers(ctx.n_levels, size=(6, ctx.n_sites))
+        for plan in idx:
+            assert ctx.evaluate(plan).user_rates_bps.tobytes() == (
+                ref.evaluate(plan).user_rates_bps.tobytes()
+            )
+        assert ctx.evaluate_many(idx).user_rates_bps.tobytes() == (
+            ref.evaluate_many(idx).user_rates_bps.tobytes()
+        )
+        scn.apply(ctx, ctx.full_power, rng)
+
+
+def assert_same_eval(a, b):
+    for field in dataclasses.fields(StepEval):
+        x, y = np.asarray(getattr(a, field.name)), np.asarray(getattr(b, field.name))
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field.name
+
+
+@pytest.mark.parametrize("moving", [False, True])
+def test_full_power_is_the_evaluation_of_the_full_plan(three_site_scenario, moving):
+    """``ctx.full_power`` is ``evaluate`` of the all-top-level plan in every
+    field, bit for bit, on loaded, partly loaded and all-idle steps."""
+    scn = three_site_scenario
+    scn.user_speed_mps = 1.0 if moving else 0.0
+    n = scn.n_users
+    for volumes, n_active in (([1e5] * n, 3), ([1e5] + [0.0] * (n - 1), 1), ([0.0] * n, 0)):
+        ctx = manual_step(scn, volumes)
+        assert ctx.active_sites.size == n_active
+        full = ctx.evaluate(np.full(ctx.n_sites, ctx.n_levels - 1))
+        assert_same_eval(ctx.full_power, full)
+        assert ctx.full_power.rate_delta_sum == 0.0
