@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import RunConfig, load_config
+from .config import FIELD_TYPES, RunConfig, coerce_value, load_config
 from .errors import InvalidConfig, ParseError, RanPowerError, ValidationError
 from .runner import run, run_compare, run_oracle_check, run_sweep
 
@@ -71,25 +71,16 @@ def _load(args: argparse.Namespace) -> RunConfig:
     return load_config(args.config, **overrides)
 
 
-def _parse_vary(specs: list[str], base: RunConfig) -> dict[str, list]:
-    from dataclasses import fields
-
-    types = {f.name: f.type for f in fields(RunConfig)}
+def _parse_vary(specs: list[str]) -> dict[str, list]:
     vary: dict[str, list] = {}
     for entry in specs:
         if "=" not in entry:
             raise ValidationError(f"--vary expects KEY=V1,V2,..., got {entry!r}")
         key, _, raw = entry.partition("=")
         key = key.strip()
-        if key not in types:
+        if key not in FIELD_TYPES:
             raise ValidationError(f"unknown config key '{key}'")
-        anno = types[key]
-        kind = anno if isinstance(anno, str) else anno.__name__
-        cast = {"int": int, "float": float}.get(kind, str)
-        try:
-            vary[key] = [cast(v.strip()) for v in raw.split(",") if v.strip()]
-        except ValueError as exc:
-            raise ValidationError(f"config key '{key}' expects {kind}") from exc
+        vary[key] = [coerce_value(key, v.strip()) for v in raw.split(",") if v.strip()]
         if not vary[key]:
             raise ValidationError(f"--vary gave no values for '{key}'")
     if not vary:
@@ -102,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load(args)
         if args.command == "sweep":
-            vary = _parse_vary(args.vary, cfg)
+            vary = _parse_vary(args.vary)
             if args.workers < 1:
                 raise ValidationError(f"--workers {args.workers} must be at least 1")
     except (ParseError, ValidationError, InvalidConfig, OSError) as exc:
@@ -124,6 +115,9 @@ def main(argv: list[str] | None = None) -> int:
             run_sweep(cfg, vary, args.out, workers=args.workers, quiet=args.quiet)
         elif args.command == "oracle":
             run_oracle_check(cfg, args.out, quiet=args.quiet)
+    except ValidationError as exc:  # a --vary combination; run_sweep writes nothing first
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except (RanPowerError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

@@ -8,6 +8,7 @@ hex grid, 57 users, 15.2 dBW ceiling, 10 MHz carriers, 20000 steps).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -73,6 +74,11 @@ class RunConfig:
     out_dir: str = "runs"
 
     def validate(self) -> "RunConfig":
+        for key, kind in FIELD_TYPES.items():
+            if kind in (float, "float") and not math.isfinite(getattr(self, key)):
+                raise ValidationError(
+                    f"config key '{key}' has non-finite value {getattr(self, key)!r}"
+                )
         checks: list[tuple[str, bool]] = [
             ("rings", self.rings >= 0),
             ("isd_m", self.isd_m > 0.0),
@@ -121,11 +127,11 @@ class RunConfig:
         return self
 
 
-_FIELD_TYPES: dict[str, type] = {f.name: f.type for f in fields(RunConfig)}  # type: ignore[misc]
+FIELD_TYPES: dict[str, type] = {f.name: f.type for f in fields(RunConfig)}  # type: ignore[misc]
 
 
-def _coerce(key: str, raw: str) -> Any:
-    anno = _FIELD_TYPES[key]
+def coerce_value(key: str, raw: str) -> Any:
+    anno = FIELD_TYPES[key]
     kind = anno if isinstance(anno, str) else anno.__name__
     try:
         if kind == "int":
@@ -151,11 +157,11 @@ def parse_config_text(text: str) -> dict[str, Any]:
         raw = raw.strip()
         if not key or not raw:
             raise ParseError(f"line {lineno}: empty key or value in {line!r}")
-        if key not in _FIELD_TYPES:
+        if key not in FIELD_TYPES:
             raise ValidationError(f"unknown config key '{key}' (line {lineno})")
         if key in values:
             raise ParseError(f"line {lineno}: duplicate key '{key}'")
-        values[key] = _coerce(key, raw)
+        values[key] = coerce_value(key, raw)
     return values
 
 
@@ -171,7 +177,7 @@ def load_config(path: str | Path | None = None, **overrides: Any) -> RunConfig:
     for key, val in overrides.items():
         if val is None:
             continue
-        if key not in _FIELD_TYPES:
+        if key not in FIELD_TYPES:
             raise ValidationError(f"unknown config key '{key}'")
         values[key] = val
     return RunConfig(**values).validate()

@@ -9,12 +9,14 @@ mean divides by the number of steps on which the quantity existed.
 
 Every running statistic exists twice: streamed by :class:`MetricsAccumulator`
 while a run writes its CSV, and recomputed from scratch by the batch
-functions below.  The two paths must agree to float precision; tests hold
-them to 1e-9.
+functions below.  Both take each step's figures from the same step
+functions, so per step they agree exactly; tests hold the running means to
+1e-9.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,15 +56,21 @@ class MetricsRow:
     def n_sites(self) -> int:
         return int(self.phi.size)
 
+    @functools.cached_property
+    def watts(self) -> np.ndarray:
+        """Each station's power level in watts, asleep or not; computed once
+        for both the power and the decline figures."""
+        return 10.0 ** (self.power_dbw / 10.0)
+
 
 def ee_step(row: MetricsRow) -> float:
     """Mean link efficiency over all stations; sleepers contribute zero."""
-    return float(np.sum(row.link_ee) / row.n_sites)
+    return float(row.link_ee.sum() / row.n_sites)
 
 
 def throughput_step(row: MetricsRow) -> float:
     """Mean downlink rate over all stations in bit/s."""
-    return float(np.sum(row.rate_bps) / row.n_sites)
+    return float(row.rate_bps.sum() / row.n_sites)
 
 
 def power_step_dbw(row: MetricsRow) -> float | None:
@@ -72,7 +80,7 @@ def power_step_dbw(row: MetricsRow) -> float | None:
     mean is converted to dBW; with every station asleep the value does not
     exist.
     """
-    lin = float(np.sum(row.phi * 10.0 ** (row.power_dbw / 10.0)) / row.n_sites)
+    lin = float((row.phi * row.watts).sum() / row.n_sites)
     if lin <= 0.0:
         return None
     return 10.0 * float(np.log10(lin))
@@ -90,8 +98,8 @@ def decline_step(row: MetricsRow, p_max_dbw: float) -> tuple[
     interference decline at all.  The third value is the dB gap between the
     two, defined when both exist.
     """
-    gaps = row.phi * (10.0 ** (p_max_dbw / 10.0) - 10.0 ** (row.power_dbw / 10.0))
-    own = float(np.sum(gaps) / row.n_sites)
+    gaps = row.phi * (10.0 ** (p_max_dbw / 10.0) - row.watts)
+    own = float(gaps.sum() / row.n_sites)
     rsrp = 10.0 * float(np.log10(own)) if own > 0.0 else None
     itf_lin = (row.n_sites - 1) * own
     itf = 10.0 * float(np.log10(itf_lin)) if itf_lin > 0.0 else None

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +38,8 @@ from .scenario import (
 STREAM_NAMES = ("model", "topology", "traffic", "exploration", "replay", "mobility")
 
 SLOT_S = 1e-3
+COMPARE_KEYS = ("ee_overall_mbps_per_dbw", "throughput_overall_bps", "power_overall_dbw",
+                "success_ratio_overall", "iterations_overall")
 
 
 def make_streams(seed: int) -> dict[str, np.random.Generator]:
@@ -145,12 +147,11 @@ def outcome_to_row(t: int, phi: np.ndarray, outcome: EpisodeOutcome) -> MetricsR
     )
 
 
-def _format_cell(value: float | int | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def _format_row(values: Iterable[float | int | str | None]) -> str:
+    """One CSV line in one pass: ``None`` is an empty cell, anything else its
+    ``str``, which for a float is its ``repr``, so a parsed cell is the
+    exact double."""
+    return ",".join(["" if v is None else str(v) for v in values]) + "\n"
 
 
 @contextmanager
@@ -214,7 +215,7 @@ def run(
             scn.apply(ctx, outcome.ev, streams["mobility"])
             row = outcome_to_row(t, ctx.phi, outcome)
             record = acc.push(row)
-            fh.write(",".join(_format_cell(record[c]) for c in CSV_COLUMNS) + "\n")
+            fh.write(_format_row(record.values()))  # keyed in CSV_COLUMNS order
             if keep_rows:
                 rows.append(row)
             if episode_hook is not None:
@@ -262,31 +263,10 @@ def run_compare(
     table: list[dict] = []
     for agent in ("dqn", "qlearning", "sleep"):
         result = run(replace(cfg, agent=agent), out / agent, quiet=quiet)
-        entry = {"agent": agent}
-        entry.update(
-            {
-                k: result.summary[k]
-                for k in (
-                    "ee_overall_mbps_per_dbw",
-                    "throughput_overall_bps",
-                    "power_overall_dbw",
-                    "success_ratio_overall",
-                    "iterations_overall",
-                )
-            }
-        )
-        table.append(entry)
-    columns = list(table[0].keys())
+        table.append({"agent": agent, **{k: result.summary[k] for k in COMPARE_KEYS}})
     with _replacing(out / "comparison.csv") as tmp, open(tmp, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for entry in table:
-            fh.write(
-                ",".join(
-                    _format_cell(entry[c]) if c != "agent" else str(entry[c])
-                    for c in columns
-                )
-                + "\n"
-            )
+        fh.write(",".join(table[0]) + "\n")
+        fh.writelines(_format_row(entry.values()) for entry in table)
     return table
 
 
@@ -315,13 +295,13 @@ def run_sweep(
     more processes than there are combos or CPUs.
     """
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     keys = sorted(vary)
     jobs: list[tuple[RunConfig, str]] = []
     for combo in itertools.product(*(vary[k] for k in keys)):
         tags = dict(zip(keys, combo))
         sub = out / "_".join(f"{k}={v}" for k, v in tags.items())
         jobs.append((replace(cfg, **tags).validate(), str(sub)))
+    out.mkdir(parents=True, exist_ok=True)  # after every combo validated
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -11,6 +11,7 @@ accepted assignment per step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -214,12 +215,13 @@ def sector_gain_matrix(
     """
     dx = user_xy[:, 0] - topo.site_xy[:, 0, None]
     dy = user_xy[:, 1] - topo.site_xy[:, 1, None]
-    planar = np.hypot(dx, dy)
-    dz = user_h - radio.bs_height_m
-    dist = np.sqrt(planar**2 + dz**2)
+    dist = np.hypot(dx, dy)
+    np.square(dist, out=dist)
+    dist += (user_h - radio.bs_height_m) ** 2
+    np.sqrt(dist, out=dist)
     if clamp:
-        dist = np.maximum(dist, MIN_DISTANCE_M)
-    elif np.any(dist < MIN_DISTANCE_M):
+        np.maximum(dist, MIN_DISTANCE_M, out=dist)
+    elif (dist < MIN_DISTANCE_M).any():
         raise DistanceTooSmall("a user sits closer to a site than the model allows")
 
     angles = np.degrees(np.arctan2(dy, dx))  # [-180, 180]
@@ -230,11 +232,13 @@ def sector_gain_matrix(
     offset += np.where(offset < 0.0, 360.0, 0.0)
     in_arc = offset < SECTOR_WIDTH_DEG
     tx = radio.tx_gain_lin
-    tx_pattern = np.where(in_arc, tx, tx * 10.0 ** (-topo.backlobe_atten_db / 10.0))
-    path = (
-        SPEED_OF_LIGHT_M_S / (4.0 * math.pi * radio.fc_hz * dist)
-    ) ** radio.path_loss_exponent
-    return tx_pattern * path[:, None, :] * radio.rx_gain_lin
+    gains = np.where(in_arc, tx, tx * 10.0 ** (-topo.backlobe_atten_db / 10.0))
+    dist *= 4.0 * math.pi * radio.fc_hz
+    path = np.divide(SPEED_OF_LIGHT_M_S, dist, out=dist)
+    path **= radio.path_loss_exponent
+    gains *= path[:, None, :]
+    gains *= radio.rx_gain_lin
+    return gains
 
 
 def associate_max_rsrp(
@@ -344,6 +348,8 @@ class StepContext:
     site's active sectors), the diagonal of ``site_to_user_gain`` along
     ``sched_site``.  ``full_power`` is the evaluation of every station at
     the top level, which sets ``ref_rate_bps``; its rate deltas are zero.
+    ``prior_power_w`` holds each station's power before this step, from
+    which ``features`` are computed when first read.
     """
 
     t: int
@@ -359,7 +365,7 @@ class StepContext:
     site_to_user_gain: np.ndarray
     residual_bits: np.ndarray
     ref_rate_bps: np.ndarray
-    features: np.ndarray
+    prior_power_w: np.ndarray
     noise_w: float
     bandwidth_hz: float
     slot_s: float
@@ -391,11 +397,9 @@ class StepContext:
         pays for no broadcasting; bit-identical to row 0 of
         ``evaluate_many(power_idx[None])``."""
         power_idx = np.asarray(power_idx)
-        power_dbw, rates, rate_b, rate_delta, delta_sum, link_ee, ee = (
-            self._outcomes(power_idx)
-        )
+        power_dbw, rates, rate_b, rate_delta, delta_sum, link_ee, ee = self._outcomes(power_idx)
         return StepEval(
-            power_idx, power_dbw, rates, rate_b, rate_delta, float(delta_sum), link_ee, float(ee),
+            power_idx, power_dbw, rates, rate_b, rate_delta, float(delta_sum), link_ee, float(ee)
         )
 
     def _outcomes(self, power_idx: np.ndarray) -> tuple:
@@ -420,15 +424,17 @@ class StepContext:
         network_ee = (
             link_ee.sum(axis=-1) / n_active if n_active else np.zeros(power_idx.shape[:-1])
         )
-        return (
-            power_dbw,
-            rates,
-            rate_b,
-            rate_delta,
-            rate_delta.sum(axis=-1),
-            link_ee,
-            network_ee,
-        )
+        return power_dbw, rates, rate_b, rate_delta, rate_delta.sum(axis=-1), link_ee, network_ee
+
+    @functools.cached_property
+    def features(self) -> np.ndarray:
+        """Per-site (volume, RSRP) features at the start of the step, shape (B, 2)."""
+        return self._site_features(self.residual_bits, self.prior_power_w)
+
+    @functools.cached_property
+    def _sched_counts(self) -> np.ndarray:
+        """Scheduled users of each active site, in ``active_sites`` order."""
+        return np.bincount(self.sched_site, minlength=self.n_sites)[self.active_sites]
 
     def drained_residual(self, ev: StepEval) -> np.ndarray:
         """Pending volume of each scheduled user after serving one slot."""
@@ -442,20 +448,12 @@ class StepContext:
 
     def _site_features(self, residual: np.ndarray, power_w: np.ndarray) -> np.ndarray:
         feats = np.zeros((self.n_sites, 2))
-        if self.sched_users.size == 0:
-            return feats
-        volume_b = np.bincount(
-            self.sched_site, weights=residual, minlength=self.n_sites
-        )
-        rsrp_u = power_w[self.sched_site] * self.serving_gain
-        rsrp_sum = np.bincount(
-            self.sched_site, weights=rsrp_u, minlength=self.n_sites
-        )
-        counts = np.bincount(self.sched_site, minlength=self.n_sites)
-        act = counts > 0
-        feats[act, 0] = volume_b[act] / self.volume_scale_bits
-        mean_rsrp = rsrp_sum[act] / counts[act]
-        rsrp_dbw = 10.0 * np.log10(mean_rsrp)
+        act, site = self.active_sites, self.sched_site
+        volume_b = np.bincount(site, weights=residual, minlength=self.n_sites)[act]
+        rsrp_u = power_w[site] * self.serving_gain
+        rsrp_b = np.bincount(site, weights=rsrp_u, minlength=self.n_sites)[act]
+        feats[act, 0] = volume_b / self.volume_scale_bits
+        rsrp_dbw = 10.0 * np.log10(rsrp_b / self._sched_counts)
         feats[act, 1] = (rsrp_dbw - self.rsrp_floor_dbw) / -self.rsrp_floor_dbw
         return feats
 
@@ -496,7 +494,7 @@ class Scenario:
 
     @property
     def idle_users(self) -> np.ndarray:
-        return np.flatnonzero(self.residual_bits <= 0.0)
+        return (self.residual_bits <= 0.0).nonzero()[0]
 
     def spawn_arrivals(self, rng: np.random.Generator) -> int:
         """Draw new requests for idle users; returns how many arrived."""
@@ -508,15 +506,35 @@ class Scenario:
     def _schedule(self) -> np.ndarray:
         """Pick one pending user per sector, oldest request first (lower user
         id on ties); returned by site, then user id."""
-        pending = np.flatnonzero(self.residual_bits > 0.0)
+        pending = (self.residual_bits > 0.0).nonzero()[0]
         # pending is ascending, so a stable sort on arrival breaks ties by id
-        order = pending[np.argsort(self.arrival_step[pending], kind="stable")]
-        site, sector = self.serving_site[order], self.serving_sector[order]
-        taken = order[np.unique(site * self.topo.sectors_per_site + sector, return_index=True)[1]]
-        return taken[np.lexsort((taken, self.serving_site[taken]))]
+        order = pending[self.arrival_step[pending].argsort(kind="stable")]
+        site = self.serving_site[order]
+        key = site * self.topo.sectors_per_site + self.serving_sector[order]
+        by_sector = key.argsort(kind="stable")
+        key = key[by_sector]
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        taken = by_sector[first]
+        rank = site[taken] * self.n_users + order[taken]
+        return order[taken[rank.argsort()]]
+
+    @functools.cached_property
+    def _subset_gain(self) -> np.ndarray:
+        """Gain of each site's active sectors towards each static user, for
+        every subset of active sectors: ``[u, mask * B + b]`` sums site b's
+        sectors in bitmask ``mask`` as a left fold in sector order from 0.0,
+        the bits of summing the masked (B, S, U) gains over sectors."""
+        n_sectors = self.topo.sectors_per_site
+        gains = self.gains.transpose(2, 1, 0)  # (U, S, B)
+        table = np.zeros((self.n_users, 2**n_sectors, self.topo.n_sites))
+        for mask in range(1, 2**n_sectors):
+            top = mask.bit_length() - 1  # the fold's last sector
+            table[:, mask] = table[:, mask ^ (1 << top)] + gains[:, top]
+        return table.reshape(self.n_users, -1)
 
     def build_step(self, volume_scale_bits: float) -> StepContext:
-        """Freeze the current step: scheduling, gains, reference rates, features."""
+        """Freeze the current step: scheduling, gains and reference rates."""
         sched_users = self._schedule()
         sched_site = self.serving_site[sched_users]
         sched_sector = self.serving_sector[sched_users]
@@ -524,38 +542,42 @@ class Scenario:
         phi = np.zeros(n_sites)
         phi[sched_site] = 1.0
 
-        if self.user_speed_mps > 0.0 and sched_users.size:
+        # site_to_user is column-major in both paths: the layout picks the BLAS kernel
+        # of ``power_w @ site_to_user``, and a C-ordered one rounds the rates differently.
+        if self.user_speed_mps > 0.0:
             gains = sector_gain_matrix(
                 self.topo, self.radio, self.user_xy[sched_users], self.user_h, clamp=True
             )
+            serving_gain = gains[sched_site, sched_sector, np.arange(sched_users.size)]
+            sector_active = np.zeros((n_sites, self.topo.sectors_per_site))
+            sector_active[sched_site, sched_sector] = 1.0
+            site_to_user = np.add.reduce(
+                gains * sector_active[:, :, None], axis=1,
+                out=np.empty((n_sites, sched_users.size), order="F"),
+            )
         else:
-            gains = self.gains[:, :, sched_users]
-        cols = np.arange(sched_users.size)
-        serving_gain = gains[sched_site, sched_sector, cols]
-        sector_active = np.zeros((n_sites, self.topo.sectors_per_site), dtype=bool)
-        sector_active[sched_site, sched_sector] = True
-        # Column-major, as the fancy-indexed slice of the static matrix comes
-        # out: the layout picks the BLAS kernel of ``power_w @ site_to_user``,
-        # and a C-ordered matrix rounds the rates differently in the last ulp.
-        site_to_user = np.asfortranarray(
-            np.where(sector_active[:, :, None], gains, 0.0).sum(axis=1)
-        )
+            serving_gain = self.gains[sched_site, sched_sector, sched_users]
+            # Each site's active sectors as a bitmask: one user per sector at most.
+            mask = np.bincount(sched_site, weights=1 << sched_sector, minlength=n_sites)
+            site_to_user = self._subset_gain[
+                sched_users[:, None], mask.astype(np.intp) * n_sites + np.arange(n_sites)
+            ].T
 
         ctx = StepContext(
             t=self.t,
             n_sites=n_sites,
             phi=phi,
-            active_sites=np.flatnonzero(phi),
+            active_sites=phi.nonzero()[0],
             power_levels_dbw=self.topo.power_levels_dbw,
             power_levels_w=self.power_levels_w,
             sched_users=sched_users,
             sched_site=sched_site,
             serving_gain=serving_gain,
-            own_gain=site_to_user[sched_site, cols],
+            own_gain=site_to_user[sched_site, np.arange(sched_users.size)],
             site_to_user_gain=site_to_user,
-            residual_bits=self.residual_bits[sched_users].copy(),
+            residual_bits=self.residual_bits[sched_users],
             ref_rate_bps=np.zeros(n_sites),
-            features=np.zeros((n_sites, 2)),
+            prior_power_w=self.power_levels_w[self.current_power_idx],
             noise_w=self.radio.noise_w,
             bandwidth_hz=self.radio.bandwidth_hz,
             slot_s=self.slot_s,
@@ -565,22 +587,17 @@ class Scenario:
         full = ctx.evaluate(np.full(n_sites, self.topo.n_levels - 1))
         ctx.ref_rate_bps[:] = full.rate_bps
         # Measured against its own rates, the plan's deltas are phi * 0.0.
-        zero = {"rate_delta_bps": np.zeros(n_sites), "rate_delta_sum": 0.0}
-        object.__setattr__(ctx, "full_power", StepEval(**{**vars(full), **zero}))
-        if sched_users.size:
-            ctx.features[:] = ctx._site_features(
-                ctx.residual_bits, ctx.power_levels_w[self.current_power_idx]
-            )
+        object.__setattr__(full, "rate_delta_bps", np.zeros(n_sites))
+        object.__setattr__(full, "rate_delta_sum", 0.0)
+        object.__setattr__(ctx, "full_power", full)
         return ctx
 
     def apply(self, ctx: StepContext, ev: StepEval, rng: np.random.Generator | None = None) -> None:
         """Advance the state by one slot under the accepted assignment."""
-        if ctx.sched_users.size:
-            self.residual_bits[ctx.sched_users] = ctx.drained_residual(ev)
-            done = ctx.sched_users[self.residual_bits[ctx.sched_users] <= 0.0]
-            self.arrival_step[done] = -1
-            active = ctx.active_sites
-            self.current_power_idx[active] = ev.power_idx[active]
+        drained = ctx.drained_residual(ev)
+        self.residual_bits[ctx.sched_users] = drained
+        self.arrival_step[ctx.sched_users[drained <= 0.0]] = -1
+        self.current_power_idx[ctx.active_sites] = ev.power_idx[ctx.active_sites]
         self.t += 1
         if self.user_speed_mps > 0.0 and rng is not None:
             self._move_users(rng)
@@ -593,8 +610,10 @@ class Scenario:
         delta = self._waypoints - self.user_xy
         dist = np.hypot(delta[:, 0], delta[:, 1])
         arrived = dist <= step
-        far = ~arrived  # so dist > step >= 0
-        self.user_xy[far] += delta[far] * (step / dist[far])[:, None]
+        # Far users (dist > step >= 0) walk one step; arrived ones add zero here.
+        scale = np.divide(step, dist, out=np.zeros_like(dist), where=~arrived)
+        delta *= scale[:, None]
+        self.user_xy += delta
         if arrived.any():
             self.user_xy[arrived] = self._waypoints[arrived]
             self._waypoints[arrived] = self._draw_waypoints(rng, np.flatnonzero(arrived))

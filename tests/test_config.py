@@ -1,5 +1,8 @@
 """Run configuration parsing, defaults, and validation."""
 
+import dataclasses
+import math
+
 import pytest
 
 from ranpower.config import RunConfig, load_config, parse_config_text
@@ -97,6 +100,26 @@ def test_validation_names_the_offending_key(key, value):
     cfg = RunConfig(**{key: value})
     with pytest.raises(ValidationError, match=f"'{key}'"):
         cfg.validate()
+
+
+FLOAT_KEYS = [f.name for f in dataclasses.fields(RunConfig) if f.type in (float, "float")]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_validation_rejects_non_finite_floats(key, value):
+    with pytest.raises(ValidationError, match=f"'{key}' has non-finite value"):
+        RunConfig(**{key: value}).validate()
+
+
+def test_non_finite_values_fail_from_a_file_and_with_overrides(tmp_path):
+    path = tmp_path / "run.cfg"
+    for line in ("volume_hi_bits = inf", "isd_m = inf", "tx_gain_dbi = nan"):
+        path.write_text(f"{line}\n")
+        with pytest.raises(ValidationError, match="non-finite"):
+            load_config(path)
+        with pytest.raises(ValidationError, match="non-finite"):
+            load_config(path, seed=2, agent="sleep")
 
 
 def test_validation_guards_lowest_power_level():

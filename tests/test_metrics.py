@@ -216,6 +216,42 @@ def test_streaming_matches_batch_within_1e9():
     assert summary["iterations_overall"] == pytest.approx(n_overall, abs=1e-9)
 
 
+def step_rows():
+    """Random rows, an all-asleep row and rows with one station awake."""
+    rng = np.random.default_rng(7)
+    levels = np.linspace(13.2, 15.2, 5)
+    rows = []
+    for k in range(40):
+        n = int(rng.integers(1, 20))
+        phi = (rng.random(n) < 0.7).astype(float)
+        if k % 10 == 0:
+            phi[:] = 0.0
+        elif k % 10 == 1:
+            phi[:] = 0.0
+            phi[rng.integers(n)] = 1.0
+        rate = phi * rng.uniform(1e6, 5e7, n)
+        power = rng.choice(levels, n)
+        rows.append(make_row(t=k, phi=phi, power_dbw=power, rate_bps=rate,
+                             link_ee=phi * (rate / 1e6) / power))
+    return rows
+
+
+def test_push_equals_the_step_functions_exactly():
+    """The streamed per-step figures are the batch step functions' values,
+    ``==`` and not merely close: the CSV bytes depend on them."""
+    acc = MetricsAccumulator(P_MAX)
+    thr_total = 0.0
+    for n, row in enumerate(step_rows(), start=1):
+        rec = acc.push(row)
+        assert rec["ee_avg_allB"] == ee_step(row)
+        assert rec["pwr_avg_dbw"] == power_step_dbw(row)
+        assert (rec["rsrp_decl_dbw"], rec["itf_decl_dbw"], rec["decl_gap_dbw"]) == (
+            decline_step(row, P_MAX)
+        )
+        thr_total += throughput_step(row)
+        assert rec["thr_cum_bps"] == thr_total / n
+
+
 def test_streaming_records_per_step_fields():
     row = make_row(power_dbw=(13.2, 14.2, 15.2))
     acc = MetricsAccumulator(P_MAX)

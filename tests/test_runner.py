@@ -290,6 +290,40 @@ def test_cli_config_errors_exit_one(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("line", ["volume_hi_bits = inf", "isd_m = inf", "tx_gain_dbi = nan",
+                                  "noise_dbw = -inf"])
+def test_cli_non_finite_values_exit_one(tmp_path, capsys, line):
+    """A non-finite float is a config error from a file, with the seed and
+    agent overrides on top, and from ``--vary``; nothing is written."""
+    cfg = write_cfg(tmp_path, f"rings = 0\nepisodes = 3\n{line}\n")
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg, "--out", out]) == 1
+    assert main(["run", "--config", cfg, "--seed", "4", "--agent", "sleep", "--out", out]) == 1
+    key, _, value = line.partition(" = ")
+    good = write_cfg(tmp_path, "rings = 0\nepisodes = 3\n")
+    assert main(["sweep", "--config", good, "--vary", f"{key}=1.0,{value}", "--out", out]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def format_cell(value):
+    """The per-cell formatter the one-pass row formatter replaced."""
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def test_row_formatter_matches_the_cell_formatter():
+    values = [0, 7, -3, np.int64(12), np.int64(-1), None, 0.1, -2.5e-7, 1e16, 123456.789,
+              float("inf"), 15.199999999999998, np.float64(0.3), None]
+    assert runner._format_row(values) == ",".join(format_cell(v) for v in values) + "\n"
+    rng = np.random.default_rng(3)
+    floats = (rng.standard_normal(2000) * 10.0 ** rng.uniform(-30, 30, 2000)).tolist()
+    assert runner._format_row(floats) == ",".join(map(format_cell, floats)) + "\n"
+
+
 def test_cli_runtime_errors_exit_two(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "rings = 2\nepisodes = 20\n")
     code = main(["oracle", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])

@@ -373,6 +373,32 @@ def test_next_features_reflect_chosen_power(three_site_scenario):
     assert np.all((0.0 <= lo) & (lo <= 1.5))
 
 
+def eager_features(scn, ctx):
+    """The features as build_step computed them before any controller ran."""
+    return ctx._site_features(ctx.residual_bits, scn.power_levels_w[scn.current_power_idx])
+
+
+@pytest.mark.parametrize("moving", [False, True])
+def test_features_on_read_equal_the_eager_ones(moving):
+    """``features`` is computed when first read, from the power levels the
+    step started with: the same bits whether read before or after
+    ``apply`` moved the state on."""
+    scn = moving_scenario(seed=21) if moving else static_scenario(1)
+    rng = np.random.default_rng(21)
+    for step in range(6):
+        pending = rng.random(scn.n_users) < 0.7
+        scn.residual_bits[:] = np.where(pending, rng.uniform(1e4, 2e5, scn.n_users), 0.0)
+        scn.arrival_step[:] = np.where(pending, 0, -1)
+        ctx = scn.build_step(2e5)
+        want = eager_features(scn, ctx).copy()
+        plan = rng.integers(ctx.n_levels, size=ctx.n_sites)
+        if step % 2:
+            assert ctx.features.tobytes() == want.tobytes()
+        scn.apply(ctx, ctx.evaluate(plan), rng)
+        assert ctx.features.tobytes() == want.tobytes()
+        assert ctx.features is ctx.features
+
+
 def reference_schedule(scn):
     """The sort / setdefault / sort loop the array scheduler replaced."""
     pending = np.flatnonzero(scn.residual_bits > 0.0)
@@ -468,6 +494,38 @@ def test_mobility_moves_users(three_site, radio_params):
     assert np.any(scn.user_xy != before)
 
 
+def reference_move(scn, rng):
+    """The boolean-index random-waypoint step that ``_move_users`` replaced."""
+    step = scn.user_speed_mps * scn.slot_s
+    delta = scn._waypoints - scn.user_xy
+    dist = np.hypot(delta[:, 0], delta[:, 1])
+    arrived = dist <= step
+    far = ~arrived
+    scn.user_xy[far] += delta[far] * (step / dist[far])[:, None]
+    if arrived.any():
+        scn.user_xy[arrived] = scn._waypoints[arrived]
+        scn._waypoints[arrived] = scn._draw_waypoints(rng, np.flatnonzero(arrived))
+
+
+def test_move_users_matches_the_boolean_index_reference(three_site, radio_params):
+    """Whole-array moves give the same positions and waypoints, including
+    users exactly one step from their waypoint and users standing on it."""
+    got, want = (make_scenario(three_site, radio_params, seed=11) for _ in range(2))
+    for scn in (got, want):
+        scn.user_speed_mps = 1000.0  # one metre a slot
+        scn._waypoints = scn.user_xy + np.random.default_rng(5).uniform(-3.0, 3.0, (scn.n_users, 2))
+        scn._waypoints[0] = scn.user_xy[0] + [1.0, 0.0]  # dist == step
+        scn._waypoints[1] = scn.user_xy[1]  # dist == 0
+        scn.user_xy[2] = scn._waypoints[2] - [0.0, 1.0]  # one step away, up to rounding
+    assert np.hypot(*(got._waypoints[0] - got.user_xy[0])) == 1.0
+    rng_got, rng_want = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(8):
+        got._move_users(rng_got)
+        reference_move(want, rng_want)
+        assert got.user_xy.tobytes() == want.user_xy.tobytes()
+        assert got._waypoints.tobytes() == want._waypoints.tobytes()
+
+
 def test_static_scenario_ignores_motion_rng(three_site_scenario):
     scn = three_site_scenario
     scn.residual_bits[:] = 1e5
@@ -520,6 +578,36 @@ def test_moving_build_step_matches_the_full_matrix_slice(seed):
             ref.evaluate_many(idx).user_rates_bps.tobytes()
         )
         scn.apply(ctx, ctx.full_power, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3]))
+def test_static_build_step_matches_the_masked_sector_sum(seed, per_sector):
+    """The subset table's gather equals the ``where``/``sum`` over the
+    fancy-indexed (B, S, |sched|) slice that it replaced, bit for bit and
+    column-major, and the serving gains equal the full matrix's entries."""
+    scn = static_scenario(per_sector)
+    rng = np.random.default_rng(seed)
+    pending = rng.random(scn.n_users) < rng.uniform(0.05, 1.0)
+    scn.residual_bits[:] = np.where(pending, 1e5, 0.0)
+    scn.arrival_step[:] = np.where(pending, rng.integers(0, 3, scn.n_users), -1)
+    ctx = scn.build_step(2e5)
+    users, site = ctx.sched_users, ctx.sched_site
+    sector = scn.serving_sector[users]
+    sector_active = np.zeros((ctx.n_sites, scn.topo.sectors_per_site), dtype=bool)
+    sector_active[site, sector] = True
+    want = np.asfortranarray(
+        np.where(sector_active[:, :, None], scn.gains[:, :, users], 0.0).sum(axis=1)
+    )
+    assert ctx.site_to_user_gain.tobytes() == want.tobytes()
+    assert ctx.site_to_user_gain.flags.f_contiguous
+    assert ctx.serving_gain.tobytes() == scn.gains[site, sector, users].tobytes()
+    assert ctx.own_gain.tobytes() == want[site, np.arange(users.size)].tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def static_scenario(per_sector):
+    return make_scenario(NINETEEN_SITES, RadioParams(), seed=per_sector, per_sector=per_sector)
 
 
 def assert_same_eval(a, b):

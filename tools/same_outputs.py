@@ -1,0 +1,93 @@
+"""Check that a revision and the working tree write the same output bytes.
+
+    python3 tools/same_outputs.py REV [--seeds 1 2 ...]
+
+Run from the repository root.  Each shape in ``SHAPES`` runs at each seed
+twice through ``python -m ranpower.cli run``: once on a ``git archive REV``
+copy in a temp directory and once on this working tree.  The sha256 of
+``metrics.csv`` and, where either side writes one, ``weights.bin`` must
+match.  Prints one line per run and exits 1 on any difference or failed run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PAPER_DQN = {"rings": 2, "agent": "dqn", "search_iters": 100}
+DESK_DQN = {"rings": 1, "per_sector_users": 2, "agent": "dqn", "search_iters": 10,
+            "train_interval": 5}
+# The benchmark's three workloads, then DQN with moving users at both shapes
+# and Q-learning at the paper shape.
+SHAPES = {
+    "paper-dqn-search": {**PAPER_DQN, "episodes": 600},
+    "desk-dqn-train": {**DESK_DQN, "episodes": 800},
+    "paper-sleep-mobile": {"rings": 2, "agent": "sleep", "mobility": "waypoint",
+                           "episodes": 5000},
+    "paper-dqn-waypoint": {**PAPER_DQN, "mobility": "waypoint", "episodes": 600},
+    "desk-dqn-waypoint": {**DESK_DQN, "mobility": "waypoint", "episodes": 800},
+    "paper-qlearning": {**PAPER_DQN, "agent": "qlearning", "episodes": 600},
+}
+OUTPUTS = ("metrics.csv", "weights.bin")
+
+
+def sha256(path: Path) -> str | None:
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+
+
+def run_once(tree: Path, config: dict, seed: int, out: Path) -> dict[str, str | None]:
+    out.mkdir(parents=True)
+    cfg = out / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    cmd = [sys.executable, "-m", "ranpower.cli", "run", "--config", str(cfg),
+           "--seed", str(seed), "--out", str(out), "--quiet"]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr.strip()}")
+    return {name: sha256(out / name) for name in OUTPUTS}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="git revision to compare the working tree against")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    args = parser.parse_args(argv)
+
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        base = Path(tmp) / "rev"
+        base.mkdir()
+        subprocess.run(
+            f"git archive {shlex.quote(args.rev)} | tar -x -C {shlex.quote(str(base))}",
+            shell=True, check=True, cwd=ROOT,
+        )
+        for name, config in SHAPES.items():
+            for seed in args.seeds:
+                try:
+                    want = run_once(base, config, seed, Path(tmp) / "a" / name / str(seed))
+                    got = run_once(ROOT, config, seed, Path(tmp) / "b" / name / str(seed))
+                except RuntimeError as exc:
+                    print(f"{name} seed={seed}: FAILED {exc}")
+                    differ += 1
+                    continue
+                diff = [k for k in OUTPUTS if want[k] != got[k]]
+                differ += bool(diff)
+                status = f"DIFFER in {', '.join(diff)}" if diff else "same"
+                print(f"{name} seed={seed}: {status} (metrics.csv {got['metrics.csv'][:12]})",
+                      flush=True)
+    print(f"{differ} of {len(SHAPES) * len(args.seeds)} runs differ or failed")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
