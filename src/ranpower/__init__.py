@@ -10,7 +10,7 @@ a non-learning sleep scheme.
 from .agents import DqnAgent, QLearningAgent, SleepAgent, exhaustive_oracle
 from .config import RunConfig, load_config
 from .metrics import CSV_COLUMNS, MetricsAccumulator, MetricsRow
-from .radio import LinkBudget, Position
+from .radio import Position
 from .rl import Hyperparams, QNetwork, ReplayMemory
 from .runner import run, run_compare, run_oracle_check, run_sweep
 from .scenario import (
@@ -30,7 +30,6 @@ __all__ = [
     "CSV_COLUMNS",
     "DqnAgent",
     "Hyperparams",
-    "LinkBudget",
     "MetricsAccumulator",
     "MetricsRow",
     "Position",

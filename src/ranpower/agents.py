@@ -1,5 +1,8 @@
 """Power-control agents and the exhaustive search oracle.
 
+Every agent answers one call per step, ``run_episode(ctx, t, terminal)``,
+and gets the random generators it draws from at construction.
+
 All learning agents share the same inner search on a frozen step: draw K
 joint power assignments for the active stations (epsilon-greedy per
 station), rate them in one batched evaluation so every station's SINR
@@ -34,23 +37,13 @@ ORACLE_CHUNK = 4096
 
 
 @dataclass(frozen=True, eq=False)
-class IterationRecord:
-    """One candidate draw of the inner search."""
-
-    index: int
-    power_idx: np.ndarray
-    score: float
-    rate_delta_sum: float
-    feasible: bool
-
-
-@dataclass(frozen=True, eq=False)
 class EpisodeOutcome:
     """What one step produced: the executed assignment and its bookkeeping.
 
     ``accepted_iteration`` is the 1-based index of the accepted candidate,
     ``None`` when no candidate was feasible (the full-power fallback ran) or
-    when no search took place.  ``feasible`` mirrors the step's success flag.
+    when every station slept, and 0 for the sleep agent, which runs no
+    search.  ``feasible`` mirrors the step's success flag.
     """
 
     ev: StepEval
@@ -60,13 +53,18 @@ class EpisodeOutcome:
     all_sleep: bool = False
 
 
+def is_feasible(rate_delta_sum: float | np.ndarray) -> bool | np.ndarray:
+    """The throughput constraint, for one sum or an array of them: the
+    summed rate deltas (reference minus achieved) stay non-negative."""
+    return rate_delta_sum >= 0.0
+
+
 def _inner_search(
     ctx: StepContext,
     qrows: np.ndarray,
     n_iterations: int,
     epsilon: float,
     rng: np.random.Generator,
-    collect: list[IterationRecord] | None = None,
 ) -> tuple[StepEval | None, int | None, float]:
     """Draw and rate all candidates at once; returns (best eval, its 1-based
     index, score).
@@ -89,13 +87,7 @@ def _inner_search(
     idx[:, active] = picks
     scores = qrows[active, picks].sum(axis=1)
     evs = ctx.evaluate_many(idx)
-    feasible = evs.rate_delta_sum >= 0.0
-    if collect is not None:
-        collect.extend(
-            IterationRecord(n + 1, idx[n], float(scores[n]), float(evs.rate_delta_sum[n]),
-                            bool(feasible[n]))
-            for n in range(n_iterations)
-        )
+    feasible = is_feasible(evs.rate_delta_sum)
     if not feasible.any():
         return None, None, -np.inf
     best = int(np.argmax(np.where(feasible, scores, -np.inf)))
@@ -103,7 +95,7 @@ def _inner_search(
 
 
 def _check_accepted(ev: StepEval) -> None:
-    if ev.rate_delta_sum < 0.0:
+    if not is_feasible(ev.rate_delta_sum):
         raise InvariantViolation(
             f"accepted an assignment with rate delta sum {ev.rate_delta_sum}"
         )
@@ -123,11 +115,10 @@ def _decide(
     n_iterations: int,
     epsilon: float,
     rng: np.random.Generator,
-    collect: list[IterationRecord] | None,
 ) -> EpisodeOutcome:
     """Accept the search's best feasible candidate, or keep full power when
     none is feasible; either way the reward is the executed efficiency."""
-    ev, n_star, _ = _inner_search(ctx, qrows, n_iterations, epsilon, rng, collect)
+    ev, n_star, _ = _inner_search(ctx, qrows, n_iterations, epsilon, rng)
     if ev is None:
         ev = ctx.full_power
         return EpisodeOutcome(ev=ev, reward=ev.network_ee, feasible=False, accepted_iteration=None)
@@ -143,6 +134,8 @@ class DqnAgent:
     efficiency as the reward.  Every ``train_interval`` steps (once replay
     holds strictly more than one minibatch) a single gradient-descent round
     runs, and every ``sync_interval`` rounds the target network catches up.
+    ``exploration`` draws the search's candidates and ``replay`` the
+    minibatches.
     """
 
     def __init__(
@@ -150,6 +143,8 @@ class DqnAgent:
         n_actions: int,
         hyper: Hyperparams,
         rng_init: np.random.Generator,
+        exploration: np.random.Generator,
+        replay: np.random.Generator,
         hidden_sizes: tuple[int, ...] = (64, 64),
         replay_capacity: int = 5000,
         n_iterations: int = 100,
@@ -161,34 +156,22 @@ class DqnAgent:
         self.target = self.predicted.clone()
         self.memory = ReplayMemory(replay_capacity)
         self.hyper = hyper
+        self.exploration = exploration
+        self.replay = replay
         self.n_iterations = n_iterations
         self.training_rounds = 0
         self.target_syncs = 0
 
-    def run_episode(
-        self,
-        ctx: StepContext,
-        rng_explore: np.random.Generator,
-        rng_replay: np.random.Generator,
-        episode: int,
-        terminal: bool = False,
-        collect: list[IterationRecord] | None = None,
-    ) -> EpisodeOutcome:
-        outcome = self._act(ctx, rng_explore, terminal, collect)
-        self._maybe_train(episode, rng_replay)
+    def run_episode(self, ctx: StepContext, t: int, terminal: bool) -> EpisodeOutcome:
+        outcome = self._act(ctx, terminal)
+        self._maybe_train(t)
         return outcome
 
-    def _act(
-        self,
-        ctx: StepContext,
-        rng: np.random.Generator,
-        terminal: bool,
-        collect: list[IterationRecord] | None,
-    ) -> EpisodeOutcome:
+    def _act(self, ctx: StepContext, terminal: bool) -> EpisodeOutcome:
         if not ctx.any_active:
             return _all_sleep(ctx)
         qrows = self.predicted.forward_batch(ctx.features)
-        outcome = _decide(ctx, qrows, self.n_iterations, self.hyper.epsilon, rng, collect)
+        outcome = _decide(ctx, qrows, self.n_iterations, self.hyper.epsilon, self.exploration)
         if outcome.feasible:
             ev, active = outcome.ev, ctx.active_sites
             self.memory.push(
@@ -199,12 +182,12 @@ class DqnAgent:
             )
         return outcome
 
-    def _maybe_train(self, episode: int, rng: np.random.Generator) -> None:
+    def _maybe_train(self, t: int) -> None:
         h = self.hyper
-        due = episode > 0 and episode % h.train_interval == 0
+        due = t > 0 and t % h.train_interval == 0
         if not due or len(self.memory) <= h.minibatch_size:
             return
-        batch = self.memory.sample_minibatch(h.minibatch_size, rng)
+        batch = self.memory.sample_minibatch(h.minibatch_size, self.replay)
         targets = minibatch_targets(batch, self.target, h.discount)
         backward_and_step(self.predicted, batch, targets, h.learning_rate)
         self.training_rounds += 1
@@ -215,16 +198,20 @@ class DqnAgent:
 
 class QLearningAgent:
     """Tabular baseline: same inner search, but values live in a binned table
-    and every accepted decision updates the table online."""
+    and every accepted decision updates the table online.  ``exploration``
+    draws the search's candidates."""
 
     def __init__(
         self,
         n_actions: int,
         hyper: Hyperparams,
+        exploration: np.random.Generator,
         n_bins: int = 16,
         alpha: float = 0.1,
         n_iterations: int = 100,
     ) -> None:
+        if n_iterations < 1:
+            raise InvalidConfig("the inner search needs at least one iteration")
         if n_bins < 2:
             raise InvalidConfig(f"bin count {n_bins} must be at least 2")
         if not 0.0 <= alpha <= 1.0:
@@ -233,21 +220,15 @@ class QLearningAgent:
         self.n_bins = n_bins
         self.alpha = alpha
         self.hyper = hyper
+        self.exploration = exploration
         self.n_iterations = n_iterations
 
-    def run_episode(
-        self,
-        ctx: StepContext,
-        rng_explore: np.random.Generator,
-        episode: int = 0,
-        terminal: bool = False,
-        collect: list[IterationRecord] | None = None,
-    ) -> EpisodeOutcome:
+    def run_episode(self, ctx: StepContext, t: int, terminal: bool) -> EpisodeOutcome:
         if not ctx.any_active:
             return _all_sleep(ctx)
         bins = state_bin(ctx.features, self.n_bins)
         qrows = self.table[bins[:, 0], bins[:, 1]]
-        outcome = _decide(ctx, qrows, self.n_iterations, self.hyper.epsilon, rng_explore, collect)
+        outcome = _decide(ctx, qrows, self.n_iterations, self.hyper.epsilon, self.exploration)
         if not outcome.feasible:
             return outcome
         ev = outcome.ev
@@ -268,7 +249,7 @@ class SleepAgent:
     """Non-learning reference: pending traffic means full power, idle means
     sleep.  No search runs, so the accepted-iteration count is recorded as 0."""
 
-    def run_episode(self, ctx: StepContext, **_: object) -> EpisodeOutcome:
+    def run_episode(self, ctx: StepContext, t: int, terminal: bool) -> EpisodeOutcome:
         if not ctx.any_active:
             return _all_sleep(ctx)
         ev = ctx.full_power
@@ -308,7 +289,7 @@ def exhaustive_oracle(
         idx = np.full((plans.size, ctx.n_sites), ctx.n_levels - 1, dtype=int)
         idx[:, active] = np.stack(np.unravel_index(plans, shape), axis=1)
         evs = ctx.evaluate_many(idx)
-        ee = np.where(evs.rate_delta_sum >= 0.0, evs.network_ee, -np.inf)
+        ee = np.where(is_feasible(evs.rate_delta_sum), evs.network_ee, -np.inf)
         k = int(np.argmax(ee))
         if ee[k] > best_ee:
             best_idx, best_ee = idx[k].copy(), ee[k]

@@ -13,14 +13,6 @@ class NonPositivePower(RanPowerError, ValueError):
     """A linear power value was zero or negative where positive is required."""
 
 
-class PowerGuardViolation(RanPowerError, ValueError):
-    """A dBW power level left the guarded operating range."""
-
-
-class NoActiveBs(RanPowerError, ValueError):
-    """A network-wide aggregate was requested while every base station sleeps."""
-
-
 class InvalidConfig(RanPowerError, ValueError):
     """A structural parameter (grid, power set, traffic model) is unusable."""
 

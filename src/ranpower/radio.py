@@ -1,25 +1,19 @@
-"""Link-budget primitives: geometry, channel gain, SINR, rate, and efficiency.
+"""Link-level constants and scalar conversions.
 
-All functions are pure and operate on scalars so they can serve as the
-reference arithmetic for the vectorised simulation path.  Powers cross the
-log/linear boundary only through :func:`dbw_to_watts` / :func:`watts_to_dbw`.
-Energy efficiency is expressed in Mbps per dBW, i.e. the rate in Mbps divided
-by the transmit power level in dBW, which is why transmit levels are kept
-above ``MIN_POWER_DBW``.
+Positions, the dBW/watt conversions and the gain of one link.  The
+simulation itself computes gains, SINR, rates and efficiencies on arrays in
+:mod:`ranpower.scenario`; :func:`channel_gain` is the scalar form of its
+per-link gain.  Energy efficiency is expressed in Mbps per dBW, i.e. the
+rate in Mbps divided by the transmit power level in dBW, which is why
+transmit levels are kept above ``MIN_POWER_DBW``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-from .errors import (
-    DistanceTooSmall,
-    NoActiveBs,
-    NonPositivePower,
-    PowerGuardViolation,
-)
+from .errors import DistanceTooSmall, NonPositivePower
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 
@@ -39,20 +33,6 @@ class Position:
     x: float
     y: float
     h: float = 0.0
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Received powers (watts) at one user for a single scheduling instant."""
-
-    serving_w: float
-    interference_w: float
-    noise_w: float
-
-
-def distance(a: Position, b: Position) -> float:
-    """Euclidean distance in metres between two positions."""
-    return math.dist((a.x, a.y, a.h), (b.x, b.y, b.h))
 
 
 def dbw_to_watts(p_dbw: float) -> float:
@@ -87,81 +67,3 @@ def channel_gain(
         raise NonPositivePower(f"carrier frequency {fc_hz} Hz must be positive")
     path = (SPEED_OF_LIGHT_M_S / (4.0 * math.pi * fc_hz * d_m)) ** exponent
     return tx_gain_lin * path * rx_gain_lin
-
-
-def link_budget(
-    serving_power_dbw: float,
-    serving_gain: float,
-    interferers: Iterable[tuple[int, float, float]],
-    noise_w: float,
-) -> LinkBudget:
-    """Assemble received powers for one user.
-
-    ``interferers`` yields ``(active, power_dbw, gain)`` triples, one per
-    other base station; inactive entries contribute nothing.
-    """
-    serving_w = dbw_to_watts(serving_power_dbw) * serving_gain
-    interference_w = 0.0
-    for active, p_dbw, gain in interferers:
-        if active:
-            interference_w += dbw_to_watts(p_dbw) * gain
-    return LinkBudget(serving_w, interference_w, noise_w)
-
-
-def sinr(budget: LinkBudget) -> float:
-    """Signal to interference-plus-noise ratio (linear)."""
-    denom = budget.interference_w + budget.noise_w
-    if denom <= 0.0:
-        raise NonPositivePower("interference plus noise must be positive")
-    return budget.serving_w / denom
-
-
-def data_rate(bandwidth_hz: float, sinr_lin: float) -> float:
-    """Shannon rate in bit/s for the given bandwidth and linear SINR."""
-    if sinr_lin < 0.0:
-        raise NonPositivePower(f"SINR {sinr_lin} must be non-negative")
-    return bandwidth_hz * math.log2(1.0 + sinr_lin)
-
-
-def power_and_rate_delta(
-    active: int,
-    power_dbw: float,
-    rate_bps: float,
-    rate_ref_bps: float,
-    p_max_dbw: float,
-) -> tuple[float, float]:
-    """Per-station drop in power and rate relative to the full-power reference.
-
-    Both deltas are zero for a sleeping station.  A positive rate delta means
-    the station serves *less* than its reference rate; the network-wide
-    feasibility rule requires the sum of rate deltas to stay non-negative.
-    """
-    if not active:
-        return 0.0, 0.0
-    return p_max_dbw - power_dbw, rate_ref_bps - rate_bps
-
-
-def link_ee(rate_bps: float, power_dbw: float) -> float:
-    """Energy efficiency of one link in Mbps per dBW."""
-    if power_dbw < MIN_POWER_DBW:
-        raise PowerGuardViolation(
-            f"power {power_dbw} dBW is below the {MIN_POWER_DBW} dBW guard"
-        )
-    return (rate_bps / 1e6) / power_dbw
-
-
-def network_ee(per_bs: Sequence[tuple[int, float]]) -> float:
-    """Average link efficiency over the active base stations.
-
-    ``per_bs`` holds ``(active, link_ee)`` pairs.  Raises ``NoActiveBs`` when
-    every station sleeps, because the average is undefined then.
-    """
-    total = 0.0
-    count = 0
-    for active, ee in per_bs:
-        if active:
-            total += ee
-            count += 1
-    if count == 0:
-        raise NoActiveBs("network efficiency is undefined with all BSs asleep")
-    return total / count

@@ -159,7 +159,6 @@ class QNetwork:
         cls,
         layer_sizes: Sequence[int],
         rng: np.random.Generator,
-        hidden_scale: float = 1.0,
         zero_output: bool = True,
     ) -> "QNetwork":
         if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
@@ -170,7 +169,7 @@ class QNetwork:
             if zero_output and i == last:
                 w = np.zeros((fan_in, fan_out))
             else:
-                w = rng.normal(0.0, hidden_scale * np.sqrt(2.0 / fan_in), (fan_in, fan_out))
+                w = rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_in, fan_out))
             weights.append(w)
             biases.append(np.zeros(fan_out))
         return cls(weights, biases)
@@ -184,9 +183,6 @@ class QNetwork:
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             a = np.maximum(a @ w + b, 0.0)
         return a @ self.weights[-1] + self.biases[-1]
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.forward_batch(x)[0]
 
     def _scratch(self, key: tuple[str, int], shape: tuple[int, ...], dtype=float) -> np.ndarray:
         """The leading ``shape[0]`` rows of a training-round buffer of this
@@ -300,18 +296,10 @@ def empirical_policy_prob(
 ) -> float:
     """Empirical probability that the behaviour policy emits ``action``:
     the exploit mass observed in replay plus the uniform explore mass."""
-    exploit, explore = policy_prob_branches(memory, action, epsilon, n_actions)
-    return exploit + explore
-
-
-def policy_prob_branches(
-    memory: ReplayMemory, action: int, epsilon: float, n_actions: int
-) -> tuple[float, float]:
-    """The two mixture terms of the empirical policy probability, separately."""
     if len(memory) == 0:
         raise EmptyMemory("no transitions recorded yet")
     exploit = (1.0 - epsilon) * memory.action_count(action) / len(memory)
-    return exploit, epsilon / n_actions
+    return exploit + epsilon / n_actions
 
 
 def state_bin(features: np.ndarray, n_bins: int) -> np.ndarray:

@@ -110,6 +110,8 @@ def make_agent(cfg: RunConfig, streams: dict[str, np.random.Generator]):
             n_actions=cfg.n_power_levels,
             hyper=hyper,
             rng_init=streams["model"],
+            exploration=streams["exploration"],
+            replay=streams["replay"],
             hidden_sizes=(cfg.hidden_units,) * cfg.hidden_layers,
             replay_capacity=cfg.replay_capacity,
             n_iterations=cfg.search_iters,
@@ -118,6 +120,7 @@ def make_agent(cfg: RunConfig, streams: dict[str, np.random.Generator]):
         return QLearningAgent(
             n_actions=cfg.n_power_levels,
             hyper=hyper,
+            exploration=streams["exploration"],
             n_bins=cfg.q_bins,
             alpha=cfg.q_alpha,
             n_iterations=cfg.search_iters,
@@ -211,7 +214,7 @@ def run(
         for t in range(cfg.episodes):
             scn.spawn_arrivals(streams["traffic"])
             ctx = scn.build_step(volume_scale_bits=cfg.volume_hi_bits)
-            outcome = _step_agent(agent, ctx, streams, t, cfg.episodes)
+            outcome = agent.run_episode(ctx, t, t == cfg.episodes - 1)
             scn.apply(ctx, outcome.ev, streams["mobility"])
             row = outcome_to_row(t, ctx.phi, outcome)
             record = acc.push(row)
@@ -241,17 +244,6 @@ def run(
         ee = summary["ee_overall_mbps_per_dbw"]
         print(f"[{cfg.agent}] seed={cfg.seed} episodes={cfg.episodes} ee={ee:.4f}")
     return RunResult(cfg, out, csv_path, summary, rows)
-
-
-def _step_agent(agent, ctx, streams, t: int, horizon: int) -> EpisodeOutcome:
-    terminal = t == horizon - 1
-    if isinstance(agent, DqnAgent):
-        return agent.run_episode(
-            ctx, streams["exploration"], streams["replay"], t, terminal
-        )
-    if isinstance(agent, QLearningAgent):
-        return agent.run_episode(ctx, streams["exploration"], t, terminal)
-    return agent.run_episode(ctx)
 
 
 def run_compare(

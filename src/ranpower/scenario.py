@@ -38,7 +38,6 @@ class Topology:
     site_positions: tuple[Position, ...]
     isd_m: float
     power_levels_dbw: np.ndarray
-    sectors_per_site: int = 3
     boresights_deg: tuple[float, ...] = (0.0, 120.0, 240.0)
     backlobe_atten_db: float = 25.0
     site_xy: np.ndarray = field(init=False, repr=False)  # (B, 2) planar positions
@@ -46,8 +45,8 @@ class Topology:
     def __post_init__(self) -> None:
         if self.isd_m <= 0.0:
             raise InvalidConfig(f"inter-site distance {self.isd_m} must be positive")
-        if self.sectors_per_site != len(self.boresights_deg):
-            raise InvalidConfig("one boresight per sector is required")
+        if not self.boresights_deg:
+            raise InvalidConfig("at least one sector boresight is required")
         if not all(0.0 <= b < 360.0 for b in self.boresights_deg):
             raise InvalidConfig("boresights must lie in [0, 360) degrees")
         levels = np.asarray(self.power_levels_dbw, dtype=float)
@@ -71,6 +70,10 @@ class Topology:
     @property
     def n_levels(self) -> int:
         return int(self.power_levels_dbw.size)
+
+    @property
+    def sectors_per_site(self) -> int:
+        return len(self.boresights_deg)
 
     @property
     def p_max_dbw(self) -> float:
@@ -142,21 +145,13 @@ def build_topology(
     delta_p_max_db: float,
     n_levels: int,
     bs_height_m: float = 25.0,
-    sectors_per_site: int = 3,
     backlobe_atten_db: float = 25.0,
 ) -> Topology:
-    """Standard hex deployment with per-site sectors and a shared power set."""
-    if sectors_per_site < 1:
-        raise InvalidConfig(f"sector count {sectors_per_site} must be positive")
-    boresights = tuple(
-        i * 360.0 / sectors_per_site for i in range(sectors_per_site)
-    )
+    """Standard hex deployment with three sectors per site and a shared power set."""
     return Topology(
         site_positions=hex_site_positions(rings, isd_m, bs_height_m),
         isd_m=isd_m,
         power_levels_dbw=power_level_set(p_max_dbw, delta_p_max_db, n_levels),
-        sectors_per_site=sectors_per_site,
-        boresights_deg=boresights,
         backlobe_atten_db=backlobe_atten_db,
     )
 

@@ -45,7 +45,6 @@ def three_site():
         site_positions=positions,
         isd_m=base.isd_m,
         power_levels_dbw=base.power_levels_dbw,
-        sectors_per_site=base.sectors_per_site,
         boresights_deg=base.boresights_deg,
         backlobe_atten_db=base.backlobe_atten_db,
     )

@@ -66,7 +66,6 @@ def three_station_scenario():
         + (Position(500.0, 0.0, 25.0), Position(250.0, 433.0, 25.0)),
         isd_m=base.isd_m,
         power_levels_dbw=base.power_levels_dbw,
-        sectors_per_site=base.sectors_per_site,
         boresights_deg=base.boresights_deg,
         backlobe_atten_db=base.backlobe_atten_db,
     )
@@ -85,7 +84,8 @@ def small_dqn_run():
     scn = three_station_scenario()
     streams = make_streams(0)
     agent = DqnAgent(
-        n_actions=4, hyper=Hyperparams(), rng_init=streams["model"], n_iterations=100
+        n_actions=4, hyper=Hyperparams(), rng_init=streams["model"],
+        exploration=streams["exploration"], replay=streams["replay"], n_iterations=100,
     )
     episodes = 2000
     ratios = []
@@ -95,10 +95,7 @@ def small_dqn_run():
         scn.spawn_arrivals(streams["traffic"])
         ctx = scn.build_step(volume_scale_bits=2e5)
         before = len(agent.memory)
-        out = agent.run_episode(
-            ctx, streams["exploration"], streams["replay"], t,
-            terminal=t == episodes - 1,
-        )
+        out = agent.run_episode(ctx, t, t == episodes - 1)
         growth = len(agent.memory) - before
         if before + 3 <= agent.memory.capacity:
             expected = ctx.active_sites.size if out.feasible else 0

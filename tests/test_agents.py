@@ -64,41 +64,66 @@ class InfeasibleCtx:
         return self.features
 
 
+class CountingCtx:
+    """Forwards to a real step and records every evaluator call, keeping
+    each batch that ``evaluate_many`` rated."""
+
+    def __init__(self, ctx):
+        self._ctx = ctx
+        self.calls = []
+        self.rated = []
+
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
+
+    def evaluate_many(self, power_idx):
+        self.calls.append(("many", len(power_idx)))
+        self.rated.append(self._ctx.evaluate_many(power_idx))
+        return self.rated[-1]
+
+    def evaluate(self, power_idx):
+        self.calls.append(("one", 1))
+        return self._ctx.evaluate(power_idx)
+
+
+def search(ctx, qrows, n_iterations, epsilon, seed):
+    """The inner search's result on ``ctx``, plus the batch it rated and each
+    candidate's score (every station of ``ctx`` active)."""
+    rec = CountingCtx(ctx)
+    result = _inner_search(rec, qrows, n_iterations, epsilon, np.random.default_rng(seed))
+    (evs,) = rec.rated
+    return result, evs, qrows[np.arange(len(qrows)), evs.power_idx].sum(axis=1)
+
+
 def test_search_greedy_tie_keeps_earliest_iteration(loaded_ctx):
     """With no exploration every draw repeats, so iteration 1 must win."""
     qrows = np.zeros((3, loaded_ctx.n_levels))
-    records = []
-    ev, n_star, _ = _inner_search(loaded_ctx, qrows, 10, 0.0, np.random.default_rng(0), records)
+    (ev, n_star, _), evs, _ = search(loaded_ctx, qrows, 10, 0.0, 0)
     assert n_star == 1
-    assert len(records) == 10
-    assert all(r.feasible for r in records)
+    assert len(evs.power_idx) == 10
+    assert np.all(evs.rate_delta_sum >= 0.0)
     assert np.array_equal(ev.power_idx, np.zeros(3, dtype=int))
 
 
 def test_search_ties_break_low(loaded_ctx):
     """Tied action values go to the lowest power level."""
     qrows = np.tile([7.0, 7.0, 1.0, 7.0], (3, 1))
-    records = []
-    _inner_search(loaded_ctx, qrows, 5, 0.0, np.random.default_rng(0), records)
-    assert all(np.array_equal(r.power_idx, np.zeros(3, dtype=int)) for r in records)
+    _, evs, _ = search(loaded_ctx, qrows, 5, 0.0, 0)
+    assert np.all(evs.power_idx == 0)
 
 
 def test_search_accepts_highest_scoring_feasible_candidate(loaded_ctx):
     qrows = np.random.default_rng(3).normal(size=(3, loaded_ctx.n_levels))
-    records = []
-    ev, n_star, score = _inner_search(
-        loaded_ctx, qrows, 40, 0.5, np.random.default_rng(7), records
-    )
-    feasible = [r for r in records if r.feasible]
-    assert feasible, "the draw should hit at least one feasible candidate"
-    best = max(r.score for r in feasible)
+    (ev, n_star, score), evs, scores = search(loaded_ctx, qrows, 40, 0.5, 7)
+    feasible = evs.rate_delta_sum >= 0.0
+    assert feasible.any(), "the draw should hit at least one feasible candidate"
+    best = scores[feasible].max()
     assert score == pytest.approx(best, rel=1e-12)
-    accepted = records[n_star - 1]
-    assert accepted.feasible
-    assert accepted.score == pytest.approx(best, rel=1e-12)
-    assert np.array_equal(ev.power_idx, accepted.power_idx)
-    earlier = [r for r in feasible if r.score >= best - 1e-15]
-    assert n_star == earlier[0].index
+    assert feasible[n_star - 1]
+    assert scores[n_star - 1] == pytest.approx(best, rel=1e-12)
+    assert np.array_equal(ev.power_idx, evs.power_idx[n_star - 1])
+    earlier = np.flatnonzero(feasible & (scores >= best - 1e-15))
+    assert n_star == earlier[0] + 1
 
 
 def test_search_rejects_higher_scoring_infeasible_candidates(loaded_ctx):
@@ -107,13 +132,10 @@ def test_search_rejects_higher_scoring_infeasible_candidates(loaded_ctx):
     qrows = np.zeros((3, loaded_ctx.n_levels))
     qrows[0, 0] = qrows[1, 1] = qrows[2, 0] = 5.0
     assert loaded_ctx.evaluate(np.array([0, 1, 0])).rate_delta_sum < 0.0
-    records = []
-    ev, n_star, score = _inner_search(
-        loaded_ctx, qrows, 60, 0.5, np.random.default_rng(1), records
-    )
+    (ev, n_star, score), evs, scores = search(loaded_ctx, qrows, 60, 0.5, 1)
     assert ev is not None
     assert ev.rate_delta_sum >= 0.0
-    assert any(not r.feasible and r.score > score for r in records)
+    assert np.any((evs.rate_delta_sum < 0.0) & (scores > score))
 
 
 def test_search_returns_none_when_nothing_is_feasible(loaded_ctx):
@@ -129,11 +151,8 @@ def test_search_exploits_argmax(loaded_ctx):
     """With no exploration every candidate is each station's argmax."""
     qrows = np.zeros((3, loaded_ctx.n_levels))
     qrows[0, 1] = qrows[1, 2] = qrows[2, 3] = 1.0
-    records = []
-    ev, n_star, score = _inner_search(
-        loaded_ctx, qrows, 5, 0.0, np.random.default_rng(0), records
-    )
-    assert all(np.array_equal(r.power_idx, [1, 2, 3]) for r in records)
+    (ev, n_star, score), evs, _ = search(loaded_ctx, qrows, 5, 0.0, 0)
+    assert np.all(evs.power_idx == [1, 2, 3])
     assert n_star == 1
     assert score == 3.0
     assert np.array_equal(ev.power_idx, [1, 2, 3])
@@ -143,10 +162,8 @@ def test_search_explore_is_roughly_uniform(loaded_ctx):
     """Epsilon 1 ignores the values: every level of every station is drawn
     about equally often."""
     qrows = np.tile([9.0, 0.0, 0.0, 0.0], (3, 1))
-    records = []
-    _inner_search(loaded_ctx, qrows, 2000, 1.0, np.random.default_rng(12), records)
-    picks = np.stack([r.power_idx for r in records])
-    counts = np.bincount(picks.ravel(), minlength=4)
+    _, evs, _ = search(loaded_ctx, qrows, 2000, 1.0, 12)
+    counts = np.bincount(evs.power_idx.ravel(), minlength=4)
     # 6000 draws, each level expects 1500, sigma ~ 33.5; allow 4 sigma
     assert np.all(np.abs(counts - 1500) < 134)
 
@@ -159,37 +176,17 @@ def test_search_scale_invariance(loaded_ctx):
     assert np.array_equal(ev_a.power_idx, ev_b.power_idx)
 
 
-class CountingCtx:
-    """Forwards to a real step and records every evaluator call."""
-
-    def __init__(self, ctx):
-        self._ctx = ctx
-        self.calls = []
-
-    def __getattr__(self, name):
-        return getattr(self._ctx, name)
-
-    def evaluate_many(self, power_idx):
-        self.calls.append(("many", len(power_idx)))
-        return self._ctx.evaluate_many(power_idx)
-
-    def evaluate(self, power_idx):
-        self.calls.append(("one", 1))
-        return self._ctx.evaluate(power_idx)
-
-
 def test_search_accepts_the_row_it_tested(loaded_ctx):
     """One batched evaluation rates every candidate, and the accepted eval is
     that batch's row: nothing is re-evaluated after the feasibility test."""
     ctx = CountingCtx(loaded_ctx)
     qrows = np.random.default_rng(3).normal(size=(3, loaded_ctx.n_levels))
-    records = []
-    ev, n_star, _ = _inner_search(ctx, qrows, 40, 0.5, np.random.default_rng(7), records)
+    ev, n_star, _ = _inner_search(ctx, qrows, 40, 0.5, np.random.default_rng(7))
     assert ctx.calls == [("many", 40)]
-    tested = records[n_star - 1]
-    assert ev.rate_delta_sum == tested.rate_delta_sum
+    (evs,) = ctx.rated
+    assert ev.rate_delta_sum == evs.rate_delta_sum[n_star - 1]
     assert ev.rate_delta_sum >= 0.0
-    assert np.array_equal(ev.power_idx, tested.power_idx)
+    assert np.array_equal(ev.power_idx, evs.power_idx[n_star - 1])
     _check_accepted(ev)
 
 
@@ -203,11 +200,18 @@ def greedy_hyper(**kw):
     return Hyperparams(epsilon=0.0, **kw)
 
 
+def make_dqn(n_actions, hyper):
+    """Model, exploration and replay generators seeded 0, 1 and 2."""
+    return DqnAgent(n_actions, hyper, *(np.random.default_rng(s) for s in range(3)))
+
+
+def make_ql(n_actions, hyper):
+    return QLearningAgent(n_actions, hyper, np.random.default_rng(1))
+
+
 def test_dqn_fresh_network_picks_lowest_level_everywhere(loaded_ctx):
-    agent = DqnAgent(loaded_ctx.n_levels, greedy_hyper(), np.random.default_rng(0))
-    out = agent.run_episode(
-        loaded_ctx, np.random.default_rng(1), np.random.default_rng(2), episode=1
-    )
+    agent = make_dqn(loaded_ctx.n_levels, greedy_hyper())
+    out = agent.run_episode(loaded_ctx, 1, False)
     assert out.feasible
     assert np.array_equal(out.ev.power_idx, np.zeros(3, dtype=int))
     assert out.accepted_iteration == 1
@@ -215,10 +219,8 @@ def test_dqn_fresh_network_picks_lowest_level_everywhere(loaded_ctx):
 
 
 def test_dqn_pushes_one_transition_per_active_station(loaded_ctx):
-    agent = DqnAgent(loaded_ctx.n_levels, greedy_hyper(), np.random.default_rng(0))
-    out = agent.run_episode(
-        loaded_ctx, np.random.default_rng(1), np.random.default_rng(2), episode=1
-    )
+    agent = make_dqn(loaded_ctx.n_levels, greedy_hyper())
+    out = agent.run_episode(loaded_ctx, 1, False)
     n = loaded_ctx.active_sites.size
     mem = agent.memory
     assert len(mem) == n
@@ -232,21 +234,16 @@ def test_dqn_pushes_one_transition_per_active_station(loaded_ctx):
 
 
 def test_dqn_terminal_step_stores_no_next_state(loaded_ctx):
-    agent = DqnAgent(loaded_ctx.n_levels, greedy_hyper(), np.random.default_rng(0))
-    agent.run_episode(
-        loaded_ctx, np.random.default_rng(1), np.random.default_rng(2),
-        episode=1, terminal=True,
-    )
+    agent = make_dqn(loaded_ctx.n_levels, greedy_hyper())
+    agent.run_episode(loaded_ctx, 1, True)
     assert len(agent.memory) == loaded_ctx.active_sites.size
     assert not agent.memory.live[: len(agent.memory)].any()
 
 
 def test_dqn_fallback_keeps_full_power_and_pushes_nothing():
     ctx = InfeasibleCtx()
-    agent = DqnAgent(ctx.n_levels, greedy_hyper(), np.random.default_rng(0))
-    out = agent.run_episode(
-        ctx, np.random.default_rng(1), np.random.default_rng(2), episode=1
-    )
+    agent = make_dqn(ctx.n_levels, greedy_hyper())
+    out = agent.run_episode(ctx, 1, False)
     assert not out.feasible
     assert out.accepted_iteration is None
     assert np.array_equal(out.ev.power_idx, np.full(2, ctx.n_levels - 1))
@@ -258,10 +255,8 @@ def test_dqn_all_idle_step_is_inert(three_site, radio_params):
     scn = make_scenario(three_site, radio_params, seed=11)
     ctx = scn.build_step(volume_scale_bits=2e5)
     assert not ctx.any_active
-    agent = DqnAgent(ctx.n_levels, greedy_hyper(), np.random.default_rng(0))
-    out = agent.run_episode(
-        ctx, np.random.default_rng(1), np.random.default_rng(2), episode=1
-    )
+    agent = make_dqn(ctx.n_levels, greedy_hyper())
+    out = agent.run_episode(ctx, 1, False)
     assert out.all_sleep
     assert out.reward == 0.0
     assert out.accepted_iteration is None
@@ -270,16 +265,15 @@ def test_dqn_all_idle_step_is_inert(three_site, radio_params):
 
 def test_dqn_trains_on_interval_once_replay_is_deep_enough(loaded_ctx):
     hyper = greedy_hyper(minibatch_size=4, train_interval=2, sync_interval=1)
-    agent = DqnAgent(loaded_ctx.n_levels, hyper, np.random.default_rng(0))
-    explore, replay = np.random.default_rng(1), np.random.default_rng(2)
+    agent = make_dqn(loaded_ctx.n_levels, hyper)
 
-    agent.run_episode(loaded_ctx, explore, replay, episode=2)
+    agent.run_episode(loaded_ctx, 2, False)
     assert agent.training_rounds == 0, "replay must hold more than one minibatch"
 
-    agent.run_episode(loaded_ctx, explore, replay, episode=3)
+    agent.run_episode(loaded_ctx, 3, False)
     assert agent.training_rounds == 0, "episode 3 is off the training interval"
 
-    agent.run_episode(loaded_ctx, explore, replay, episode=4)
+    agent.run_episode(loaded_ctx, 4, False)
     assert agent.training_rounds == 1
     for w_pred, w_tgt in zip(agent.predicted.weights, agent.target.weights):
         assert np.array_equal(w_pred, w_tgt), "sync interval 1 copies every round"
@@ -289,19 +283,18 @@ def test_dqn_target_lags_until_sync_round(loaded_ctx):
     hyper = Hyperparams(
         epsilon=0.2, minibatch_size=2, train_interval=1, sync_interval=10
     )
-    agent = DqnAgent(loaded_ctx.n_levels, hyper, np.random.default_rng(0))
+    agent = make_dqn(loaded_ctx.n_levels, hyper)
     before = [w.copy() for w in agent.target.weights]
-    explore, replay = np.random.default_rng(1), np.random.default_rng(2)
-    for episode in range(1, 4):
-        agent.run_episode(loaded_ctx, explore, replay, episode=episode)
+    for t in range(1, 4):
+        agent.run_episode(loaded_ctx, t, False)
     assert agent.training_rounds >= 1
     for w_now, w_then in zip(agent.target.weights, before):
         assert np.array_equal(w_now, w_then)
 
 
 def test_ql_fresh_table_picks_lowest_level_everywhere(loaded_ctx):
-    agent = QLearningAgent(loaded_ctx.n_levels, greedy_hyper())
-    out = agent.run_episode(loaded_ctx, np.random.default_rng(1), episode=0)
+    agent = make_ql(loaded_ctx.n_levels, greedy_hyper())
+    out = agent.run_episode(loaded_ctx, 0, False)
     assert out.feasible
     assert np.array_equal(out.ev.power_idx, np.zeros(3, dtype=int))
     assert out.accepted_iteration == 1
@@ -310,8 +303,8 @@ def test_ql_fresh_table_picks_lowest_level_everywhere(loaded_ctx):
 def test_ql_update_matches_replayed_rule(loaded_ctx):
     """The agent must apply the one-step update per active station in station
     order, including the case where stations share a bin."""
-    agent = QLearningAgent(loaded_ctx.n_levels, greedy_hyper())
-    out = agent.run_episode(loaded_ctx, np.random.default_rng(1), episode=0)
+    agent = make_ql(loaded_ctx.n_levels, greedy_hyper())
+    out = agent.run_episode(loaded_ctx, 0, False)
 
     expected = np.zeros_like(agent.table)
     nxt = loaded_ctx.next_features(out.ev)
@@ -330,8 +323,8 @@ def test_ql_update_matches_replayed_rule(loaded_ctx):
 
 
 def test_ql_terminal_update_drops_bootstrap(loaded_ctx):
-    agent = QLearningAgent(loaded_ctx.n_levels, greedy_hyper())
-    out = agent.run_episode(loaded_ctx, np.random.default_rng(1), terminal=True)
+    agent = make_ql(loaded_ctx.n_levels, greedy_hyper())
+    out = agent.run_episode(loaded_ctx, 0, True)
     bins = tuple(state_bin(loaded_ctx.features[0], agent.n_bins))
     # three stations share this bin, each folding in alpha * reward
     a = agent.alpha
@@ -343,15 +336,15 @@ def test_ql_terminal_update_drops_bootstrap(loaded_ctx):
 
 def test_ql_fallback_leaves_table_unchanged():
     ctx = InfeasibleCtx()
-    agent = QLearningAgent(ctx.n_levels, greedy_hyper())
-    out = agent.run_episode(ctx, np.random.default_rng(1))
+    agent = make_ql(ctx.n_levels, greedy_hyper())
+    out = agent.run_episode(ctx, 0, False)
     assert not out.feasible
     assert out.accepted_iteration is None
     assert np.count_nonzero(agent.table) == 0
 
 
 def test_sleep_agent_full_power_for_active_zero_iterations(loaded_ctx):
-    out = SleepAgent().run_episode(loaded_ctx)
+    out = SleepAgent().run_episode(loaded_ctx, 0, False)
     assert out.feasible
     assert out.accepted_iteration == 0
     assert np.array_equal(
@@ -364,7 +357,7 @@ def test_sleep_agent_full_power_for_active_zero_iterations(loaded_ctx):
 def test_sleep_agent_all_idle(three_site, radio_params):
     scn = make_scenario(three_site, radio_params, seed=11)
     ctx = scn.build_step(volume_scale_bits=2e5)
-    out = SleepAgent().run_episode(ctx)
+    out = SleepAgent().run_episode(ctx, 0, False)
     assert out.all_sleep
     assert out.reward == 0.0
     assert out.accepted_iteration is None
@@ -374,31 +367,29 @@ def test_agents_never_accept_negative_delta_sums(loaded_ctx):
     """Both learners, run with heavy exploration, only ever accept feasible
     assignments even though infeasible ones are drawn along the way."""
     hyper = Hyperparams(epsilon=0.5)
-    dqn = DqnAgent(loaded_ctx.n_levels, hyper, np.random.default_rng(0))
-    ql = QLearningAgent(loaded_ctx.n_levels, hyper)
     explore, replay = np.random.default_rng(1), np.random.default_rng(2)
-    saw_infeasible_draw = False
-    for episode in range(30):
+    dqn = DqnAgent(loaded_ctx.n_levels, hyper, np.random.default_rng(0), explore, replay)
+    ql = QLearningAgent(loaded_ctx.n_levels, hyper, explore)
+    ctx = CountingCtx(loaded_ctx)
+    for t in range(30):
         for agent in (dqn, ql):
-            records = []
-            if isinstance(agent, DqnAgent):
-                out = agent.run_episode(loaded_ctx, explore, replay, episode, collect=records)
-            else:
-                out = agent.run_episode(loaded_ctx, explore, episode, collect=records)
-            saw_infeasible_draw |= any(not r.feasible for r in records)
+            out = agent.run_episode(ctx, t, False)
             if out.feasible:
                 assert out.ev.rate_delta_sum >= 0.0
-    assert saw_infeasible_draw
+    assert any(np.any(evs.rate_delta_sum < 0.0) for evs in ctx.rated)
     assert np.all(dqn.memory.r[: len(dqn.memory)] >= 0.0)
 
 
 def test_agent_constructor_validation():
+    rng = np.random.default_rng(0)
     with pytest.raises(InvalidConfig):
-        DqnAgent(4, Hyperparams(), np.random.default_rng(0), n_iterations=0)
+        DqnAgent(4, Hyperparams(), rng, rng, rng, n_iterations=0)
     with pytest.raises(InvalidConfig):
-        QLearningAgent(4, Hyperparams(), n_bins=1)
+        QLearningAgent(4, Hyperparams(), rng, n_iterations=0)
     with pytest.raises(InvalidConfig):
-        QLearningAgent(4, Hyperparams(), alpha=1.5)
+        QLearningAgent(4, Hyperparams(), rng, n_bins=1)
+    with pytest.raises(InvalidConfig):
+        QLearningAgent(4, Hyperparams(), rng, alpha=1.5)
 
 
 def test_exhaustive_oracle_matches_hand_enumeration(loaded_ctx, monkeypatch):

@@ -1,41 +1,74 @@
-"""Link-budget arithmetic against hand-computed values and round trips."""
+"""Link-budget arithmetic against hand-computed values and round trips.
 
-import math
+The scalar conversions and ``channel_gain`` are checked directly; distance,
+SINR, rate, rate deltas and efficiency are checked where the simulation
+computes them, in ``sector_gain_matrix`` and ``StepContext.evaluate`` on
+steps built by hand.
+"""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ranpower.errors import (
-    DistanceTooSmall,
-    NoActiveBs,
-    NonPositivePower,
-    PowerGuardViolation,
-)
-from ranpower.radio import (
-    LinkBudget,
-    Position,
-    channel_gain,
-    data_rate,
-    dbw_to_watts,
-    distance,
-    link_budget,
-    link_ee,
-    network_ee,
-    power_and_rate_delta,
-    sinr,
-    watts_to_dbw,
-)
+from ranpower.errors import DistanceTooSmall, NonPositivePower
+from ranpower.radio import channel_gain, dbw_to_watts, watts_to_dbw
+from ranpower.scenario import StepContext, build_topology, sector_gain_matrix
+
+NOISE_W = 10**-12.5
+# Sites 0 and 2 serve users 0 and 1 at 2e-10 and hear each other at 5e-11;
+# site 1 serves nobody, so it sleeps, though its gains are the largest.
+GAIN = [[2e-10, 5e-11], [1e-6, 1e-6], [5e-11, 2e-10]]
+SCHED_SITE = [0, 2]
+# 10 W serving, 0.5 nW interference: SINR and Shannon rate over 10 MHz.
+SINR = 3.9974717768605763
+RATE_BPS = 23211984.19396464
 
 
-def test_distance_matches_pythagoras():
-    a = Position(0.0, 0.0, 0.0)
-    b = Position(3.0, 4.0, 12.0)
-    assert distance(a, b) == 13.0
+def hand_step(gain=GAIN, sched_site=SCHED_SITE, noise_w=NOISE_W, ref_rate_bps=None):
+    """A frozen step: ``gain[b][u]`` from site b to user u, user u served by
+    site ``sched_site[u]`` with all of that site's gain, sites serving nobody
+    asleep, and the power levels 10 and 14.2 dBW over 10 MHz."""
+    gain = np.asarray(gain, dtype=float)
+    sched_site = np.asarray(sched_site)
+    n_sites, n_users = gain.shape
+    phi = np.zeros(n_sites)
+    phi[sched_site] = 1.0
+    levels = np.array([10.0, 14.2])
+    serving = gain[sched_site, np.arange(n_users)]
+    return StepContext(
+        t=0, n_sites=n_sites, phi=phi, active_sites=phi.nonzero()[0],
+        power_levels_dbw=levels, power_levels_w=10.0 ** (levels / 10.0),
+        sched_users=np.arange(n_users), sched_site=sched_site,
+        serving_gain=serving, own_gain=serving, site_to_user_gain=gain,
+        residual_bits=np.full(n_users, 1e5),
+        ref_rate_bps=np.zeros(n_sites) if ref_rate_bps is None else np.asarray(ref_rate_bps),
+        prior_power_w=np.zeros(n_sites), noise_w=noise_w, bandwidth_hz=1e7,
+        slot_s=1e-3, volume_scale_bits=2e5, rsrp_floor_dbw=-125.0,
+    )
 
 
-def test_distance_uses_height():
-    assert distance(Position(0, 0, 25.0), Position(0, 0, 1.5)) == 23.5
+def lowest_level(ctx):
+    return ctx.evaluate(np.zeros(ctx.n_sites, dtype=int))
+
+
+def test_distance_matches_pythagoras(radio_params):
+    """A user 3 m east and 4 m north of a site 12 m above it is 13 m away."""
+    topo = build_topology(0, 500.0, 15.2, 2.0, 5)
+    radio = replace(radio_params, bs_height_m=13.5)
+    gains = sector_gain_matrix(topo, radio, np.array([[3.0, 4.0]]), 1.5)
+    expected = channel_gain(radio.tx_gain_lin, radio.rx_gain_lin, radio.fc_hz, 13.0)
+    assert gains[0, 0, 0] == pytest.approx(expected, rel=1e-12)
+
+
+def test_distance_uses_height(radio_params):
+    topo = build_topology(0, 500.0, 15.2, 2.0, 5)
+    gains = sector_gain_matrix(topo, radio_params, np.array([[0.0, 0.0]]), 1.5)
+    expected = channel_gain(radio_params.tx_gain_lin, radio_params.rx_gain_lin,
+                            radio_params.fc_hz, 23.5)
+    assert gains[0, 0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_dbw_spot_values():
@@ -87,88 +120,84 @@ def test_channel_gain_rejects_bad_frequency():
 
 
 def test_link_budget_skips_inactive_interferers():
-    budget = link_budget(
-        10.0,
-        1e-9,
-        [(1, 10.0, 1e-10), (0, 15.2, 1e-6), (1, 10.0, 2e-10)],
-        noise_w=1e-14,
-    )
-    assert budget.serving_w == pytest.approx(10.0 * 1e-9, rel=1e-12)
-    assert budget.interference_w == pytest.approx(10.0 * 3e-10, rel=1e-12)
+    """Whatever level the sleeping site carries, it adds no interference."""
+    ctx = hand_step()
+    for level in (0, 1):
+        ev = ctx.evaluate(np.array([0, level, 0]))
+        assert ev.user_rates_bps == pytest.approx([RATE_BPS, RATE_BPS], rel=1e-12)
 
 
 def test_sinr_spot_value():
-    budget = LinkBudget(serving_w=2e-9, interference_w=5e-10, noise_w=10**-12.5)
-    assert sinr(budget) == pytest.approx(3.9974717768605763, rel=1e-12)
-
-
-def test_sinr_rejects_zero_denominator():
-    with pytest.raises(NonPositivePower):
-        sinr(LinkBudget(1e-9, 0.0, 0.0))
+    rates = lowest_level(hand_step()).user_rates_bps
+    assert 2.0 ** (rates / 1e7) - 1.0 == pytest.approx([SINR, SINR], rel=1e-12)
 
 
 def test_data_rate_spot_value():
-    assert data_rate(1e7, 3.9974717768605763) == pytest.approx(
-        23211984.19396464, rel=1e-12
-    )
+    ev = lowest_level(hand_step())
+    assert ev.user_rates_bps == pytest.approx([RATE_BPS, RATE_BPS], rel=1e-12)
+    assert ev.rate_bps == pytest.approx([RATE_BPS, 0.0, RATE_BPS], rel=1e-12)
 
 
 def test_data_rate_zero_sinr_is_zero():
-    assert data_rate(1e7, 0.0) == 0.0
-
-
-def test_data_rate_rejects_negative_sinr():
-    with pytest.raises(NonPositivePower):
-        data_rate(1e7, -0.1)
+    """A user its own site does not reach at all gets no rate."""
+    ctx = hand_step()
+    ev = lowest_level(replace(ctx, serving_gain=np.array([2e-10, 0.0])))
+    assert ev.user_rates_bps[1] == 0.0
+    assert ev.user_rates_bps[0] == pytest.approx(RATE_BPS, rel=1e-12)
 
 
 def test_power_and_rate_delta_active():
-    dp, dc = power_and_rate_delta(1, 13.2, 4.0e7, 4.6e7, 15.2)
-    assert dp == pytest.approx(2.0, rel=1e-12)
-    assert dc == pytest.approx(6.0e6, rel=1e-12)
+    ev = lowest_level(hand_step(ref_rate_bps=[4.6e7, 0.0, 4.0e7]))
+    assert ev.rate_delta_bps == pytest.approx(
+        [4.6e7 - RATE_BPS, 0.0, 4.0e7 - RATE_BPS], rel=1e-12
+    )
+    assert ev.rate_delta_sum == pytest.approx(8.6e7 - 2 * RATE_BPS, rel=1e-12)
 
 
 def test_power_and_rate_delta_sleeping_station_is_zero():
-    assert power_and_rate_delta(0, 13.2, 4.0e7, 4.6e7, 15.2) == (0.0, 0.0)
+    """A sleeping site's reference rate never enters the deltas."""
+    ev = lowest_level(hand_step(ref_rate_bps=[RATE_BPS, 9e7, RATE_BPS]))
+    assert ev.rate_delta_bps[1] == 0.0
+    assert ev.rate_delta_sum == pytest.approx(0.0, abs=1e-6)
 
 
 def test_full_power_station_has_zero_deltas():
-    dp, dc = power_and_rate_delta(1, 15.2, 4.6e7, 4.6e7, 15.2)
-    assert dp == 0.0
-    assert dc == 0.0
+    """Measured against the top level's own rates, the top level has no delta."""
+    ctx = hand_step()
+    top = ctx.evaluate(np.ones(3, dtype=int))
+    ev = replace(ctx, ref_rate_bps=top.rate_bps).evaluate(np.ones(3, dtype=int))
+    assert np.all(ev.rate_delta_bps == 0.0)
+    assert ev.rate_delta_sum == 0.0
 
 
 def test_link_ee_spot_value():
-    assert link_ee(42e6, 14.2) == pytest.approx(2.9577464788732395, rel=1e-12)
-
-
-def test_link_ee_guards_small_powers():
-    with pytest.raises(PowerGuardViolation):
-        link_ee(1e6, 0.5)
+    ev = lowest_level(hand_step())
+    assert ev.link_ee == pytest.approx([RATE_BPS / 1e7, 0.0, RATE_BPS / 1e7], rel=1e-12)
 
 
 def test_network_ee_averages_active_only():
-    per_bs = [(1, 3.0), (0, 100.0), (1, 1.0)]
-    assert network_ee(per_bs) == 2.0
+    ev = hand_step().evaluate(np.array([0, 0, 1]))
+    assert ev.link_ee[1] == 0.0
+    assert ev.network_ee == pytest.approx((ev.link_ee[0] + ev.link_ee[2]) / 2, rel=1e-12)
 
 
-def test_network_ee_all_sleeping_raises():
-    with pytest.raises(NoActiveBs):
-        network_ee([(0, 1.0), (0, 2.0)])
-
-
-@given(
-    st.lists(
-        st.tuples(st.just(1), st.floats(min_value=0.0, max_value=50.0)),
-        min_size=1,
-        max_size=8,
+@given(st.permutations([0, 1, 2]), st.lists(st.integers(0, 1), min_size=3, max_size=3))
+def test_network_ee_permutation_invariant(perm, levels):
+    """Relabelling the sites, with their gains and levels, keeps the average."""
+    ctx = hand_step()
+    perm = np.asarray(perm)
+    inverse = np.argsort(perm)
+    relabelled = hand_step(np.asarray(GAIN)[perm], inverse[SCHED_SITE])
+    ee = ctx.evaluate(np.asarray(levels)).network_ee
+    assert relabelled.evaluate(np.asarray(levels)[perm]).network_ee == pytest.approx(
+        ee, rel=1e-12
     )
-)
-def test_network_ee_permutation_invariant(per_bs):
-    shifted = per_bs[1:] + per_bs[:1]
-    assert network_ee(per_bs) == pytest.approx(network_ee(shifted), rel=1e-12)
 
 
 def test_ee_decreases_when_only_power_rises():
-    # Same rate at one extra dBW must strictly lower the efficiency ratio.
-    assert link_ee(3e7, 14.2) > link_ee(3e7, 15.2)
+    """Without noise, raising every site one level leaves each SINR and rate
+    as it was, so every link's efficiency falls."""
+    ctx = hand_step(noise_w=0.0)
+    low, high = lowest_level(ctx), ctx.evaluate(np.ones(3, dtype=int))
+    assert high.rate_bps == pytest.approx(low.rate_bps, rel=1e-12)
+    assert np.all(high.link_ee[[0, 2]] < low.link_ee[[0, 2]])

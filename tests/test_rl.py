@@ -30,7 +30,6 @@ from ranpower.rl import (
     load_weights,
     minibatch_loss,
     minibatch_targets,
-    policy_prob_branches,
     save_weights,
     state_bin,
     sync_target,
@@ -165,7 +164,7 @@ def test_ring_replay_samples_what_a_deque_would(capacity, push_sizes, seed):
 
 def test_qnetwork_fresh_forward_is_zero():
     net = QNetwork.create([2, 16, 16, 5], np.random.default_rng(3))
-    out = net.forward(np.array([0.4, 0.9]))
+    out = net.forward_batch(np.array([0.4, 0.9]))[0]
     assert out.shape == (5,)
     assert np.all(out == 0.0)
 
@@ -188,7 +187,7 @@ def test_qnetwork_forward_matches_hand_rolled_product():
             z += hidden[i] * net.weights[1][i, j]
         expected.append(z)
 
-    out = net.forward(x)
+    out = net.forward_batch(x)[0]
     assert out == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
@@ -214,7 +213,7 @@ def test_sync_target_copies_bitwise():
     target = QNetwork.create([2, 8, 4], rng, zero_output=False)
     sync_target(pred, target)
     x = np.array([0.1, 0.7])
-    assert np.array_equal(pred.forward(x), target.forward(x))
+    assert np.array_equal(pred.forward_batch(x)[0], target.forward_batch(x)[0])
 
 
 def test_sync_target_mismatch_raises():
@@ -250,7 +249,7 @@ def test_minibatch_targets_match_per_sample_forward():
     net = QNetwork.create([2, 8, 4], rng, zero_output=False)
     batch = random_batch(rng, 20, 2, 4, terminal_every=3)
     expected = [
-        r + 0.9 * float(np.max(net.forward(s_next))) if live else r
+        r + 0.9 * float(np.max(net.forward_batch(s_next)[0])) if live else r
         for r, s_next, live in zip(batch.r, batch.s_next, batch.live)
     ]
     assert minibatch_targets(batch, net, 0.9) == pytest.approx(expected, rel=1e-12)
@@ -446,9 +445,9 @@ def test_empirical_policy_prob_values():
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
-def test_policy_prob_branches_empty_memory():
+def test_empirical_policy_prob_empty_memory():
     with pytest.raises(EmptyMemory):
-        policy_prob_branches(ReplayMemory(4), 0, 0.1, 5)
+        empirical_policy_prob(ReplayMemory(4), 0, 0.1, 5)
 
 
 def test_state_bin_edges():

@@ -52,7 +52,7 @@ def test_outcome_to_row_all_sleep_masks_everything():
     topo = make_topology(small_cfg())
     scn = scenario_for(topo, RadioParams(), seed=0)
     ctx = scn.build_step(volume_scale_bits=2e5)
-    out = SleepAgent().run_episode(ctx)
+    out = SleepAgent().run_episode(ctx, 0, False)
     row = outcome_to_row(5, ctx.phi, out)
     assert row.t == 5
     assert row.zeta is None

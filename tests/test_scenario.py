@@ -73,6 +73,7 @@ def test_build_topology_sets_heights_and_sectors():
     assert topo.n_sites == 7
     assert all(p.h == 30.0 for p in topo.site_positions)
     assert topo.boresights_deg == (0.0, 120.0, 240.0)
+    assert topo.sectors_per_site == 3
 
 
 def test_topology_validation():
@@ -84,6 +85,8 @@ def test_topology_validation():
         Topology((Position(0, 0, 25),), 500.0, np.array([15.2]))
     with pytest.raises(InvalidConfig):
         Topology((Position(0, 0, 25),), 500.0, np.array([0.5, 15.2]))
+    with pytest.raises(InvalidConfig):
+        Topology((Position(0, 0, 25),), 500.0, np.array([13.2, 15.2]), boresights_deg=())
 
 
 def test_drop_users_counts_and_annulus(single_site):
