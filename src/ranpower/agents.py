@@ -1,15 +1,19 @@
 """Power-control agents and the exhaustive search oracle.
 
 Every agent answers one call per step, ``run_episode(ctx, t, terminal)``,
-and gets the random generators it draws from at construction.
+gets the random generators it draws from at construction, and returns an
+:class:`EpisodeOutcome`: the executed :class:`StepEval` and which candidate
+was accepted.
 
-All learning agents share the same inner search on a frozen step: draw K
-joint power assignments for the active stations (epsilon-greedy per
-station), rate them in one batched evaluation so every station's SINR
-reflects the others' draws, flag each feasible when its summed rate deltas
-stay non-negative, and accept the feasible candidate whose summed action
-values are largest.  Only the accepted candidate touches the environment or
-the learners.
+Both learning agents share one search on a frozen step: draw K joint power
+assignments for the active stations (epsilon-greedy per station), rate them
+in one batched evaluation so every station's SINR reflects the others'
+draws, flag each feasible when its summed rate deltas stay non-negative,
+and accept the feasible candidate whose summed action values are largest,
+or keep full power when none is.  The oracle picks from its enumeration
+with the same mask-and-argmax, scored by efficiency.  Only the accepted
+candidate touches the environment or the learners, and its network
+efficiency is their reward.
 """
 
 from __future__ import annotations
@@ -43,14 +47,18 @@ class EpisodeOutcome:
     ``accepted_iteration`` is the 1-based index of the accepted candidate,
     ``None`` when no candidate was feasible (the full-power fallback ran) or
     when every station slept, and 0 for the sleep agent, which runs no
-    search.  ``feasible`` mirrors the step's success flag.
+    search.  The step's reward is the executed efficiency,
+    ``ev.network_ee``, which is 0 when every station slept.
     """
 
     ev: StepEval
-    reward: float
-    feasible: bool
     accepted_iteration: int | None
     all_sleep: bool = False
+
+    @property
+    def feasible(self) -> bool:
+        """The step's success flag: an assignment was accepted."""
+        return self.accepted_iteration is not None
 
 
 def is_feasible(rate_delta_sum: float | np.ndarray) -> bool | np.ndarray:
@@ -59,39 +67,13 @@ def is_feasible(rate_delta_sum: float | np.ndarray) -> bool | np.ndarray:
     return rate_delta_sum >= 0.0
 
 
-def _inner_search(
-    ctx: StepContext,
-    qrows: np.ndarray,
-    n_iterations: int,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> tuple[StepEval | None, int | None, float]:
-    """Draw and rate all candidates at once; returns (best eval, its 1-based
-    index, score).
-
-    Each active station explores with probability ``epsilon`` (a uniform
-    level) and otherwise takes its greedy level, the lowest index among its
-    largest action values.  The explore mask and the random levels are two
-    (K, active) draws, filled candidate by candidate.  Ties on the score keep
-    the earliest feasible candidate, which is also what makes the recorded
-    iteration count meaningful as a search cost.  The returned eval is the
-    very row the feasibility test saw.
-    """
-    active = ctx.active_sites
-    n_actions = qrows.shape[1]
-    greedy = np.argmax(qrows[active], axis=1)
-    explore = rng.random((n_iterations, active.size)) < epsilon
-    random_levels = rng.integers(n_actions, size=(n_iterations, active.size))
-    picks = np.where(explore, random_levels, greedy)
-    idx = np.full((n_iterations, ctx.n_sites), ctx.n_levels - 1, dtype=int)
-    idx[:, active] = picks
-    scores = qrows[active, picks].sum(axis=1)
-    evs = ctx.evaluate_many(idx)
+def _best_feasible(evs: StepEval, scores: np.ndarray) -> int | None:
+    """Row of ``evs`` with the highest score among the feasible ones, the
+    earliest on ties; ``None`` when no row is feasible."""
     feasible = is_feasible(evs.rate_delta_sum)
     if not feasible.any():
-        return None, None, -np.inf
-    best = int(np.argmax(np.where(feasible, scores, -np.inf)))
-    return evs.row(best), best + 1, float(scores[best])
+        return None
+    return int(np.argmax(np.where(feasible, scores, -np.inf)))
 
 
 def _check_accepted(ev: StepEval) -> None:
@@ -103,27 +85,43 @@ def _check_accepted(ev: StepEval) -> None:
 
 def _all_sleep(ctx: StepContext) -> EpisodeOutcome:
     """No station has traffic: nothing to decide, and no reward."""
-    return EpisodeOutcome(
-        ev=ctx.full_power, reward=0.0, feasible=False,
-        accepted_iteration=None, all_sleep=True,
-    )
+    return EpisodeOutcome(ev=ctx.full_power, accepted_iteration=None, all_sleep=True)
 
 
-def _decide(
+def _search(
     ctx: StepContext,
     qrows: np.ndarray,
     n_iterations: int,
     epsilon: float,
     rng: np.random.Generator,
 ) -> EpisodeOutcome:
-    """Accept the search's best feasible candidate, or keep full power when
-    none is feasible; either way the reward is the executed efficiency."""
-    ev, n_star, _ = _inner_search(ctx, qrows, n_iterations, epsilon, rng)
-    if ev is None:
-        ev = ctx.full_power
-        return EpisodeOutcome(ev=ev, reward=ev.network_ee, feasible=False, accepted_iteration=None)
+    """Draw and rate all candidates at once and accept the best feasible
+    one, or keep full power when none is feasible.
+
+    Each active station explores with probability ``epsilon`` (a uniform
+    level) and otherwise takes its greedy level, the lowest index among its
+    largest action values.  The explore mask and the random levels are two
+    (K, active) draws, filled candidate by candidate.  A candidate scores
+    the sum of its stations' action values; ties keep the earliest feasible
+    candidate, which is also what makes the recorded iteration count
+    meaningful as a search cost.  The accepted eval is the very row the
+    feasibility test saw.
+    """
+    active = ctx.active_sites
+    n_actions = qrows.shape[1]
+    greedy = np.argmax(qrows[active], axis=1)
+    explore = rng.random((n_iterations, active.size)) < epsilon
+    random_levels = rng.integers(n_actions, size=(n_iterations, active.size))
+    picks = np.where(explore, random_levels, greedy)
+    idx = np.full((n_iterations, ctx.n_sites), ctx.n_levels - 1, dtype=int)
+    idx[:, active] = picks
+    evs = ctx.evaluate_many(idx)
+    best = _best_feasible(evs, qrows[active, picks].sum(axis=1))
+    if best is None:
+        return EpisodeOutcome(ev=ctx.full_power, accepted_iteration=None)
+    ev = evs.row(best)
     _check_accepted(ev)
-    return EpisodeOutcome(ev=ev, reward=ev.network_ee, feasible=True, accepted_iteration=n_star)
+    return EpisodeOutcome(ev=ev, accepted_iteration=best + 1)
 
 
 class DqnAgent:
@@ -171,13 +169,13 @@ class DqnAgent:
         if not ctx.any_active:
             return _all_sleep(ctx)
         qrows = self.predicted.forward_batch(ctx.features)
-        outcome = _decide(ctx, qrows, self.n_iterations, self.hyper.epsilon, self.exploration)
+        outcome = _search(ctx, qrows, self.n_iterations, self.hyper.epsilon, self.exploration)
         if outcome.feasible:
             ev, active = outcome.ev, ctx.active_sites
             self.memory.push(
                 ctx.features[active],
                 ev.power_idx[active],
-                outcome.reward,
+                ev.network_ee,
                 None if terminal else ctx.next_features(ev)[active],
             )
         return outcome
@@ -228,7 +226,7 @@ class QLearningAgent:
             return _all_sleep(ctx)
         bins = state_bin(ctx.features, self.n_bins)
         qrows = self.table[bins[:, 0], bins[:, 1]]
-        outcome = _decide(ctx, qrows, self.n_iterations, self.hyper.epsilon, self.exploration)
+        outcome = _search(ctx, qrows, self.n_iterations, self.hyper.epsilon, self.exploration)
         if not outcome.feasible:
             return outcome
         ev = outcome.ev
@@ -239,7 +237,7 @@ class QLearningAgent:
         # One station at a time, in order: two stations may share a cell.
         for b in ctx.active_sites.tolist():
             tabular_q_update(
-                self.table, cell[b], int(ev.power_idx[b]), outcome.reward, nxt[b],
+                self.table, cell[b], int(ev.power_idx[b]), ev.network_ee, nxt[b],
                 self.hyper.discount, self.alpha,
             )
         return outcome
@@ -252,11 +250,8 @@ class SleepAgent:
     def run_episode(self, ctx: StepContext, t: int, terminal: bool) -> EpisodeOutcome:
         if not ctx.any_active:
             return _all_sleep(ctx)
-        ev = ctx.full_power
-        _check_accepted(ev)
-        return EpisodeOutcome(
-            ev=ev, reward=ev.network_ee, feasible=True, accepted_iteration=0
-        )
+        _check_accepted(ctx.full_power)
+        return EpisodeOutcome(ev=ctx.full_power, accepted_iteration=0)
 
 
 def exhaustive_oracle(
@@ -289,10 +284,9 @@ def exhaustive_oracle(
         idx = np.full((plans.size, ctx.n_sites), ctx.n_levels - 1, dtype=int)
         idx[:, active] = np.stack(np.unravel_index(plans, shape), axis=1)
         evs = ctx.evaluate_many(idx)
-        ee = np.where(is_feasible(evs.rate_delta_sum), evs.network_ee, -np.inf)
-        k = int(np.argmax(ee))
-        if ee[k] > best_ee:
-            best_idx, best_ee = idx[k].copy(), ee[k]
+        k = _best_feasible(evs, evs.network_ee)
+        if k is not None and evs.network_ee[k] > best_ee:
+            best_idx, best_ee = idx[k].copy(), evs.network_ee[k]
     if best_idx is None:
         raise InvariantViolation("the full-power assignment should be feasible")
     return best_idx, float(best_ee)

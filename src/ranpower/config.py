@@ -9,7 +9,7 @@ hex grid, 57 users, 15.2 dBW ceiling, 10 MHz carriers, 20000 steps).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -75,7 +75,7 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         for key, kind in FIELD_TYPES.items():
-            if kind in (float, "float") and not math.isfinite(getattr(self, key)):
+            if kind == "float" and not math.isfinite(getattr(self, key)):
                 raise ValidationError(
                     f"config key '{key}' has non-finite value {getattr(self, key)!r}"
                 )
@@ -127,12 +127,12 @@ class RunConfig:
         return self
 
 
-FIELD_TYPES: dict[str, type] = {f.name: f.type for f in fields(RunConfig)}  # type: ignore[misc]
+# Under ``from __future__ import annotations`` each type is its name: "int", "float" or "str".
+FIELD_TYPES: dict[str, str] = {f.name: f.type for f in fields(RunConfig)}  # type: ignore[misc]
 
 
 def coerce_value(key: str, raw: str) -> Any:
-    anno = FIELD_TYPES[key]
-    kind = anno if isinstance(anno, str) else anno.__name__
+    kind = FIELD_TYPES[key]
     try:
         if kind == "int":
             return int(raw)

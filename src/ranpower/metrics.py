@@ -4,7 +4,7 @@ Power statistics average in the linear watt domain and only then convert
 back to dBW; a sleeping station contributes zero watts.  Quantities that are
 undefined on a step (the power average when everyone sleeps, the declines
 when nobody backed off, the success flag when there was nothing to decide)
-are carried as ``None`` and excluded from their running means, so a running
+are carried as ``None`` and excluded from any running mean, so a running
 mean divides by the number of steps on which the quantity existed.
 
 Every running statistic exists twice: streamed by :class:`MetricsAccumulator`
@@ -142,21 +142,6 @@ def power_averages(
     """Per-step dBW power averages and their running mean over defined steps."""
     step = [power_step_dbw(r) for r in rows]
     return step, _masked_prefix_means(step)
-
-
-def decline_averages(rows: list[MetricsRow], p_max_dbw: float) -> dict[str, list]:
-    """Per-step declines, their dB gap, and running means over defined steps."""
-    triples = [decline_step(r, p_max_dbw) for r in rows]
-    rsrp = [t[0] for t in triples]
-    itf = [t[1] for t in triples]
-    gap = [t[2] for t in triples]
-    return {
-        "rsrp": rsrp,
-        "interference": itf,
-        "gap": gap,
-        "rsrp_cum": _masked_prefix_means(rsrp),
-        "interference_cum": _masked_prefix_means(itf),
-    }
 
 
 def complexity_averages(

@@ -28,11 +28,10 @@ MIN_DISTANCE_M = 1.0
 
 @dataclass(frozen=True)
 class Position:
-    """A point in metres: planar coordinates plus height above ground."""
+    """A point on the ground plane, in metres; heights are in ``RadioParams``."""
 
     x: float
     y: float
-    h: float = 0.0
 
 
 def dbw_to_watts(p_dbw: float) -> float:

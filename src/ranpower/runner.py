@@ -58,7 +58,6 @@ def make_topology(cfg: RunConfig) -> Topology:
         p_max_dbw=cfg.p_max_dbw,
         delta_p_max_db=cfg.delta_p_max_db,
         n_levels=cfg.n_power_levels,
-        bs_height_m=cfg.bs_height_m,
         backlobe_atten_db=cfg.backlobe_atten_db,
     )
 
@@ -79,7 +78,7 @@ def make_radio(cfg: RunConfig) -> RadioParams:
 def make_scenario(cfg: RunConfig, streams: dict[str, np.random.Generator]) -> Scenario:
     topo = make_topology(cfg)
     radio = make_radio(cfg)
-    users = drop_users(topo, cfg.per_sector_users, streams["topology"], cfg.user_height_m)
+    users = drop_users(topo, cfg.per_sector_users, streams["topology"])
     speed = cfg.user_speed_mps if cfg.mobility == "waypoint" else 0.0
     return Scenario(
         topo,
@@ -130,23 +129,16 @@ def make_agent(cfg: RunConfig, streams: dict[str, np.random.Generator]):
 
 def outcome_to_row(t: int, phi: np.ndarray, outcome: EpisodeOutcome) -> MetricsRow:
     ev = outcome.ev
-    if outcome.all_sleep:
-        zeta = None
-        n_star = None
-        ee_reward = None
-    else:
-        zeta = int(outcome.feasible)
-        n_star = outcome.accepted_iteration if outcome.feasible else None
-        ee_reward = ev.network_ee
+    asleep = outcome.all_sleep
     return MetricsRow(
         t=t,
         phi=phi.copy(),
         power_dbw=ev.power_dbw,
         rate_bps=ev.rate_bps,
         link_ee=ev.link_ee,
-        ee_reward=ee_reward,
-        zeta=zeta,
-        n_star=n_star,
+        ee_reward=None if asleep else ev.network_ee,
+        zeta=None if asleep else int(outcome.feasible),
+        n_star=outcome.accepted_iteration,
     )
 
 
@@ -331,8 +323,7 @@ def run_oracle_check(
     run(cfg, out, quiet=True, episode_hook=hook)
     with _replacing(out / "oracle.csv") as tmp, open(tmp, "w", newline="") as fh:
         fh.write("t,achieved_ee,oracle_ee,ratio\n")
-        for t, achieved, best, ratio in ratios:
-            fh.write(f"{t},{achieved!r},{best!r},{ratio!r}\n")
+        fh.writelines(_format_row(entry) for entry in ratios)
     stats = {
         "steps_scored": len(ratios),
         "mean_ratio": float(np.mean([r[3] for r in ratios])) if ratios else None,

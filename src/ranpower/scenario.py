@@ -3,10 +3,12 @@
 A :class:`Scenario` owns the mutable simulation state (pending volumes,
 current power levels, user positions).  Each time step it freezes the
 physics into a :class:`StepContext`: which users are scheduled, the gain of
-every site towards every scheduled user, and the full-power reference rates.
-Agents then evaluate candidate joint power assignments against that frozen
-context without touching the scenario, and the runner applies exactly one
-accepted assignment per step.
+every site towards every scheduled user, and, evaluated once as the context
+is built, the full-power assignment whose rates are the reference.  Agents
+then rate candidate joint power assignments against that frozen context
+without touching the scenario; one :class:`StepEval` holds the outcome of
+one assignment, or of a batch with a leading candidate axis.  The runner
+applies exactly one accepted assignment per step.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def power_level_set(p_max_dbw: float, delta_p_max_db: float, n_levels: int) -> n
     return np.linspace(lo, p_max_dbw, n_levels)
 
 
-def hex_site_positions(rings: int, isd_m: float, height_m: float) -> tuple[Position, ...]:
+def hex_site_positions(rings: int, isd_m: float) -> tuple[Position, ...]:
     """Hexagonal grid positions: 1 + 3*rings*(rings+1) sites, centre first."""
     if rings < 0:
         raise InvalidConfig(f"ring count {rings} must be non-negative")
@@ -135,7 +137,7 @@ def hex_site_positions(rings: int, isd_m: float, height_m: float) -> tuple[Posit
             y = isd_m * (math.sqrt(3.0) / 2.0) * r
             sites.append((ring, math.atan2(y, x) % (2.0 * math.pi), x, y))
     sites.sort(key=lambda t: (t[0], t[1]))
-    return tuple(Position(x, y, height_m) for _, _, x, y in sites)
+    return tuple(Position(x, y) for _, _, x, y in sites)
 
 
 def build_topology(
@@ -144,12 +146,11 @@ def build_topology(
     p_max_dbw: float,
     delta_p_max_db: float,
     n_levels: int,
-    bs_height_m: float = 25.0,
     backlobe_atten_db: float = 25.0,
 ) -> Topology:
     """Standard hex deployment with three sectors per site and a shared power set."""
     return Topology(
-        site_positions=hex_site_positions(rings, isd_m, bs_height_m),
+        site_positions=hex_site_positions(rings, isd_m),
         isd_m=isd_m,
         power_levels_dbw=power_level_set(p_max_dbw, delta_p_max_db, n_levels),
         backlobe_atten_db=backlobe_atten_db,
@@ -160,7 +161,6 @@ def drop_users(
     topo: Topology,
     per_sector: int,
     rng: np.random.Generator,
-    user_height_m: float = 1.5,
 ) -> list[Position]:
     """Drop ``per_sector`` users uniformly in each sector's annular wedge.
 
@@ -184,7 +184,6 @@ def drop_users(
                     Position(
                         site.x + radius * math.cos(azim),
                         site.y + radius * math.sin(azim),
-                        user_height_m,
                     )
                 )
     return users
@@ -194,7 +193,6 @@ def sector_gain_matrix(
     topo: Topology,
     radio: RadioParams,
     user_xy: np.ndarray,
-    user_h: float,
     clamp: bool = False,
 ) -> np.ndarray:
     """Channel gain from every (site, sector) to every user, shape (B, S, U).
@@ -212,7 +210,7 @@ def sector_gain_matrix(
     dy = user_xy[:, 1] - topo.site_xy[:, 1, None]
     dist = np.hypot(dx, dy)
     np.square(dist, out=dist)
-    dist += (user_h - radio.bs_height_m) ** 2
+    dist += (radio.user_height_m - radio.bs_height_m) ** 2
     np.sqrt(dist, out=dist)
     if clamp:
         np.maximum(dist, MIN_DISTANCE_M, out=dist)
@@ -234,21 +232,6 @@ def sector_gain_matrix(
     gains *= path[:, None, :]
     gains *= radio.rx_gain_lin
     return gains
-
-
-def associate_max_rsrp(
-    topo: Topology, radio: RadioParams, user_positions: Sequence[Position]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Attach each user to the (site, sector) with the strongest full-power RSRP.
-
-    Ties resolve to the lowest site id, then the lowest sector id.
-    """
-    user_xy = np.array([[p.x, p.y] for p in user_positions])
-    gains = sector_gain_matrix(topo, radio, user_xy, radio.user_height_m)
-    n_users = user_xy.shape[0]
-    flat = gains.reshape(-1, n_users)
-    best = np.argmax(flat, axis=0)
-    return best // topo.sectors_per_site, best % topo.sectors_per_site
 
 
 @dataclass(frozen=True)
@@ -293,24 +276,12 @@ def generate_traffic(
 
 @dataclass(frozen=True, eq=False)
 class StepEval:
-    """Outcome of one candidate joint power assignment on a frozen step."""
+    """Outcome of joint power assignments on a frozen step.
 
-    power_idx: np.ndarray
-    power_dbw: np.ndarray
-    user_rates_bps: np.ndarray
-    rate_bps: np.ndarray
-    rate_delta_bps: np.ndarray
-    rate_delta_sum: float
-    link_ee: np.ndarray
-    network_ee: float
-
-
-@dataclass(frozen=True, eq=False)
-class StepEvals:
-    """Outcomes of K candidate assignments on one frozen step, one row each.
-
-    Fields mirror :class:`StepEval` with a leading candidate axis: per-site
-    arrays are (K, B), user rates (K, U), the two sums (K,).
+    For one assignment the per-site arrays are (B,), the user rates (U,) and
+    the two sums floats.  A batch of K assignments carries a leading
+    candidate axis on every field: (K, B), (K, U) and (K,); :meth:`row`
+    takes one candidate out of it.
     """
 
     power_idx: np.ndarray
@@ -318,9 +289,9 @@ class StepEvals:
     user_rates_bps: np.ndarray
     rate_bps: np.ndarray
     rate_delta_bps: np.ndarray
-    rate_delta_sum: np.ndarray
+    rate_delta_sum: float | np.ndarray
     link_ee: np.ndarray
-    network_ee: np.ndarray
+    network_ee: float | np.ndarray
 
     def row(self, k: int) -> StepEval:
         return StepEval(
@@ -341,10 +312,11 @@ class StepContext:
 
     ``own_gain[u]`` is the gain of user u's own site towards it (all of that
     site's active sectors), the diagonal of ``site_to_user_gain`` along
-    ``sched_site``.  ``full_power`` is the evaluation of every station at
-    the top level, which sets ``ref_rate_bps``; its rate deltas are zero.
-    ``prior_power_w`` holds each station's power before this step, from
-    which ``features`` are computed when first read.
+    ``sched_site``.  ``prior_power_w`` holds each station's power before
+    this step, from which ``features`` are computed when first read.
+    Construction evaluates every station at the top level once: that is
+    ``full_power``, whose site rates are ``ref_rate_bps`` and whose rate
+    deltas are therefore zero.
     """
 
     t: int
@@ -359,14 +331,20 @@ class StepContext:
     own_gain: np.ndarray
     site_to_user_gain: np.ndarray
     residual_bits: np.ndarray
-    ref_rate_bps: np.ndarray
     prior_power_w: np.ndarray
     noise_w: float
     bandwidth_hz: float
     slot_s: float
     volume_scale_bits: float
     rsrp_floor_dbw: float
-    full_power: StepEval | None = None
+    ref_rate_bps: np.ndarray = field(init=False, repr=False)
+    full_power: StepEval = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        full = np.full(self.n_sites, self.n_levels - 1)
+        rates, rate_b = self._rates(full)
+        object.__setattr__(self, "ref_rate_bps", rate_b)
+        object.__setattr__(self, "full_power", self._outcome(full, rates, rate_b))
 
     @property
     def n_levels(self) -> int:
@@ -376,31 +354,22 @@ class StepContext:
     def any_active(self) -> bool:
         return bool(self.active_sites.size)
 
-    def evaluate_many(self, power_idx: np.ndarray) -> StepEvals:
-        """Rates, deltas and efficiencies of K joint assignments, ``power_idx``
-        of shape (K, B): one (K, B) @ (B, U) interference product for all.
+    def evaluate_many(self, power_idx: np.ndarray) -> StepEval:
+        """Rates, deltas and efficiencies of one joint assignment of shape
+        (B,), or of K at once of shape (K, B): one (K, B) @ (B, U)
+        interference product for all.
 
         Sleeping sites neither transmit nor count toward averages regardless
         of the index they carry.
         """
         power_idx = np.asarray(power_idx)
-        return StepEvals(power_idx, *self._outcomes(power_idx))
+        return self._outcome(power_idx, *self._rates(power_idx))
 
-    def evaluate(self, power_idx: np.ndarray) -> StepEval:
-        """One joint assignment of shape (B,): the arithmetic of
-        :meth:`evaluate_many` without the candidate axis, so a single plan
-        pays for no broadcasting; bit-identical to row 0 of
-        ``evaluate_many(power_idx[None])``."""
-        power_idx = np.asarray(power_idx)
-        power_dbw, rates, rate_b, rate_delta, delta_sum, link_ee, ee = self._outcomes(power_idx)
-        return StepEval(
-            power_idx, power_dbw, rates, rate_b, rate_delta, float(delta_sum), link_ee, float(ee)
-        )
+    # One joint assignment of shape (B,), without a candidate axis.
+    evaluate = evaluate_many
 
-    def _outcomes(self, power_idx: np.ndarray) -> tuple:
-        """The fields after ``power_idx`` in :class:`StepEval` order, for an
-        index array of shape (K, B) or (B,)."""
-        power_dbw = self.power_levels_dbw.take(power_idx)
+    def _rates(self, power_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Scheduled users' rates and their sums per site."""
         power_w = self.power_levels_w.take(power_idx) * self.phi
         total = power_w @ self.site_to_user_gain
         site_w = power_w.take(self.sched_site, axis=-1)
@@ -413,13 +382,23 @@ class StepContext:
         rate_b = np.bincount(
             bins.ravel(), weights=rates.ravel(), minlength=power_idx.size
         ).reshape(power_idx.shape)
+        return rates, rate_b
+
+    def _outcome(self, power_idx: np.ndarray, rates: np.ndarray, rate_b: np.ndarray) -> StepEval:
+        """The record of ``power_idx`` from its rates, deltas against ``ref_rate_bps``."""
+        power_dbw = self.power_levels_dbw.take(power_idx)
         rate_delta = self.phi * (self.ref_rate_bps - rate_b)
         link_ee = self.phi * (rate_b / 1e6) / power_dbw
+        delta_sum = rate_delta.sum(axis=-1)
         n_active = self.active_sites.size
         network_ee = (
             link_ee.sum(axis=-1) / n_active if n_active else np.zeros(power_idx.shape[:-1])
         )
-        return power_dbw, rates, rate_b, rate_delta, rate_delta.sum(axis=-1), link_ee, network_ee
+        if power_idx.ndim == 1:
+            delta_sum, network_ee = float(delta_sum), float(network_ee)
+        return StepEval(
+            power_idx, power_dbw, rates, rate_b, rate_delta, delta_sum, link_ee, network_ee
+        )
 
     @functools.cached_property
     def features(self) -> np.ndarray:
@@ -474,12 +453,12 @@ class Scenario:
         if self.n_users == 0:
             raise InvalidConfig("a scenario needs at least one user")
         self.user_xy = np.array([[p.x, p.y] for p in user_positions])
-        self.user_h = radio.user_height_m
-        self.serving_site, self.serving_sector = associate_max_rsrp(
-            topo, radio, user_positions
-        )
         # Moving users' gains are computed per slot instead (see build_step).
-        self.gains = sector_gain_matrix(topo, radio, self.user_xy, self.user_h)
+        self.gains = sector_gain_matrix(topo, radio, self.user_xy)
+        # Each user attaches to the (site, sector) with the strongest full-power
+        # RSRP; ties go to the lowest site id, then the lowest sector id.
+        best = self.gains.reshape(-1, self.n_users).argmax(axis=0)
+        self.serving_site, self.serving_sector = np.divmod(best, topo.sectors_per_site)
         self.power_levels_w = 10.0 ** (topo.power_levels_dbw / 10.0)
         self.residual_bits = np.zeros(self.n_users)
         self.arrival_step = np.full(self.n_users, -1, dtype=int)
@@ -541,7 +520,7 @@ class Scenario:
         # of ``power_w @ site_to_user``, and a C-ordered one rounds the rates differently.
         if self.user_speed_mps > 0.0:
             gains = sector_gain_matrix(
-                self.topo, self.radio, self.user_xy[sched_users], self.user_h, clamp=True
+                self.topo, self.radio, self.user_xy[sched_users], clamp=True
             )
             serving_gain = gains[sched_site, sched_sector, np.arange(sched_users.size)]
             sector_active = np.zeros((n_sites, self.topo.sectors_per_site))
@@ -558,7 +537,7 @@ class Scenario:
                 sched_users[:, None], mask.astype(np.intp) * n_sites + np.arange(n_sites)
             ].T
 
-        ctx = StepContext(
+        return StepContext(
             t=self.t,
             n_sites=n_sites,
             phi=phi,
@@ -571,7 +550,6 @@ class Scenario:
             own_gain=site_to_user[sched_site, np.arange(sched_users.size)],
             site_to_user_gain=site_to_user,
             residual_bits=self.residual_bits[sched_users],
-            ref_rate_bps=np.zeros(n_sites),
             prior_power_w=self.power_levels_w[self.current_power_idx],
             noise_w=self.radio.noise_w,
             bandwidth_hz=self.radio.bandwidth_hz,
@@ -579,13 +557,6 @@ class Scenario:
             volume_scale_bits=volume_scale_bits,
             rsrp_floor_dbw=self.radio.noise_dbw,
         )
-        full = ctx.evaluate(np.full(n_sites, self.topo.n_levels - 1))
-        ctx.ref_rate_bps[:] = full.rate_bps
-        # Measured against its own rates, the plan's deltas are phi * 0.0.
-        object.__setattr__(full, "rate_delta_bps", np.zeros(n_sites))
-        object.__setattr__(full, "rate_delta_sum", 0.0)
-        object.__setattr__(ctx, "full_power", full)
-        return ctx
 
     def apply(self, ctx: StepContext, ev: StepEval, rng: np.random.Generator | None = None) -> None:
         """Advance the state by one slot under the accepted assignment."""

@@ -38,8 +38,8 @@ def three_site():
     """
     base = build_topology(rings=0, isd_m=500.0, p_max_dbw=15.2, delta_p_max_db=2.0, n_levels=4)
     positions = base.site_positions + (
-        Position(500.0, 0.0, 25.0),
-        Position(250.0, 433.0, 25.0),
+        Position(500.0, 0.0),
+        Position(250.0, 433.0),
     )
     return Topology(
         site_positions=positions,
@@ -55,7 +55,7 @@ def make_scenario(topo, radio, seed=0, arrival=None, per_sector=1):
     from ranpower.scenario import drop_users
 
     rng = np.random.default_rng(seed)
-    users = drop_users(topo, per_sector, rng, user_height_m=1.5)
+    users = drop_users(topo, per_sector, rng)
     return Scenario(
         topo,
         radio,
@@ -72,9 +72,7 @@ def three_site_scenario(three_site, radio_params):
 def build_golden_scenario(inputs):
     """Rebuild the frozen three-station fixture from its recorded inputs."""
     topo = Topology(
-        site_positions=tuple(
-            Position(x, y, inputs["site_height_m"]) for x, y in inputs["sites_xy"]
-        ),
+        site_positions=tuple(Position(x, y) for x, y in inputs["sites_xy"]),
         isd_m=500.0,
         power_levels_dbw=power_level_set(
             inputs["p_max_dbw"], inputs["delta_p_max_db"], inputs["n_levels"]
@@ -90,7 +88,7 @@ def build_golden_scenario(inputs):
         bs_height_m=inputs["site_height_m"],
         user_height_m=inputs["user_height_m"],
     )
-    users = [Position(x, y, inputs["user_height_m"]) for x, y in inputs["users_xy"]]
+    users = [Position(x, y) for x, y in inputs["users_xy"]]
     scn = Scenario(topo, radio, users, ArrivalConfig())
     scn.residual_bits[:] = 1e6
     scn.arrival_step[:] = 0

@@ -63,16 +63,16 @@ def three_station_scenario():
     )
     topo = Topology(
         site_positions=base.site_positions
-        + (Position(500.0, 0.0, 25.0), Position(250.0, 433.0, 25.0)),
+        + (Position(500.0, 0.0), Position(250.0, 433.0)),
         isd_m=base.isd_m,
         power_levels_dbw=base.power_levels_dbw,
         boresights_deg=base.boresights_deg,
         backlobe_atten_db=base.backlobe_atten_db,
     )
     users = [
-        Position(80.0, 30.0, 1.5),
-        Position(560.0, 40.0, 1.5),
-        Position(180.0, 460.0, 1.5),
+        Position(80.0, 30.0),
+        Position(560.0, 40.0),
+        Position(180.0, 460.0),
     ]
     return Scenario(topo, RadioParams(), users, ArrivalConfig())
 

@@ -12,12 +12,12 @@ from ranpower.agents import (
     QLearningAgent,
     SleepAgent,
     _check_accepted,
-    _inner_search,
+    _search,
     exhaustive_oracle,
 )
 from ranpower.errors import InvalidConfig, InvariantViolation, SearchSpaceTooLarge
 from ranpower.rl import Hyperparams, state_bin, tabular_q_update
-from ranpower.scenario import StepEvals
+from ranpower.scenario import StepEval
 
 from conftest import make_scenario
 
@@ -46,7 +46,7 @@ class InfeasibleCtx:
         power_idx = np.asarray(power_idx, dtype=int)
         shape = power_idx.shape
         full = np.all(power_idx == self.n_levels - 1, axis=1)
-        return StepEvals(
+        return StepEval(
             power_idx=power_idx,
             power_dbw=np.full(shape, 15.2),
             user_rates_bps=np.zeros(shape),
@@ -87,22 +87,22 @@ class CountingCtx:
 
 
 def search(ctx, qrows, n_iterations, epsilon, seed):
-    """The inner search's result on ``ctx``, plus the batch it rated and each
+    """The search's outcome on ``ctx``, plus the batch it rated and each
     candidate's score (every station of ``ctx`` active)."""
     rec = CountingCtx(ctx)
-    result = _inner_search(rec, qrows, n_iterations, epsilon, np.random.default_rng(seed))
+    out = _search(rec, qrows, n_iterations, epsilon, np.random.default_rng(seed))
     (evs,) = rec.rated
-    return result, evs, qrows[np.arange(len(qrows)), evs.power_idx].sum(axis=1)
+    return out, evs, qrows[np.arange(len(qrows)), evs.power_idx].sum(axis=1)
 
 
 def test_search_greedy_tie_keeps_earliest_iteration(loaded_ctx):
     """With no exploration every draw repeats, so iteration 1 must win."""
     qrows = np.zeros((3, loaded_ctx.n_levels))
-    (ev, n_star, _), evs, _ = search(loaded_ctx, qrows, 10, 0.0, 0)
-    assert n_star == 1
+    out, evs, _ = search(loaded_ctx, qrows, 10, 0.0, 0)
+    assert out.accepted_iteration == 1
     assert len(evs.power_idx) == 10
     assert np.all(evs.rate_delta_sum >= 0.0)
-    assert np.array_equal(ev.power_idx, np.zeros(3, dtype=int))
+    assert np.array_equal(out.ev.power_idx, np.zeros(3, dtype=int))
 
 
 def test_search_ties_break_low(loaded_ctx):
@@ -114,11 +114,11 @@ def test_search_ties_break_low(loaded_ctx):
 
 def test_search_accepts_highest_scoring_feasible_candidate(loaded_ctx):
     qrows = np.random.default_rng(3).normal(size=(3, loaded_ctx.n_levels))
-    (ev, n_star, score), evs, scores = search(loaded_ctx, qrows, 40, 0.5, 7)
+    out, evs, scores = search(loaded_ctx, qrows, 40, 0.5, 7)
+    ev, n_star = out.ev, out.accepted_iteration
     feasible = evs.rate_delta_sum >= 0.0
     assert feasible.any(), "the draw should hit at least one feasible candidate"
     best = scores[feasible].max()
-    assert score == pytest.approx(best, rel=1e-12)
     assert feasible[n_star - 1]
     assert scores[n_star - 1] == pytest.approx(best, rel=1e-12)
     assert np.array_equal(ev.power_idx, evs.power_idx[n_star - 1])
@@ -132,30 +132,32 @@ def test_search_rejects_higher_scoring_infeasible_candidates(loaded_ctx):
     qrows = np.zeros((3, loaded_ctx.n_levels))
     qrows[0, 0] = qrows[1, 1] = qrows[2, 0] = 5.0
     assert loaded_ctx.evaluate(np.array([0, 1, 0])).rate_delta_sum < 0.0
-    (ev, n_star, score), evs, scores = search(loaded_ctx, qrows, 60, 0.5, 1)
-    assert ev is not None
-    assert ev.rate_delta_sum >= 0.0
-    assert np.any((evs.rate_delta_sum < 0.0) & (scores > score))
+    out, evs, scores = search(loaded_ctx, qrows, 60, 0.5, 1)
+    assert out.feasible
+    assert out.ev.rate_delta_sum >= 0.0
+    assert np.any((evs.rate_delta_sum < 0.0) & (scores > scores[out.accepted_iteration - 1]))
 
 
 def test_search_returns_none_when_nothing_is_feasible(loaded_ctx):
-    """Pin the greedy draw to an infeasible assignment and disable exploration."""
+    """Pin the greedy draw to an infeasible assignment and disable
+    exploration: no iteration is accepted and full power runs."""
     qrows = np.zeros((3, loaded_ctx.n_levels))
     qrows[0, 0] = qrows[1, 1] = qrows[2, 0] = 5.0
-    ev, n_star, _ = _inner_search(loaded_ctx, qrows, 8, 0.0, np.random.default_rng(0))
-    assert ev is None
-    assert n_star is None
+    out = _search(loaded_ctx, qrows, 8, 0.0, np.random.default_rng(0))
+    assert out.accepted_iteration is None
+    assert not out.feasible
+    assert out.ev is loaded_ctx.full_power
 
 
 def test_search_exploits_argmax(loaded_ctx):
     """With no exploration every candidate is each station's argmax."""
     qrows = np.zeros((3, loaded_ctx.n_levels))
     qrows[0, 1] = qrows[1, 2] = qrows[2, 3] = 1.0
-    (ev, n_star, score), evs, _ = search(loaded_ctx, qrows, 5, 0.0, 0)
+    out, evs, scores = search(loaded_ctx, qrows, 5, 0.0, 0)
     assert np.all(evs.power_idx == [1, 2, 3])
-    assert n_star == 1
-    assert score == 3.0
-    assert np.array_equal(ev.power_idx, [1, 2, 3])
+    assert out.accepted_iteration == 1
+    assert scores[0] == 3.0
+    assert np.array_equal(out.ev.power_idx, [1, 2, 3])
 
 
 def test_search_explore_is_roughly_uniform(loaded_ctx):
@@ -170,10 +172,10 @@ def test_search_explore_is_roughly_uniform(loaded_ctx):
 
 def test_search_scale_invariance(loaded_ctx):
     qrows = np.random.default_rng(3).normal(size=(3, loaded_ctx.n_levels))
-    ev_a, n_a, _ = _inner_search(loaded_ctx, qrows, 30, 0.3, np.random.default_rng(4))
-    ev_b, n_b, _ = _inner_search(loaded_ctx, qrows * 37.5, 30, 0.3, np.random.default_rng(4))
-    assert n_a == n_b
-    assert np.array_equal(ev_a.power_idx, ev_b.power_idx)
+    a = _search(loaded_ctx, qrows, 30, 0.3, np.random.default_rng(4))
+    b = _search(loaded_ctx, qrows * 37.5, 30, 0.3, np.random.default_rng(4))
+    assert a.accepted_iteration == b.accepted_iteration
+    assert np.array_equal(a.ev.power_idx, b.ev.power_idx)
 
 
 def test_search_accepts_the_row_it_tested(loaded_ctx):
@@ -181,7 +183,8 @@ def test_search_accepts_the_row_it_tested(loaded_ctx):
     that batch's row: nothing is re-evaluated after the feasibility test."""
     ctx = CountingCtx(loaded_ctx)
     qrows = np.random.default_rng(3).normal(size=(3, loaded_ctx.n_levels))
-    ev, n_star, _ = _inner_search(ctx, qrows, 40, 0.5, np.random.default_rng(7))
+    out = _search(ctx, qrows, 40, 0.5, np.random.default_rng(7))
+    ev, n_star = out.ev, out.accepted_iteration
     assert ctx.calls == [("many", 40)]
     (evs,) = ctx.rated
     assert ev.rate_delta_sum == evs.rate_delta_sum[n_star - 1]
@@ -215,7 +218,6 @@ def test_dqn_fresh_network_picks_lowest_level_everywhere(loaded_ctx):
     assert out.feasible
     assert np.array_equal(out.ev.power_idx, np.zeros(3, dtype=int))
     assert out.accepted_iteration == 1
-    assert out.reward == pytest.approx(out.ev.network_ee, rel=1e-12)
 
 
 def test_dqn_pushes_one_transition_per_active_station(loaded_ctx):
@@ -226,7 +228,7 @@ def test_dqn_pushes_one_transition_per_active_station(loaded_ctx):
     assert len(mem) == n
     nxt = loaded_ctx.next_features(out.ev)
     for k, b in enumerate(loaded_ctx.active_sites):
-        assert mem.r[k] == pytest.approx(out.reward, rel=1e-12)
+        assert mem.r[k] == pytest.approx(out.ev.network_ee, rel=1e-12)
         assert mem.a[k] == int(out.ev.power_idx[b])
         assert np.array_equal(mem.s[k], loaded_ctx.features[b])
         assert np.allclose(mem.s_next[k], nxt[b])
@@ -247,7 +249,6 @@ def test_dqn_fallback_keeps_full_power_and_pushes_nothing():
     assert not out.feasible
     assert out.accepted_iteration is None
     assert np.array_equal(out.ev.power_idx, np.full(2, ctx.n_levels - 1))
-    assert out.reward == pytest.approx(out.ev.network_ee, rel=1e-12)
     assert len(agent.memory) == 0
 
 
@@ -258,7 +259,7 @@ def test_dqn_all_idle_step_is_inert(three_site, radio_params):
     agent = make_dqn(ctx.n_levels, greedy_hyper())
     out = agent.run_episode(ctx, 1, False)
     assert out.all_sleep
-    assert out.reward == 0.0
+    assert out.ev.network_ee == 0.0
     assert out.accepted_iteration is None
     assert len(agent.memory) == 0
 
@@ -313,7 +314,7 @@ def test_ql_update_matches_replayed_rule(loaded_ctx):
             expected,
             tuple(state_bin(loaded_ctx.features[b], agent.n_bins)),
             int(out.ev.power_idx[b]),
-            out.reward,
+            out.ev.network_ee,
             tuple(state_bin(nxt[b], agent.n_bins)),
             agent.hyper.discount,
             agent.alpha,
@@ -330,7 +331,7 @@ def test_ql_terminal_update_drops_bootstrap(loaded_ctx):
     a = agent.alpha
     expected = 0.0
     for _ in range(3):
-        expected += a * (out.reward - expected)
+        expected += a * (out.ev.network_ee - expected)
     assert agent.table[bins][0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -350,7 +351,6 @@ def test_sleep_agent_full_power_for_active_zero_iterations(loaded_ctx):
     assert np.array_equal(
         out.ev.power_idx, np.full(3, loaded_ctx.n_levels - 1)
     )
-    assert out.reward == pytest.approx(out.ev.network_ee, rel=1e-12)
     assert out.ev.rate_delta_sum == 0.0
 
 
@@ -359,8 +359,35 @@ def test_sleep_agent_all_idle(three_site, radio_params):
     ctx = scn.build_step(volume_scale_bits=2e5)
     out = SleepAgent().run_episode(ctx, 0, False)
     assert out.all_sleep
-    assert out.reward == 0.0
+    assert out.ev.network_ee == 0.0
     assert out.accepted_iteration is None
+
+
+@pytest.mark.parametrize("case, accepted, feasible", [
+    ("accepted", 1, True),
+    ("fallback", None, False),
+    ("all_sleep", None, False),
+    ("sleep_agent", 0, True),
+])
+def test_feasible_means_an_accepted_iteration(
+    case, accepted, feasible, loaded_ctx, three_site, radio_params
+):
+    """The success flag is ``accepted_iteration is not None``; the sleep
+    agent's 0 counts as accepted."""
+    if case == "accepted":
+        out = make_dqn(loaded_ctx.n_levels, greedy_hyper()).run_episode(loaded_ctx, 1, False)
+    elif case == "fallback":
+        ctx = InfeasibleCtx()
+        out = make_dqn(ctx.n_levels, greedy_hyper()).run_episode(ctx, 1, False)
+    elif case == "all_sleep":
+        idle = make_scenario(three_site, radio_params, seed=11).build_step(volume_scale_bits=2e5)
+        out = make_dqn(idle.n_levels, greedy_hyper()).run_episode(idle, 1, False)
+        assert out.all_sleep
+    else:
+        out = SleepAgent().run_episode(loaded_ctx, 0, False)
+    assert out.accepted_iteration == accepted
+    assert out.feasible is feasible
+    assert out.feasible == (out.accepted_iteration is not None)
 
 
 def test_agents_never_accept_negative_delta_sums(loaded_ctx):

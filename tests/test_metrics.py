@@ -8,7 +8,6 @@ from ranpower.metrics import (
     MetricsAccumulator,
     MetricsRow,
     complexity_averages,
-    decline_averages,
     decline_step,
     ee_averages,
     ee_step,
@@ -174,16 +173,6 @@ def test_complexity_means_exclude_searchless_agents():
     assert n_series[2] == pytest.approx(4.0, rel=1e-12)
 
 
-def test_decline_averages_running_means_skip_none():
-    rows = mixed_rows()
-    out = decline_averages(rows, P_MAX)
-    assert out["rsrp"][2] is None
-    defined = [v for v in out["rsrp"] if v is not None]
-    assert out["rsrp_cum"][-1] == pytest.approx(
-        sum(defined) / len(defined), rel=1e-12
-    )
-
-
 def test_streaming_matches_batch_within_1e9():
     rows = mixed_rows() * 4
     acc = MetricsAccumulator(P_MAX)
@@ -192,7 +181,6 @@ def test_streaming_matches_batch_within_1e9():
     ee_series, ee_overall = ee_averages(rows)
     thr_series, thr_overall = throughput_averages(rows)
     _, pwr_running = power_averages(rows)
-    decl = decline_averages(rows, P_MAX)
     z_series, z_overall, n_series, n_overall = complexity_averages(rows)
 
     for i, rec in enumerate(records):

@@ -6,7 +6,7 @@ computes them, in ``sector_gain_matrix`` and ``StepContext.evaluate`` on
 steps built by hand.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ranpower.errors import DistanceTooSmall, NonPositivePower
 from ranpower.radio import channel_gain, dbw_to_watts, watts_to_dbw
-from ranpower.scenario import StepContext, build_topology, sector_gain_matrix
+from ranpower.scenario import StepContext, StepEval, build_topology, sector_gain_matrix
 
 NOISE_W = 10**-12.5
 # Sites 0 and 2 serve users 0 and 1 at 2e-10 and hear each other at 5e-11;
@@ -25,9 +25,11 @@ SCHED_SITE = [0, 2]
 # 10 W serving, 0.5 nW interference: SINR and Shannon rate over 10 MHz.
 SINR = 3.9974717768605763
 RATE_BPS = 23211984.19396464
+# The same at the top level, 14.2 dBW: the step's reference rate.
+TOP_RATE_BPS = 23216506.14769019
 
 
-def hand_step(gain=GAIN, sched_site=SCHED_SITE, noise_w=NOISE_W, ref_rate_bps=None):
+def hand_step(gain=GAIN, sched_site=SCHED_SITE, noise_w=NOISE_W):
     """A frozen step: ``gain[b][u]`` from site b to user u, user u served by
     site ``sched_site[u]`` with all of that site's gain, sites serving nobody
     asleep, and the power levels 10 and 14.2 dBW over 10 MHz."""
@@ -44,7 +46,6 @@ def hand_step(gain=GAIN, sched_site=SCHED_SITE, noise_w=NOISE_W, ref_rate_bps=No
         sched_users=np.arange(n_users), sched_site=sched_site,
         serving_gain=serving, own_gain=serving, site_to_user_gain=gain,
         residual_bits=np.full(n_users, 1e5),
-        ref_rate_bps=np.zeros(n_sites) if ref_rate_bps is None else np.asarray(ref_rate_bps),
         prior_power_w=np.zeros(n_sites), noise_w=noise_w, bandwidth_hz=1e7,
         slot_s=1e-3, volume_scale_bits=2e5, rsrp_floor_dbw=-125.0,
     )
@@ -58,14 +59,14 @@ def test_distance_matches_pythagoras(radio_params):
     """A user 3 m east and 4 m north of a site 12 m above it is 13 m away."""
     topo = build_topology(0, 500.0, 15.2, 2.0, 5)
     radio = replace(radio_params, bs_height_m=13.5)
-    gains = sector_gain_matrix(topo, radio, np.array([[3.0, 4.0]]), 1.5)
+    gains = sector_gain_matrix(topo, radio, np.array([[3.0, 4.0]]))
     expected = channel_gain(radio.tx_gain_lin, radio.rx_gain_lin, radio.fc_hz, 13.0)
     assert gains[0, 0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_distance_uses_height(radio_params):
     topo = build_topology(0, 500.0, 15.2, 2.0, 5)
-    gains = sector_gain_matrix(topo, radio_params, np.array([[0.0, 0.0]]), 1.5)
+    gains = sector_gain_matrix(topo, radio_params, np.array([[0.0, 0.0]]))
     expected = channel_gain(radio_params.tx_gain_lin, radio_params.rx_gain_lin,
                             radio_params.fc_hz, 23.5)
     assert gains[0, 0, 0] == pytest.approx(expected, rel=1e-12)
@@ -147,27 +148,45 @@ def test_data_rate_zero_sinr_is_zero():
 
 
 def test_power_and_rate_delta_active():
-    ev = lowest_level(hand_step(ref_rate_bps=[4.6e7, 0.0, 4.0e7]))
-    assert ev.rate_delta_bps == pytest.approx(
-        [4.6e7 - RATE_BPS, 0.0, 4.0e7 - RATE_BPS], rel=1e-12
-    )
-    assert ev.rate_delta_sum == pytest.approx(8.6e7 - 2 * RATE_BPS, rel=1e-12)
+    """The deltas run against the step's own top-level rates."""
+    ctx = hand_step()
+    assert ctx.ref_rate_bps == pytest.approx([TOP_RATE_BPS, 0.0, TOP_RATE_BPS], rel=1e-12)
+    ev = lowest_level(ctx)
+    gap = TOP_RATE_BPS - RATE_BPS
+    assert ev.rate_delta_bps == pytest.approx([gap, 0.0, gap], abs=1e-6)
+    assert ev.rate_delta_sum == pytest.approx(2 * gap, abs=1e-6)
 
 
 def test_power_and_rate_delta_sleeping_station_is_zero():
-    """A sleeping site's reference rate never enters the deltas."""
-    ev = lowest_level(hand_step(ref_rate_bps=[RATE_BPS, 9e7, RATE_BPS]))
-    assert ev.rate_delta_bps[1] == 0.0
-    assert ev.rate_delta_sum == pytest.approx(0.0, abs=1e-6)
+    """A sleeping site has no reference rate and no delta, whatever level
+    it carries."""
+    ctx = hand_step()
+    assert ctx.ref_rate_bps[1] == 0.0
+    for level in (0, 1):
+        ev = ctx.evaluate(np.array([0, level, 0]))
+        assert ev.rate_delta_bps[1] == 0.0
+        assert ev.rate_delta_sum == pytest.approx(2 * (TOP_RATE_BPS - RATE_BPS), abs=1e-6)
 
 
 def test_full_power_station_has_zero_deltas():
     """Measured against the top level's own rates, the top level has no delta."""
-    ctx = hand_step()
-    top = ctx.evaluate(np.ones(3, dtype=int))
-    ev = replace(ctx, ref_rate_bps=top.rate_bps).evaluate(np.ones(3, dtype=int))
+    ev = hand_step().evaluate(np.ones(3, dtype=int))
+    assert ev.rate_bps == pytest.approx([TOP_RATE_BPS, 0.0, TOP_RATE_BPS], rel=1e-12)
     assert np.all(ev.rate_delta_bps == 0.0)
     assert ev.rate_delta_sum == 0.0
+
+
+def test_hand_built_full_power_is_the_full_plan():
+    """Construction alone sets ``full_power``: it is ``evaluate_many`` of the
+    top-level plan bit for bit, and its rates are the reference."""
+    ctx = hand_step()
+    want = ctx.evaluate_many(np.ones(3, dtype=int))
+    for f in fields(StepEval):
+        got, exp = np.asarray(getattr(ctx.full_power, f.name)), np.asarray(getattr(want, f.name))
+        assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes(), f.name
+    assert np.all(ctx.full_power.rate_delta_bps == 0.0)
+    assert ctx.full_power.rate_delta_sum == 0.0
+    assert ctx.ref_rate_bps.tobytes() == want.rate_bps.tobytes()
 
 
 def test_link_ee_spot_value():

@@ -259,6 +259,11 @@ def test_oracle_check_scores_active_steps(tmp_path):
     lines = (tmp_path / "oracle" / "oracle.csv").read_text().splitlines()
     assert lines[0] == "t,achieved_ee,oracle_ee,ratio"
     assert len(lines) == stats["steps_scored"] + 1
+    for line in lines[1:]:
+        t, achieved, oracle, ratio = line.split(",")
+        assert 0 <= int(t) < 30
+        assert float(oracle) > 0.0
+        assert float(ratio) == float(achieved) / float(oracle)
 
 
 def write_cfg(tmp_path, text):

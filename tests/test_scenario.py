@@ -24,7 +24,6 @@ from ranpower.scenario import (
     Scenario,
     StepEval,
     Topology,
-    associate_max_rsrp,
     build_topology,
     drop_users,
     generate_traffic,
@@ -52,41 +51,40 @@ def test_power_level_set_validation():
 
 def test_hex_ring_counts():
     for rings, count in [(0, 1), (1, 7), (2, 19), (3, 37)]:
-        assert len(hex_site_positions(rings, 500.0, 25.0)) == count
+        assert len(hex_site_positions(rings, 500.0)) == count
 
 
 def test_hex_centre_first_and_ring_distances():
-    sites = hex_site_positions(1, 500.0, 25.0)
+    sites = hex_site_positions(1, 500.0)
     assert (sites[0].x, sites[0].y) == (0.0, 0.0)
     for site in sites[1:]:
         assert math.hypot(site.x, site.y) == pytest.approx(500.0, rel=1e-12)
 
 
 def test_hex_positions_are_distinct():
-    sites = hex_site_positions(2, 500.0, 25.0)
+    sites = hex_site_positions(2, 500.0)
     coords = {(round(p.x, 6), round(p.y, 6)) for p in sites}
     assert len(coords) == 19
 
 
-def test_build_topology_sets_heights_and_sectors():
-    topo = build_topology(1, 500.0, 15.2, 2.0, 5, bs_height_m=30.0)
+def test_build_topology_sets_sectors():
+    topo = build_topology(1, 500.0, 15.2, 2.0, 5)
     assert topo.n_sites == 7
-    assert all(p.h == 30.0 for p in topo.site_positions)
     assert topo.boresights_deg == (0.0, 120.0, 240.0)
     assert topo.sectors_per_site == 3
 
 
 def test_topology_validation():
     with pytest.raises(InvalidConfig):
-        Topology((Position(0, 0, 25),), 0.0, np.array([13.2, 15.2]))
+        Topology((Position(0, 0),), 0.0, np.array([13.2, 15.2]))
     with pytest.raises(InvalidConfig):
-        Topology((Position(0, 0, 25),), 500.0, np.array([15.2, 13.2]))
+        Topology((Position(0, 0),), 500.0, np.array([15.2, 13.2]))
     with pytest.raises(InvalidConfig):
-        Topology((Position(0, 0, 25),), 500.0, np.array([15.2]))
+        Topology((Position(0, 0),), 500.0, np.array([15.2]))
     with pytest.raises(InvalidConfig):
-        Topology((Position(0, 0, 25),), 500.0, np.array([0.5, 15.2]))
+        Topology((Position(0, 0),), 500.0, np.array([0.5, 15.2]))
     with pytest.raises(InvalidConfig):
-        Topology((Position(0, 0, 25),), 500.0, np.array([13.2, 15.2]), boresights_deg=())
+        Topology((Position(0, 0),), 500.0, np.array([13.2, 15.2]), boresights_deg=())
 
 
 def test_drop_users_counts_and_annulus(single_site):
@@ -96,7 +94,6 @@ def test_drop_users_counts_and_annulus(single_site):
     for u in users:
         r = math.hypot(u.x, u.y)
         assert 10.0 <= r <= 250.0
-        assert u.h == 1.5
 
 
 def test_drop_users_deterministic(single_site):
@@ -108,7 +105,7 @@ def test_drop_users_deterministic(single_site):
 def test_sector_gain_boresight_and_backlobe(single_site, radio_params):
     # user straight down sector 0's boresight at 100 m ground distance
     user_xy = np.array([[100.0, 0.0]])
-    gains = sector_gain_matrix(single_site, radio_params, user_xy, 1.5)
+    gains = sector_gain_matrix(single_site, radio_params, user_xy)
     d = math.sqrt(100.0**2 + (25.0 - 1.5) ** 2)
     expected = channel_gain(
         radio_params.tx_gain_lin, radio_params.rx_gain_lin, radio_params.fc_hz, d
@@ -131,19 +128,21 @@ def test_sector_arc_membership(single_site, radio_params):
 
 def test_sector_gain_rejects_near_field_without_clamp(single_site, radio_params):
     under = np.array([[0.0, 0.0]])
+    radio = dataclasses.replace(radio_params, user_height_m=24.5)
     with pytest.raises(DistanceTooSmall):
-        sector_gain_matrix(single_site, radio_params, under, 24.5)
-    clamped = sector_gain_matrix(single_site, radio_params, under, 24.5, clamp=True)
+        sector_gain_matrix(single_site, radio, under)
+    clamped = sector_gain_matrix(single_site, radio, under, clamp=True)
     assert np.all(np.isfinite(clamped))
 
 
-def remainder_gain_matrix(topo, radio, user_xy, user_h):
+def remainder_gain_matrix(topo, radio, user_xy):
     """The (B, S, U) gains with both angle folds done by ``% 360``, clamped:
     the arithmetic the fold-based :func:`sector_gain_matrix` must reproduce."""
     site_xy = np.array([[p.x, p.y] for p in topo.site_positions])
     dxy = user_xy[None, :, :] - site_xy[:, None, :]
     planar = np.hypot(dxy[:, :, 0], dxy[:, :, 1])
-    dist = np.maximum(np.sqrt(planar**2 + (user_h - radio.bs_height_m) ** 2), MIN_DISTANCE_M)
+    height = radio.user_height_m - radio.bs_height_m
+    dist = np.maximum(np.sqrt(planar**2 + height**2), MIN_DISTANCE_M)
     angles = np.degrees(np.arctan2(dxy[:, :, 1], dxy[:, :, 0])) % 360.0
     boresights = np.asarray(topo.boresights_deg)
     offset = (angles[:, None, :] - boresights[None, :, None] + SECTOR_WIDTH_DEG / 2.0) % 360.0
@@ -174,25 +173,24 @@ def test_sector_gain_fold_matches_remainder_bit_for_bit(seed):
     on_edge[::2] = np.nextafter(on_edge[::2], rng.choice([-np.inf, np.inf], (15, 2)))
     west = np.array([[-100.0, 0.0], [-100.0, -0.0], [site_xy[3, 0] - 40.0, site_xy[3, 1]]])
     user_xy = np.concatenate([rng.uniform(-1400.0, 1400.0, (40, 2)), on_edge, west])
-    ref = remainder_gain_matrix(topo, radio, user_xy, 1.5)
-    assert sector_gain_matrix(topo, radio, user_xy, 1.5, clamp=True).tobytes() == ref.tobytes()
+    ref = remainder_gain_matrix(topo, radio, user_xy)
+    assert sector_gain_matrix(topo, radio, user_xy, clamp=True).tobytes() == ref.tobytes()
     sub = rng.choice(len(user_xy), size=rng.integers(1, len(user_xy)), replace=False)
-    got = sector_gain_matrix(topo, radio, user_xy[sub], 1.5, clamp=True)
+    got = sector_gain_matrix(topo, radio, user_xy[sub], clamp=True)
     assert got.tobytes() == np.ascontiguousarray(ref[:, :, sub]).tobytes()
 
 
 def test_topology_rejects_boresights_outside_one_turn():
     with pytest.raises(InvalidConfig):
-        Topology((Position(0, 0, 25),), 500.0, np.array([13.2, 15.2]),
+        Topology((Position(0, 0),), 500.0, np.array([13.2, 15.2]),
                  boresights_deg=(0.0, 120.0, 360.0))
 
 
 def test_association_picks_nearest_site(three_site, radio_params):
-    users = [Position(40.0, 0.0, 1.5), Position(480.0, 10.0, 1.5)]
-    site, sector = associate_max_rsrp(three_site, radio_params, users)
-    assert site[0] == 0
-    assert site[1] == 1
-    assert 0 <= sector[0] < 3
+    users = [Position(40.0, 0.0), Position(480.0, 10.0)]
+    scn = Scenario(three_site, radio_params, users, ArrivalConfig())
+    assert scn.serving_site.tolist() == [0, 1]
+    assert 0 <= scn.serving_sector[0] < 3
 
 
 def test_arrival_probability_modulation():
@@ -559,7 +557,7 @@ def test_moving_build_step_matches_the_full_matrix_slice(seed):
         scn.arrival_step[:] = np.where(pending, rng.integers(0, 3, scn.n_users), -1)
         ctx = scn.build_step(2e5)
         users, site = ctx.sched_users, ctx.sched_site
-        full = sector_gain_matrix(scn.topo, scn.radio, scn.user_xy, scn.user_h, clamp=True)
+        full = sector_gain_matrix(scn.topo, scn.radio, scn.user_xy, clamp=True)
         sector_active = np.zeros((ctx.n_sites, scn.topo.sectors_per_site), dtype=bool)
         sector_active[site, scn.serving_sector[users]] = True
         stu = np.where(sector_active[:, :, None], full[:, :, users], 0.0).sum(axis=1)

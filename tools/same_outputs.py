@@ -6,13 +6,16 @@ Run from the repository root.  Each shape in ``SHAPES`` runs at each seed
 twice through ``python -m ranpower.cli run``: once on a ``git archive REV``
 copy in a temp directory and once on this working tree.  The sha256 of
 ``metrics.csv`` and, where either side writes one, ``weights.bin`` must
-match.  Prints one line per run and exits 1 on any difference or failed run.
+match, and so must ``summary.json`` without its ``wall_clock_s``, which
+carries the ``learner`` block that no CSV byte shows.  Prints one line per
+run and exits 1 on any difference or failed run.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import shlex
 import subprocess
@@ -43,6 +46,13 @@ def sha256(path: Path) -> str | None:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
 
 
+def summary_sha256(path: Path) -> str:
+    """Digest of ``summary.json`` without the one field that varies run to run."""
+    summary = json.loads(path.read_text())
+    del summary["wall_clock_s"]
+    return hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
+
+
 def run_once(tree: Path, config: dict, seed: int, out: Path) -> dict[str, str | None]:
     out.mkdir(parents=True)
     cfg = out / "run.cfg"
@@ -54,7 +64,8 @@ def run_once(tree: Path, config: dict, seed: int, out: Path) -> dict[str, str | 
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr.strip()}")
-    return {name: sha256(out / name) for name in OUTPUTS}
+    return {**{name: sha256(out / name) for name in OUTPUTS},
+            "summary.json": summary_sha256(out / "summary.json")}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -80,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{name} seed={seed}: FAILED {exc}")
                     differ += 1
                     continue
-                diff = [k for k in OUTPUTS if want[k] != got[k]]
+                diff = [k for k in want if want[k] != got[k]]
                 differ += bool(diff)
                 status = f"DIFFER in {', '.join(diff)}" if diff else "same"
                 print(f"{name} seed={seed}: {status} (metrics.csv {got['metrics.csv'][:12]})",
