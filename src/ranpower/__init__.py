@@ -11,31 +11,20 @@ from .agents import DqnAgent, QLearningAgent, SleepAgent, exhaustive_oracle
 from .config import RunConfig, load_config
 from .metrics import CSV_COLUMNS, MetricsAccumulator, MetricsRow
 from .radio import Position
-from .rl import Hyperparams, QNetwork, ReplayMemory
+from .rl import QNetwork, ReplayMemory
 from .runner import run, run_compare, run_oracle_check, run_sweep
-from .scenario import (
-    ArrivalConfig,
-    RadioParams,
-    Scenario,
-    StepContext,
-    Topology,
-    build_topology,
-    drop_users,
-)
+from .scenario import Scenario, StepContext, Topology, build_topology, drop_users
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrivalConfig",
     "CSV_COLUMNS",
     "DqnAgent",
-    "Hyperparams",
     "MetricsAccumulator",
     "MetricsRow",
     "Position",
     "QLearningAgent",
     "QNetwork",
-    "RadioParams",
     "ReplayMemory",
     "RunConfig",
     "Scenario",

@@ -3,7 +3,9 @@
 Every agent answers one call per step, ``run_episode(ctx, t, terminal)``,
 gets the random generators it draws from at construction, and returns an
 :class:`EpisodeOutcome`: the executed :class:`StepEval` and which candidate
-was accepted.
+was accepted.  The two learners read their constants (search width,
+exploration, learning rates, network and table sizes) from the run's
+:class:`RunConfig`, which each validates as it is built.
 
 Both learning agents share one search on a frozen step: draw K joint power
 assignments for the active stations (epsilon-greedy per station), rate them
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, InvariantViolation, SearchSpaceTooLarge
+from .config import RunConfig
+from .errors import InvariantViolation, SearchSpaceTooLarge
 from .rl import (
-    Hyperparams,
     QNetwork,
     ReplayMemory,
     backward_and_step,
@@ -132,31 +134,24 @@ class DqnAgent:
     efficiency as the reward.  Every ``train_interval`` steps (once replay
     holds strictly more than one minibatch) a single gradient-descent round
     runs, and every ``sync_interval`` rounds the target network catches up.
-    ``exploration`` draws the search's candidates and ``replay`` the
-    minibatches.
+    ``rng_init`` draws the initial weights, ``exploration`` the search's
+    candidates and ``replay`` the minibatches.
     """
 
     def __init__(
         self,
-        n_actions: int,
-        hyper: Hyperparams,
+        cfg: RunConfig,
         rng_init: np.random.Generator,
         exploration: np.random.Generator,
         replay: np.random.Generator,
-        hidden_sizes: tuple[int, ...] = (64, 64),
-        replay_capacity: int = 5000,
-        n_iterations: int = 100,
     ) -> None:
-        if n_iterations < 1:
-            raise InvalidConfig("the inner search needs at least one iteration")
-        sizes = (2, *hidden_sizes, n_actions)
+        self.cfg = cfg.validate()
+        sizes = (2, *(cfg.hidden_units,) * cfg.hidden_layers, cfg.n_power_levels)
         self.predicted = QNetwork.create(sizes, rng_init)
         self.target = self.predicted.clone()
-        self.memory = ReplayMemory(replay_capacity)
-        self.hyper = hyper
+        self.memory = ReplayMemory(cfg.replay_capacity)
         self.exploration = exploration
         self.replay = replay
-        self.n_iterations = n_iterations
         self.training_rounds = 0
         self.target_syncs = 0
 
@@ -169,7 +164,7 @@ class DqnAgent:
         if not ctx.any_active:
             return _all_sleep(ctx)
         qrows = self.predicted.forward_batch(ctx.features)
-        outcome = _search(ctx, qrows, self.n_iterations, self.hyper.epsilon, self.exploration)
+        outcome = _search(ctx, qrows, self.cfg.search_iters, self.cfg.epsilon, self.exploration)
         if outcome.feasible:
             ev, active = outcome.ev, ctx.active_sites
             self.memory.push(
@@ -181,15 +176,15 @@ class DqnAgent:
         return outcome
 
     def _maybe_train(self, t: int) -> None:
-        h = self.hyper
-        due = t > 0 and t % h.train_interval == 0
-        if not due or len(self.memory) <= h.minibatch_size:
+        cfg = self.cfg
+        due = t > 0 and t % cfg.train_interval == 0
+        if not due or len(self.memory) <= cfg.minibatch_size:
             return
-        batch = self.memory.sample_minibatch(h.minibatch_size, self.replay)
-        targets = minibatch_targets(batch, self.target, h.discount)
-        backward_and_step(self.predicted, batch, targets, h.learning_rate)
+        batch = self.memory.sample_minibatch(cfg.minibatch_size, self.replay)
+        targets = minibatch_targets(batch, self.target, cfg.discount)
+        backward_and_step(self.predicted, batch, targets, cfg.learning_rate)
         self.training_rounds += 1
-        if self.training_rounds % h.sync_interval == 0:
+        if self.training_rounds % cfg.sync_interval == 0:
             sync_target(self.predicted, self.target)
             self.target_syncs += 1
 
@@ -199,46 +194,30 @@ class QLearningAgent:
     and every accepted decision updates the table online.  ``exploration``
     draws the search's candidates."""
 
-    def __init__(
-        self,
-        n_actions: int,
-        hyper: Hyperparams,
-        exploration: np.random.Generator,
-        n_bins: int = 16,
-        alpha: float = 0.1,
-        n_iterations: int = 100,
-    ) -> None:
-        if n_iterations < 1:
-            raise InvalidConfig("the inner search needs at least one iteration")
-        if n_bins < 2:
-            raise InvalidConfig(f"bin count {n_bins} must be at least 2")
-        if not 0.0 <= alpha <= 1.0:
-            raise InvalidConfig(f"step size {alpha} must lie in [0, 1]")
-        self.table = np.zeros((n_bins, n_bins, n_actions))
-        self.n_bins = n_bins
-        self.alpha = alpha
-        self.hyper = hyper
+    def __init__(self, cfg: RunConfig, exploration: np.random.Generator) -> None:
+        self.cfg = cfg.validate()
+        self.table = np.zeros((cfg.q_bins, cfg.q_bins, cfg.n_power_levels))
         self.exploration = exploration
-        self.n_iterations = n_iterations
 
     def run_episode(self, ctx: StepContext, t: int, terminal: bool) -> EpisodeOutcome:
         if not ctx.any_active:
             return _all_sleep(ctx)
-        bins = state_bin(ctx.features, self.n_bins)
+        cfg = self.cfg
+        bins = state_bin(ctx.features, cfg.q_bins)
         qrows = self.table[bins[:, 0], bins[:, 1]]
-        outcome = _search(ctx, qrows, self.n_iterations, self.hyper.epsilon, self.exploration)
+        outcome = _search(ctx, qrows, cfg.search_iters, cfg.epsilon, self.exploration)
         if not outcome.feasible:
             return outcome
         ev = outcome.ev
         cell = [tuple(c) for c in bins.tolist()]
         nxt = [None] * ctx.n_sites if terminal else [
-            tuple(c) for c in state_bin(ctx.next_features(ev), self.n_bins).tolist()
+            tuple(c) for c in state_bin(ctx.next_features(ev), cfg.q_bins).tolist()
         ]
         # One station at a time, in order: two stations may share a cell.
         for b in ctx.active_sites.tolist():
             tabular_q_update(
                 self.table, cell[b], int(ev.power_idx[b]), ev.network_ee, nxt[b],
-                self.hyper.discount, self.alpha,
+                cfg.discount, cfg.q_alpha,
             )
         return outcome
 

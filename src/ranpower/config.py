@@ -14,15 +14,19 @@ from pathlib import Path
 from typing import Any
 
 from .errors import ParseError, ValidationError
-from .radio import MIN_POWER_DBW
+from .radio import MIN_DROP_RADIUS_M, MIN_POWER_DBW
 
 AGENTS = ("dqn", "qlearning", "sleep")
 MOBILITY_MODES = ("static", "waypoint")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Every tunable of a run; see the README for the key reference."""
+    """Every tunable of a run; see the README for the key reference.
+
+    The scenario, the agents and the runner all read this one object, and
+    each of them takes it through :meth:`validate`, the one rule set.
+    """
 
     # Deployment
     rings: int = 2
@@ -81,7 +85,7 @@ class RunConfig:
                 )
         checks: list[tuple[str, bool]] = [
             ("rings", self.rings >= 0),
-            ("isd_m", self.isd_m > 0.0),
+            ("isd_m", self.isd_m > 2.0 * MIN_DROP_RADIUS_M),
             ("bs_height_m", self.bs_height_m >= 0.0),
             ("user_height_m", self.user_height_m >= 0.0),
             ("per_sector_users", self.per_sector_users >= 1),

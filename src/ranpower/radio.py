@@ -25,10 +25,14 @@ MIN_POWER_DBW = 1.0
 # below one metre are rejected rather than extrapolated.
 MIN_DISTANCE_M = 1.0
 
+# Users are dropped no closer to their own site than this, so a deployment
+# needs more than twice this inter-site distance to leave them any room.
+MIN_DROP_RADIUS_M = 10.0
+
 
 @dataclass(frozen=True)
 class Position:
-    """A point on the ground plane, in metres; heights are in ``RadioParams``."""
+    """A point on the ground plane, in metres; heights are in ``RunConfig``."""
 
     x: float
     y: float

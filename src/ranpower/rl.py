@@ -9,7 +9,9 @@ minimises the quadratic regression loss
     L = 1 / (2 m) * sum_k (Q(s_k, a_k) - y_k)^2
 
 with plain gradient descent, where the targets ``y_k`` come from a separate
-target network that is synchronised every few training rounds.
+target network that is synchronised every few training rounds.  These
+primitives take their constants (sizes, discount, learning rate) as plain
+arguments; the agents read them from the run's ``RunConfig``.
 """
 
 from __future__ import annotations
@@ -42,28 +44,6 @@ class Minibatch:
 
     def __len__(self) -> int:
         return len(self.a)
-
-
-@dataclass(frozen=True)
-class Hyperparams:
-    """Learning constants shared by the deep and tabular agents."""
-
-    discount: float = 0.9
-    epsilon: float = 0.1
-    learning_rate: float = 1e-3
-    minibatch_size: int = 1000
-    train_interval: int = 500
-    sync_interval: int = 10
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.discount <= 1.0:
-            raise InvalidConfig(f"discount {self.discount} must lie in (0, 1]")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise InvalidConfig(f"epsilon {self.epsilon} must lie in [0, 1]")
-        if self.learning_rate <= 0.0:
-            raise InvalidConfig("learning rate must be positive")
-        if self.minibatch_size < 1 or self.train_interval < 1 or self.sync_interval < 1:
-            raise InvalidConfig("minibatch, train and sync intervals must be >= 1")
 
 
 class ReplayMemory:

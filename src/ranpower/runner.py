@@ -1,5 +1,9 @@
 """Run orchestration: wiring config to objects, the episode loop, and files.
 
+:func:`run` validates its :class:`RunConfig` before it touches the disk, and
+hands that one object to the scenario and the agent, which read what they
+need from it.
+
 Determinism contract: all randomness flows from numpy's counter-based
 Philox generator, seeded once per run and split into named sub-streams
 (model initialisation, user drop, traffic, exploration, replay sampling,
@@ -25,19 +29,10 @@ import numpy as np
 from .agents import DqnAgent, EpisodeOutcome, QLearningAgent, SleepAgent, exhaustive_oracle
 from .config import RunConfig
 from .metrics import CSV_COLUMNS, MetricsAccumulator, MetricsRow
-from .rl import Hyperparams, save_weights
-from .scenario import (
-    ArrivalConfig,
-    RadioParams,
-    Scenario,
-    Topology,
-    build_topology,
-    drop_users,
-)
+from .rl import save_weights
+from .scenario import Scenario, build_topology, drop_users
 
 STREAM_NAMES = ("model", "topology", "traffic", "exploration", "replay", "mobility")
-
-SLOT_S = 1e-3
 COMPARE_KEYS = ("ee_overall_mbps_per_dbw", "throughput_overall_bps", "power_overall_dbw",
                 "success_ratio_overall", "iterations_overall")
 
@@ -51,79 +46,16 @@ def make_streams(seed: int) -> dict[str, np.random.Generator]:
     }
 
 
-def make_topology(cfg: RunConfig) -> Topology:
-    return build_topology(
-        rings=cfg.rings,
-        isd_m=cfg.isd_m,
-        p_max_dbw=cfg.p_max_dbw,
-        delta_p_max_db=cfg.delta_p_max_db,
-        n_levels=cfg.n_power_levels,
-        backlobe_atten_db=cfg.backlobe_atten_db,
-    )
-
-
-def make_radio(cfg: RunConfig) -> RadioParams:
-    return RadioParams(
-        fc_hz=cfg.fc_hz,
-        tx_gain_dbi=cfg.tx_gain_dbi,
-        rx_gain_dbi=cfg.rx_gain_dbi,
-        path_loss_exponent=cfg.path_loss_exponent,
-        bandwidth_hz=cfg.bandwidth_hz,
-        noise_dbw=cfg.noise_dbw,
-        bs_height_m=cfg.bs_height_m,
-        user_height_m=cfg.user_height_m,
-    )
-
-
 def make_scenario(cfg: RunConfig, streams: dict[str, np.random.Generator]) -> Scenario:
-    topo = make_topology(cfg)
-    radio = make_radio(cfg)
-    users = drop_users(topo, cfg.per_sector_users, streams["topology"])
-    speed = cfg.user_speed_mps if cfg.mobility == "waypoint" else 0.0
-    return Scenario(
-        topo,
-        radio,
-        users,
-        ArrivalConfig(
-            p0=cfg.traffic_p0,
-            period_steps=cfg.traffic_period,
-            volume_lo_bits=cfg.volume_lo_bits,
-            volume_hi_bits=cfg.volume_hi_bits,
-        ),
-        slot_s=SLOT_S,
-        user_speed_mps=speed,
-    )
+    topo = build_topology(cfg)
+    return Scenario(topo, cfg, drop_users(topo, cfg, streams["topology"]))
 
 
 def make_agent(cfg: RunConfig, streams: dict[str, np.random.Generator]):
-    hyper = Hyperparams(
-        discount=cfg.discount,
-        epsilon=cfg.epsilon,
-        learning_rate=cfg.learning_rate,
-        minibatch_size=cfg.minibatch_size,
-        train_interval=cfg.train_interval,
-        sync_interval=cfg.sync_interval,
-    )
     if cfg.agent == "dqn":
-        return DqnAgent(
-            n_actions=cfg.n_power_levels,
-            hyper=hyper,
-            rng_init=streams["model"],
-            exploration=streams["exploration"],
-            replay=streams["replay"],
-            hidden_sizes=(cfg.hidden_units,) * cfg.hidden_layers,
-            replay_capacity=cfg.replay_capacity,
-            n_iterations=cfg.search_iters,
-        )
+        return DqnAgent(cfg, streams["model"], streams["exploration"], streams["replay"])
     if cfg.agent == "qlearning":
-        return QLearningAgent(
-            n_actions=cfg.n_power_levels,
-            hyper=hyper,
-            exploration=streams["exploration"],
-            n_bins=cfg.q_bins,
-            alpha=cfg.q_alpha,
-            n_iterations=cfg.search_iters,
-        )
+        return QLearningAgent(cfg, streams["exploration"])
     return SleepAgent()
 
 
@@ -186,16 +118,19 @@ def run(
 ) -> RunResult:
     """Execute one configured run and write ``metrics.csv`` + ``summary.json``.
 
-    ``episode_hook`` receives ``(t, step_context, outcome)`` after each step;
+    ``cfg`` is validated first, so a bad config raises ``ValidationError``
+    before anything is written; the summary's config records the output
+    directory actually used.  ``episode_hook`` receives ``(t, step_context, outcome)`` after each step;
     the acceptance suite uses it to compare accepted actions against the
     exhaustive oracle on the very contexts the agent saw.
     """
     started = time.perf_counter()
+    out = Path(cfg.out_dir if out_dir is None else out_dir)
+    cfg = replace(cfg, out_dir=str(out)).validate()
     streams = make_streams(cfg.seed)
     scn = make_scenario(cfg, streams)
     agent = make_agent(cfg, streams)
 
-    out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "metrics.csv"
 
@@ -205,7 +140,7 @@ def run(
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for t in range(cfg.episodes):
             scn.spawn_arrivals(streams["traffic"])
-            ctx = scn.build_step(volume_scale_bits=cfg.volume_hi_bits)
+            ctx = scn.build_step()
             outcome = agent.run_episode(ctx, t, t == cfg.episodes - 1)
             scn.apply(ctx, outcome.ev, streams["mobility"])
             row = outcome_to_row(t, ctx.phi, outcome)
@@ -242,6 +177,7 @@ def run_compare(
     cfg: RunConfig, out_dir: str | Path | None = None, quiet: bool = True
 ) -> list[dict]:
     """Run every agent on the same seed and write a joined comparison table."""
+    cfg = cfg.validate()
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     table: list[dict] = []
@@ -308,6 +244,7 @@ def run_oracle_check(
     or many power levels are rejected.  Writes ``oracle.csv`` with the
     per-step efficiency ratio and returns summary statistics.
     """
+    cfg = cfg.validate()
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ratios: list[tuple[int, float, float, float]] = []

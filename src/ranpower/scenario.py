@@ -1,5 +1,8 @@
 """Deployment geometry, traffic arrivals, and per-step network state.
 
+Every function and class here reads the run's :class:`RunConfig` directly
+for its radio, traffic and deployment constants; only the site geometry and
+the power set live in a :class:`Topology`, so a test can build one by hand.
 A :class:`Scenario` owns the mutable simulation state (pending volumes,
 current power levels, user positions).  Each time step it freezes the
 physics into a :class:`StepContext`: which users are scheduled, the gain of
@@ -20,9 +23,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import DistanceTooSmall, InvalidConfig
 from .radio import (
     MIN_DISTANCE_M,
+    MIN_DROP_RADIUS_M,
     MIN_POWER_DBW,
     SPEED_OF_LIGHT_M_S,
     Position,
@@ -30,7 +35,7 @@ from .radio import (
 )
 
 SECTOR_WIDTH_DEG = 120.0
-MIN_DROP_RADIUS_M = 10.0
+SLOT_S = 1e-3  # length of one simulated slot, in seconds
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,15 +43,11 @@ class Topology:
     """Static cell grid: site positions, sectorisation and the power set."""
 
     site_positions: tuple[Position, ...]
-    isd_m: float
     power_levels_dbw: np.ndarray
     boresights_deg: tuple[float, ...] = (0.0, 120.0, 240.0)
-    backlobe_atten_db: float = 25.0
     site_xy: np.ndarray = field(init=False, repr=False)  # (B, 2) planar positions
 
     def __post_init__(self) -> None:
-        if self.isd_m <= 0.0:
-            raise InvalidConfig(f"inter-site distance {self.isd_m} must be positive")
         if not self.boresights_deg:
             raise InvalidConfig("at least one sector boresight is required")
         if not all(0.0 <= b < 360.0 for b in self.boresights_deg):
@@ -82,32 +83,6 @@ class Topology:
         return float(self.power_levels_dbw[-1])
 
 
-@dataclass(frozen=True)
-class RadioParams:
-    """Antenna, spectrum and noise constants shared by every link."""
-
-    fc_hz: float = 2.6e9
-    tx_gain_dbi: float = 17.0
-    rx_gain_dbi: float = 0.0
-    path_loss_exponent: float = 1.0
-    bandwidth_hz: float = 1e7
-    noise_dbw: float = -125.0
-    bs_height_m: float = 25.0
-    user_height_m: float = 1.5
-
-    @property
-    def tx_gain_lin(self) -> float:
-        return 10.0 ** (self.tx_gain_dbi / 10.0)
-
-    @property
-    def rx_gain_lin(self) -> float:
-        return 10.0 ** (self.rx_gain_dbi / 10.0)
-
-    @property
-    def noise_w(self) -> float:
-        return dbw_to_watts(self.noise_dbw)
-
-
 def power_level_set(p_max_dbw: float, delta_p_max_db: float, n_levels: int) -> np.ndarray:
     """Evenly spaced dBW levels on [p_max - delta_p_max, p_max], ascending."""
     if n_levels < 2:
@@ -140,44 +115,27 @@ def hex_site_positions(rings: int, isd_m: float) -> tuple[Position, ...]:
     return tuple(Position(x, y) for _, _, x, y in sites)
 
 
-def build_topology(
-    rings: int,
-    isd_m: float,
-    p_max_dbw: float,
-    delta_p_max_db: float,
-    n_levels: int,
-    backlobe_atten_db: float = 25.0,
-) -> Topology:
-    """Standard hex deployment with three sectors per site and a shared power set."""
+def build_topology(cfg: RunConfig) -> Topology:
+    """Standard hex deployment with three sectors per site and the configured power set."""
     return Topology(
-        site_positions=hex_site_positions(rings, isd_m),
-        isd_m=isd_m,
-        power_levels_dbw=power_level_set(p_max_dbw, delta_p_max_db, n_levels),
-        backlobe_atten_db=backlobe_atten_db,
+        site_positions=hex_site_positions(cfg.rings, cfg.isd_m),
+        power_levels_dbw=power_level_set(cfg.p_max_dbw, cfg.delta_p_max_db, cfg.n_power_levels),
     )
 
 
-def drop_users(
-    topo: Topology,
-    per_sector: int,
-    rng: np.random.Generator,
-) -> list[Position]:
-    """Drop ``per_sector`` users uniformly in each sector's annular wedge.
+def drop_users(topo: Topology, cfg: RunConfig, rng: np.random.Generator) -> list[Position]:
+    """Drop ``per_sector_users`` users uniformly in each sector's annular wedge.
 
     Radii span [10 m, isd/2] with uniform density in area; azimuths stay
     inside the sector's 120-degree arc around its boresight.
     """
-    if per_sector < 1:
-        raise InvalidConfig(f"per-sector user count {per_sector} must be positive")
     r_lo = MIN_DROP_RADIUS_M
-    r_hi = topo.isd_m / 2.0
-    if r_hi <= r_lo:
-        raise InvalidConfig(f"isd {topo.isd_m} m leaves no room for the user annulus")
+    r_hi = cfg.isd_m / 2.0
     users: list[Position] = []
     half = SECTOR_WIDTH_DEG / 2.0
     for site in topo.site_positions:
         for boresight in topo.boresights_deg:
-            for _ in range(per_sector):
+            for _ in range(cfg.per_sector_users):
                 radius = math.sqrt(rng.uniform(r_lo**2, r_hi**2))
                 azim = math.radians(boresight + rng.uniform(-half, half))
                 users.append(
@@ -190,10 +148,7 @@ def drop_users(
 
 
 def sector_gain_matrix(
-    topo: Topology,
-    radio: RadioParams,
-    user_xy: np.ndarray,
-    clamp: bool = False,
+    topo: Topology, cfg: RunConfig, user_xy: np.ndarray, *, clamp: bool = False
 ) -> np.ndarray:
     """Channel gain from every (site, sector) to every user, shape (B, S, U).
 
@@ -210,7 +165,7 @@ def sector_gain_matrix(
     dy = user_xy[:, 1] - topo.site_xy[:, 1, None]
     dist = np.hypot(dx, dy)
     np.square(dist, out=dist)
-    dist += (radio.user_height_m - radio.bs_height_m) ** 2
+    dist += (cfg.user_height_m - cfg.bs_height_m) ** 2
     np.sqrt(dist, out=dist)
     if clamp:
         np.maximum(dist, MIN_DISTANCE_M, out=dist)
@@ -224,51 +179,34 @@ def sector_gain_matrix(
     offset -= np.where(offset >= 360.0, 360.0, 0.0)  # first: -1e-14 folds to 360.0, as in %
     offset += np.where(offset < 0.0, 360.0, 0.0)
     in_arc = offset < SECTOR_WIDTH_DEG
-    tx = radio.tx_gain_lin
-    gains = np.where(in_arc, tx, tx * 10.0 ** (-topo.backlobe_atten_db / 10.0))
-    dist *= 4.0 * math.pi * radio.fc_hz
+    tx = 10.0 ** (cfg.tx_gain_dbi / 10.0)
+    gains = np.where(in_arc, tx, tx * 10.0 ** (-cfg.backlobe_atten_db / 10.0))
+    dist *= 4.0 * math.pi * cfg.fc_hz
     path = np.divide(SPEED_OF_LIGHT_M_S, dist, out=dist)
-    path **= radio.path_loss_exponent
+    path **= cfg.path_loss_exponent
     gains *= path[:, None, :]
-    gains *= radio.rx_gain_lin
+    gains *= 10.0 ** (cfg.rx_gain_dbi / 10.0)
     return gains
 
 
-@dataclass(frozen=True)
-class ArrivalConfig:
-    """Bernoulli request arrivals with a slow sinusoidal load modulation."""
-
-    p0: float = 0.3
-    period_steps: int = 500
-    volume_lo_bits: float = 2e4
-    volume_hi_bits: float = 2e5
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p0 <= 1.0:
-            raise InvalidConfig(f"arrival probability {self.p0} must lie in [0, 1]")
-        if self.period_steps < 0:
-            raise InvalidConfig("modulation period must be non-negative")
-        if self.volume_lo_bits <= 0.0 or self.volume_hi_bits < self.volume_lo_bits:
-            raise InvalidConfig("traffic volume range is empty or non-positive")
-
-    def probability(self, t: int) -> float:
-        if self.period_steps == 0:
-            return self.p0
-        p = self.p0 * (1.0 + 0.5 * math.sin(2.0 * math.pi * t / self.period_steps))
-        return min(max(p, 0.0), 1.0)
+def arrival_probability(cfg: RunConfig, t: int) -> float:
+    """Bernoulli arrival probability of an idle user in slot ``t``: ``traffic_p0``
+    with a slow sinusoidal load modulation over ``traffic_period`` slots (0 for
+    none), clamped to [0, 1]."""
+    if cfg.traffic_period == 0:
+        return cfg.traffic_p0
+    p = cfg.traffic_p0 * (1.0 + 0.5 * math.sin(2.0 * math.pi * t / cfg.traffic_period))
+    return min(max(p, 0.0), 1.0)
 
 
 def generate_traffic(
-    t: int,
-    idle_users: np.ndarray,
-    rng: np.random.Generator,
-    cfg: ArrivalConfig,
+    t: int, idle_users: np.ndarray, rng: np.random.Generator, cfg: RunConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """This step's new requests for the idle users: (users hit, volumes in bits).
     All hits are drawn before all volumes, so no volume depends on who was hit."""
     if idle_users.size == 0:
         return idle_users, np.zeros(0)
-    p = cfg.probability(t)
+    p = arrival_probability(cfg, t)
     hits = rng.random(idle_users.size) < p
     volumes = rng.uniform(cfg.volume_lo_bits, cfg.volume_hi_bits, idle_users.size)
     return idle_users[hits], volumes[hits]
@@ -433,28 +371,23 @@ class StepContext:
 
 
 class Scenario:
-    """Mutable simulation state plus the machinery to freeze each step."""
+    """Mutable simulation state plus the machinery to freeze each step.
+
+    Users move only under ``waypoint`` mobility, at ``user_speed_mps``.
+    """
 
     def __init__(
-        self,
-        topo: Topology,
-        radio: RadioParams,
-        user_positions: Sequence[Position],
-        arrival: ArrivalConfig,
-        slot_s: float = 1e-3,
-        user_speed_mps: float = 0.0,
+        self, topo: Topology, cfg: RunConfig, user_positions: Sequence[Position]
     ) -> None:
         self.topo = topo
-        self.radio = radio
-        self.arrival = arrival
-        self.slot_s = slot_s
-        self.user_speed_mps = user_speed_mps
+        self.cfg = cfg.validate()
+        self.user_speed_mps = cfg.user_speed_mps if cfg.mobility == "waypoint" else 0.0
         self.n_users = len(user_positions)
         if self.n_users == 0:
             raise InvalidConfig("a scenario needs at least one user")
         self.user_xy = np.array([[p.x, p.y] for p in user_positions])
         # Moving users' gains are computed per slot instead (see build_step).
-        self.gains = sector_gain_matrix(topo, radio, self.user_xy)
+        self.gains = sector_gain_matrix(topo, cfg, self.user_xy)
         # Each user attaches to the (site, sector) with the strongest full-power
         # RSRP; ties go to the lowest site id, then the lowest sector id.
         best = self.gains.reshape(-1, self.n_users).argmax(axis=0)
@@ -472,7 +405,7 @@ class Scenario:
 
     def spawn_arrivals(self, rng: np.random.Generator) -> int:
         """Draw new requests for idle users; returns how many arrived."""
-        users, volumes = generate_traffic(self.t, self.idle_users, rng, self.arrival)
+        users, volumes = generate_traffic(self.t, self.idle_users, rng, self.cfg)
         self.residual_bits[users] = volumes
         self.arrival_step[users] = self.t
         return users.size
@@ -507,7 +440,7 @@ class Scenario:
             table[:, mask] = table[:, mask ^ (1 << top)] + gains[:, top]
         return table.reshape(self.n_users, -1)
 
-    def build_step(self, volume_scale_bits: float) -> StepContext:
+    def build_step(self) -> StepContext:
         """Freeze the current step: scheduling, gains and reference rates."""
         sched_users = self._schedule()
         sched_site = self.serving_site[sched_users]
@@ -519,9 +452,7 @@ class Scenario:
         # site_to_user is column-major in both paths: the layout picks the BLAS kernel
         # of ``power_w @ site_to_user``, and a C-ordered one rounds the rates differently.
         if self.user_speed_mps > 0.0:
-            gains = sector_gain_matrix(
-                self.topo, self.radio, self.user_xy[sched_users], clamp=True
-            )
+            gains = sector_gain_matrix(self.topo, self.cfg, self.user_xy[sched_users], clamp=True)
             serving_gain = gains[sched_site, sched_sector, np.arange(sched_users.size)]
             sector_active = np.zeros((n_sites, self.topo.sectors_per_site))
             sector_active[sched_site, sched_sector] = 1.0
@@ -551,11 +482,11 @@ class Scenario:
             site_to_user_gain=site_to_user,
             residual_bits=self.residual_bits[sched_users],
             prior_power_w=self.power_levels_w[self.current_power_idx],
-            noise_w=self.radio.noise_w,
-            bandwidth_hz=self.radio.bandwidth_hz,
-            slot_s=self.slot_s,
-            volume_scale_bits=volume_scale_bits,
-            rsrp_floor_dbw=self.radio.noise_dbw,
+            noise_w=dbw_to_watts(self.cfg.noise_dbw),
+            bandwidth_hz=self.cfg.bandwidth_hz,
+            slot_s=SLOT_S,
+            volume_scale_bits=self.cfg.volume_hi_bits,
+            rsrp_floor_dbw=self.cfg.noise_dbw,
         )
 
     def apply(self, ctx: StepContext, ev: StepEval, rng: np.random.Generator | None = None) -> None:
@@ -572,7 +503,7 @@ class Scenario:
         """Random-waypoint drift: walk toward a waypoint, redraw on arrival."""
         if self._waypoints is None:
             self._waypoints = self._draw_waypoints(rng, np.arange(self.n_users))
-        step = self.user_speed_mps * self.slot_s
+        step = self.user_speed_mps * SLOT_S
         delta = self._waypoints - self.user_xy
         dist = np.hypot(delta[:, 0], delta[:, 1])
         arrived = dist <= step
@@ -587,7 +518,7 @@ class Scenario:
     def _draw_waypoints(self, rng: np.random.Generator, users: np.ndarray) -> np.ndarray:
         anchors = self.topo.site_xy[self.serving_site[users]]
         radius = np.sqrt(
-            rng.uniform(MIN_DROP_RADIUS_M**2, (self.topo.isd_m / 2.0) ** 2, users.size)
+            rng.uniform(MIN_DROP_RADIUS_M**2, (self.cfg.isd_m / 2.0) ** 2, users.size)
         )
         theta = rng.uniform(0.0, 2.0 * math.pi, users.size)
         return anchors + np.stack(

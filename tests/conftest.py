@@ -1,4 +1,4 @@
-"""Shared fixtures: small topologies, radio parameters, and run configs."""
+"""Shared fixtures: small topologies, scenarios around them, and run configs."""
 
 from pathlib import Path
 
@@ -7,26 +7,14 @@ import pytest
 
 from ranpower.config import RunConfig
 from ranpower.radio import Position
-from ranpower.scenario import (
-    ArrivalConfig,
-    RadioParams,
-    Scenario,
-    Topology,
-    build_topology,
-    power_level_set,
-)
+from ranpower.scenario import Scenario, Topology, build_topology, drop_users, power_level_set
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_three_site.json"
 
 
 @pytest.fixture
-def radio_params():
-    return RadioParams()
-
-
-@pytest.fixture
 def single_site():
-    return build_topology(rings=0, isd_m=500.0, p_max_dbw=15.2, delta_p_max_db=2.0, n_levels=5)
+    return build_topology(RunConfig(rings=0))
 
 
 @pytest.fixture
@@ -36,50 +24,42 @@ def three_site():
     Small enough for exhaustive enumeration, asymmetric enough that the
     stations interfere with each other at different strengths.
     """
-    base = build_topology(rings=0, isd_m=500.0, p_max_dbw=15.2, delta_p_max_db=2.0, n_levels=4)
-    positions = base.site_positions + (
-        Position(500.0, 0.0),
-        Position(250.0, 433.0),
-    )
     return Topology(
-        site_positions=positions,
-        isd_m=base.isd_m,
-        power_levels_dbw=base.power_levels_dbw,
-        boresights_deg=base.boresights_deg,
-        backlobe_atten_db=base.backlobe_atten_db,
+        site_positions=(Position(0.0, 0.0), Position(500.0, 0.0), Position(250.0, 433.0)),
+        power_levels_dbw=power_level_set(15.2, 2.0, 4),
     )
 
 
-def make_scenario(topo, radio, seed=0, arrival=None, per_sector=1):
-    """Drop one user per sector and wire up a scenario around ``topo``."""
-    from ranpower.scenario import drop_users
+def topo_config(topo, **overrides):
+    """The default config with ``topo``'s number of power levels."""
+    return RunConfig(n_power_levels=topo.n_levels, **overrides)
 
-    rng = np.random.default_rng(seed)
-    users = drop_users(topo, per_sector, rng)
-    return Scenario(
-        topo,
-        radio,
-        users,
-        arrival or ArrivalConfig(),
-    )
+
+def make_scenario(topo, seed=0, **overrides):
+    """Drop ``per_sector_users`` users per sector (one unless overridden) and
+    wire up a scenario around ``topo``; ``overrides`` are config keys."""
+    cfg = topo_config(topo, **overrides)
+    return Scenario(topo, cfg, drop_users(topo, cfg, np.random.default_rng(seed)))
 
 
 @pytest.fixture
-def three_site_scenario(three_site, radio_params):
-    return make_scenario(three_site, radio_params, seed=11)
+def three_site_scenario(three_site):
+    return make_scenario(three_site, seed=11)
 
 
 def build_golden_scenario(inputs):
     """Rebuild the frozen three-station fixture from its recorded inputs."""
     topo = Topology(
         site_positions=tuple(Position(x, y) for x, y in inputs["sites_xy"]),
-        isd_m=500.0,
         power_levels_dbw=power_level_set(
             inputs["p_max_dbw"], inputs["delta_p_max_db"], inputs["n_levels"]
         ),
-        backlobe_atten_db=inputs["backlobe_atten_db"],
     )
-    radio = RadioParams(
+    cfg = RunConfig(
+        p_max_dbw=inputs["p_max_dbw"],
+        delta_p_max_db=inputs["delta_p_max_db"],
+        n_power_levels=inputs["n_levels"],
+        backlobe_atten_db=inputs["backlobe_atten_db"],
         fc_hz=inputs["fc_hz"],
         tx_gain_dbi=inputs["tx_gain_dbi"],
         rx_gain_dbi=inputs["rx_gain_dbi"],
@@ -89,7 +69,7 @@ def build_golden_scenario(inputs):
         user_height_m=inputs["user_height_m"],
     )
     users = [Position(x, y) for x, y in inputs["users_xy"]]
-    scn = Scenario(topo, radio, users, ArrivalConfig())
+    scn = Scenario(topo, cfg, users)
     scn.residual_bits[:] = 1e6
     scn.arrival_step[:] = 0
     return scn

@@ -29,20 +29,12 @@ from ranpower.metrics import (
 )
 from ranpower.radio import Position, dbw_to_watts, watts_to_dbw
 from ranpower.rl import (
-    Hyperparams,
     QNetwork,
     empirical_policy_prob,
     minibatch_targets,
 )
 from ranpower.runner import make_streams, run
-from ranpower.scenario import (
-    ArrivalConfig,
-    RadioParams,
-    Scenario,
-    StepEval,
-    Topology,
-    build_topology,
-)
+from ranpower.scenario import Scenario, StepEval, Topology, power_level_set
 
 from conftest import GOLDEN_PATH, build_golden_scenario
 from test_rl import extract_gradients, numeric_gradient, random_batch
@@ -56,25 +48,22 @@ def report(num, name, ok, detail=""):
     assert ok, line
 
 
+# The defaults with the 3-station fixture's four power levels.
+THREE_STATION_CFG = RunConfig(n_power_levels=4)
+
+
 def three_station_scenario():
     """Three stations, one pinned static user each."""
-    base = build_topology(
-        rings=0, isd_m=500.0, p_max_dbw=15.2, delta_p_max_db=2.0, n_levels=4
-    )
     topo = Topology(
-        site_positions=base.site_positions
-        + (Position(500.0, 0.0), Position(250.0, 433.0)),
-        isd_m=base.isd_m,
-        power_levels_dbw=base.power_levels_dbw,
-        boresights_deg=base.boresights_deg,
-        backlobe_atten_db=base.backlobe_atten_db,
+        site_positions=(Position(0.0, 0.0), Position(500.0, 0.0), Position(250.0, 433.0)),
+        power_levels_dbw=power_level_set(15.2, 2.0, 4),
     )
     users = [
         Position(80.0, 30.0),
         Position(560.0, 40.0),
         Position(180.0, 460.0),
     ]
-    return Scenario(topo, RadioParams(), users, ArrivalConfig())
+    return Scenario(topo, THREE_STATION_CFG, users)
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +73,7 @@ def small_dqn_run():
     scn = three_station_scenario()
     streams = make_streams(0)
     agent = DqnAgent(
-        n_actions=4, hyper=Hyperparams(), rng_init=streams["model"],
-        exploration=streams["exploration"], replay=streams["replay"], n_iterations=100,
+        THREE_STATION_CFG, streams["model"], streams["exploration"], streams["replay"]
     )
     episodes = 2000
     ratios = []
@@ -93,7 +81,7 @@ def small_dqn_run():
     push_violations = 0
     for t in range(episodes):
         scn.spawn_arrivals(streams["traffic"])
-        ctx = scn.build_step(volume_scale_bits=2e5)
+        ctx = scn.build_step()
         before = len(agent.memory)
         out = agent.run_episode(ctx, t, t == episodes - 1)
         growth = len(agent.memory) - before
@@ -348,7 +336,7 @@ def test_criterion_10_single_episode_physics():
     with open(GOLDEN_PATH) as fh:
         golden = json.load(fh)
     scn = build_golden_scenario(golden["inputs"])
-    ctx = scn.build_step(volume_scale_bits=2e5)
+    ctx = scn.build_step()
     want = golden["chosen"]
     ev = ctx.evaluate(np.asarray(golden["inputs"]["chosen_power_idx"]))
     rel = 1e-9

@@ -15,20 +15,21 @@ from ranpower.agents import (
     _search,
     exhaustive_oracle,
 )
-from ranpower.errors import InvalidConfig, InvariantViolation, SearchSpaceTooLarge
-from ranpower.rl import Hyperparams, state_bin, tabular_q_update
+from ranpower.config import RunConfig
+from ranpower.errors import InvariantViolation, SearchSpaceTooLarge, ValidationError
+from ranpower.rl import state_bin, tabular_q_update
 from ranpower.scenario import StepEval
 
 from conftest import make_scenario
 
 
 @pytest.fixture
-def loaded_ctx(three_site, radio_params):
+def loaded_ctx(three_site):
     """Three active stations, every user holding 1e5 pending bits."""
-    scn = make_scenario(three_site, radio_params, seed=11)
+    scn = make_scenario(three_site, seed=11)
     scn.residual_bits[:] = 1e5
     scn.arrival_step[:] = 0
-    return scn.build_step(volume_scale_bits=2e5)
+    return scn.build_step()
 
 
 class InfeasibleCtx:
@@ -199,21 +200,22 @@ def test_check_accepted_raises_on_negative_delta_sum(loaded_ctx):
         _check_accepted(ev)
 
 
-def greedy_hyper(**kw):
-    return Hyperparams(epsilon=0.0, **kw)
+def greedy_cfg(n_actions, **kw):
+    """A config with ``n_actions`` power levels that never explores."""
+    return RunConfig(n_power_levels=n_actions, epsilon=0.0, **kw)
 
 
-def make_dqn(n_actions, hyper):
+def make_dqn(cfg):
     """Model, exploration and replay generators seeded 0, 1 and 2."""
-    return DqnAgent(n_actions, hyper, *(np.random.default_rng(s) for s in range(3)))
+    return DqnAgent(cfg, *(np.random.default_rng(s) for s in range(3)))
 
 
-def make_ql(n_actions, hyper):
-    return QLearningAgent(n_actions, hyper, np.random.default_rng(1))
+def make_ql(cfg):
+    return QLearningAgent(cfg, np.random.default_rng(1))
 
 
 def test_dqn_fresh_network_picks_lowest_level_everywhere(loaded_ctx):
-    agent = make_dqn(loaded_ctx.n_levels, greedy_hyper())
+    agent = make_dqn(greedy_cfg(loaded_ctx.n_levels))
     out = agent.run_episode(loaded_ctx, 1, False)
     assert out.feasible
     assert np.array_equal(out.ev.power_idx, np.zeros(3, dtype=int))
@@ -221,7 +223,7 @@ def test_dqn_fresh_network_picks_lowest_level_everywhere(loaded_ctx):
 
 
 def test_dqn_pushes_one_transition_per_active_station(loaded_ctx):
-    agent = make_dqn(loaded_ctx.n_levels, greedy_hyper())
+    agent = make_dqn(greedy_cfg(loaded_ctx.n_levels))
     out = agent.run_episode(loaded_ctx, 1, False)
     n = loaded_ctx.active_sites.size
     mem = agent.memory
@@ -236,7 +238,7 @@ def test_dqn_pushes_one_transition_per_active_station(loaded_ctx):
 
 
 def test_dqn_terminal_step_stores_no_next_state(loaded_ctx):
-    agent = make_dqn(loaded_ctx.n_levels, greedy_hyper())
+    agent = make_dqn(greedy_cfg(loaded_ctx.n_levels))
     agent.run_episode(loaded_ctx, 1, True)
     assert len(agent.memory) == loaded_ctx.active_sites.size
     assert not agent.memory.live[: len(agent.memory)].any()
@@ -244,7 +246,7 @@ def test_dqn_terminal_step_stores_no_next_state(loaded_ctx):
 
 def test_dqn_fallback_keeps_full_power_and_pushes_nothing():
     ctx = InfeasibleCtx()
-    agent = make_dqn(ctx.n_levels, greedy_hyper())
+    agent = make_dqn(greedy_cfg(ctx.n_levels))
     out = agent.run_episode(ctx, 1, False)
     assert not out.feasible
     assert out.accepted_iteration is None
@@ -252,11 +254,10 @@ def test_dqn_fallback_keeps_full_power_and_pushes_nothing():
     assert len(agent.memory) == 0
 
 
-def test_dqn_all_idle_step_is_inert(three_site, radio_params):
-    scn = make_scenario(three_site, radio_params, seed=11)
-    ctx = scn.build_step(volume_scale_bits=2e5)
+def test_dqn_all_idle_step_is_inert(three_site):
+    ctx = make_scenario(three_site, seed=11).build_step()
     assert not ctx.any_active
-    agent = make_dqn(ctx.n_levels, greedy_hyper())
+    agent = make_dqn(greedy_cfg(ctx.n_levels))
     out = agent.run_episode(ctx, 1, False)
     assert out.all_sleep
     assert out.ev.network_ee == 0.0
@@ -265,8 +266,9 @@ def test_dqn_all_idle_step_is_inert(three_site, radio_params):
 
 
 def test_dqn_trains_on_interval_once_replay_is_deep_enough(loaded_ctx):
-    hyper = greedy_hyper(minibatch_size=4, train_interval=2, sync_interval=1)
-    agent = make_dqn(loaded_ctx.n_levels, hyper)
+    agent = make_dqn(
+        greedy_cfg(loaded_ctx.n_levels, minibatch_size=4, train_interval=2, sync_interval=1)
+    )
 
     agent.run_episode(loaded_ctx, 2, False)
     assert agent.training_rounds == 0, "replay must hold more than one minibatch"
@@ -281,10 +283,10 @@ def test_dqn_trains_on_interval_once_replay_is_deep_enough(loaded_ctx):
 
 
 def test_dqn_target_lags_until_sync_round(loaded_ctx):
-    hyper = Hyperparams(
-        epsilon=0.2, minibatch_size=2, train_interval=1, sync_interval=10
-    )
-    agent = make_dqn(loaded_ctx.n_levels, hyper)
+    agent = make_dqn(RunConfig(
+        n_power_levels=loaded_ctx.n_levels, epsilon=0.2, minibatch_size=2, train_interval=1,
+        sync_interval=10,
+    ))
     before = [w.copy() for w in agent.target.weights]
     for t in range(1, 4):
         agent.run_episode(loaded_ctx, t, False)
@@ -294,7 +296,7 @@ def test_dqn_target_lags_until_sync_round(loaded_ctx):
 
 
 def test_ql_fresh_table_picks_lowest_level_everywhere(loaded_ctx):
-    agent = make_ql(loaded_ctx.n_levels, greedy_hyper())
+    agent = make_ql(greedy_cfg(loaded_ctx.n_levels))
     out = agent.run_episode(loaded_ctx, 0, False)
     assert out.feasible
     assert np.array_equal(out.ev.power_idx, np.zeros(3, dtype=int))
@@ -304,7 +306,7 @@ def test_ql_fresh_table_picks_lowest_level_everywhere(loaded_ctx):
 def test_ql_update_matches_replayed_rule(loaded_ctx):
     """The agent must apply the one-step update per active station in station
     order, including the case where stations share a bin."""
-    agent = make_ql(loaded_ctx.n_levels, greedy_hyper())
+    agent = make_ql(greedy_cfg(loaded_ctx.n_levels))
     out = agent.run_episode(loaded_ctx, 0, False)
 
     expected = np.zeros_like(agent.table)
@@ -312,23 +314,23 @@ def test_ql_update_matches_replayed_rule(loaded_ctx):
     for b in loaded_ctx.active_sites:
         tabular_q_update(
             expected,
-            tuple(state_bin(loaded_ctx.features[b], agent.n_bins)),
+            tuple(state_bin(loaded_ctx.features[b], agent.cfg.q_bins)),
             int(out.ev.power_idx[b]),
             out.ev.network_ee,
-            tuple(state_bin(nxt[b], agent.n_bins)),
-            agent.hyper.discount,
-            agent.alpha,
+            tuple(state_bin(nxt[b], agent.cfg.q_bins)),
+            agent.cfg.discount,
+            agent.cfg.q_alpha,
         )
     assert np.array_equal(agent.table, expected)
     assert np.count_nonzero(agent.table) > 0
 
 
 def test_ql_terminal_update_drops_bootstrap(loaded_ctx):
-    agent = make_ql(loaded_ctx.n_levels, greedy_hyper())
+    agent = make_ql(greedy_cfg(loaded_ctx.n_levels))
     out = agent.run_episode(loaded_ctx, 0, True)
-    bins = tuple(state_bin(loaded_ctx.features[0], agent.n_bins))
+    bins = tuple(state_bin(loaded_ctx.features[0], agent.cfg.q_bins))
     # three stations share this bin, each folding in alpha * reward
-    a = agent.alpha
+    a = agent.cfg.q_alpha
     expected = 0.0
     for _ in range(3):
         expected += a * (out.ev.network_ee - expected)
@@ -337,7 +339,7 @@ def test_ql_terminal_update_drops_bootstrap(loaded_ctx):
 
 def test_ql_fallback_leaves_table_unchanged():
     ctx = InfeasibleCtx()
-    agent = make_ql(ctx.n_levels, greedy_hyper())
+    agent = make_ql(greedy_cfg(ctx.n_levels))
     out = agent.run_episode(ctx, 0, False)
     assert not out.feasible
     assert out.accepted_iteration is None
@@ -354,9 +356,8 @@ def test_sleep_agent_full_power_for_active_zero_iterations(loaded_ctx):
     assert out.ev.rate_delta_sum == 0.0
 
 
-def test_sleep_agent_all_idle(three_site, radio_params):
-    scn = make_scenario(three_site, radio_params, seed=11)
-    ctx = scn.build_step(volume_scale_bits=2e5)
+def test_sleep_agent_all_idle(three_site):
+    ctx = make_scenario(three_site, seed=11).build_step()
     out = SleepAgent().run_episode(ctx, 0, False)
     assert out.all_sleep
     assert out.ev.network_ee == 0.0
@@ -370,18 +371,18 @@ def test_sleep_agent_all_idle(three_site, radio_params):
     ("sleep_agent", 0, True),
 ])
 def test_feasible_means_an_accepted_iteration(
-    case, accepted, feasible, loaded_ctx, three_site, radio_params
+    case, accepted, feasible, loaded_ctx, three_site
 ):
     """The success flag is ``accepted_iteration is not None``; the sleep
     agent's 0 counts as accepted."""
     if case == "accepted":
-        out = make_dqn(loaded_ctx.n_levels, greedy_hyper()).run_episode(loaded_ctx, 1, False)
+        out = make_dqn(greedy_cfg(loaded_ctx.n_levels)).run_episode(loaded_ctx, 1, False)
     elif case == "fallback":
         ctx = InfeasibleCtx()
-        out = make_dqn(ctx.n_levels, greedy_hyper()).run_episode(ctx, 1, False)
+        out = make_dqn(greedy_cfg(ctx.n_levels)).run_episode(ctx, 1, False)
     elif case == "all_sleep":
-        idle = make_scenario(three_site, radio_params, seed=11).build_step(volume_scale_bits=2e5)
-        out = make_dqn(idle.n_levels, greedy_hyper()).run_episode(idle, 1, False)
+        idle = make_scenario(three_site, seed=11).build_step()
+        out = make_dqn(greedy_cfg(idle.n_levels)).run_episode(idle, 1, False)
         assert out.all_sleep
     else:
         out = SleepAgent().run_episode(loaded_ctx, 0, False)
@@ -393,10 +394,10 @@ def test_feasible_means_an_accepted_iteration(
 def test_agents_never_accept_negative_delta_sums(loaded_ctx):
     """Both learners, run with heavy exploration, only ever accept feasible
     assignments even though infeasible ones are drawn along the way."""
-    hyper = Hyperparams(epsilon=0.5)
+    cfg = RunConfig(n_power_levels=loaded_ctx.n_levels, epsilon=0.5)
     explore, replay = np.random.default_rng(1), np.random.default_rng(2)
-    dqn = DqnAgent(loaded_ctx.n_levels, hyper, np.random.default_rng(0), explore, replay)
-    ql = QLearningAgent(loaded_ctx.n_levels, hyper, explore)
+    dqn = DqnAgent(cfg, np.random.default_rng(0), explore, replay)
+    ql = QLearningAgent(cfg, explore)
     ctx = CountingCtx(loaded_ctx)
     for t in range(30):
         for agent in (dqn, ql):
@@ -408,15 +409,17 @@ def test_agents_never_accept_negative_delta_sums(loaded_ctx):
 
 
 def test_agent_constructor_validation():
+    """The values the agents' own checks rejected before they read the run
+    config: the config's validation rejects them as each agent is built."""
     rng = np.random.default_rng(0)
-    with pytest.raises(InvalidConfig):
-        DqnAgent(4, Hyperparams(), rng, rng, rng, n_iterations=0)
-    with pytest.raises(InvalidConfig):
-        QLearningAgent(4, Hyperparams(), rng, n_iterations=0)
-    with pytest.raises(InvalidConfig):
-        QLearningAgent(4, Hyperparams(), rng, n_bins=1)
-    with pytest.raises(InvalidConfig):
-        QLearningAgent(4, Hyperparams(), rng, alpha=1.5)
+    with pytest.raises(ValidationError, match="'search_iters'"):
+        DqnAgent(RunConfig(search_iters=0), rng, rng, rng)
+    with pytest.raises(ValidationError, match="'search_iters'"):
+        QLearningAgent(RunConfig(search_iters=0), rng)
+    with pytest.raises(ValidationError, match="'q_bins'"):
+        QLearningAgent(RunConfig(q_bins=1), rng)
+    with pytest.raises(ValidationError, match="'q_alpha'"):
+        QLearningAgent(RunConfig(q_alpha=1.5), rng)
 
 
 def test_exhaustive_oracle_matches_hand_enumeration(loaded_ctx, monkeypatch):
@@ -464,9 +467,8 @@ def test_exhaustive_oracle_respects_node_cap(loaded_ctx):
         exhaustive_oracle(loaded_ctx, max_nodes=63)
 
 
-def test_exhaustive_oracle_all_idle(three_site, radio_params):
-    scn = make_scenario(three_site, radio_params, seed=11)
-    ctx = scn.build_step(volume_scale_bits=2e5)
+def test_exhaustive_oracle_all_idle(three_site):
+    ctx = make_scenario(three_site, seed=11).build_step()
     idx, ee = exhaustive_oracle(ctx)
     assert np.array_equal(idx, np.full(3, ctx.n_levels - 1))
     assert ee == 0.0

@@ -79,20 +79,29 @@ def test_parse_rejects_wrong_type():
     [
         ("rings", -1),
         ("isd_m", 0.0),
+        ("isd_m", 20.0),  # no room between the 10 m drop floor and isd / 2
         ("per_sector_users", 0),
         ("mobility", "drunkard"),
         ("noise_dbw", 3.0),
         ("p_max_dbw", 0.5),
         ("n_power_levels", 1),
         ("traffic_p0", 1.5),
+        ("traffic_period", -1),
+        ("volume_lo_bits", 0.0),
         ("volume_hi_bits", 1e3),
         ("agent", "sarsa"),
         ("episodes", 0),
         ("search_iters", 0),
         ("discount", 0.0),
         ("epsilon", -0.1),
+        ("epsilon", 1.5),
+        ("learning_rate", 0.0),
+        ("minibatch_size", 0),
         ("minibatch_size", 5000),
+        ("train_interval", 0),
+        ("sync_interval", 0),
         ("q_bins", 1),
+        ("q_alpha", 1.5),
         ("q_alpha", 2.0),
     ],
 )

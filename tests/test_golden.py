@@ -31,7 +31,7 @@ def golden():
 @pytest.fixture(scope="module")
 def ctx(golden):
     scn = build_golden_scenario(golden["inputs"])
-    return scn.build_step(volume_scale_bits=2e5), scn
+    return scn.build_step(), scn
 
 
 def test_generator_reproduces_committed_file(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ranpower.config import RunConfig
 from ranpower.errors import DistanceTooSmall, NonPositivePower
 from ranpower.radio import channel_gain, dbw_to_watts, watts_to_dbw
 from ranpower.scenario import StepContext, StepEval, build_topology, sector_gain_matrix
@@ -55,20 +56,22 @@ def lowest_level(ctx):
     return ctx.evaluate(np.zeros(ctx.n_sites, dtype=int))
 
 
-def test_distance_matches_pythagoras(radio_params):
+# The default 17 dBi transmit and 0 dBi receive gains, linear.
+TX_GAIN, RX_GAIN = 10.0**1.7, 1.0
+
+
+def test_distance_matches_pythagoras():
     """A user 3 m east and 4 m north of a site 12 m above it is 13 m away."""
-    topo = build_topology(0, 500.0, 15.2, 2.0, 5)
-    radio = replace(radio_params, bs_height_m=13.5)
-    gains = sector_gain_matrix(topo, radio, np.array([[3.0, 4.0]]))
-    expected = channel_gain(radio.tx_gain_lin, radio.rx_gain_lin, radio.fc_hz, 13.0)
+    cfg = RunConfig(rings=0, bs_height_m=13.5)
+    gains = sector_gain_matrix(build_topology(cfg), cfg, np.array([[3.0, 4.0]]))
+    expected = channel_gain(TX_GAIN, RX_GAIN, cfg.fc_hz, 13.0)
     assert gains[0, 0, 0] == pytest.approx(expected, rel=1e-12)
 
 
-def test_distance_uses_height(radio_params):
-    topo = build_topology(0, 500.0, 15.2, 2.0, 5)
-    gains = sector_gain_matrix(topo, radio_params, np.array([[0.0, 0.0]]))
-    expected = channel_gain(radio_params.tx_gain_lin, radio_params.rx_gain_lin,
-                            radio_params.fc_hz, 23.5)
+def test_distance_uses_height():
+    cfg = RunConfig(rings=0)
+    gains = sector_gain_matrix(build_topology(cfg), cfg, np.array([[0.0, 0.0]]))
+    expected = channel_gain(TX_GAIN, RX_GAIN, cfg.fc_hz, 23.5)
     assert gains[0, 0, 0] == pytest.approx(expected, rel=1e-12)
 
 

@@ -18,10 +18,8 @@ from ranpower.errors import (
     ArchitectureMismatch,
     EmptyMemory,
     InsufficientSamples,
-    InvalidConfig,
 )
 from ranpower.rl import (
-    Hyperparams,
     Minibatch,
     QNetwork,
     ReplayMemory,
@@ -69,17 +67,6 @@ def concat(*batches):
     return Minibatch(*(np.concatenate(parts) for parts in zip(
         *((b.s, b.a, b.r, b.s_next, b.live) for b in batches)
     )))
-
-
-def test_hyperparams_validate():
-    with pytest.raises(InvalidConfig):
-        Hyperparams(discount=0.0)
-    with pytest.raises(InvalidConfig):
-        Hyperparams(epsilon=1.5)
-    with pytest.raises(InvalidConfig):
-        Hyperparams(learning_rate=0.0)
-    with pytest.raises(InvalidConfig):
-        Hyperparams(minibatch_size=0)
 
 
 def test_replay_memory_evicts_oldest():

@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from ranpower import runner
+from ranpower.agents import DqnAgent, QLearningAgent, SleepAgent
 from ranpower.cli import main
 from ranpower.config import RunConfig
+from ranpower.errors import ValidationError
 from ranpower.metrics import CSV_COLUMNS
+from ranpower.radio import Position
 from ranpower.runner import (
     STREAM_NAMES,
     make_streams,
@@ -20,6 +23,7 @@ from ranpower.runner import (
     run_oracle_check,
     run_sweep,
 )
+from ranpower.scenario import Scenario, build_topology
 
 
 def small_cfg(**kw):
@@ -44,14 +48,7 @@ def test_streams_differ_between_names_and_seeds():
 
 
 def test_outcome_to_row_all_sleep_masks_everything():
-    from ranpower.agents import SleepAgent
-    from conftest import make_scenario as scenario_for
-    from ranpower.scenario import RadioParams
-    from ranpower.runner import make_topology
-
-    topo = make_topology(small_cfg())
-    scn = scenario_for(topo, RadioParams(), seed=0)
-    ctx = scn.build_step(volume_scale_bits=2e5)
+    ctx = runner.make_scenario(small_cfg(), make_streams(0)).build_step()
     out = SleepAgent().run_episode(ctx, 0, False)
     row = outcome_to_row(5, ctx.phi, out)
     assert row.t == 5
@@ -75,6 +72,28 @@ def test_run_writes_csv_summary_and_weights(tmp_path):
         result.summary["ee_overall_mbps_per_dbw"]
     )
     assert summary["config"]["seed"] == cfg.seed
+    assert summary["config"]["out_dir"] == str(tmp_path / "out")
+    assert result.config.out_dir == str(tmp_path / "out")
+
+
+@pytest.mark.parametrize("key, value", [("agent", "bogus"), ("minibatch_size", 9000),
+                                        ("isd_m", 18.0)])
+@pytest.mark.parametrize("entry", ["Scenario", "DqnAgent", "QLearningAgent", "run"])
+def test_every_config_entry_rejects_an_invalid_config(tmp_path, entry, key, value):
+    """Each layer that takes the run config validates it as it is built, and
+    ``run`` does so before it creates its output directory."""
+    cfg = RunConfig(**{key: value})
+    rng = np.random.default_rng(0)
+    out = tmp_path / "out"
+    build = {
+        "Scenario": lambda: Scenario(build_topology(RunConfig()), cfg, [Position(100.0, 0.0)]),
+        "DqnAgent": lambda: DqnAgent(cfg, rng, rng, rng),
+        "QLearningAgent": lambda: QLearningAgent(cfg, rng),
+        "run": lambda: run(cfg, out),
+    }[entry]
+    with pytest.raises(ValidationError, match=f"'{key}'"):
+        build()
+    assert not out.exists()
 
 
 def test_run_without_learning_agent_writes_no_weights(tmp_path):
@@ -282,6 +301,7 @@ def test_cli_run_exit_zero_and_seed_override(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["seed"] == 9
     assert summary["agent"] == "sleep"
+    assert summary["config"]["out_dir"] == str(tmp_path / "out")
 
 
 def test_cli_config_errors_exit_one(tmp_path, capsys):
@@ -291,6 +311,9 @@ def test_cli_config_errors_exit_one(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "rings = 0\n")
     assert main(["sweep", "--config", cfg, "--vary", "nonsense=1,2"]) == 1
     assert main(["sweep", "--config", cfg]) == 1
+    cramped = write_cfg(tmp_path, "rings = 0\nisd_m = 18\n")  # no room to drop users
+    assert main(["run", "--config", cramped, "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
     err = capsys.readouterr().err
     assert "config error" in err
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ranpower.config import RunConfig
 from ranpower.errors import DistanceTooSmall, InvalidConfig
 from ranpower.radio import (
     MIN_DISTANCE_M,
@@ -19,11 +20,11 @@ from ranpower.radio import (
 )
 from ranpower.scenario import (
     SECTOR_WIDTH_DEG,
-    ArrivalConfig,
-    RadioParams,
+    SLOT_S,
     Scenario,
     StepEval,
     Topology,
+    arrival_probability,
     build_topology,
     drop_users,
     generate_traffic,
@@ -32,7 +33,11 @@ from ranpower.scenario import (
     sector_gain_matrix,
 )
 
-from conftest import make_scenario
+from conftest import make_scenario, topo_config
+
+DEFAULTS = RunConfig()
+TX_GAIN = 10.0 ** (DEFAULTS.tx_gain_dbi / 10.0)
+RX_GAIN = 10.0 ** (DEFAULTS.rx_gain_dbi / 10.0)
 
 
 def test_power_level_set_spot_values(level_set):
@@ -68,7 +73,7 @@ def test_hex_positions_are_distinct():
 
 
 def test_build_topology_sets_sectors():
-    topo = build_topology(1, 500.0, 15.2, 2.0, 5)
+    topo = build_topology(RunConfig(rings=1))
     assert topo.n_sites == 7
     assert topo.boresights_deg == (0.0, 120.0, 240.0)
     assert topo.sectors_per_site == 3
@@ -76,20 +81,18 @@ def test_build_topology_sets_sectors():
 
 def test_topology_validation():
     with pytest.raises(InvalidConfig):
-        Topology((Position(0, 0),), 0.0, np.array([13.2, 15.2]))
+        Topology((Position(0, 0),), np.array([15.2, 13.2]))
     with pytest.raises(InvalidConfig):
-        Topology((Position(0, 0),), 500.0, np.array([15.2, 13.2]))
+        Topology((Position(0, 0),), np.array([15.2]))
     with pytest.raises(InvalidConfig):
-        Topology((Position(0, 0),), 500.0, np.array([15.2]))
+        Topology((Position(0, 0),), np.array([0.5, 15.2]))
     with pytest.raises(InvalidConfig):
-        Topology((Position(0, 0),), 500.0, np.array([0.5, 15.2]))
-    with pytest.raises(InvalidConfig):
-        Topology((Position(0, 0),), 500.0, np.array([13.2, 15.2]), boresights_deg=())
+        Topology((Position(0, 0),), np.array([13.2, 15.2]), boresights_deg=())
 
 
 def test_drop_users_counts_and_annulus(single_site):
     rng = np.random.default_rng(4)
-    users = drop_users(single_site, per_sector=2, rng=rng)
+    users = drop_users(single_site, RunConfig(per_sector_users=2), rng)
     assert len(users) == 6
     for u in users:
         r = math.hypot(u.x, u.y)
@@ -97,63 +100,61 @@ def test_drop_users_counts_and_annulus(single_site):
 
 
 def test_drop_users_deterministic(single_site):
-    a = drop_users(single_site, 1, np.random.default_rng(9))
-    b = drop_users(single_site, 1, np.random.default_rng(9))
+    a = drop_users(single_site, DEFAULTS, np.random.default_rng(9))
+    b = drop_users(single_site, DEFAULTS, np.random.default_rng(9))
     assert [(p.x, p.y) for p in a] == [(p.x, p.y) for p in b]
 
 
-def test_sector_gain_boresight_and_backlobe(single_site, radio_params):
+def test_sector_gain_boresight_and_backlobe(single_site):
     # user straight down sector 0's boresight at 100 m ground distance
     user_xy = np.array([[100.0, 0.0]])
-    gains = sector_gain_matrix(single_site, radio_params, user_xy)
+    gains = sector_gain_matrix(single_site, DEFAULTS, user_xy)
     d = math.sqrt(100.0**2 + (25.0 - 1.5) ** 2)
-    expected = channel_gain(
-        radio_params.tx_gain_lin, radio_params.rx_gain_lin, radio_params.fc_hz, d
-    )
+    expected = channel_gain(TX_GAIN, RX_GAIN, DEFAULTS.fc_hz, d)
     assert gains[0, 0, 0] == pytest.approx(expected, rel=1e-12)
     # the other two sectors of the same site only leak backlobe
     assert gains[0, 1, 0] == pytest.approx(expected * 10 ** (-2.5), rel=1e-12)
     assert gains[0, 2, 0] == pytest.approx(expected * 10 ** (-2.5), rel=1e-12)
 
 
-def test_sector_arc_membership(single_site, radio_params):
+def test_sector_arc_membership(single_site):
     # +61 degrees falls outside sector 0 (into sector 1), -59 falls inside
     out = np.array([[100.0 * math.cos(math.radians(61.0)), 100.0 * math.sin(math.radians(61.0))]])
     inside = np.array([[100.0 * math.cos(math.radians(-59.0)), 100.0 * math.sin(math.radians(-59.0))]])
-    g_out = sector_gain_matrix(single_site, radio_params, out, 1.5)
-    g_in = sector_gain_matrix(single_site, radio_params, inside, 1.5)
+    g_out = sector_gain_matrix(single_site, DEFAULTS, out)
+    g_in = sector_gain_matrix(single_site, DEFAULTS, inside)
     assert g_out[0, 0, 0] < g_in[0, 0, 0]
     assert g_out[0, 1, 0] > g_out[0, 0, 0]
 
 
-def test_sector_gain_rejects_near_field_without_clamp(single_site, radio_params):
+def test_sector_gain_rejects_near_field_without_clamp(single_site):
     under = np.array([[0.0, 0.0]])
-    radio = dataclasses.replace(radio_params, user_height_m=24.5)
+    cfg = RunConfig(user_height_m=24.5)
     with pytest.raises(DistanceTooSmall):
-        sector_gain_matrix(single_site, radio, under)
-    clamped = sector_gain_matrix(single_site, radio, under, clamp=True)
+        sector_gain_matrix(single_site, cfg, under)
+    clamped = sector_gain_matrix(single_site, cfg, under, clamp=True)
     assert np.all(np.isfinite(clamped))
 
 
-def remainder_gain_matrix(topo, radio, user_xy):
+def remainder_gain_matrix(topo, cfg, user_xy):
     """The (B, S, U) gains with both angle folds done by ``% 360``, clamped:
     the arithmetic the fold-based :func:`sector_gain_matrix` must reproduce."""
     site_xy = np.array([[p.x, p.y] for p in topo.site_positions])
     dxy = user_xy[None, :, :] - site_xy[:, None, :]
     planar = np.hypot(dxy[:, :, 0], dxy[:, :, 1])
-    height = radio.user_height_m - radio.bs_height_m
+    height = cfg.user_height_m - cfg.bs_height_m
     dist = np.maximum(np.sqrt(planar**2 + height**2), MIN_DISTANCE_M)
     angles = np.degrees(np.arctan2(dxy[:, :, 1], dxy[:, :, 0])) % 360.0
     boresights = np.asarray(topo.boresights_deg)
     offset = (angles[:, None, :] - boresights[None, :, None] + SECTOR_WIDTH_DEG / 2.0) % 360.0
-    pattern = np.where(offset < SECTOR_WIDTH_DEG, 1.0, 10.0 ** (-topo.backlobe_atten_db / 10.0))
+    pattern = np.where(offset < SECTOR_WIDTH_DEG, 1.0, 10.0 ** (-cfg.backlobe_atten_db / 10.0))
     path = (
-        SPEED_OF_LIGHT_M_S / (4.0 * math.pi * radio.fc_hz * dist)
-    ) ** radio.path_loss_exponent
-    return radio.tx_gain_lin * pattern * path[:, None, :] * radio.rx_gain_lin
+        SPEED_OF_LIGHT_M_S / (4.0 * math.pi * cfg.fc_hz * dist)
+    ) ** cfg.path_loss_exponent
+    return TX_GAIN * pattern * path[:, None, :] * RX_GAIN
 
 
-NINETEEN_SITES = build_topology(rings=2, isd_m=500.0, p_max_dbw=15.2, delta_p_max_db=2.0, n_levels=5)
+NINETEEN_SITES = build_topology(RunConfig(rings=2))
 
 
 @settings(max_examples=100, deadline=None)
@@ -163,7 +164,7 @@ def test_sector_gain_fold_matches_remainder_bit_for_bit(seed):
     degrees, nudged by an ulp either way) and due west of a site (+-180
     degrees, with dy = +0.0 and -0.0): the full matrix and any subset of its
     users carry the same bits as the ``%`` form."""
-    topo, radio = NINETEEN_SITES, RadioParams()
+    topo, cfg = NINETEEN_SITES, DEFAULTS
     rng = np.random.default_rng(seed)
     site_xy = np.array([[p.x, p.y] for p in topo.site_positions])
     anchor = site_xy[rng.integers(topo.n_sites, size=30)]
@@ -173,54 +174,44 @@ def test_sector_gain_fold_matches_remainder_bit_for_bit(seed):
     on_edge[::2] = np.nextafter(on_edge[::2], rng.choice([-np.inf, np.inf], (15, 2)))
     west = np.array([[-100.0, 0.0], [-100.0, -0.0], [site_xy[3, 0] - 40.0, site_xy[3, 1]]])
     user_xy = np.concatenate([rng.uniform(-1400.0, 1400.0, (40, 2)), on_edge, west])
-    ref = remainder_gain_matrix(topo, radio, user_xy)
-    assert sector_gain_matrix(topo, radio, user_xy, clamp=True).tobytes() == ref.tobytes()
+    ref = remainder_gain_matrix(topo, cfg, user_xy)
+    assert sector_gain_matrix(topo, cfg, user_xy, clamp=True).tobytes() == ref.tobytes()
     sub = rng.choice(len(user_xy), size=rng.integers(1, len(user_xy)), replace=False)
-    got = sector_gain_matrix(topo, radio, user_xy[sub], clamp=True)
+    got = sector_gain_matrix(topo, cfg, user_xy[sub], clamp=True)
     assert got.tobytes() == np.ascontiguousarray(ref[:, :, sub]).tobytes()
 
 
 def test_topology_rejects_boresights_outside_one_turn():
     with pytest.raises(InvalidConfig):
-        Topology((Position(0, 0),), 500.0, np.array([13.2, 15.2]),
-                 boresights_deg=(0.0, 120.0, 360.0))
+        Topology((Position(0, 0),), np.array([13.2, 15.2]), boresights_deg=(0.0, 120.0, 360.0))
 
 
-def test_association_picks_nearest_site(three_site, radio_params):
+def test_association_picks_nearest_site(three_site):
     users = [Position(40.0, 0.0), Position(480.0, 10.0)]
-    scn = Scenario(three_site, radio_params, users, ArrivalConfig())
+    scn = Scenario(three_site, topo_config(three_site), users)
     assert scn.serving_site.tolist() == [0, 1]
     assert 0 <= scn.serving_sector[0] < 3
 
 
 def test_arrival_probability_modulation():
-    cfg = ArrivalConfig(p0=0.4, period_steps=400)
-    assert cfg.probability(0) == pytest.approx(0.4)
-    assert cfg.probability(100) == pytest.approx(0.6)
-    assert cfg.probability(300) == pytest.approx(0.2)
-    flat = ArrivalConfig(p0=0.4, period_steps=0)
-    assert flat.probability(123) == 0.4
+    cfg = RunConfig(traffic_p0=0.4, traffic_period=400)
+    assert arrival_probability(cfg, 0) == pytest.approx(0.4)
+    assert arrival_probability(cfg, 100) == pytest.approx(0.6)
+    assert arrival_probability(cfg, 300) == pytest.approx(0.2)
+    flat = RunConfig(traffic_p0=0.4, traffic_period=0)
+    assert arrival_probability(flat, 123) == 0.4
 
 
 def test_arrival_probability_clamps():
-    cfg = ArrivalConfig(p0=0.9, period_steps=4)
-    assert cfg.probability(1) == 1.0
-
-
-def test_arrival_config_validation():
-    with pytest.raises(InvalidConfig):
-        ArrivalConfig(p0=1.5)
-    with pytest.raises(InvalidConfig):
-        ArrivalConfig(volume_lo_bits=0.0)
-    with pytest.raises(InvalidConfig):
-        ArrivalConfig(volume_lo_bits=5e5, volume_hi_bits=2e5)
+    cfg = RunConfig(traffic_p0=0.9, traffic_period=4)
+    assert arrival_probability(cfg, 1) == 1.0
 
 
 def test_generate_traffic_extremes():
     idle = np.array([0, 1, 2])
-    users, volumes = generate_traffic(0, idle, np.random.default_rng(0), ArrivalConfig(p0=0.0))
+    users, volumes = generate_traffic(0, idle, np.random.default_rng(0), RunConfig(traffic_p0=0.0))
     assert users.size == 0 and volumes.size == 0
-    cfg = ArrivalConfig(p0=1.0, period_steps=0, volume_lo_bits=1e4, volume_hi_bits=2e4)
+    cfg = RunConfig(traffic_p0=1.0, traffic_period=0, volume_lo_bits=1e4, volume_hi_bits=2e4)
     users, volumes = generate_traffic(0, idle, np.random.default_rng(0), cfg)
     assert users.tolist() == [0, 1, 2]
     assert np.all((1e4 <= volumes) & (volumes <= 2e4))
@@ -231,8 +222,8 @@ def test_generate_traffic_extremes():
 def test_generate_traffic_volume_stream_is_stable():
     # the k-th idle user's volume must not depend on who else was hit
     idle = np.array([3, 5, 8, 9])
-    cfg_half = ArrivalConfig(p0=0.5, period_steps=0)
-    cfg_full = ArrivalConfig(p0=1.0, period_steps=0)
+    cfg_half = RunConfig(traffic_p0=0.5, traffic_period=0)
+    cfg_full = RunConfig(traffic_p0=1.0, traffic_period=0)
     half = dict(zip(*generate_traffic(7, idle, np.random.default_rng(2), cfg_half)))
     full = dict(zip(*generate_traffic(7, idle, np.random.default_rng(2), cfg_full)))
     assert 0 < len(half) < len(full)
@@ -244,7 +235,7 @@ def manual_step(scn, volumes):
     """Load the given per-user volumes and freeze a step."""
     scn.residual_bits[: len(volumes)] = volumes
     scn.arrival_step[: len(volumes)] = 0
-    return scn.build_step(volume_scale_bits=2e5)
+    return scn.build_step()
 
 
 def test_evaluate_against_scalar_oracle(three_site_scenario):
@@ -280,13 +271,12 @@ def test_evaluate_against_scalar_oracle(three_site_scenario):
 def seven_site_step():
     """Seven sites, two users per sector, about 60% of the users of sites
     0-4 pending: sites 5 and 6 sleep, the others serve up to three sectors."""
-    topo = build_topology(rings=1, isd_m=500.0, p_max_dbw=15.2, delta_p_max_db=2.0, n_levels=5)
-    scn = make_scenario(topo, RadioParams(), seed=3, per_sector=2)
+    scn = make_scenario(build_topology(RunConfig(rings=1)), seed=3, per_sector_users=2)
     coin = np.random.default_rng(4).random(scn.n_users) < 0.6
     pending = coin & (scn.serving_site < 5)
     scn.residual_bits[pending] = 1e5
     scn.arrival_step[pending] = 0
-    ctx = scn.build_step(volume_scale_bits=2e5)
+    ctx = scn.build_step()
     assert 0 < ctx.active_sites.size < ctx.n_sites
     assert np.bincount(ctx.sched_site).max() > 1
     return ctx
@@ -390,7 +380,7 @@ def test_features_on_read_equal_the_eager_ones(moving):
         pending = rng.random(scn.n_users) < 0.7
         scn.residual_bits[:] = np.where(pending, rng.uniform(1e4, 2e5, scn.n_users), 0.0)
         scn.arrival_step[:] = np.where(pending, 0, -1)
-        ctx = scn.build_step(2e5)
+        ctx = scn.build_step()
         want = eager_features(scn, ctx).copy()
         plan = rng.integers(ctx.n_levels, size=ctx.n_sites)
         if step % 2:
@@ -413,8 +403,7 @@ def reference_schedule(scn):
 
 @functools.lru_cache(maxsize=None)
 def seven_site_scenario():
-    topo = build_topology(rings=1, isd_m=500.0, p_max_dbw=15.2, delta_p_max_db=2.0, n_levels=5)
-    return make_scenario(topo, RadioParams(), seed=5, per_sector=3)
+    return make_scenario(build_topology(RunConfig(rings=1)), seed=5, per_sector_users=3)
 
 
 @settings(max_examples=100, deadline=None)
@@ -438,15 +427,15 @@ def test_schedule_matches_the_sort_and_setdefault_loop(data):
     assert got.tolist() == want.tolist()
 
 
-def test_schedule_is_fifo_within_sector(three_site, radio_params):
-    scn = make_scenario(three_site, radio_params, seed=11, per_sector=2)
+def test_schedule_is_fifo_within_sector(three_site):
+    scn = make_scenario(three_site, seed=11, per_sector_users=2)
     # two users share each sector; stagger their arrival steps
     scn.residual_bits[:] = 1e5
     scn.arrival_step[:] = 5
     first = np.flatnonzero((scn.serving_site == 0) & (scn.serving_sector == 0))
     assert first.size >= 2
     scn.arrival_step[first[1]] = 2
-    ctx = scn.build_step(2e5)
+    ctx = scn.build_step()
     assert first[1] in ctx.sched_users
     assert first[0] not in ctx.sched_users
 
@@ -466,16 +455,16 @@ def test_apply_advances_state(three_site_scenario):
 def test_all_idle_step_has_no_active_sites(three_site_scenario):
     scn = three_site_scenario
     scn.residual_bits[:] = 0.0
-    ctx = scn.build_step(2e5)
+    ctx = scn.build_step()
     assert not ctx.any_active
     assert ctx.sched_users.size == 0
 
 
-def test_completed_requests_free_the_user(three_site, radio_params):
-    scn = make_scenario(three_site, radio_params, seed=11)
+def test_completed_requests_free_the_user(three_site):
+    scn = make_scenario(three_site, seed=11)
     scn.residual_bits[0] = 1.0  # tiny request: drains in one slot
     scn.arrival_step[0] = 0
-    ctx = scn.build_step(2e5)
+    ctx = scn.build_step()
     ev = ctx.evaluate(np.full(ctx.n_sites, ctx.n_levels - 1))
     scn.apply(ctx, ev)
     assert scn.residual_bits[0] == 0.0
@@ -483,21 +472,21 @@ def test_completed_requests_free_the_user(three_site, radio_params):
     assert 0 in scn.idle_users
 
 
-def test_mobility_moves_users(three_site, radio_params):
-    scn = make_scenario(three_site, radio_params, seed=11)
-    scn.user_speed_mps = 5000.0  # exaggerated so one slot moves visibly
+def test_mobility_moves_users(three_site):
+    # exaggerated speed so one slot moves visibly
+    scn = make_scenario(three_site, seed=11, mobility="waypoint", user_speed_mps=5000.0)
     scn.residual_bits[:] = 1e5
     scn.arrival_step[:] = 0
     before = scn.user_xy.copy()
     rng = np.random.default_rng(3)
-    ctx = scn.build_step(2e5)
+    ctx = scn.build_step()
     scn.apply(ctx, ctx.evaluate(np.zeros(ctx.n_sites, dtype=int)), rng)
     assert np.any(scn.user_xy != before)
 
 
 def reference_move(scn, rng):
     """The boolean-index random-waypoint step that ``_move_users`` replaced."""
-    step = scn.user_speed_mps * scn.slot_s
+    step = scn.user_speed_mps * SLOT_S
     delta = scn._waypoints - scn.user_xy
     dist = np.hypot(delta[:, 0], delta[:, 1])
     arrived = dist <= step
@@ -508,12 +497,14 @@ def reference_move(scn, rng):
         scn._waypoints[arrived] = scn._draw_waypoints(rng, np.flatnonzero(arrived))
 
 
-def test_move_users_matches_the_boolean_index_reference(three_site, radio_params):
+def test_move_users_matches_the_boolean_index_reference(three_site):
     """Whole-array moves give the same positions and waypoints, including
     users exactly one step from their waypoint and users standing on it."""
-    got, want = (make_scenario(three_site, radio_params, seed=11) for _ in range(2))
+    got, want = (  # one metre a slot
+        make_scenario(three_site, seed=11, mobility="waypoint", user_speed_mps=1000.0)
+        for _ in range(2)
+    )
     for scn in (got, want):
-        scn.user_speed_mps = 1000.0  # one metre a slot
         scn._waypoints = scn.user_xy + np.random.default_rng(5).uniform(-3.0, 3.0, (scn.n_users, 2))
         scn._waypoints[0] = scn.user_xy[0] + [1.0, 0.0]  # dist == step
         scn._waypoints[1] = scn.user_xy[1]  # dist == 0
@@ -532,16 +523,17 @@ def test_static_scenario_ignores_motion_rng(three_site_scenario):
     scn.residual_bits[:] = 1e5
     scn.arrival_step[:] = 0
     before = scn.user_xy.copy()
-    ctx = scn.build_step(2e5)
+    ctx = scn.build_step()
     scn.apply(ctx, ctx.evaluate(np.zeros(ctx.n_sites, dtype=int)), np.random.default_rng(0))
     assert np.array_equal(scn.user_xy, before)
 
 
 def moving_scenario(seed=11):
-    topo = build_topology(rings=1, isd_m=500.0, p_max_dbw=15.2, delta_p_max_db=2.0, n_levels=5)
-    scn = make_scenario(topo, RadioParams(), seed=seed, per_sector=2)
-    scn.user_speed_mps = 300.0  # metres a slot, so positions drift visibly
-    return scn
+    # 0.3 metres a slot, so positions drift visibly
+    return make_scenario(
+        build_topology(RunConfig(rings=1)), seed=seed, per_sector_users=2,
+        mobility="waypoint", user_speed_mps=300.0,
+    )
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
@@ -555,9 +547,9 @@ def test_moving_build_step_matches_the_full_matrix_slice(seed):
         pending = rng.random(scn.n_users) < 0.6
         scn.residual_bits[:] = np.where(pending, 1e5, 0.0)
         scn.arrival_step[:] = np.where(pending, rng.integers(0, 3, scn.n_users), -1)
-        ctx = scn.build_step(2e5)
+        ctx = scn.build_step()
         users, site = ctx.sched_users, ctx.sched_site
-        full = sector_gain_matrix(scn.topo, scn.radio, scn.user_xy, clamp=True)
+        full = sector_gain_matrix(scn.topo, scn.cfg, scn.user_xy, clamp=True)
         sector_active = np.zeros((ctx.n_sites, scn.topo.sectors_per_site), dtype=bool)
         sector_active[site, scn.serving_sector[users]] = True
         stu = np.where(sector_active[:, :, None], full[:, :, users], 0.0).sum(axis=1)
@@ -592,7 +584,7 @@ def test_static_build_step_matches_the_masked_sector_sum(seed, per_sector):
     pending = rng.random(scn.n_users) < rng.uniform(0.05, 1.0)
     scn.residual_bits[:] = np.where(pending, 1e5, 0.0)
     scn.arrival_step[:] = np.where(pending, rng.integers(0, 3, scn.n_users), -1)
-    ctx = scn.build_step(2e5)
+    ctx = scn.build_step()
     users, site = ctx.sched_users, ctx.sched_site
     sector = scn.serving_sector[users]
     sector_active = np.zeros((ctx.n_sites, scn.topo.sectors_per_site), dtype=bool)
@@ -608,7 +600,7 @@ def test_static_build_step_matches_the_masked_sector_sum(seed, per_sector):
 
 @functools.lru_cache(maxsize=None)
 def static_scenario(per_sector):
-    return make_scenario(NINETEEN_SITES, RadioParams(), seed=per_sector, per_sector=per_sector)
+    return make_scenario(NINETEEN_SITES, seed=per_sector, per_sector_users=per_sector)
 
 
 def assert_same_eval(a, b):

@@ -6,8 +6,10 @@ Run from the repository root.  Each shape in ``SHAPES`` runs at each seed
 twice through ``python -m ranpower.cli run``: once on a ``git archive REV``
 copy in a temp directory and once on this working tree.  The sha256 of
 ``metrics.csv`` and, where either side writes one, ``weights.bin`` must
-match, and so must ``summary.json`` without its ``wall_clock_s``, which
-carries the ``learner`` block that no CSV byte shows.  Prints one line per
+match, and so must ``summary.json``, which carries the ``learner`` block
+that no CSV byte shows, without ``wall_clock_s`` and ``config.out_dir``:
+the first varies run to run, and the two sides write to different temp
+directories.  Prints one line per
 run and exits 1 on any difference or failed run.
 """
 
@@ -47,9 +49,10 @@ def sha256(path: Path) -> str | None:
 
 
 def summary_sha256(path: Path) -> str:
-    """Digest of ``summary.json`` without the one field that varies run to run."""
+    """Digest of ``summary.json`` without the fields that differ by construction."""
     summary = json.loads(path.read_text())
     del summary["wall_clock_s"]
+    del summary["config"]["out_dir"]
     return hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
 
 
