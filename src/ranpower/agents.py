@@ -8,14 +8,16 @@ exploration, learning rates, network and table sizes) from the run's
 :class:`RunConfig`, which each validates as it is built.
 
 Both learning agents share one search on a frozen step: draw K joint power
-assignments for the active stations (epsilon-greedy per station), rate them
-in one batched evaluation so every station's SINR reflects the others'
-draws, flag each feasible when its summed rate deltas stay non-negative,
-and accept the feasible candidate whose summed action values are largest,
-or keep full power when none is.  The oracle picks from its enumeration
-with the same mask-and-argmax, scored by efficiency.  Only the accepted
-candidate touches the environment or the learners, and its network
-efficiency is their reward.
+assignments for the active stations (epsilon-greedy per station), score
+each by its summed action values, and rate them best-first in batched
+evaluations, so every station's SINR reflects the others' draws: the
+top-scored few first, the rest only when none of those is feasible.  A
+candidate is feasible when its summed rate deltas stay non-negative; the
+search accepts the feasible candidate with the largest score, the same one
+rating all K together would, or keeps full power when none is.  The
+oracle picks from its enumeration with the same mask-and-argmax, scored by
+efficiency.  Only the accepted candidate touches the environment or the
+learners, and its network efficiency is their reward.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from .scenario import StepContext, StepEval
 MAX_ORACLE_NODES = 1_000_000
 # Joint assignments rated per batched evaluation in the oracle.
 ORACLE_CHUNK = 4096
+# Top-scored candidates the search rates before the rest.
+SEARCH_HEAD = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,8 +101,8 @@ def _search(
     epsilon: float,
     rng: np.random.Generator,
 ) -> EpisodeOutcome:
-    """Draw and rate all candidates at once and accept the best feasible
-    one, or keep full power when none is feasible.
+    """Draw all candidates at once, rate them best-first, and accept the
+    best feasible one, or keep full power when none is feasible.
 
     Each active station explores with probability ``epsilon`` (a uniform
     level) and otherwise takes its greedy level, the lowest index among its
@@ -108,6 +112,16 @@ def _search(
     candidate, which is also what makes the recorded iteration count
     meaningful as a search cost.  The accepted eval is the very row the
     feasibility test saw.
+
+    Candidates are rated in score order: the ``SEARCH_HEAD`` top-scored
+    ones (a stable sort, so ties stay in index order) in one batch, and the
+    rest in a second batch only when the head holds no feasible one.  Every
+    candidate outside the head scores no higher, and ties there come later,
+    so the first chunk holding a feasible candidate picks what rating all K
+    together would, bit for bit: a batch of two or more rows rates each row
+    the same whichever rows share it, while one row alone may round
+    differently.  So the rest is never a single row; when it would be, the
+    head takes all K.
     """
     active = ctx.active_sites
     n_actions = qrows.shape[1]
@@ -115,15 +129,21 @@ def _search(
     explore = rng.random((n_iterations, active.size)) < epsilon
     random_levels = rng.integers(n_actions, size=(n_iterations, active.size))
     picks = np.where(explore, random_levels, greedy)
-    idx = np.full((n_iterations, ctx.n_sites), ctx.n_levels - 1, dtype=int)
-    idx[:, active] = picks
-    evs = ctx.evaluate_many(idx)
-    best = _best_feasible(evs, qrows[active, picks].sum(axis=1))
-    if best is None:
-        return EpisodeOutcome(ev=ctx.full_power, accepted_iteration=None)
-    ev = evs.row(best)
-    _check_accepted(ev)
-    return EpisodeOutcome(ev=ev, accepted_iteration=best + 1)
+    scores = qrows[active, picks].sum(axis=1)
+    order = np.argsort(-scores, kind="stable")
+    head = SEARCH_HEAD if n_iterations - SEARCH_HEAD >= 2 else n_iterations
+    for chunk in (order[:head], order[head:]):
+        if not chunk.size:
+            break
+        idx = np.full((chunk.size, ctx.n_sites), ctx.n_levels - 1, dtype=int)
+        idx[:, active] = picks[chunk]
+        evs = ctx.evaluate_many(idx)
+        best = _best_feasible(evs, scores[chunk])
+        if best is not None:
+            ev = evs.row(best)
+            _check_accepted(ev)
+            return EpisodeOutcome(ev=ev, accepted_iteration=int(chunk[best]) + 1)
+    return EpisodeOutcome(ev=ctx.full_power, accepted_iteration=None)
 
 
 class DqnAgent:

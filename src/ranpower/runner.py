@@ -20,7 +20,6 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -224,6 +223,9 @@ def run_sweep(
     out.mkdir(parents=True, exist_ok=True)  # after every combo validated
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: it loads multiprocessing, which no single run needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_sweep_one, jobs))
     else:

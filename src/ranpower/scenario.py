@@ -373,7 +373,9 @@ class StepContext:
 class Scenario:
     """Mutable simulation state plus the machinery to freeze each step.
 
-    Users move only under ``waypoint`` mobility, at ``user_speed_mps``.
+    Users move only under ``waypoint`` mobility, at ``user_speed_mps``.  The
+    topology's power set must be the config's, from which the learners size
+    their actions.
     """
 
     def __init__(
@@ -381,6 +383,12 @@ class Scenario:
     ) -> None:
         self.topo = topo
         self.cfg = cfg.validate()
+        levels = power_level_set(cfg.p_max_dbw, cfg.delta_p_max_db, cfg.n_power_levels)
+        if not np.array_equal(topo.power_levels_dbw, levels):
+            raise InvalidConfig(
+                f"the topology's power levels {topo.power_levels_dbw.tolist()} are not "
+                f"the config's {levels.tolist()}"
+            )
         self.user_speed_mps = cfg.user_speed_mps if cfg.mobility == "waypoint" else 0.0
         self.n_users = len(user_positions)
         if self.n_users == 0:

@@ -1,5 +1,6 @@
 """Shared fixtures: small topologies, scenarios around them, and run configs."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,14 @@ import pytest
 
 from ranpower.config import RunConfig
 from ranpower.radio import Position
-from ranpower.scenario import Scenario, Topology, build_topology, drop_users, power_level_set
+from ranpower.scenario import (
+    Scenario,
+    StepEval,
+    Topology,
+    build_topology,
+    drop_users,
+    power_level_set,
+)
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_three_site.json"
 
@@ -83,3 +91,10 @@ def desk_config():
 @pytest.fixture
 def level_set():
     return power_level_set(15.2, 2.0, 5)
+
+
+def assert_same_eval(a, b):
+    """Every field of two step records holds the same bits."""
+    for field in dataclasses.fields(StepEval):
+        x, y = np.asarray(getattr(a, field.name)), np.asarray(getattr(b, field.name))
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field.name

@@ -9,6 +9,7 @@ import pytest
 from ranpower import agents
 from ranpower.agents import (
     DqnAgent,
+    EpisodeOutcome,
     QLearningAgent,
     SleepAgent,
     _check_accepted,
@@ -18,9 +19,9 @@ from ranpower.agents import (
 from ranpower.config import RunConfig
 from ranpower.errors import InvariantViolation, SearchSpaceTooLarge, ValidationError
 from ranpower.rl import state_bin, tabular_q_update
-from ranpower.scenario import StepEval
+from ranpower.scenario import StepEval, build_topology
 
-from conftest import make_scenario
+from conftest import assert_same_eval, make_scenario
 
 
 @pytest.fixture
@@ -87,13 +88,44 @@ class CountingCtx:
         return self._ctx.evaluate(power_idx)
 
 
+def full_batch_search(ctx, qrows, n_iterations, epsilon, rng):
+    """The search as one batch of all K candidates, the reference that the
+    best-first ``_search`` must equal: the same two draws, one evaluation
+    of every candidate, and the highest-scoring feasible one, the earliest
+    on ties.  Returns the outcome, the batch and each candidate's score."""
+    active = ctx.active_sites
+    greedy = np.argmax(qrows[active], axis=1)
+    explore = rng.random((n_iterations, active.size)) < epsilon
+    random_levels = rng.integers(qrows.shape[1], size=(n_iterations, active.size))
+    picks = np.where(explore, random_levels, greedy)
+    idx = np.full((n_iterations, ctx.n_sites), ctx.n_levels - 1, dtype=int)
+    idx[:, active] = picks
+    evs = ctx.evaluate_many(idx)
+    scores = qrows[active, picks].sum(axis=1)
+    feasible = evs.rate_delta_sum >= 0.0
+    if not feasible.any():
+        return EpisodeOutcome(ev=ctx.full_power, accepted_iteration=None), evs, scores
+    best = int(np.argmax(np.where(feasible, scores, -np.inf)))
+    return EpisodeOutcome(ev=evs.row(best), accepted_iteration=best + 1), evs, scores
+
+
+def assert_same_outcome(got, want):
+    """Same accepted iteration and the same executed eval, bit for bit."""
+    assert got.accepted_iteration == want.accepted_iteration
+    assert got.all_sleep == want.all_sleep
+    assert_same_eval(got.ev, want.ev)
+
+
 def search(ctx, qrows, n_iterations, epsilon, seed):
-    """The search's outcome on ``ctx``, plus the batch it rated and each
-    candidate's score (every station of ``ctx`` active)."""
-    rec = CountingCtx(ctx)
-    out = _search(rec, qrows, n_iterations, epsilon, np.random.default_rng(seed))
-    (evs,) = rec.rated
-    return out, evs, qrows[np.arange(len(qrows)), evs.power_idx].sum(axis=1)
+    """The search's outcome on ``ctx``, checked against the full-batch
+    reference drawn from the same seed, plus that reference's batch of all
+    K candidates and each candidate's score."""
+    out = _search(ctx, qrows, n_iterations, epsilon, np.random.default_rng(seed))
+    want, evs, scores = full_batch_search(
+        ctx, qrows, n_iterations, epsilon, np.random.default_rng(seed)
+    )
+    assert_same_outcome(out, want)
+    return out, evs, scores
 
 
 def test_search_greedy_tie_keeps_earliest_iteration(loaded_ctx):
@@ -180,18 +212,90 @@ def test_search_scale_invariance(loaded_ctx):
 
 
 def test_search_accepts_the_row_it_tested(loaded_ctx):
-    """One batched evaluation rates every candidate, and the accepted eval is
-    that batch's row: nothing is re-evaluated after the feasibility test."""
+    """The head, and at most one more batch, rate the candidates, and the
+    accepted eval is a row of the last batch rated: nothing is re-evaluated
+    after the feasibility test."""
     ctx = CountingCtx(loaded_ctx)
     qrows = np.random.default_rng(3).normal(size=(3, loaded_ctx.n_levels))
     out = _search(ctx, qrows, 40, 0.5, np.random.default_rng(7))
     ev, n_star = out.ev, out.accepted_iteration
-    assert ctx.calls == [("many", 40)]
-    (evs,) = ctx.rated
-    assert ev.rate_delta_sum == evs.rate_delta_sum[n_star - 1]
+    assert ctx.calls in ([("many", 8)], [("many", 8), ("many", 32)])
+    evs = ctx.rated[-1]
+    (k, *_) = np.flatnonzero((evs.power_idx == ev.power_idx).all(axis=1))
+    assert ev.rate_delta_sum == evs.rate_delta_sum[k]
+    assert np.shares_memory(ev.user_rates_bps, evs.user_rates_bps)
     assert ev.rate_delta_sum >= 0.0
-    assert np.array_equal(ev.power_idx, evs.power_idx[n_star - 1])
+    _, full, _ = full_batch_search(loaded_ctx, qrows, 40, 0.5, np.random.default_rng(7))
+    assert np.array_equal(ev.power_idx, full.power_idx[n_star - 1])
     _check_accepted(ev)
+
+
+def seven_site_ctx():
+    """Seven sites, two users per sector, every user holding 1e5 pending bits."""
+    scn = make_scenario(build_topology(RunConfig(rings=1)), seed=3, per_sector_users=2)
+    scn.residual_bits[:] = 1e5
+    scn.arrival_step[:] = 0
+    return scn.build_step()
+
+
+@pytest.mark.parametrize("values", ["tied", "random"])
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("n_iterations", [1, 2, 8, 9, 10, 11, 100])
+def test_best_first_search_equals_the_full_batch(loaded_ctx, n_iterations, epsilon, values):
+    """Rating the top-scored head first, and the rest only when the head
+    holds no feasible plan, accepts what one batch of all K does: the same
+    eval bit for bit, the same iteration, the same fallback, and the
+    generator left in the same state.  All-zero values tie every candidate,
+    as a fresh Q-table does."""
+    for ctx in (loaded_ctx, seven_site_ctx(), InfeasibleCtx()):
+        for seed in range(4):
+            if values == "tied":
+                qrows = np.zeros((ctx.n_sites, ctx.n_levels))
+            else:
+                qrows = np.random.default_rng(seed).normal(size=(ctx.n_sites, ctx.n_levels))
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _search(ctx, qrows, n_iterations, epsilon, rng)
+            want, _, _ = full_batch_search(ctx, qrows, n_iterations, epsilon, ref_rng)
+            assert_same_outcome(got, want)
+            if want.accepted_iteration is None:
+                assert got.ev is ctx.full_power
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n_iterations", [40, 100])
+def test_search_rates_the_rest_only_when_the_head_has_no_feasible_plan(
+    loaded_ctx, n_iterations
+):
+    """The stably sorted top ``SEARCH_HEAD`` candidates come first; a second
+    batch of the rest follows exactly when none of them is feasible, and
+    both happen across these seeds."""
+    qrows = np.zeros((3, loaded_ctx.n_levels))
+    qrows[0, 0] = qrows[1, 1] = qrows[2, 0] = 5.0  # the greedy plan is infeasible
+    head = agents.SEARCH_HEAD
+    seen = set()
+    for seed in range(12):
+        ctx = CountingCtx(loaded_ctx)
+        _search(ctx, qrows, n_iterations, 0.7, np.random.default_rng(seed))
+        _, evs, scores = full_batch_search(
+            loaded_ctx, qrows, n_iterations, 0.7, np.random.default_rng(seed)
+        )
+        top = np.argsort(-scores, kind="stable")[:head]
+        assert np.array_equal(ctx.rated[0].power_idx, evs.power_idx[top])
+        head_feasible = bool((evs.rate_delta_sum[top] >= 0.0).any())
+        rest = [] if head_feasible else [("many", n_iterations - head)]
+        assert ctx.calls == [("many", head), *rest]
+        seen.add(head_feasible)
+    assert seen == {True, False}
+
+
+def test_search_never_rates_a_one_row_rest(loaded_ctx):
+    """With one candidate beyond the head, the head takes all of them: a
+    one-row product may round differently from the same row in a batch."""
+    qrows = np.zeros((3, loaded_ctx.n_levels))
+    for n_iterations in (1, 2, agents.SEARCH_HEAD, agents.SEARCH_HEAD + 1):
+        ctx = CountingCtx(loaded_ctx)
+        _search(ctx, qrows, n_iterations, 1.0, np.random.default_rng(0))
+        assert ctx.calls[0] == ("many", n_iterations)
 
 
 def test_check_accepted_raises_on_negative_delta_sum(loaded_ctx):

@@ -251,7 +251,7 @@ class RecordingPool:
 )
 def test_run_sweep_clamps_workers_to_jobs_and_cpus(tmp_path, monkeypatch, workers, cpus,
                                                     seeds, pool):
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     entries = run_sweep(small_cfg(episodes=3, agent="sleep"), {"seed": seeds},

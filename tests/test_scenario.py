@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -33,7 +34,7 @@ from ranpower.scenario import (
     sector_gain_matrix,
 )
 
-from conftest import make_scenario, topo_config
+from conftest import assert_same_eval, make_scenario, topo_config
 
 DEFAULTS = RunConfig()
 TX_GAIN = 10.0 ** (DEFAULTS.tx_gain_dbi / 10.0)
@@ -603,12 +604,6 @@ def static_scenario(per_sector):
     return make_scenario(NINETEEN_SITES, seed=per_sector, per_sector_users=per_sector)
 
 
-def assert_same_eval(a, b):
-    for field in dataclasses.fields(StepEval):
-        x, y = np.asarray(getattr(a, field.name)), np.asarray(getattr(b, field.name))
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field.name
-
-
 @pytest.mark.parametrize("moving", [False, True])
 def test_full_power_is_the_evaluation_of_the_full_plan(three_site_scenario, moving):
     """``ctx.full_power`` is ``evaluate`` of the all-top-level plan in every
@@ -622,3 +617,59 @@ def test_full_power_is_the_evaluation_of_the_full_plan(three_site_scenario, movi
         full = ctx.evaluate(np.full(ctx.n_sites, ctx.n_levels - 1))
         assert_same_eval(ctx.full_power, full)
         assert ctx.full_power.rate_delta_sum == 0.0
+
+
+@pytest.mark.parametrize("moving", [False, True])
+@pytest.mark.parametrize("rings", [1, 2])
+def test_batch_rows_do_not_depend_on_the_rest_of_the_batch(rings, moving):
+    """Any two or more rows of a batch, in any order, rate bit for bit as
+    they do inside the whole batch, at 7 and 19 sites with static and moving
+    users.  The best-first search rests on this: it rates the top-scored
+    candidates, and maybe the rest, in separate batches and must accept the
+    very eval that one batch of all of them would.  A BLAS whose product
+    rounds a row differently with other batch mates fails here first.  One
+    row alone may take another BLAS path, so the search never rates one."""
+    keys = {"mobility": "waypoint", "user_speed_mps": 300.0} if moving else {}
+    scn = make_scenario(
+        build_topology(RunConfig(rings=rings)), seed=rings, per_sector_users=2, **keys
+    )
+    rng = np.random.default_rng(rings)
+    pending = rng.random(scn.n_users) < 0.8
+    scn.residual_bits[:] = np.where(pending, 1e5, 0.0)
+    scn.arrival_step[:] = np.where(pending, 0, -1)
+    ctx = scn.build_step()
+    fields = [f.name for f in dataclasses.fields(StepEval)]
+
+    def assert_rows(idx, whole, rows):
+        part = ctx.evaluate_many(idx[rows])
+        for name in fields:
+            assert getattr(part, name).tobytes() == getattr(whole, name)[rows].tobytes(), name
+
+    idx = rng.integers(ctx.n_levels, size=(7, ctx.n_sites))
+    idx[3] = ctx.n_levels - 1  # a full-power candidate
+    whole = ctx.evaluate_many(idx)
+    for size in range(2, len(idx) + 1):
+        for rows in itertools.combinations(range(len(idx)), size):
+            assert_rows(idx, whole, np.array(rows))
+            assert_rows(idx, whole, rng.permutation(rows))
+    # a paper-width batch cut into a head and the rest, as the search cuts it
+    idx = rng.integers(ctx.n_levels, size=(100, ctx.n_sites))
+    whole = ctx.evaluate_many(idx)
+    for _ in range(20):
+        order, cut = rng.permutation(len(idx)), rng.integers(2, len(idx) - 1)
+        assert_rows(idx, whole, order[:cut])
+        assert_rows(idx, whole, order[cut:])
+
+
+@pytest.mark.parametrize("keys", [
+    {},  # the default 5 levels on a 4-level topology
+    {"n_power_levels": 4, "p_max_dbw": 16.0},
+    {"n_power_levels": 4, "delta_p_max_db": 3.0},
+])
+def test_scenario_rejects_a_power_set_other_than_the_configs(three_site, keys):
+    """A learner sizes its actions from the config while a step rates the
+    topology's levels, so the two must be the same power set."""
+    users = drop_users(three_site, topo_config(three_site), np.random.default_rng(0))
+    with pytest.raises(InvalidConfig, match="power levels"):
+        Scenario(three_site, RunConfig(**keys), users)
+    Scenario(three_site, topo_config(three_site), users)

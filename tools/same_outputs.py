@@ -31,7 +31,8 @@ PAPER_DQN = {"rings": 2, "agent": "dqn", "search_iters": 100}
 DESK_DQN = {"rings": 1, "per_sector_users": 2, "agent": "dqn", "search_iters": 10,
             "train_interval": 5}
 # The benchmark's three workloads, then DQN with moving users at both shapes
-# and Q-learning at the paper shape.
+# and Q-learning at both shapes.  With 10 candidates the desk search rates
+# an 8-row head and, when that holds no feasible plan, a 2-row rest.
 SHAPES = {
     "paper-dqn-search": {**PAPER_DQN, "episodes": 600},
     "desk-dqn-train": {**DESK_DQN, "episodes": 800},
@@ -40,6 +41,7 @@ SHAPES = {
     "paper-dqn-waypoint": {**PAPER_DQN, "mobility": "waypoint", "episodes": 600},
     "desk-dqn-waypoint": {**DESK_DQN, "mobility": "waypoint", "episodes": 800},
     "paper-qlearning": {**PAPER_DQN, "agent": "qlearning", "episodes": 600},
+    "desk-qlearning": {**DESK_DQN, "agent": "qlearning", "episodes": 800},
 }
 OUTPUTS = ("metrics.csv", "weights.bin")
 
