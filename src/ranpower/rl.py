@@ -9,13 +9,23 @@ minimises the quadratic regression loss
     L = 1 / (2 m) * sum_k (Q(s_k, a_k) - y_k)^2
 
 with plain gradient descent, where the targets ``y_k`` come from a separate
-target network that is synchronised every few training rounds.  These
+target network that is synchronised every few training rounds.  Between
+syncs the target network is frozen, and a stored successor does not change
+until its ring slot is overwritten, so the replay ring keeps each
+transition's bootstrap value max_a Q_target(s') once a round has computed
+it, and later rounds run the target network only on sampled rows without
+one.  This is exact because a row of the network's forward pass has the
+same bits in any batch of two or more rows; a lone row can take another
+BLAS path, so no value is ever computed in a one-row batch where one
+forward over all live successors would have had more rows.  The target
+network shares the predicted network's training-round buffers.  These
 primitives take their constants (sizes, discount, learning rate) as plain
 arguments; the agents read them from the run's ``RunConfig``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,13 +44,17 @@ class Minibatch:
     """Sampled transitions as row-aligned arrays: states ``s`` and successors
     ``s_next`` (m, 2), action indices ``a`` and rewards ``r`` (m,).  Rows
     where ``live`` is False ended a run: their ``s_next`` is meaningless and
-    the bootstrap term is dropped from their learning target."""
+    the bootstrap term is dropped from their learning target.  A batch drawn
+    by :meth:`ReplayMemory.sample_minibatch` also names the ``memory`` it came
+    from and each row's ring ``slots``, where its bootstrap value is kept."""
 
     s: np.ndarray
     a: np.ndarray
     r: np.ndarray
     s_next: np.ndarray
     live: np.ndarray
+    slots: np.ndarray | None = None
+    memory: ReplayMemory | None = None
 
     def __len__(self) -> int:
         return len(self.a)
@@ -52,6 +66,11 @@ class ReplayMemory:
     Transitions live in preallocated ring arrays ``s``, ``a``, ``r``,
     ``s_next`` and ``live``; ``head`` is the next slot written, which once
     the ring is full is also the oldest transition.
+
+    ``boot`` holds each slot's bootstrap value max_a Q_target(s'), valid for
+    the target network whose :attr:`QNetwork.version` is in ``boot_version``
+    (-1: none).  :func:`minibatch_targets` fills them; a target sync changes
+    the version, and ``push`` resets the slots it overwrites.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -63,6 +82,8 @@ class ReplayMemory:
         self.r = np.zeros(capacity)
         self.s_next = np.zeros((capacity, 2))
         self.live = np.zeros(capacity, dtype=bool)
+        self.boot = np.zeros(capacity)
+        self.boot_version = np.full(capacity, -1, dtype=np.int64)
         self.head = 0
         self._len = 0
 
@@ -83,6 +104,7 @@ class ReplayMemory:
                 self.s[dst], self.a[dst], self.r[dst] = s[rows], a[rows], r
                 self.live[dst] = s_next is not None
                 self.s_next[dst] = 0.0 if s_next is None else s_next[rows]
+                self.boot_version[dst] = -1
         self.head = (self.head + n) % cap
         self._len = min(self._len + n, self.capacity)
 
@@ -102,11 +124,16 @@ class ReplayMemory:
         idx = rng.choice(self._len, size=size, replace=False)
         slots = (self.head - self._len + idx) % self.capacity
         return Minibatch(
-            self.s[slots], self.a[slots], self.r[slots], self.s_next[slots], self.live[slots]
+            self.s[slots], self.a[slots], self.r[slots], self.s_next[slots], self.live[slots],
+            slots, self,
         )
 
     def action_count(self, action: int) -> int:
         return int(np.count_nonzero(self.a[: self._len] == action))
+
+
+# Parameter versions (see ``QNetwork.version``); only their uniqueness matters.
+_versions = itertools.count()
 
 
 class QNetwork:
@@ -116,6 +143,10 @@ class QNetwork:
     zero so a fresh network is indifferent between actions (its forward pass
     is exactly zero everywhere) and the first training rounds decide the
     initial ordering rather than initialisation noise.
+
+    ``version`` names the current parameters, unique across networks: it
+    changes whenever :meth:`copy_from` or :func:`backward_and_step` writes
+    them, so values computed under one version stay valid while it holds.
     """
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]) -> None:
@@ -131,6 +162,7 @@ class QNetwork:
                 )
         self.weights = weights
         self.biases = biases
+        self.version = next(_versions)
         # Training-round arrays, allocated on first use (see ``_scratch``).
         self._buffers: dict[tuple[str, int], np.ndarray] = {}
 
@@ -166,7 +198,9 @@ class QNetwork:
 
     def _scratch(self, key: tuple[str, int], shape: tuple[int, ...], dtype=float) -> np.ndarray:
         """The leading ``shape[0]`` rows of a training-round buffer of this
-        network, reallocated only when a larger batch asks for more rows."""
+        network, reallocated only when a larger batch asks for more rows.
+        A :meth:`clone` shares the buffers, so the target network's forward
+        and the predicted network's round use the same arrays."""
         buf = self._buffers.get(key)
         if buf is None or len(buf) < shape[0]:
             buf = self._buffers[key] = np.empty(shape, dtype)
@@ -174,8 +208,9 @@ class QNetwork:
 
     def _activations(self, x: np.ndarray) -> list[np.ndarray]:
         """``x`` and every layer's output for its rows, the last being the
-        Q-values, written into this network's buffers: valid only until its
-        next training-round call.  Each element sees ``forward_batch``'s
+        Q-values, written into this network's buffers: valid only until the
+        next training-round call of this network or of any network sharing
+        its buffers (its clones).  Each element sees ``forward_batch``'s
         operations in its order (``a @ w``, ``+ b``, ReLU), so the values
         are bit-identical to it."""
         acts = [x]
@@ -188,9 +223,12 @@ class QNetwork:
         return acts
 
     def clone(self) -> "QNetwork":
-        return QNetwork(
-            [w.copy() for w in self.weights], [b.copy() for b in self.biases]
-        )
+        """A copy with its own parameters that shares this network's
+        training-round buffers (see ``_scratch``): a round reduces the target
+        network's output before the predicted network's pass reuses them."""
+        twin = QNetwork([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        twin._buffers = self._buffers
+        return twin
 
     def copy_from(self, other: "QNetwork") -> None:
         if self.layer_sizes != other.layer_sizes:
@@ -201,28 +239,54 @@ class QNetwork:
             mine[:] = theirs
         for mine, theirs in zip(self.biases, other.biases):
             mine[:] = theirs
+        self.version = next(_versions)
+
+
+def _row_max(q: np.ndarray) -> np.ndarray:
+    """Row maxima of a 2-D array, folded over its columns with
+    ``np.maximum``: the same values as ``max(axis=1)``, faster for a few
+    columns."""
+    best = q[:, 0].copy()
+    for col in range(1, q.shape[1]):
+        np.maximum(best, q[:, col], out=best)
+    return best
 
 
 def minibatch_targets(
     batch: Minibatch, target_net: QNetwork, discount: float
 ) -> np.ndarray:
-    """One-step bootstrap targets from one forward pass over the live
-    successors; terminal samples keep the bare reward."""
+    """One-step bootstrap targets ``r + discount * max_a Q_target(s')``;
+    terminal samples keep the bare reward.
+
+    A batch from a :class:`ReplayMemory` with two or more live rows reads
+    the bootstrap values the ring holds for ``target_net.version`` and runs
+    the target network once, on the live rows without one, storing what it
+    computes.  A one-row need is padded with another live row, because a
+    lone row can round differently from the same row in a batch, while any
+    batch of two or more rows gives each row the same bits.  So the targets
+    equal those of one forward over all live successors, which is what a
+    hand-built batch, or one with fewer than two live rows, runs, storing
+    nothing.
+    """
     targets = batch.r.copy()
-    if batch.live.any():
-        q_next = target_net._activations(batch.s_next[batch.live])[-1]
-        targets[batch.live] += discount * q_next.max(axis=1)
+    live = np.flatnonzero(batch.live)
+    memory = batch.memory
+    if memory is None or len(live) < 2:
+        if len(live):
+            q_next = target_net._activations(batch.s_next[live])[-1]
+            targets[live] += discount * _row_max(q_next)
+        return targets
+    slots = batch.slots[live]
+    version = target_net.version
+    need = slots[memory.boot_version[slots] != version]
+    if len(need) == 1:
+        need = np.append(need, slots[1] if slots[0] == need[0] else slots[0])
+    if len(need):
+        q_next = target_net._activations(memory.s_next[need])[-1]
+        memory.boot[need] = _row_max(q_next)
+        memory.boot_version[need] = version
+    targets[live] += discount * memory.boot[slots]
     return targets
-
-
-def minibatch_loss(
-    batch: Minibatch, predicted: QNetwork, target_net: QNetwork, discount: float
-) -> float:
-    """Quadratic regression loss of the predicted network against the targets."""
-    m = len(batch)
-    q = predicted.forward_batch(batch.s)[np.arange(m), batch.a]
-    y = minibatch_targets(batch, target_net, discount)
-    return float(np.sum((q - y) ** 2) / (2 * m))
 
 
 def backward_and_step(
@@ -262,6 +326,7 @@ def backward_and_step(
         w -= gw
         gb *= learning_rate
         b -= gb
+    net.version = next(_versions)
     return net
 
 

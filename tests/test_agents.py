@@ -19,9 +19,11 @@ from ranpower.agents import (
 from ranpower.config import RunConfig
 from ranpower.errors import InvariantViolation, SearchSpaceTooLarge, ValidationError
 from ranpower.rl import state_bin, tabular_q_update
+from ranpower.runner import run
 from ranpower.scenario import StepEval, build_topology
 
 from conftest import assert_same_eval, make_scenario
+from test_rl import reference_targets
 
 
 @pytest.fixture
@@ -576,3 +578,30 @@ def test_exhaustive_oracle_all_idle(three_site):
     idx, ee = exhaustive_oracle(ctx)
     assert np.array_equal(idx, np.full(3, ctx.n_levels - 1))
     assert ee == 0.0
+
+
+def test_dqn_rounds_on_stored_bootstrap_values_train_as_direct_targets(tmp_path, monkeypatch):
+    """A DQN run whose rounds read stored bootstrap values ends with the
+    predicted network, and writes the metrics, of a run whose every round
+    runs the target network on all live successors."""
+    cfg = RunConfig(
+        rings=1, episodes=150, search_iters=4, minibatch_size=6, train_interval=1,
+        sync_interval=3, replay_capacity=40, seed=5,
+    )
+    stored_reads = []
+    targets = agents.minibatch_targets
+
+    def counted(batch, target_net, discount):
+        live = batch.slots[batch.live]
+        stored_reads.append(np.count_nonzero(batch.memory.boot_version[live] == target_net.version))
+        return targets(batch, target_net, discount)
+
+    monkeypatch.setattr(agents, "minibatch_targets", counted)
+    reuse = run(cfg, tmp_path / "reuse")
+    monkeypatch.setattr(agents, "minibatch_targets", reference_targets)
+    direct = run(cfg, tmp_path / "direct")
+    assert reuse.summary["learner"]["training_rounds"] > 100
+    assert reuse.summary["learner"]["target_syncs"] > 30
+    assert sum(stored_reads) > 0
+    for name in ("weights.bin", "metrics.csv"):
+        assert (reuse.out_dir / name).read_bytes() == (direct.out_dir / name).read_bytes()

@@ -5,13 +5,15 @@ analytic gradients recovered from a unit-rate update step must agree with
 central finite differences of the minibatch loss.  The ring replay and the
 buffered training round are checked against allocate-as-you-go reference
 models kept here: a deque of tuples and the per-op forward and backward.
+Targets built from the ring's stored bootstrap values are checked against
+one forward over all live successors.
 """
 
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ranpower.errors import (
@@ -26,13 +28,16 @@ from ranpower.rl import (
     backward_and_step,
     empirical_policy_prob,
     load_weights,
-    minibatch_loss,
     minibatch_targets,
     save_weights,
     state_bin,
     sync_target,
     tabular_q_update,
 )
+
+
+# The small network of the bootstrap-value tests.
+SMALL_NET = (2, 16, 16, 4)
 
 
 def random_batch(rng, n, state_dim, n_actions, terminal_every=0):
@@ -61,6 +66,24 @@ def one_row(s, a, r, s_next=None):
         r,
         None if s_next is None else np.atleast_2d(np.asarray(s_next, dtype=float)),
     )
+
+
+def reference_targets(batch, target_net, discount):
+    """Bootstrap targets from one forward over all live successors, with no
+    stored values: what every round computed before the ring kept them."""
+    targets = batch.r.copy()
+    if batch.live.any():
+        q_next = target_net._activations(batch.s_next[batch.live])[-1]
+        targets[batch.live] += discount * q_next.max(axis=1)
+    return targets
+
+
+def minibatch_loss(batch, predicted, target_net, discount):
+    """Quadratic regression loss of the predicted network against the targets."""
+    m = len(batch)
+    q = predicted.forward_batch(batch.s)[np.arange(m), batch.a]
+    y = minibatch_targets(batch, target_net, discount)
+    return float(np.sum((q - y) ** 2) / (2 * m))
 
 
 def concat(*batches):
@@ -240,6 +263,135 @@ def test_minibatch_targets_match_per_sample_forward():
         for r, s_next, live in zip(batch.r, batch.s_next, batch.live)
     ]
     assert minibatch_targets(batch, net, 0.9) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("sizes", [(2, 64, 64, 5), SMALL_NET])
+def test_network_rows_do_not_depend_on_the_rest_of_the_batch(sizes):
+    """Stored bootstrap values rest on this: a row of the training-round
+    forward has the same bits in any batch of two or more rows, whichever
+    rows and in whatever order.  A BLAS without the property fails here
+    first, before the targets tests below."""
+    rng = np.random.default_rng(23)
+    net = QNetwork.create(sizes, rng, zero_output=False)
+    x = rng.random((5000, 2))
+    full = net._activations(x)[-1].copy()
+    for k in (2, 3, 7, 35, 1000, 4999):
+        shuffled = rng.choice(len(x), size=k, replace=False)
+        for sel in (np.sort(shuffled), shuffled):
+            assert net._activations(x[sel])[-1].tobytes() == full[sel].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=40),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=9),
+            st.booleans(),
+            st.sampled_from([1, 2, 3, 5, 17]),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_stored_bootstrap_values_give_the_direct_targets_bit_for_bit(capacity, rounds, seed):
+    """Across ring wrap-around, terminal pushes, minibatches of 1, 2, 3 and
+    more rows, and target syncs after training steps, every round's targets
+    equal one forward over all live successors bit for bit."""
+    rng = np.random.default_rng(seed)
+    pred = QNetwork.create(SMALL_NET, rng, zero_output=False)
+    target = pred.clone()
+    mem = ReplayMemory(capacity)
+    replay = np.random.default_rng(seed)
+    for n, terminal, size, sync in rounds:
+        mem.push(rng.random((n, 2)), rng.integers(4, size=n), float(rng.normal()),
+                 None if terminal else rng.random((n, 2)))
+        if len(mem) <= size:
+            continue
+        batch = mem.sample_minibatch(size, replay)
+        targets = minibatch_targets(batch, target, 0.9)
+        assert targets.tobytes() == reference_targets(batch, target, 0.9).tobytes()
+        backward_and_step(pred, batch, targets, learning_rate=0.1)
+        if sync:
+            sync_target(pred, target)
+
+
+def batch_at(mem, slots):
+    """The minibatch of these ring slots, as ``sample_minibatch`` builds it."""
+    slots = np.asarray(slots)
+    return Minibatch(mem.s[slots], mem.a[slots], mem.r[slots], mem.s_next[slots],
+                     mem.live[slots], slots, mem)
+
+
+def test_stored_bootstrap_values_hold_until_a_sync_or_an_overwrite():
+    """The target network runs only on live rows without a stored value,
+    never on one row alone while two or more are live, and again after a
+    sync or on an overwritten slot."""
+    rng = np.random.default_rng(3)
+    pred = QNetwork.create(SMALL_NET, rng, zero_output=False)
+    target = pred.clone()
+    mem = ReplayMemory(capacity=6)
+    mem.push(rng.random((6, 2)), rng.integers(4, size=6), 0.5, rng.random((6, 2)))
+    forward_rows = []
+    forward = target._activations
+
+    def counted(x):
+        forward_rows.append(len(x))
+        return forward(x)
+
+    target._activations = counted
+
+    def targets_at(slots):
+        batch = batch_at(mem, slots)
+        want = reference_targets(batch, target.clone(), 0.9)
+        got = minibatch_targets(batch, target, 0.9)
+        assert got.tobytes() == want.tobytes()
+        return batch, got
+
+    targets_at([0, 1, 2])
+    assert forward_rows == [3]
+    targets_at([1, 2, 3])  # one row needs a value: padded with a stored one
+    assert forward_rows == [3, 2]
+    targets_at([3, 0, 1])
+    assert forward_rows == [3, 2]
+    assert np.all(mem.boot_version[:4] == target.version)
+
+    mem.push(rng.random((2, 2)), np.zeros(2, dtype=int), 1.0, None)  # slots 0, 1
+    assert np.all(mem.boot_version[:2] == -1)
+    targets_at([0, 1, 4])  # one live row: the direct path, nothing stored
+    assert forward_rows == [3, 2, 1]
+    assert mem.boot_version[4] == -1
+    targets_at([0, 1, 2, 3])
+    assert forward_rows == [3, 2, 1]
+
+    mem.push(rng.random((1, 2)), np.zeros(1, dtype=int), 1.0, rng.random((1, 2)))  # slot 2
+    assert mem.boot_version[2] == -1
+    targets_at([2, 3])
+    assert forward_rows == [3, 2, 1, 2]
+
+    batch, targets = targets_at([2, 3, 5])
+    assert forward_rows == [3, 2, 1, 2, 2]
+    stored = mem.boot[[2, 3, 5]].copy()
+    backward_and_step(pred, batch, targets, learning_rate=0.5)
+    sync_target(pred, target)
+    targets_at([2, 3, 5])
+    assert forward_rows == [3, 2, 1, 2, 2, 3]
+    assert not np.array_equal(mem.boot[[2, 3, 5]], stored)
+
+
+def test_a_gradient_step_outdates_the_values_stored_for_the_network():
+    """Values are kept per parameter version, so a network used as its own
+    target network gets fresh bootstrap values after each step."""
+    rng = np.random.default_rng(4)
+    net = QNetwork.create(SMALL_NET, rng, zero_output=False)
+    mem = ReplayMemory(capacity=8)
+    mem.push(rng.random((8, 2)), rng.integers(4, size=8), 0.5, rng.random((8, 2)))
+    batch = mem.sample_minibatch(5, rng)
+    backward_and_step(net, batch, minibatch_targets(batch, net, 0.9), learning_rate=0.5)
+    targets = minibatch_targets(batch, net, 0.9)
+    assert targets.tobytes() == reference_targets(batch, net, 0.9).tobytes()
 
 
 def test_minibatch_loss_single_sample():

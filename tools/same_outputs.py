@@ -30,9 +30,13 @@ ROOT = Path(__file__).resolve().parent.parent
 PAPER_DQN = {"rings": 2, "agent": "dqn", "search_iters": 100}
 DESK_DQN = {"rings": 1, "per_sector_users": 2, "agent": "dqn", "search_iters": 10,
             "train_interval": 5}
-# The benchmark's three workloads, then DQN with moving users at both shapes
-# and Q-learning at both shapes.  With 10 candidates the desk search rates
-# an 8-row head and, when that holds no feasible plan, a 2-row rest.
+# The benchmark's three workloads, then DQN with moving users at both shapes,
+# Q-learning at both shapes and a small-batch DQN learner.  With 10
+# candidates the desk search rates an 8-row head and, when that holds no
+# feasible plan, a 2-row rest.  The small-batch learner trains every slot on
+# two samples from a 50-slot ring and syncs every 3 rounds, so its rounds
+# pad one-row needs for stored bootstrap values, meet batches with one live
+# row at terminal steps, wrap the ring and re-evaluate after frequent syncs.
 SHAPES = {
     "paper-dqn-search": {**PAPER_DQN, "episodes": 600},
     "desk-dqn-train": {**DESK_DQN, "episodes": 800},
@@ -42,6 +46,9 @@ SHAPES = {
     "desk-dqn-waypoint": {**DESK_DQN, "mobility": "waypoint", "episodes": 800},
     "paper-qlearning": {**PAPER_DQN, "agent": "qlearning", "episodes": 600},
     "desk-qlearning": {**DESK_DQN, "agent": "qlearning", "episodes": 800},
+    "desk-dqn-small-batch": {"rings": 1, "agent": "dqn", "search_iters": 4,
+                             "minibatch_size": 2, "train_interval": 1, "sync_interval": 3,
+                             "replay_capacity": 50, "episodes": 400},
 }
 OUTPUTS = ("metrics.csv", "weights.bin")
 
