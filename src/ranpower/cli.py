@@ -7,8 +7,9 @@ Subcommands:
 * ``sweep``   - cartesian sweep over ``--vary key=v1,v2,...`` lists
 * ``oracle``  - run a small instance and score it against exhaustive search
 
-Exit codes: 0 on success, 1 for configuration problems (unreadable or
-invalid config, bad sweep values or worker count), 2 for runtime failures.
+Exit codes: 0 on success, 1 for bad input (an unreadable config file, or a
+``ValidationError``: a config that does not parse or validate, bad sweep
+values or worker count), 2 for runtime failures.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import argparse
 import sys
 
 from .config import FIELD_TYPES, RunConfig, coerce_value, load_config
-from .errors import InvalidConfig, ParseError, RanPowerError, ValidationError
+from .errors import RanPowerError, ValidationError
 from .runner import run, run_compare, run_oracle_check, run_sweep
 
 
@@ -96,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
             vary = _parse_vary(args.vary)
             if args.workers < 1:
                 raise ValidationError(f"--workers {args.workers} must be at least 1")
-    except (ParseError, ValidationError, InvalidConfig, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

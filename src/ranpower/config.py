@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .radio import MIN_DROP_RADIUS_M, MIN_POWER_DBW
 
 AGENTS = ("dqn", "qlearning", "sleep")
@@ -155,16 +155,16 @@ def parse_config_text(text: str) -> dict[str, Any]:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ParseError(f"line {lineno}: expected 'key = value', got {line!r}")
+            raise ValidationError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
         if not key or not raw:
-            raise ParseError(f"line {lineno}: empty key or value in {line!r}")
+            raise ValidationError(f"line {lineno}: empty key or value in {line!r}")
         if key not in FIELD_TYPES:
             raise ValidationError(f"unknown config key '{key}' (line {lineno})")
         if key in values:
-            raise ParseError(f"line {lineno}: duplicate key '{key}'")
+            raise ValidationError(f"line {lineno}: duplicate key '{key}'")
         values[key] = coerce_value(key, raw)
     return values
 
@@ -177,7 +177,11 @@ def load_config(path: str | Path | None = None, **overrides: Any) -> RunConfig:
     """
     values: dict[str, Any] = {}
     if path is not None:
-        values.update(parse_config_text(Path(path).read_text()))
+        try:
+            text = Path(path).read_text()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"config file {path} is not text: {exc}") from exc
+        values.update(parse_config_text(text))
     for key, val in overrides.items():
         if val is None:
             continue

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Bad input of any kind raises :class:`ValidationError`: a config document
+that does not parse, a config value out of range, and a hand-built
+``Topology``, ``Scenario`` or ``ReplayMemory`` that cannot work.  The
+command line maps it to exit 1.
+"""
 
 
 class RanPowerError(Exception):
@@ -11,10 +17,6 @@ class DistanceTooSmall(RanPowerError, ValueError):
 
 class NonPositivePower(RanPowerError, ValueError):
     """A linear power value was zero or negative where positive is required."""
-
-
-class InvalidConfig(RanPowerError, ValueError):
-    """A structural parameter (grid, power set, traffic model) is unusable."""
 
 
 class InsufficientSamples(RanPowerError, ValueError):
@@ -33,12 +35,9 @@ class SearchSpaceTooLarge(RanPowerError, ValueError):
     """Exhaustive enumeration was asked for more joint actions than allowed."""
 
 
-class ParseError(RanPowerError, ValueError):
-    """A config document could not be parsed; message carries the line number."""
-
-
 class ValidationError(RanPowerError, ValueError):
-    """A config value failed validation; message names the offending key."""
+    """Bad input; the message says what is wrong and names the config key,
+    or the line of a document that does not parse."""
 
 
 class InvariantViolation(RanPowerError, RuntimeError):

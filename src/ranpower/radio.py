@@ -1,11 +1,10 @@
 """Link-level constants and scalar conversions.
 
-Positions, the dBW/watt conversions and the gain of one link.  The
-simulation itself computes gains, SINR, rates and efficiencies on arrays in
-:mod:`ranpower.scenario`; :func:`channel_gain` is the scalar form of its
-per-link gain.  Energy efficiency is expressed in Mbps per dBW, i.e. the
-rate in Mbps divided by the transmit power level in dBW, which is why
-transmit levels are kept above ``MIN_POWER_DBW``.
+Positions and the dBW/watt conversions.  The simulation itself computes
+gains, SINR, rates and efficiencies on arrays in :mod:`ranpower.scenario`.
+Energy efficiency is expressed in Mbps per dBW, i.e. the rate in Mbps
+divided by the transmit power level in dBW, which is why transmit levels
+are kept above ``MIN_POWER_DBW``.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DistanceTooSmall, NonPositivePower
+from .errors import NonPositivePower
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 
@@ -49,24 +48,3 @@ def watts_to_dbw(p_w: float) -> float:
         raise NonPositivePower(f"cannot express {p_w} W in dBW")
     return 10.0 * math.log10(p_w)
 
-
-def channel_gain(
-    tx_gain_lin: float,
-    rx_gain_lin: float,
-    fc_hz: float,
-    d_m: float,
-    exponent: float = 1.0,
-) -> float:
-    """Effective channel gain of one link.
-
-    The propagation term is ``(c / (4 pi fc d)) ** exponent`` with the
-    antenna gains applied outside the exponent.  ``exponent`` defaults to 1,
-    matching the amplitude-style free-space factor used throughout the
-    simulator; pass 2 for a conventional power-law path loss.
-    """
-    if d_m < MIN_DISTANCE_M:
-        raise DistanceTooSmall(f"distance {d_m} m is below {MIN_DISTANCE_M} m")
-    if fc_hz <= 0.0:
-        raise NonPositivePower(f"carrier frequency {fc_hz} Hz must be positive")
-    path = (SPEED_OF_LIGHT_M_S / (4.0 * math.pi * fc_hz * d_m)) ** exponent
-    return tx_gain_lin * path * rx_gain_lin

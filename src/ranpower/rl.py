@@ -35,7 +35,7 @@ from .errors import (
     ArchitectureMismatch,
     EmptyMemory,
     InsufficientSamples,
-    InvalidConfig,
+    ValidationError,
 )
 
 
@@ -75,7 +75,7 @@ class ReplayMemory:
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
-            raise InvalidConfig(f"replay capacity {capacity} must be positive")
+            raise ValidationError(f"replay capacity {capacity} must be positive")
         self.capacity = capacity
         self.s = np.zeros((capacity, 2))
         self.a = np.zeros(capacity, dtype=np.intp)

@@ -3,15 +3,19 @@
 Every function and class here reads the run's :class:`RunConfig` directly
 for its radio, traffic and deployment constants; only the site geometry and
 the power set live in a :class:`Topology`, so a test can build one by hand.
+Input is checked once, where it enters: :func:`build_topology` and
+:class:`Scenario` validate the config, and a hand-built ``Topology`` or
+``Scenario`` checks what it is given; each raises ``ValidationError``.
 A :class:`Scenario` owns the mutable simulation state (pending volumes,
 current power levels, user positions).  Each time step it freezes the
-physics into a :class:`StepContext`: which users are scheduled, the gain of
-every site towards every scheduled user, and, evaluated once as the context
-is built, the full-power assignment whose rates are the reference.  Agents
-then rate candidate joint power assignments against that frozen context
-without touching the scenario; one :class:`StepEval` holds the outcome of
-one assignment, or of a batch with a leading candidate axis.  The runner
-applies exactly one accepted assignment per step.
+physics into a :class:`StepContext`: which users are scheduled and the gain
+of every site towards every scheduled user, from which the context derives,
+as it is built, the active sites and the full-power assignment whose rates
+are the reference.  Agents then rate candidate joint power assignments
+against that frozen context without touching the scenario; one
+:class:`StepEval` holds the outcome of one assignment, or of a batch with a
+leading candidate axis.  The runner applies exactly one accepted assignment
+per step.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import RunConfig
-from .errors import DistanceTooSmall, InvalidConfig
+from .errors import DistanceTooSmall, ValidationError
 from .radio import (
     MIN_DISTANCE_M,
     MIN_DROP_RADIUS_M,
@@ -40,7 +44,8 @@ SLOT_S = 1e-3  # length of one simulated slot, in seconds
 
 @dataclass(frozen=True, eq=False)
 class Topology:
-    """Static cell grid: site positions, sectorisation and the power set."""
+    """Static cell grid: site positions, sectorisation and the power set.
+    Raises ``ValidationError`` for a grid that no step can use."""
 
     site_positions: tuple[Position, ...]
     power_levels_dbw: np.ndarray
@@ -48,17 +53,19 @@ class Topology:
     site_xy: np.ndarray = field(init=False, repr=False)  # (B, 2) planar positions
 
     def __post_init__(self) -> None:
+        if not self.site_positions:
+            raise ValidationError("a topology needs at least one site")
         if not self.boresights_deg:
-            raise InvalidConfig("at least one sector boresight is required")
+            raise ValidationError("at least one sector boresight is required")
         if not all(0.0 <= b < 360.0 for b in self.boresights_deg):
-            raise InvalidConfig("boresights must lie in [0, 360) degrees")
+            raise ValidationError("boresights must lie in [0, 360) degrees")
         levels = np.asarray(self.power_levels_dbw, dtype=float)
         if levels.size < 2:
-            raise InvalidConfig("at least two power levels are required")
+            raise ValidationError("at least two power levels are required")
         if np.any(np.diff(levels) <= 0.0):
-            raise InvalidConfig("power levels must be strictly ascending")
+            raise ValidationError("power levels must be strictly ascending")
         if levels[0] < MIN_POWER_DBW:
-            raise InvalidConfig(
+            raise ValidationError(
                 f"lowest power level {levels[0]} dBW is below the "
                 f"{MIN_POWER_DBW} dBW guard"
             )
@@ -85,22 +92,11 @@ class Topology:
 
 def power_level_set(p_max_dbw: float, delta_p_max_db: float, n_levels: int) -> np.ndarray:
     """Evenly spaced dBW levels on [p_max - delta_p_max, p_max], ascending."""
-    if n_levels < 2:
-        raise InvalidConfig(f"need at least 2 power levels, got {n_levels}")
-    if delta_p_max_db <= 0.0:
-        raise InvalidConfig(f"power adjustment range {delta_p_max_db} must be positive")
-    lo = p_max_dbw - delta_p_max_db
-    if lo < MIN_POWER_DBW:
-        raise InvalidConfig(
-            f"lowest level {lo} dBW would undercut the {MIN_POWER_DBW} dBW guard"
-        )
-    return np.linspace(lo, p_max_dbw, n_levels)
+    return np.linspace(p_max_dbw - delta_p_max_db, p_max_dbw, n_levels)
 
 
 def hex_site_positions(rings: int, isd_m: float) -> tuple[Position, ...]:
     """Hexagonal grid positions: 1 + 3*rings*(rings+1) sites, centre first."""
-    if rings < 0:
-        raise InvalidConfig(f"ring count {rings} must be non-negative")
     sites: list[tuple[int, float, float, float]] = []
     for q in range(-rings, rings + 1):
         for r in range(-rings, rings + 1):
@@ -116,7 +112,10 @@ def hex_site_positions(rings: int, isd_m: float) -> tuple[Position, ...]:
 
 
 def build_topology(cfg: RunConfig) -> Topology:
-    """Standard hex deployment with three sectors per site and the configured power set."""
+    """Standard hex deployment with three sectors per site and the configured
+    power set; validates ``cfg`` first, so a bad ring count or power set
+    raises ``ValidationError`` naming its key."""
+    cfg.validate()
     return Topology(
         site_positions=hex_site_positions(cfg.rings, cfg.isd_m),
         power_levels_dbw=power_level_set(cfg.p_max_dbw, cfg.delta_p_max_db, cfg.n_power_levels),
@@ -157,9 +156,10 @@ def sector_gain_matrix(
     is floored at the model minimum instead of raising; the moving-user path
     uses that so a drifting user cannot crash a long run.
 
-    Angles fold into [0, 360) by one add or subtract with the bits of ``% 360``:
-    on (-360, 720), where boresights in [0, 360) keep them, ``%`` is an exact
-    ``fmod`` plus ``+360`` when negative, and ``x - 360`` is exact on [360, 720].
+    Sector s's arc is ``lo <= azimuth < hi`` with ``lo = (b - 60) % 360`` and
+    ``hi = (b + 60) % 360`` for its boresight b, wrapping through 0 when
+    ``lo > hi``; with the default boresights every azimuth in [0, 360] lies
+    in exactly one arc.
     """
     dx = user_xy[:, 0] - topo.site_xy[:, 0, None]
     dy = user_xy[:, 1] - topo.site_xy[:, 1, None]
@@ -174,11 +174,11 @@ def sector_gain_matrix(
 
     angles = np.degrees(np.arctan2(dy, dx))  # [-180, 180]
     angles += np.where(angles < 0.0, 360.0, 0.0)
-    boresights = np.asarray(topo.boresights_deg)
-    offset = angles[:, None, :] - boresights[None, :, None] + SECTOR_WIDTH_DEG / 2.0
-    offset -= np.where(offset >= 360.0, 360.0, 0.0)  # first: -1e-14 folds to 360.0, as in %
-    offset += np.where(offset < 0.0, 360.0, 0.0)
-    in_arc = offset < SECTOR_WIDTH_DEG
+    boresights = np.asarray(topo.boresights_deg)[:, None]
+    lo = (boresights - SECTOR_WIDTH_DEG / 2.0) % 360.0
+    hi = (boresights + SECTOR_WIDTH_DEG / 2.0) % 360.0
+    above, below = angles[:, None, :] >= lo, angles[:, None, :] < hi
+    in_arc = np.where(lo < hi, above & below, above | below)
     tx = 10.0 ** (cfg.tx_gain_dbi / 10.0)
     gains = np.where(in_arc, tx, tx * 10.0 ** (-cfg.backlobe_atten_db / 10.0))
     dist *= 4.0 * math.pi * cfg.fc_hz
@@ -248,25 +248,25 @@ class StepEval:
 class StepContext:
     """Frozen physics of one time step, shared by every candidate evaluation.
 
-    ``own_gain[u]`` is the gain of user u's own site towards it (all of that
-    site's active sectors), the diagonal of ``site_to_user_gain`` along
-    ``sched_site``.  ``prior_power_w`` holds each station's power before
-    this step, from which ``features`` are computed when first read.
-    Construction evaluates every station at the top level once: that is
-    ``full_power``, whose site rates are ``ref_rate_bps`` and whose rate
-    deltas are therefore zero.
+    It takes only what it cannot derive, so a hand-built context cannot
+    contradict itself.  Construction derives from ``sched_site`` and
+    ``site_to_user_gain`` the site count ``n_sites``; ``phi``, 1 for each
+    site serving a scheduled user and 0 for a sleeping one; ``active_sites``,
+    the former; and ``own_gain[u]``, the gain of user u's own site towards it
+    (all of that site's active sectors), the diagonal of
+    ``site_to_user_gain`` along ``sched_site``.  It then evaluates every
+    station at the top level once: that is ``full_power``, whose site rates
+    are ``ref_rate_bps`` and whose rate deltas are therefore zero.
+    ``prior_power_w`` holds each station's power before this step, from
+    which ``features`` are computed when first read.
     """
 
     t: int
-    n_sites: int
-    phi: np.ndarray
-    active_sites: np.ndarray
     power_levels_dbw: np.ndarray
     power_levels_w: np.ndarray
     sched_users: np.ndarray
     sched_site: np.ndarray
     serving_gain: np.ndarray
-    own_gain: np.ndarray
     site_to_user_gain: np.ndarray
     residual_bits: np.ndarray
     prior_power_w: np.ndarray
@@ -275,11 +275,23 @@ class StepContext:
     slot_s: float
     volume_scale_bits: float
     rsrp_floor_dbw: float
+    n_sites: int = field(init=False)
+    phi: np.ndarray = field(init=False, repr=False)
+    active_sites: np.ndarray = field(init=False)
+    own_gain: np.ndarray = field(init=False, repr=False)
     ref_rate_bps: np.ndarray = field(init=False, repr=False)
     full_power: StepEval = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        full = np.full(self.n_sites, self.n_levels - 1)
+        n_sites, n_users = self.site_to_user_gain.shape
+        phi = np.zeros(n_sites)
+        phi[self.sched_site] = 1.0
+        own_gain = self.site_to_user_gain[self.sched_site, np.arange(n_users)]
+        object.__setattr__(self, "n_sites", n_sites)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "active_sites", phi.nonzero()[0])
+        object.__setattr__(self, "own_gain", own_gain)
+        full = np.full(n_sites, self.n_levels - 1)
         rates, rate_b = self._rates(full)
         object.__setattr__(self, "ref_rate_bps", rate_b)
         object.__setattr__(self, "full_power", self._outcome(full, rates, rate_b))
@@ -385,14 +397,14 @@ class Scenario:
         self.cfg = cfg.validate()
         levels = power_level_set(cfg.p_max_dbw, cfg.delta_p_max_db, cfg.n_power_levels)
         if not np.array_equal(topo.power_levels_dbw, levels):
-            raise InvalidConfig(
+            raise ValidationError(
                 f"the topology's power levels {topo.power_levels_dbw.tolist()} are not "
                 f"the config's {levels.tolist()}"
             )
         self.user_speed_mps = cfg.user_speed_mps if cfg.mobility == "waypoint" else 0.0
         self.n_users = len(user_positions)
         if self.n_users == 0:
-            raise InvalidConfig("a scenario needs at least one user")
+            raise ValidationError("a scenario needs at least one user")
         self.user_xy = np.array([[p.x, p.y] for p in user_positions])
         # Moving users' gains are computed per slot instead (see build_step).
         self.gains = sector_gain_matrix(topo, cfg, self.user_xy)
@@ -454,8 +466,6 @@ class Scenario:
         sched_site = self.serving_site[sched_users]
         sched_sector = self.serving_sector[sched_users]
         n_sites = self.topo.n_sites
-        phi = np.zeros(n_sites)
-        phi[sched_site] = 1.0
 
         # site_to_user is column-major in both paths: the layout picks the BLAS kernel
         # of ``power_w @ site_to_user``, and a C-ordered one rounds the rates differently.
@@ -478,15 +488,11 @@ class Scenario:
 
         return StepContext(
             t=self.t,
-            n_sites=n_sites,
-            phi=phi,
-            active_sites=phi.nonzero()[0],
             power_levels_dbw=self.topo.power_levels_dbw,
             power_levels_w=self.power_levels_w,
             sched_users=sched_users,
             sched_site=sched_site,
             serving_gain=serving_gain,
-            own_gain=site_to_user[sched_site, np.arange(sched_users.size)],
             site_to_user_gain=site_to_user,
             residual_bits=self.residual_bits[sched_users],
             prior_power_w=self.power_levels_w[self.current_power_idx],

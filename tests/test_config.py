@@ -1,4 +1,5 @@
-"""Run configuration parsing, defaults, and validation."""
+"""Run configuration parsing, defaults, and validation, and the one error
+class that every entry point raises for bad input."""
 
 import dataclasses
 import math
@@ -6,7 +7,10 @@ import math
 import pytest
 
 from ranpower.config import RunConfig, load_config, parse_config_text
-from ranpower.errors import ParseError, ValidationError
+from ranpower.errors import RanPowerError, ValidationError
+from ranpower.radio import Position
+from ranpower.rl import ReplayMemory
+from ranpower.scenario import Scenario, Topology, build_topology, power_level_set
 
 
 def test_defaults_describe_the_large_reference_network():
@@ -50,17 +54,17 @@ def test_parse_reads_comments_blank_lines_and_types():
 
 
 def test_parse_rejects_malformed_line_with_line_number():
-    with pytest.raises(ParseError, match="line 2"):
+    with pytest.raises(ValidationError, match="line 2"):
         parse_config_text("rings = 1\nepisodes")
 
 
 def test_parse_rejects_empty_value():
-    with pytest.raises(ParseError, match="line 1"):
+    with pytest.raises(ValidationError, match="line 1"):
         parse_config_text("rings =")
 
 
 def test_parse_rejects_duplicate_key():
-    with pytest.raises(ParseError, match="duplicate key 'rings'"):
+    with pytest.raises(ValidationError, match="duplicate key 'rings'"):
         parse_config_text("rings = 1\nrings = 2")
 
 
@@ -163,8 +167,49 @@ def test_load_config_rejects_unknown_override():
         load_config(None, not_a_key=1)
 
 
+def test_load_config_rejects_a_file_that_is_not_text(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"rings = 1\n\xff\xfe\n")
+    with pytest.raises(ValidationError, match="run.cfg is not text"):
+        load_config(path)
+
+
 def test_load_config_validates_merged_result(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("episodes = 100\n")
     with pytest.raises(ValidationError, match="'episodes'"):
         load_config(path, episodes=0)
+
+
+FOUR_LEVELS = power_level_set(15.2, 2.0, 4)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: parse_config_text("rings = 1\nepisodes"), "line 2",
+                 id="parse_config_text"),
+    pytest.param(lambda: RunConfig(episodes=0).validate(), "'episodes'",
+                 id="RunConfig.validate"),
+    pytest.param(lambda: build_topology(RunConfig(rings=-1)), "'rings'",
+                 id="build_topology-rings"),
+    pytest.param(lambda: build_topology(RunConfig(n_power_levels=1)), "'n_power_levels'",
+                 id="build_topology-n_power_levels"),
+    pytest.param(lambda: build_topology(RunConfig(delta_p_max_db=0.0)), "'delta_p_max_db'",
+                 id="build_topology-delta_p_max_db"),
+    pytest.param(
+        lambda: build_topology(RunConfig(p_max_dbw=2.0, delta_p_max_db=1.5, n_power_levels=3)),
+        "'delta_p_max_db' pushes the lowest power level", id="build_topology-level-guard",
+    ),
+    pytest.param(lambda: Topology((), FOUR_LEVELS), "at least one site", id="Topology"),
+    pytest.param(
+        lambda: Scenario(Topology((Position(0.0, 0.0),), FOUR_LEVELS), RunConfig(),
+                         [Position(30.0, 0.0)]),
+        "power levels", id="Scenario",
+    ),
+    pytest.param(lambda: ReplayMemory(0), "replay capacity", id="ReplayMemory"),
+])
+def test_every_entry_point_raises_validation_error(call, match):
+    """Bad input raises the one error class wherever it enters, with a
+    message that says where: the key, the line, or the part at fault."""
+    with pytest.raises(ValidationError, match=match) as info:
+        call()
+    assert isinstance(info.value, RanPowerError) and isinstance(info.value, ValueError)

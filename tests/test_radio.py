@@ -1,11 +1,12 @@
 """Link-budget arithmetic against hand-computed values and round trips.
 
-The scalar conversions and ``channel_gain`` are checked directly; distance,
-SINR, rate, rate deltas and efficiency are checked where the simulation
-computes them, in ``sector_gain_matrix`` and ``StepContext.evaluate`` on
-steps built by hand.
+The scalar conversions and the reference ``channel_gain`` are checked
+directly; distance, SINR, rate, rate deltas and efficiency are checked where
+the simulation computes them, in ``sector_gain_matrix`` and
+``StepContext.evaluate`` on steps built by hand.
 """
 
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -15,7 +16,12 @@ from hypothesis import strategies as st
 
 from ranpower.config import RunConfig
 from ranpower.errors import DistanceTooSmall, NonPositivePower
-from ranpower.radio import channel_gain, dbw_to_watts, watts_to_dbw
+from ranpower.radio import (
+    MIN_DISTANCE_M,
+    SPEED_OF_LIGHT_M_S,
+    dbw_to_watts,
+    watts_to_dbw,
+)
 from ranpower.scenario import StepContext, StepEval, build_topology, sector_gain_matrix
 
 NOISE_W = 10**-12.5
@@ -37,15 +43,11 @@ def hand_step(gain=GAIN, sched_site=SCHED_SITE, noise_w=NOISE_W):
     gain = np.asarray(gain, dtype=float)
     sched_site = np.asarray(sched_site)
     n_sites, n_users = gain.shape
-    phi = np.zeros(n_sites)
-    phi[sched_site] = 1.0
     levels = np.array([10.0, 14.2])
-    serving = gain[sched_site, np.arange(n_users)]
     return StepContext(
-        t=0, n_sites=n_sites, phi=phi, active_sites=phi.nonzero()[0],
-        power_levels_dbw=levels, power_levels_w=10.0 ** (levels / 10.0),
+        t=0, power_levels_dbw=levels, power_levels_w=10.0 ** (levels / 10.0),
         sched_users=np.arange(n_users), sched_site=sched_site,
-        serving_gain=serving, own_gain=serving, site_to_user_gain=gain,
+        serving_gain=gain[sched_site, np.arange(n_users)], site_to_user_gain=gain,
         residual_bits=np.full(n_users, 1e5),
         prior_power_w=np.zeros(n_sites), noise_w=noise_w, bandwidth_hz=1e7,
         slot_s=1e-3, volume_scale_bits=2e5, rsrp_floor_dbw=-125.0,
@@ -58,6 +60,29 @@ def lowest_level(ctx):
 
 # The default 17 dBi transmit and 0 dBi receive gains, linear.
 TX_GAIN, RX_GAIN = 10.0**1.7, 1.0
+
+
+def channel_gain(
+    tx_gain_lin: float,
+    rx_gain_lin: float,
+    fc_hz: float,
+    d_m: float,
+    exponent: float = 1.0,
+) -> float:
+    """Effective channel gain of one link: the scalar reference for each entry
+    of ``sector_gain_matrix``.
+
+    The propagation term is ``(c / (4 pi fc d)) ** exponent`` with the
+    antenna gains applied outside the exponent.  ``exponent`` defaults to 1,
+    matching the amplitude-style free-space factor used throughout the
+    simulator; pass 2 for a conventional power-law path loss.
+    """
+    if d_m < MIN_DISTANCE_M:
+        raise DistanceTooSmall(f"distance {d_m} m is below {MIN_DISTANCE_M} m")
+    if fc_hz <= 0.0:
+        raise NonPositivePower(f"carrier frequency {fc_hz} Hz must be positive")
+    path = (SPEED_OF_LIGHT_M_S / (4.0 * math.pi * fc_hz * d_m)) ** exponent
+    return tx_gain_lin * path * rx_gain_lin
 
 
 def test_distance_matches_pythagoras():
@@ -190,6 +215,19 @@ def test_hand_built_full_power_is_the_full_plan():
     assert np.all(ctx.full_power.rate_delta_bps == 0.0)
     assert ctx.full_power.rate_delta_sum == 0.0
     assert ctx.ref_rate_bps.tobytes() == want.rate_bps.tobytes()
+
+
+def test_a_hand_built_step_derives_who_is_active_and_the_own_gains():
+    """``sched_site`` and ``site_to_user_gain`` alone say who serves whom: the
+    activity mask, the active sites and each user's own-site gain follow from
+    them, also after ``dataclasses.replace``."""
+    ctx = hand_step()
+    assert (ctx.n_sites, ctx.phi.tolist(), ctx.active_sites.tolist()) == (3, [1, 0, 1], [0, 2])
+    assert ctx.own_gain.tolist() == [2e-10, 2e-10]
+    moved = replace(ctx, sched_site=np.array([1, 2]))
+    assert (moved.phi.tolist(), moved.active_sites.tolist()) == ([0, 1, 1], [1, 2])
+    assert moved.own_gain.tolist() == [1e-6, 2e-10]
+    assert moved.ref_rate_bps[0] == 0.0 and moved.ref_rate_bps[1] > 0.0
 
 
 def test_link_ee_spot_value():

@@ -11,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ranpower.config import RunConfig
-from ranpower.errors import DistanceTooSmall, InvalidConfig
+from ranpower.errors import DistanceTooSmall, ValidationError
 from ranpower.radio import (
     MIN_DISTANCE_M,
     SPEED_OF_LIGHT_M_S,
     Position,
-    channel_gain,
     dbw_to_watts,
 )
 from ranpower.scenario import (
@@ -35,6 +34,7 @@ from ranpower.scenario import (
 )
 
 from conftest import assert_same_eval, make_scenario, topo_config
+from test_radio import channel_gain
 
 DEFAULTS = RunConfig()
 TX_GAIN = 10.0 ** (DEFAULTS.tx_gain_dbi / 10.0)
@@ -44,15 +44,6 @@ RX_GAIN = 10.0 ** (DEFAULTS.rx_gain_dbi / 10.0)
 def test_power_level_set_spot_values(level_set):
     assert level_set == pytest.approx([13.2, 13.7, 14.2, 14.7, 15.2], rel=1e-12)
     assert power_level_set(15.2, 5.0, 2) == pytest.approx([10.2, 15.2])
-
-
-def test_power_level_set_validation():
-    with pytest.raises(InvalidConfig):
-        power_level_set(15.2, 2.0, 1)
-    with pytest.raises(InvalidConfig):
-        power_level_set(15.2, 0.0, 5)
-    with pytest.raises(InvalidConfig):
-        power_level_set(2.0, 1.5, 3)
 
 
 def test_hex_ring_counts():
@@ -81,13 +72,13 @@ def test_build_topology_sets_sectors():
 
 
 def test_topology_validation():
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ValidationError):
         Topology((Position(0, 0),), np.array([15.2, 13.2]))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ValidationError):
         Topology((Position(0, 0),), np.array([15.2]))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ValidationError):
         Topology((Position(0, 0),), np.array([0.5, 15.2]))
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ValidationError):
         Topology((Position(0, 0),), np.array([13.2, 15.2]), boresights_deg=())
 
 
@@ -128,6 +119,20 @@ def test_sector_arc_membership(single_site):
     assert g_out[0, 1, 0] > g_out[0, 0, 0]
 
 
+def test_user_at_sixty_degrees_gets_the_full_gain_of_sector_zero(single_site):
+    """``cos`` and ``sin`` put a user at 60 degrees on azimuth
+    59.99999999999999, one ulp inside sector 0's arc [300, 60): it gets that
+    sector's full transmit gain and the backlobe of the other two."""
+    azim = math.radians(60.0)
+    user_xy = np.array([[100.0 * math.cos(azim), 100.0 * math.sin(azim)]])
+    assert np.degrees(np.arctan2(user_xy[0, 1], user_xy[0, 0])) == np.nextafter(60.0, 0.0)
+    gains = sector_gain_matrix(single_site, DEFAULTS, user_xy)
+    d = math.sqrt(100.0**2 + (25.0 - 1.5) ** 2)
+    expected = channel_gain(TX_GAIN, RX_GAIN, DEFAULTS.fc_hz, d)
+    assert gains[0, 0, 0] == pytest.approx(expected, rel=1e-12)
+    assert gains[0, 1:, 0] == pytest.approx([expected * 10 ** (-2.5)] * 2, rel=1e-12)
+
+
 def test_sector_gain_rejects_near_field_without_clamp(single_site):
     under = np.array([[0.0, 0.0]])
     cfg = RunConfig(user_height_m=24.5)
@@ -138,8 +143,8 @@ def test_sector_gain_rejects_near_field_without_clamp(single_site):
 
 
 def remainder_gain_matrix(topo, cfg, user_xy):
-    """The (B, S, U) gains with both angle folds done by ``% 360``, clamped:
-    the arithmetic the fold-based :func:`sector_gain_matrix` must reproduce."""
+    """The (B, S, U) gains with both angle folds done by ``% 360``, clamped,
+    and the (B, S, U) arc membership that form gives."""
     site_xy = np.array([[p.x, p.y] for p in topo.site_positions])
     dxy = user_xy[None, :, :] - site_xy[:, None, :]
     planar = np.hypot(dxy[:, :, 0], dxy[:, :, 1])
@@ -148,11 +153,12 @@ def remainder_gain_matrix(topo, cfg, user_xy):
     angles = np.degrees(np.arctan2(dxy[:, :, 1], dxy[:, :, 0])) % 360.0
     boresights = np.asarray(topo.boresights_deg)
     offset = (angles[:, None, :] - boresights[None, :, None] + SECTOR_WIDTH_DEG / 2.0) % 360.0
-    pattern = np.where(offset < SECTOR_WIDTH_DEG, 1.0, 10.0 ** (-cfg.backlobe_atten_db / 10.0))
+    in_arc = offset < SECTOR_WIDTH_DEG
+    pattern = np.where(in_arc, 1.0, 10.0 ** (-cfg.backlobe_atten_db / 10.0))
     path = (
         SPEED_OF_LIGHT_M_S / (4.0 * math.pi * cfg.fc_hz * dist)
     ) ** cfg.path_loss_exponent
-    return TX_GAIN * pattern * path[:, None, :] * RX_GAIN
+    return TX_GAIN * pattern * path[:, None, :] * RX_GAIN, in_arc
 
 
 NINETEEN_SITES = build_topology(RunConfig(rings=2))
@@ -160,11 +166,14 @@ NINETEEN_SITES = build_topology(RunConfig(rings=2))
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_sector_gain_fold_matches_remainder_bit_for_bit(seed):
+def test_sector_gain_matches_remainder_and_puts_each_user_in_one_arc(seed):
     """Random users, plus users on the sector edges (the boresights +-60
     degrees, nudged by an ulp either way) and due west of a site (+-180
-    degrees, with dy = +0.0 and -0.0): the full matrix and any subset of its
-    users carry the same bits as the ``%`` form."""
+    degrees, with dy = +0.0 and -0.0).  Every (site, user) pair lies in
+    exactly one sector's arc; wherever the ``%`` form puts a pair in an arc,
+    its gains carry that form's bits; and any subset of the users carries
+    the full matrix's bits.  The ``%`` form puts an azimuth one ulp below a
+    sector edge in no arc at all, so it is no reference there."""
     topo, cfg = NINETEEN_SITES, DEFAULTS
     rng = np.random.default_rng(seed)
     site_xy = np.array([[p.x, p.y] for p in topo.site_positions])
@@ -175,15 +184,21 @@ def test_sector_gain_fold_matches_remainder_bit_for_bit(seed):
     on_edge[::2] = np.nextafter(on_edge[::2], rng.choice([-np.inf, np.inf], (15, 2)))
     west = np.array([[-100.0, 0.0], [-100.0, -0.0], [site_xy[3, 0] - 40.0, site_xy[3, 1]]])
     user_xy = np.concatenate([rng.uniform(-1400.0, 1400.0, (40, 2)), on_edge, west])
-    ref = remainder_gain_matrix(topo, cfg, user_xy)
-    assert sector_gain_matrix(topo, cfg, user_xy, clamp=True).tobytes() == ref.tobytes()
+    got = sector_gain_matrix(topo, cfg, user_xy, clamp=True)
+    # A sector in its arc has the full transmit gain, above its site's backlobe.
+    in_arc = got > got.min(axis=1, keepdims=True)
+    assert np.all(in_arc.sum(axis=1) == 1)
+    ref, ref_in_arc = remainder_gain_matrix(topo, cfg, user_xy)
+    covered = ref_in_arc.any(axis=1)  # (B, U)
+    pairs_got, pairs_ref = got.transpose(0, 2, 1)[covered], ref.transpose(0, 2, 1)[covered]
+    assert pairs_got.tobytes() == pairs_ref.tobytes()
     sub = rng.choice(len(user_xy), size=rng.integers(1, len(user_xy)), replace=False)
-    got = sector_gain_matrix(topo, cfg, user_xy[sub], clamp=True)
-    assert got.tobytes() == np.ascontiguousarray(ref[:, :, sub]).tobytes()
+    part = sector_gain_matrix(topo, cfg, user_xy[sub], clamp=True)
+    assert part.tobytes() == np.ascontiguousarray(got[:, :, sub]).tobytes()
 
 
 def test_topology_rejects_boresights_outside_one_turn():
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ValidationError):
         Topology((Position(0, 0),), np.array([13.2, 15.2]), boresights_deg=(0.0, 120.0, 360.0))
 
 
@@ -558,7 +573,6 @@ def test_moving_build_step_matches_the_full_matrix_slice(seed):
             ctx,
             site_to_user_gain=stu,
             serving_gain=full[site, scn.serving_sector[users], users],
-            own_gain=stu[site, np.arange(users.size)],
         )
         assert ctx.site_to_user_gain.tobytes() == stu.tobytes()
         assert ctx.site_to_user_gain.flags.f_contiguous == stu.flags.f_contiguous
@@ -670,6 +684,6 @@ def test_scenario_rejects_a_power_set_other_than_the_configs(three_site, keys):
     """A learner sizes its actions from the config while a step rates the
     topology's levels, so the two must be the same power set."""
     users = drop_users(three_site, topo_config(three_site), np.random.default_rng(0))
-    with pytest.raises(InvalidConfig, match="power levels"):
+    with pytest.raises(ValidationError, match="power levels"):
         Scenario(three_site, RunConfig(**keys), users)
     Scenario(three_site, topo_config(three_site), users)
