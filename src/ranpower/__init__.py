@@ -13,7 +13,7 @@ from .metrics import CSV_COLUMNS, MetricsAccumulator, MetricsRow
 from .radio import Position
 from .rl import QNetwork, ReplayMemory
 from .runner import run, run_compare, run_oracle_check, run_sweep
-from .scenario import Scenario, StepContext, Topology, build_topology, drop_users
+from .scenario import Scenario, StepContext, drop_users
 
 __version__ = "0.1.0"
 
@@ -30,8 +30,6 @@ __all__ = [
     "Scenario",
     "SleepAgent",
     "StepContext",
-    "Topology",
-    "build_topology",
     "drop_users",
     "exhaustive_oracle",
     "load_config",

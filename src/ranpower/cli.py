@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import FIELD_TYPES, RunConfig, coerce_value, load_config
+from .config import AGENTS, FIELD_TYPES, RunConfig, coerce_value, load_config
 from .errors import RanPowerError, ValidationError
 from .runner import run, run_compare, run_oracle_check, run_sweep
 
@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute one run")
     _add_common(p_run)
-    p_run.add_argument("--agent", choices=("dqn", "qlearning", "sleep"))
+    p_run.add_argument("--agent", choices=AGENTS)
 
     p_cmp = sub.add_parser("compare", help="run all agents on a shared seed")
     _add_common(p_cmp)
@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="score a small run against exhaustive search")
     _add_common(p_oracle)
-    p_oracle.add_argument("--agent", choices=("dqn", "qlearning", "sleep"))
+    p_oracle.add_argument("--agent", choices=AGENTS)
 
     return parser
 

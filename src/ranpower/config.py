@@ -13,6 +13,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .errors import ValidationError
 from .radio import MIN_DROP_RADIUS_M, MIN_POWER_DBW
 
@@ -25,7 +27,8 @@ class RunConfig:
     """Every tunable of a run; see the README for the key reference.
 
     The scenario, the agents and the runner all read this one object, and
-    each of them takes it through :meth:`validate`, the one rule set.
+    each of them takes it through :meth:`validate`, the one rule set.  The
+    power set is :meth:`power_levels_dbw`, computed from it.
     """
 
     # Deployment
@@ -77,6 +80,12 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "runs"
 
+    def power_levels_dbw(self) -> np.ndarray:
+        """Evenly spaced dBW levels on [p_max - delta_p_max, p_max], ascending."""
+        return np.linspace(
+            self.p_max_dbw - self.delta_p_max_db, self.p_max_dbw, self.n_power_levels
+        )
+
     def validate(self) -> "RunConfig":
         for key, kind in FIELD_TYPES.items():
             if kind == "float" and not math.isfinite(getattr(self, key)):
@@ -127,6 +136,11 @@ class RunConfig:
             raise ValidationError(
                 "config key 'delta_p_max_db' pushes the lowest power level "
                 f"below the {MIN_POWER_DBW} dBW guard"
+            )
+        if np.any(np.diff(self.power_levels_dbw()) <= 0.0):
+            raise ValidationError(
+                f"config key 'delta_p_max_db' has value {self.delta_p_max_db!r}, too small "
+                f"to tell {self.n_power_levels} power levels apart"
             )
         return self
 

@@ -2,8 +2,8 @@
 
 Bad input of any kind raises :class:`ValidationError`: a config document
 that does not parse, a config value out of range, and a hand-built
-``Topology``, ``Scenario`` or ``ReplayMemory`` that cannot work.  The
-command line maps it to exit 1.
+``Scenario`` or ``ReplayMemory`` that cannot work.  The command line maps
+it to exit 1.
 """
 
 

@@ -26,10 +26,10 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .agents import DqnAgent, EpisodeOutcome, QLearningAgent, SleepAgent, exhaustive_oracle
-from .config import RunConfig
+from .config import AGENTS, RunConfig
 from .metrics import CSV_COLUMNS, MetricsAccumulator, MetricsRow
 from .rl import save_weights
-from .scenario import Scenario, build_topology, drop_users
+from .scenario import Scenario, drop_users, hex_site_positions
 
 STREAM_NAMES = ("model", "topology", "traffic", "exploration", "replay", "mobility")
 COMPARE_KEYS = ("ee_overall_mbps_per_dbw", "throughput_overall_bps", "power_overall_dbw",
@@ -46,8 +46,8 @@ def make_streams(seed: int) -> dict[str, np.random.Generator]:
 
 
 def make_scenario(cfg: RunConfig, streams: dict[str, np.random.Generator]) -> Scenario:
-    topo = build_topology(cfg)
-    return Scenario(topo, cfg, drop_users(topo, cfg, streams["topology"]))
+    sites = hex_site_positions(cfg.rings, cfg.isd_m)
+    return Scenario(sites, cfg, drop_users(sites, cfg, streams["topology"]))
 
 
 def make_agent(cfg: RunConfig, streams: dict[str, np.random.Generator]):
@@ -180,7 +180,7 @@ def run_compare(
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     table: list[dict] = []
-    for agent in ("dqn", "qlearning", "sleep"):
+    for agent in AGENTS:
         result = run(replace(cfg, agent=agent), out / agent, quiet=quiet)
         table.append({"agent": agent, **{k: result.summary[k] for k in COMPARE_KEYS}})
     with _replacing(out / "comparison.csv") as tmp, open(tmp, "w", newline="") as fh:

@@ -1,11 +1,11 @@
 """Deployment geometry, traffic arrivals, and per-step network state.
 
 Every function and class here reads the run's :class:`RunConfig` directly
-for its radio, traffic and deployment constants; only the site geometry and
-the power set live in a :class:`Topology`, so a test can build one by hand.
-Input is checked once, where it enters: :func:`build_topology` and
-:class:`Scenario` validate the config, and a hand-built ``Topology`` or
-``Scenario`` checks what it is given; each raises ``ValidationError``.
+for its radio, traffic and deployment constants, and the power set from
+:meth:`RunConfig.power_levels_dbw`.  A deployment is a sequence of site
+positions, each with the three sectors of :data:`BORESIGHTS_DEG`.
+:class:`Scenario` validates the config and raises ``ValidationError`` for
+an empty site or user list.
 A :class:`Scenario` owns the mutable simulation state (pending volumes,
 current power levels, user positions).  Each time step it freezes the
 physics into a :class:`StepContext`: which users are scheduled and the gain
@@ -32,67 +32,20 @@ from .errors import DistanceTooSmall, ValidationError
 from .radio import (
     MIN_DISTANCE_M,
     MIN_DROP_RADIUS_M,
-    MIN_POWER_DBW,
     SPEED_OF_LIGHT_M_S,
     Position,
     dbw_to_watts,
 )
 
+BORESIGHTS_DEG = (0.0, 120.0, 240.0)
+SECTORS_PER_SITE = len(BORESIGHTS_DEG)
 SECTOR_WIDTH_DEG = 120.0
 SLOT_S = 1e-3  # length of one simulated slot, in seconds
 
-
-@dataclass(frozen=True, eq=False)
-class Topology:
-    """Static cell grid: site positions, sectorisation and the power set.
-    Raises ``ValidationError`` for a grid that no step can use."""
-
-    site_positions: tuple[Position, ...]
-    power_levels_dbw: np.ndarray
-    boresights_deg: tuple[float, ...] = (0.0, 120.0, 240.0)
-    site_xy: np.ndarray = field(init=False, repr=False)  # (B, 2) planar positions
-
-    def __post_init__(self) -> None:
-        if not self.site_positions:
-            raise ValidationError("a topology needs at least one site")
-        if not self.boresights_deg:
-            raise ValidationError("at least one sector boresight is required")
-        if not all(0.0 <= b < 360.0 for b in self.boresights_deg):
-            raise ValidationError("boresights must lie in [0, 360) degrees")
-        levels = np.asarray(self.power_levels_dbw, dtype=float)
-        if levels.size < 2:
-            raise ValidationError("at least two power levels are required")
-        if np.any(np.diff(levels) <= 0.0):
-            raise ValidationError("power levels must be strictly ascending")
-        if levels[0] < MIN_POWER_DBW:
-            raise ValidationError(
-                f"lowest power level {levels[0]} dBW is below the "
-                f"{MIN_POWER_DBW} dBW guard"
-            )
-        object.__setattr__(self, "power_levels_dbw", levels)
-        site_xy = np.array([[p.x, p.y] for p in self.site_positions])
-        object.__setattr__(self, "site_xy", site_xy)
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.site_positions)
-
-    @property
-    def n_levels(self) -> int:
-        return int(self.power_levels_dbw.size)
-
-    @property
-    def sectors_per_site(self) -> int:
-        return len(self.boresights_deg)
-
-    @property
-    def p_max_dbw(self) -> float:
-        return float(self.power_levels_dbw[-1])
-
-
-def power_level_set(p_max_dbw: float, delta_p_max_db: float, n_levels: int) -> np.ndarray:
-    """Evenly spaced dBW levels on [p_max - delta_p_max, p_max], ascending."""
-    return np.linspace(p_max_dbw - delta_p_max_db, p_max_dbw, n_levels)
+# Sector s's arc is ``lo <= azimuth < hi``, wrapping through 0 when lo > hi;
+# every azimuth in [0, 360] lies in exactly one arc.
+_ARC_LO = (np.asarray(BORESIGHTS_DEG)[:, None] - SECTOR_WIDTH_DEG / 2.0) % 360.0
+_ARC_HI = (np.asarray(BORESIGHTS_DEG)[:, None] + SECTOR_WIDTH_DEG / 2.0) % 360.0
 
 
 def hex_site_positions(rings: int, isd_m: float) -> tuple[Position, ...]:
@@ -111,18 +64,9 @@ def hex_site_positions(rings: int, isd_m: float) -> tuple[Position, ...]:
     return tuple(Position(x, y) for _, _, x, y in sites)
 
 
-def build_topology(cfg: RunConfig) -> Topology:
-    """Standard hex deployment with three sectors per site and the configured
-    power set; validates ``cfg`` first, so a bad ring count or power set
-    raises ``ValidationError`` naming its key."""
-    cfg.validate()
-    return Topology(
-        site_positions=hex_site_positions(cfg.rings, cfg.isd_m),
-        power_levels_dbw=power_level_set(cfg.p_max_dbw, cfg.delta_p_max_db, cfg.n_power_levels),
-    )
-
-
-def drop_users(topo: Topology, cfg: RunConfig, rng: np.random.Generator) -> list[Position]:
+def drop_users(
+    sites: Sequence[Position], cfg: RunConfig, rng: np.random.Generator
+) -> list[Position]:
     """Drop ``per_sector_users`` users uniformly in each sector's annular wedge.
 
     Radii span [10 m, isd/2] with uniform density in area; azimuths stay
@@ -132,8 +76,8 @@ def drop_users(topo: Topology, cfg: RunConfig, rng: np.random.Generator) -> list
     r_hi = cfg.isd_m / 2.0
     users: list[Position] = []
     half = SECTOR_WIDTH_DEG / 2.0
-    for site in topo.site_positions:
-        for boresight in topo.boresights_deg:
+    for site in sites:
+        for boresight in BORESIGHTS_DEG:
             for _ in range(cfg.per_sector_users):
                 radius = math.sqrt(rng.uniform(r_lo**2, r_hi**2))
                 azim = math.radians(boresight + rng.uniform(-half, half))
@@ -147,22 +91,19 @@ def drop_users(topo: Topology, cfg: RunConfig, rng: np.random.Generator) -> list
 
 
 def sector_gain_matrix(
-    topo: Topology, cfg: RunConfig, user_xy: np.ndarray, *, clamp: bool = False
+    site_xy: np.ndarray, cfg: RunConfig, user_xy: np.ndarray, *, clamp: bool = False
 ) -> np.ndarray:
-    """Channel gain from every (site, sector) to every user, shape (B, S, U).
+    """Channel gain from every (site, sector) to every user, shape (B, S, U),
+    for sites and users at the planar positions ``site_xy`` (B, 2) and
+    ``user_xy`` (U, 2).
 
     The antenna pattern is ideal: full transmit gain inside the sector's arc
     and a flat backlobe attenuation outside it.  With ``clamp`` the distance
     is floored at the model minimum instead of raising; the moving-user path
     uses that so a drifting user cannot crash a long run.
-
-    Sector s's arc is ``lo <= azimuth < hi`` with ``lo = (b - 60) % 360`` and
-    ``hi = (b + 60) % 360`` for its boresight b, wrapping through 0 when
-    ``lo > hi``; with the default boresights every azimuth in [0, 360] lies
-    in exactly one arc.
     """
-    dx = user_xy[:, 0] - topo.site_xy[:, 0, None]
-    dy = user_xy[:, 1] - topo.site_xy[:, 1, None]
+    dx = user_xy[:, 0] - site_xy[:, 0, None]
+    dy = user_xy[:, 1] - site_xy[:, 1, None]
     dist = np.hypot(dx, dy)
     np.square(dist, out=dist)
     dist += (cfg.user_height_m - cfg.bs_height_m) ** 2
@@ -174,11 +115,8 @@ def sector_gain_matrix(
 
     angles = np.degrees(np.arctan2(dy, dx))  # [-180, 180]
     angles += np.where(angles < 0.0, 360.0, 0.0)
-    boresights = np.asarray(topo.boresights_deg)[:, None]
-    lo = (boresights - SECTOR_WIDTH_DEG / 2.0) % 360.0
-    hi = (boresights + SECTOR_WIDTH_DEG / 2.0) % 360.0
-    above, below = angles[:, None, :] >= lo, angles[:, None, :] < hi
-    in_arc = np.where(lo < hi, above & below, above | below)
+    above, below = angles[:, None, :] >= _ARC_LO, angles[:, None, :] < _ARC_HI
+    in_arc = np.where(_ARC_LO < _ARC_HI, above & below, above | below)
     tx = 10.0 ** (cfg.tx_gain_dbi / 10.0)
     gains = np.where(in_arc, tx, tx * 10.0 ** (-cfg.backlobe_atten_db / 10.0))
     dist *= 4.0 * math.pi * cfg.fc_hz
@@ -385,37 +323,36 @@ class StepContext:
 class Scenario:
     """Mutable simulation state plus the machinery to freeze each step.
 
-    Users move only under ``waypoint`` mobility, at ``user_speed_mps``.  The
-    topology's power set must be the config's, from which the learners size
-    their actions.
+    It is built from the site positions, the config and the user positions;
+    the power set is the config's, from which the learners size their
+    actions.  Users move only under ``waypoint`` mobility, at
+    ``user_speed_mps``.
     """
 
     def __init__(
-        self, topo: Topology, cfg: RunConfig, user_positions: Sequence[Position]
+        self, sites: Sequence[Position], cfg: RunConfig, user_positions: Sequence[Position]
     ) -> None:
-        self.topo = topo
         self.cfg = cfg.validate()
-        levels = power_level_set(cfg.p_max_dbw, cfg.delta_p_max_db, cfg.n_power_levels)
-        if not np.array_equal(topo.power_levels_dbw, levels):
-            raise ValidationError(
-                f"the topology's power levels {topo.power_levels_dbw.tolist()} are not "
-                f"the config's {levels.tolist()}"
-            )
-        self.user_speed_mps = cfg.user_speed_mps if cfg.mobility == "waypoint" else 0.0
+        self.n_sites = len(sites)
+        if self.n_sites == 0:
+            raise ValidationError("a scenario needs at least one site")
         self.n_users = len(user_positions)
         if self.n_users == 0:
             raise ValidationError("a scenario needs at least one user")
+        self.site_xy = np.array([[p.x, p.y] for p in sites])
+        self.user_speed_mps = cfg.user_speed_mps if cfg.mobility == "waypoint" else 0.0
         self.user_xy = np.array([[p.x, p.y] for p in user_positions])
         # Moving users' gains are computed per slot instead (see build_step).
-        self.gains = sector_gain_matrix(topo, cfg, self.user_xy)
+        self.gains = sector_gain_matrix(self.site_xy, cfg, self.user_xy)
         # Each user attaches to the (site, sector) with the strongest full-power
         # RSRP; ties go to the lowest site id, then the lowest sector id.
         best = self.gains.reshape(-1, self.n_users).argmax(axis=0)
-        self.serving_site, self.serving_sector = np.divmod(best, topo.sectors_per_site)
-        self.power_levels_w = 10.0 ** (topo.power_levels_dbw / 10.0)
+        self.serving_site, self.serving_sector = np.divmod(best, SECTORS_PER_SITE)
+        self.power_levels_dbw = cfg.power_levels_dbw()
+        self.power_levels_w = 10.0 ** (self.power_levels_dbw / 10.0)
         self.residual_bits = np.zeros(self.n_users)
         self.arrival_step = np.full(self.n_users, -1, dtype=int)
-        self.current_power_idx = np.full(topo.n_sites, topo.n_levels - 1, dtype=int)
+        self.current_power_idx = np.full(self.n_sites, cfg.n_power_levels - 1, dtype=int)
         self.t = 0
         self._waypoints: np.ndarray | None = None
 
@@ -437,7 +374,7 @@ class Scenario:
         # pending is ascending, so a stable sort on arrival breaks ties by id
         order = pending[self.arrival_step[pending].argsort(kind="stable")]
         site = self.serving_site[order]
-        key = site * self.topo.sectors_per_site + self.serving_sector[order]
+        key = site * SECTORS_PER_SITE + self.serving_sector[order]
         by_sector = key.argsort(kind="stable")
         key = key[by_sector]
         first = np.ones(key.size, dtype=bool)
@@ -452,10 +389,9 @@ class Scenario:
         every subset of active sectors: ``[u, mask * B + b]`` sums site b's
         sectors in bitmask ``mask`` as a left fold in sector order from 0.0,
         the bits of summing the masked (B, S, U) gains over sectors."""
-        n_sectors = self.topo.sectors_per_site
         gains = self.gains.transpose(2, 1, 0)  # (U, S, B)
-        table = np.zeros((self.n_users, 2**n_sectors, self.topo.n_sites))
-        for mask in range(1, 2**n_sectors):
+        table = np.zeros((self.n_users, 2**SECTORS_PER_SITE, self.n_sites))
+        for mask in range(1, 2**SECTORS_PER_SITE):
             top = mask.bit_length() - 1  # the fold's last sector
             table[:, mask] = table[:, mask ^ (1 << top)] + gains[:, top]
         return table.reshape(self.n_users, -1)
@@ -465,14 +401,14 @@ class Scenario:
         sched_users = self._schedule()
         sched_site = self.serving_site[sched_users]
         sched_sector = self.serving_sector[sched_users]
-        n_sites = self.topo.n_sites
+        n_sites = self.n_sites
 
         # site_to_user is column-major in both paths: the layout picks the BLAS kernel
         # of ``power_w @ site_to_user``, and a C-ordered one rounds the rates differently.
         if self.user_speed_mps > 0.0:
-            gains = sector_gain_matrix(self.topo, self.cfg, self.user_xy[sched_users], clamp=True)
+            gains = sector_gain_matrix(self.site_xy, self.cfg, self.user_xy[sched_users], clamp=True)
             serving_gain = gains[sched_site, sched_sector, np.arange(sched_users.size)]
-            sector_active = np.zeros((n_sites, self.topo.sectors_per_site))
+            sector_active = np.zeros((n_sites, SECTORS_PER_SITE))
             sector_active[sched_site, sched_sector] = 1.0
             site_to_user = np.add.reduce(
                 gains * sector_active[:, :, None], axis=1,
@@ -488,7 +424,7 @@ class Scenario:
 
         return StepContext(
             t=self.t,
-            power_levels_dbw=self.topo.power_levels_dbw,
+            power_levels_dbw=self.power_levels_dbw,
             power_levels_w=self.power_levels_w,
             sched_users=sched_users,
             sched_site=sched_site,
@@ -503,14 +439,15 @@ class Scenario:
             rsrp_floor_dbw=self.cfg.noise_dbw,
         )
 
-    def apply(self, ctx: StepContext, ev: StepEval, rng: np.random.Generator | None = None) -> None:
-        """Advance the state by one slot under the accepted assignment."""
+    def apply(self, ctx: StepContext, ev: StepEval, rng: np.random.Generator) -> None:
+        """Advance the state by one slot under the accepted assignment; moving
+        users then take one step, drawing new waypoints from ``rng``."""
         drained = ctx.drained_residual(ev)
         self.residual_bits[ctx.sched_users] = drained
         self.arrival_step[ctx.sched_users[drained <= 0.0]] = -1
         self.current_power_idx[ctx.active_sites] = ev.power_idx[ctx.active_sites]
         self.t += 1
-        if self.user_speed_mps > 0.0 and rng is not None:
+        if self.user_speed_mps > 0.0:
             self._move_users(rng)
 
     def _move_users(self, rng: np.random.Generator) -> None:
@@ -530,7 +467,7 @@ class Scenario:
             self._waypoints[arrived] = self._draw_waypoints(rng, np.flatnonzero(arrived))
 
     def _draw_waypoints(self, rng: np.random.Generator, users: np.ndarray) -> np.ndarray:
-        anchors = self.topo.site_xy[self.serving_site[users]]
+        anchors = self.site_xy[self.serving_site[users]]
         radius = np.sqrt(
             rng.uniform(MIN_DROP_RADIUS_M**2, (self.cfg.isd_m / 2.0) ** 2, users.size)
         )

@@ -1,4 +1,4 @@
-"""Shared fixtures: small topologies, scenarios around them, and run configs."""
+"""Shared fixtures: small site layouts, scenarios around them, and run configs."""
 
 import dataclasses
 from pathlib import Path
@@ -8,21 +8,14 @@ import pytest
 
 from ranpower.config import RunConfig
 from ranpower.radio import Position
-from ranpower.scenario import (
-    Scenario,
-    StepEval,
-    Topology,
-    build_topology,
-    drop_users,
-    power_level_set,
-)
+from ranpower.scenario import Scenario, StepEval, drop_users, hex_site_positions
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_three_site.json"
 
 
 @pytest.fixture
 def single_site():
-    return build_topology(RunConfig(rings=0))
+    return (Position(0.0, 0.0),)
 
 
 @pytest.fixture
@@ -32,22 +25,24 @@ def three_site():
     Small enough for exhaustive enumeration, asymmetric enough that the
     stations interfere with each other at different strengths.
     """
-    return Topology(
-        site_positions=(Position(0.0, 0.0), Position(500.0, 0.0), Position(250.0, 433.0)),
-        power_levels_dbw=power_level_set(15.2, 2.0, 4),
-    )
+    return (Position(0.0, 0.0), Position(500.0, 0.0), Position(250.0, 433.0))
 
 
-def topo_config(topo, **overrides):
-    """The default config with ``topo``'s number of power levels."""
-    return RunConfig(n_power_levels=topo.n_levels, **overrides)
-
-
-def make_scenario(topo, seed=0, **overrides):
+def make_scenario(sites, seed=0, **overrides):
     """Drop ``per_sector_users`` users per sector (one unless overridden) and
-    wire up a scenario around ``topo``; ``overrides`` are config keys."""
-    cfg = topo_config(topo, **overrides)
-    return Scenario(topo, cfg, drop_users(topo, cfg, np.random.default_rng(seed)))
+    wire up a scenario around ``sites``; ``overrides`` are config keys.  The
+    power set has four levels unless they say otherwise, few enough to
+    enumerate every joint plan of the three-site triangle."""
+    cfg = RunConfig(**{"n_power_levels": 4, **overrides})
+    return Scenario(sites, cfg, drop_users(sites, cfg, np.random.default_rng(seed)))
+
+
+def hex_scenario(rings, seed=0, **overrides):
+    """:func:`make_scenario` on the standard hex grid of ``rings`` rings,
+    with the config's default power set."""
+    cfg = RunConfig()
+    sites = hex_site_positions(rings, cfg.isd_m)
+    return make_scenario(sites, seed, **{"n_power_levels": cfg.n_power_levels, **overrides})
 
 
 @pytest.fixture
@@ -57,12 +52,7 @@ def three_site_scenario(three_site):
 
 def build_golden_scenario(inputs):
     """Rebuild the frozen three-station fixture from its recorded inputs."""
-    topo = Topology(
-        site_positions=tuple(Position(x, y) for x, y in inputs["sites_xy"]),
-        power_levels_dbw=power_level_set(
-            inputs["p_max_dbw"], inputs["delta_p_max_db"], inputs["n_levels"]
-        ),
-    )
+    sites = [Position(x, y) for x, y in inputs["sites_xy"]]
     cfg = RunConfig(
         p_max_dbw=inputs["p_max_dbw"],
         delta_p_max_db=inputs["delta_p_max_db"],
@@ -77,7 +67,7 @@ def build_golden_scenario(inputs):
         user_height_m=inputs["user_height_m"],
     )
     users = [Position(x, y) for x, y in inputs["users_xy"]]
-    scn = Scenario(topo, cfg, users)
+    scn = Scenario(sites, cfg, users)
     scn.residual_bits[:] = 1e6
     scn.arrival_step[:] = 0
     return scn
@@ -90,7 +80,7 @@ def desk_config():
 
 @pytest.fixture
 def level_set():
-    return power_level_set(15.2, 2.0, 5)
+    return RunConfig().power_levels_dbw()
 
 
 def assert_same_eval(a, b):

@@ -34,7 +34,7 @@ from ranpower.rl import (
     minibatch_targets,
 )
 from ranpower.runner import make_streams, run
-from ranpower.scenario import Scenario, StepEval, Topology, power_level_set
+from ranpower.scenario import Scenario, StepEval
 
 from conftest import GOLDEN_PATH, build_golden_scenario
 from test_rl import extract_gradients, numeric_gradient, random_batch
@@ -54,16 +54,13 @@ THREE_STATION_CFG = RunConfig(n_power_levels=4)
 
 def three_station_scenario():
     """Three stations, one pinned static user each."""
-    topo = Topology(
-        site_positions=(Position(0.0, 0.0), Position(500.0, 0.0), Position(250.0, 433.0)),
-        power_levels_dbw=power_level_set(15.2, 2.0, 4),
-    )
+    sites = (Position(0.0, 0.0), Position(500.0, 0.0), Position(250.0, 433.0))
     users = [
         Position(80.0, 30.0),
         Position(560.0, 40.0),
         Position(180.0, 460.0),
     ]
-    return Scenario(topo, THREE_STATION_CFG, users)
+    return Scenario(sites, THREE_STATION_CFG, users)
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +94,7 @@ def small_dqn_run():
             else:
                 _, best_ee = exhaustive_oracle(ctx)
                 ratios.append(out.ev.network_ee / best_ee)
-        scn.apply(ctx, out.ev)
+        scn.apply(ctx, out.ev, streams["mobility"])
     return {
         "agent": agent,
         "ratios": ratios,

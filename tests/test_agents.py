@@ -20,9 +20,9 @@ from ranpower.config import RunConfig
 from ranpower.errors import InvariantViolation, SearchSpaceTooLarge, ValidationError
 from ranpower.rl import state_bin, tabular_q_update
 from ranpower.runner import run
-from ranpower.scenario import StepEval, build_topology
+from ranpower.scenario import StepEval
 
-from conftest import assert_same_eval, make_scenario
+from conftest import assert_same_eval, hex_scenario, make_scenario
 from test_rl import reference_targets
 
 
@@ -234,7 +234,7 @@ def test_search_accepts_the_row_it_tested(loaded_ctx):
 
 def seven_site_ctx():
     """Seven sites, two users per sector, every user holding 1e5 pending bits."""
-    scn = make_scenario(build_topology(RunConfig(rings=1)), seed=3, per_sector_users=2)
+    scn = hex_scenario(1, seed=3, per_sector_users=2)
     scn.residual_bits[:] = 1e5
     scn.arrival_step[:] = 0
     return scn.build_step()

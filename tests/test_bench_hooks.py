@@ -1,4 +1,5 @@
-"""The names the benchmark patches from outside stay where it looks for them.
+"""The names the benchmark patches from outside stay where it looks for them,
+and its check run passes on the simulator as it is.
 
 ``perfbench/child.py`` traces the layers by replacing functions by name, and
 its check run counts training rounds as calls to ``agents.backward_and_step``.
@@ -53,3 +54,22 @@ def test_training_rounds_call_backward_through_the_agents_module(tmp_path, monke
     rounds = run(cfg, tmp_path).summary["learner"]["training_rounds"]
     assert rounds > 0
     assert len(calls) == rounds
+
+
+@pytest.mark.parametrize("keys", [
+    {"agent": "dqn", "search_iters": 10, "train_interval": 5, "per_sector_users": 2},
+    {"agent": "sleep", "mobility": "waypoint"},
+], ids=["desk-dqn", "waypoint-sleep"])
+def test_check_run_finds_no_errors(child, tmp_path, keys):
+    """The benchmark's check run reads the step context and each outcome
+    (``sched_site``, ``site_to_user_gain``, ``serving_gain``, ``outcome.ev``)
+    and recomputes the physics and the CSV from them independently."""
+    cfg = RunConfig(rings=1, episodes=200, seed=1, **keys).validate()
+    checker = child.SlotChecker(cfg)
+    result = run(cfg, tmp_path, episode_hook=checker)
+    assert checker.errors == []
+    assert checker.expected_ee_allb
+    assert checker.checks.check_csv(
+        result.csv_path.read_text(), cfg.episodes,
+        result.summary["ee_overall_mbps_per_dbw"], checker.expected_ee_allb,
+    ) == []

@@ -10,7 +10,7 @@ from ranpower.config import RunConfig, load_config, parse_config_text
 from ranpower.errors import RanPowerError, ValidationError
 from ranpower.radio import Position
 from ranpower.rl import ReplayMemory
-from ranpower.scenario import Scenario, Topology, build_topology, power_level_set
+from ranpower.scenario import Scenario
 
 
 def test_defaults_describe_the_large_reference_network():
@@ -88,6 +88,8 @@ def test_parse_rejects_wrong_type():
         ("mobility", "drunkard"),
         ("noise_dbw", 3.0),
         ("p_max_dbw", 0.5),
+        ("delta_p_max_db", 0.0),
+        ("delta_p_max_db", 1e-15),  # below the spacing of doubles at p_max: repeated levels
         ("n_power_levels", 1),
         ("traffic_p0", 1.5),
         ("traffic_period", -1),
@@ -137,7 +139,7 @@ def test_non_finite_values_fail_from_a_file_and_with_overrides(tmp_path):
 
 def test_validation_guards_lowest_power_level():
     cfg = RunConfig(p_max_dbw=2.0, delta_p_max_db=1.9)
-    with pytest.raises(ValidationError, match="delta_p_max_db"):
+    with pytest.raises(ValidationError, match="'delta_p_max_db' pushes the lowest power level"):
         cfg.validate()
 
 
@@ -181,30 +183,13 @@ def test_load_config_validates_merged_result(tmp_path):
         load_config(path, episodes=0)
 
 
-FOUR_LEVELS = power_level_set(15.2, 2.0, 4)
-
-
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda: parse_config_text("rings = 1\nepisodes"), "line 2",
                  id="parse_config_text"),
     pytest.param(lambda: RunConfig(episodes=0).validate(), "'episodes'",
                  id="RunConfig.validate"),
-    pytest.param(lambda: build_topology(RunConfig(rings=-1)), "'rings'",
-                 id="build_topology-rings"),
-    pytest.param(lambda: build_topology(RunConfig(n_power_levels=1)), "'n_power_levels'",
-                 id="build_topology-n_power_levels"),
-    pytest.param(lambda: build_topology(RunConfig(delta_p_max_db=0.0)), "'delta_p_max_db'",
-                 id="build_topology-delta_p_max_db"),
-    pytest.param(
-        lambda: build_topology(RunConfig(p_max_dbw=2.0, delta_p_max_db=1.5, n_power_levels=3)),
-        "'delta_p_max_db' pushes the lowest power level", id="build_topology-level-guard",
-    ),
-    pytest.param(lambda: Topology((), FOUR_LEVELS), "at least one site", id="Topology"),
-    pytest.param(
-        lambda: Scenario(Topology((Position(0.0, 0.0),), FOUR_LEVELS), RunConfig(),
-                         [Position(30.0, 0.0)]),
-        "power levels", id="Scenario",
-    ),
+    pytest.param(lambda: Scenario((), RunConfig(), [Position(30.0, 0.0)]),
+                 "at least one site", id="Scenario"),
     pytest.param(lambda: ReplayMemory(0), "replay capacity", id="ReplayMemory"),
 ])
 def test_every_entry_point_raises_validation_error(call, match):

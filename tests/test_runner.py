@@ -23,7 +23,7 @@ from ranpower.runner import (
     run_oracle_check,
     run_sweep,
 )
-from ranpower.scenario import Scenario, build_topology
+from ranpower.scenario import Scenario
 
 
 def small_cfg(**kw):
@@ -86,7 +86,7 @@ def test_every_config_entry_rejects_an_invalid_config(tmp_path, entry, key, valu
     rng = np.random.default_rng(0)
     out = tmp_path / "out"
     build = {
-        "Scenario": lambda: Scenario(build_topology(RunConfig()), cfg, [Position(100.0, 0.0)]),
+        "Scenario": lambda: Scenario([Position(0.0, 0.0)], cfg, [Position(100.0, 0.0)]),
         "DqnAgent": lambda: DqnAgent(cfg, rng, rng, rng),
         "QLearningAgent": lambda: QLearningAgent(cfg, rng),
         "run": lambda: run(cfg, out),
@@ -313,9 +313,12 @@ def test_cli_config_errors_exit_one(tmp_path, capsys):
     assert main(["sweep", "--config", cfg]) == 1
     cramped = write_cfg(tmp_path, "rings = 0\nisd_m = 18\n")  # no room to drop users
     assert main(["run", "--config", cramped, "--out", str(tmp_path / "out")]) == 1
+    coincide = write_cfg(tmp_path, "rings = 0\ndelta_p_max_db = 1e-16\n")  # repeated levels
+    assert main(["run", "--config", coincide, "--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
     err = capsys.readouterr().err
     assert "config error" in err
+    assert "'delta_p_max_db'" in err
 
 
 @pytest.mark.parametrize("line", ["volume_hi_bits = inf", "isd_m = inf", "tx_gain_dbi = nan",

@@ -1,4 +1,4 @@
-"""Topology, traffic, scheduling, and the frozen per-step physics."""
+"""Site geometry, traffic, scheduling, and the frozen per-step physics."""
 
 import dataclasses
 import functools
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ranpower.config import RunConfig
-from ranpower.errors import DistanceTooSmall, ValidationError
+from ranpower.errors import DistanceTooSmall
 from ranpower.radio import (
     MIN_DISTANCE_M,
     SPEED_OF_LIGHT_M_S,
@@ -19,31 +19,33 @@ from ranpower.radio import (
     dbw_to_watts,
 )
 from ranpower.scenario import (
+    BORESIGHTS_DEG,
     SECTOR_WIDTH_DEG,
+    SECTORS_PER_SITE,
     SLOT_S,
     Scenario,
     StepEval,
-    Topology,
     arrival_probability,
-    build_topology,
     drop_users,
     generate_traffic,
     hex_site_positions,
-    power_level_set,
     sector_gain_matrix,
 )
 
-from conftest import assert_same_eval, make_scenario, topo_config
+from conftest import assert_same_eval, hex_scenario, make_scenario
 from test_radio import channel_gain
 
 DEFAULTS = RunConfig()
 TX_GAIN = 10.0 ** (DEFAULTS.tx_gain_dbi / 10.0)
 RX_GAIN = 10.0 ** (DEFAULTS.rx_gain_dbi / 10.0)
+ORIGIN_XY = np.zeros((1, 2))  # one site at the origin
 
 
 def test_power_level_set_spot_values(level_set):
     assert level_set == pytest.approx([13.2, 13.7, 14.2, 14.7, 15.2], rel=1e-12)
-    assert power_level_set(15.2, 5.0, 2) == pytest.approx([10.2, 15.2])
+    assert RunConfig(delta_p_max_db=5.0, n_power_levels=2).power_levels_dbw() == pytest.approx(
+        [10.2, 15.2]
+    )
 
 
 def test_hex_ring_counts():
@@ -64,24 +66,6 @@ def test_hex_positions_are_distinct():
     assert len(coords) == 19
 
 
-def test_build_topology_sets_sectors():
-    topo = build_topology(RunConfig(rings=1))
-    assert topo.n_sites == 7
-    assert topo.boresights_deg == (0.0, 120.0, 240.0)
-    assert topo.sectors_per_site == 3
-
-
-def test_topology_validation():
-    with pytest.raises(ValidationError):
-        Topology((Position(0, 0),), np.array([15.2, 13.2]))
-    with pytest.raises(ValidationError):
-        Topology((Position(0, 0),), np.array([15.2]))
-    with pytest.raises(ValidationError):
-        Topology((Position(0, 0),), np.array([0.5, 15.2]))
-    with pytest.raises(ValidationError):
-        Topology((Position(0, 0),), np.array([13.2, 15.2]), boresights_deg=())
-
-
 def test_drop_users_counts_and_annulus(single_site):
     rng = np.random.default_rng(4)
     users = drop_users(single_site, RunConfig(per_sector_users=2), rng)
@@ -97,10 +81,10 @@ def test_drop_users_deterministic(single_site):
     assert [(p.x, p.y) for p in a] == [(p.x, p.y) for p in b]
 
 
-def test_sector_gain_boresight_and_backlobe(single_site):
+def test_sector_gain_boresight_and_backlobe():
     # user straight down sector 0's boresight at 100 m ground distance
     user_xy = np.array([[100.0, 0.0]])
-    gains = sector_gain_matrix(single_site, DEFAULTS, user_xy)
+    gains = sector_gain_matrix(ORIGIN_XY, DEFAULTS, user_xy)
     d = math.sqrt(100.0**2 + (25.0 - 1.5) ** 2)
     expected = channel_gain(TX_GAIN, RX_GAIN, DEFAULTS.fc_hz, d)
     assert gains[0, 0, 0] == pytest.approx(expected, rel=1e-12)
@@ -109,49 +93,48 @@ def test_sector_gain_boresight_and_backlobe(single_site):
     assert gains[0, 2, 0] == pytest.approx(expected * 10 ** (-2.5), rel=1e-12)
 
 
-def test_sector_arc_membership(single_site):
+def test_sector_arc_membership():
     # +61 degrees falls outside sector 0 (into sector 1), -59 falls inside
     out = np.array([[100.0 * math.cos(math.radians(61.0)), 100.0 * math.sin(math.radians(61.0))]])
     inside = np.array([[100.0 * math.cos(math.radians(-59.0)), 100.0 * math.sin(math.radians(-59.0))]])
-    g_out = sector_gain_matrix(single_site, DEFAULTS, out)
-    g_in = sector_gain_matrix(single_site, DEFAULTS, inside)
+    g_out = sector_gain_matrix(ORIGIN_XY, DEFAULTS, out)
+    g_in = sector_gain_matrix(ORIGIN_XY, DEFAULTS, inside)
     assert g_out[0, 0, 0] < g_in[0, 0, 0]
     assert g_out[0, 1, 0] > g_out[0, 0, 0]
 
 
-def test_user_at_sixty_degrees_gets_the_full_gain_of_sector_zero(single_site):
+def test_user_at_sixty_degrees_gets_the_full_gain_of_sector_zero():
     """``cos`` and ``sin`` put a user at 60 degrees on azimuth
     59.99999999999999, one ulp inside sector 0's arc [300, 60): it gets that
     sector's full transmit gain and the backlobe of the other two."""
     azim = math.radians(60.0)
     user_xy = np.array([[100.0 * math.cos(azim), 100.0 * math.sin(azim)]])
     assert np.degrees(np.arctan2(user_xy[0, 1], user_xy[0, 0])) == np.nextafter(60.0, 0.0)
-    gains = sector_gain_matrix(single_site, DEFAULTS, user_xy)
+    gains = sector_gain_matrix(ORIGIN_XY, DEFAULTS, user_xy)
     d = math.sqrt(100.0**2 + (25.0 - 1.5) ** 2)
     expected = channel_gain(TX_GAIN, RX_GAIN, DEFAULTS.fc_hz, d)
     assert gains[0, 0, 0] == pytest.approx(expected, rel=1e-12)
     assert gains[0, 1:, 0] == pytest.approx([expected * 10 ** (-2.5)] * 2, rel=1e-12)
 
 
-def test_sector_gain_rejects_near_field_without_clamp(single_site):
+def test_sector_gain_rejects_near_field_without_clamp():
     under = np.array([[0.0, 0.0]])
     cfg = RunConfig(user_height_m=24.5)
     with pytest.raises(DistanceTooSmall):
-        sector_gain_matrix(single_site, cfg, under)
-    clamped = sector_gain_matrix(single_site, cfg, under, clamp=True)
+        sector_gain_matrix(ORIGIN_XY, cfg, under)
+    clamped = sector_gain_matrix(ORIGIN_XY, cfg, under, clamp=True)
     assert np.all(np.isfinite(clamped))
 
 
-def remainder_gain_matrix(topo, cfg, user_xy):
+def remainder_gain_matrix(site_xy, cfg, user_xy):
     """The (B, S, U) gains with both angle folds done by ``% 360``, clamped,
     and the (B, S, U) arc membership that form gives."""
-    site_xy = np.array([[p.x, p.y] for p in topo.site_positions])
     dxy = user_xy[None, :, :] - site_xy[:, None, :]
     planar = np.hypot(dxy[:, :, 0], dxy[:, :, 1])
     height = cfg.user_height_m - cfg.bs_height_m
     dist = np.maximum(np.sqrt(planar**2 + height**2), MIN_DISTANCE_M)
     angles = np.degrees(np.arctan2(dxy[:, :, 1], dxy[:, :, 0])) % 360.0
-    boresights = np.asarray(topo.boresights_deg)
+    boresights = np.asarray(BORESIGHTS_DEG)
     offset = (angles[:, None, :] - boresights[None, :, None] + SECTOR_WIDTH_DEG / 2.0) % 360.0
     in_arc = offset < SECTOR_WIDTH_DEG
     pattern = np.where(in_arc, 1.0, 10.0 ** (-cfg.backlobe_atten_db / 10.0))
@@ -161,7 +144,7 @@ def remainder_gain_matrix(topo, cfg, user_xy):
     return TX_GAIN * pattern * path[:, None, :] * RX_GAIN, in_arc
 
 
-NINETEEN_SITES = build_topology(RunConfig(rings=2))
+NINETEEN_SITES_XY = np.array([[p.x, p.y] for p in hex_site_positions(2, DEFAULTS.isd_m)])
 
 
 @settings(max_examples=100, deadline=None)
@@ -174,37 +157,31 @@ def test_sector_gain_matches_remainder_and_puts_each_user_in_one_arc(seed):
     its gains carry that form's bits; and any subset of the users carries
     the full matrix's bits.  The ``%`` form puts an azimuth one ulp below a
     sector edge in no arc at all, so it is no reference there."""
-    topo, cfg = NINETEEN_SITES, DEFAULTS
+    site_xy, cfg = NINETEEN_SITES_XY, DEFAULTS
     rng = np.random.default_rng(seed)
-    site_xy = np.array([[p.x, p.y] for p in topo.site_positions])
-    anchor = site_xy[rng.integers(topo.n_sites, size=30)]
+    anchor = site_xy[rng.integers(len(site_xy), size=30)]
     edge = np.radians(rng.choice([60.0, 180.0, 300.0, -60.0, 0.0, 120.0, 240.0], 30))
     radius = rng.uniform(2.0, 600.0, 30)
     on_edge = anchor + np.stack([radius * np.cos(edge), radius * np.sin(edge)], axis=1)
     on_edge[::2] = np.nextafter(on_edge[::2], rng.choice([-np.inf, np.inf], (15, 2)))
     west = np.array([[-100.0, 0.0], [-100.0, -0.0], [site_xy[3, 0] - 40.0, site_xy[3, 1]]])
     user_xy = np.concatenate([rng.uniform(-1400.0, 1400.0, (40, 2)), on_edge, west])
-    got = sector_gain_matrix(topo, cfg, user_xy, clamp=True)
+    got = sector_gain_matrix(site_xy, cfg, user_xy, clamp=True)
     # A sector in its arc has the full transmit gain, above its site's backlobe.
     in_arc = got > got.min(axis=1, keepdims=True)
     assert np.all(in_arc.sum(axis=1) == 1)
-    ref, ref_in_arc = remainder_gain_matrix(topo, cfg, user_xy)
+    ref, ref_in_arc = remainder_gain_matrix(site_xy, cfg, user_xy)
     covered = ref_in_arc.any(axis=1)  # (B, U)
     pairs_got, pairs_ref = got.transpose(0, 2, 1)[covered], ref.transpose(0, 2, 1)[covered]
     assert pairs_got.tobytes() == pairs_ref.tobytes()
     sub = rng.choice(len(user_xy), size=rng.integers(1, len(user_xy)), replace=False)
-    part = sector_gain_matrix(topo, cfg, user_xy[sub], clamp=True)
+    part = sector_gain_matrix(site_xy, cfg, user_xy[sub], clamp=True)
     assert part.tobytes() == np.ascontiguousarray(got[:, :, sub]).tobytes()
-
-
-def test_topology_rejects_boresights_outside_one_turn():
-    with pytest.raises(ValidationError):
-        Topology((Position(0, 0),), np.array([13.2, 15.2]), boresights_deg=(0.0, 120.0, 360.0))
 
 
 def test_association_picks_nearest_site(three_site):
     users = [Position(40.0, 0.0), Position(480.0, 10.0)]
-    scn = Scenario(three_site, topo_config(three_site), users)
+    scn = Scenario(three_site, RunConfig(n_power_levels=4), users)
     assert scn.serving_site.tolist() == [0, 1]
     assert 0 <= scn.serving_sector[0] < 3
 
@@ -287,7 +264,7 @@ def test_evaluate_against_scalar_oracle(three_site_scenario):
 def seven_site_step():
     """Seven sites, two users per sector, about 60% of the users of sites
     0-4 pending: sites 5 and 6 sleep, the others serve up to three sectors."""
-    scn = make_scenario(build_topology(RunConfig(rings=1)), seed=3, per_sector_users=2)
+    scn = hex_scenario(1, seed=3, per_sector_users=2)
     coin = np.random.default_rng(4).random(scn.n_users) < 0.6
     pending = coin & (scn.serving_site < 5)
     scn.residual_bits[pending] = 1e5
@@ -419,7 +396,7 @@ def reference_schedule(scn):
 
 @functools.lru_cache(maxsize=None)
 def seven_site_scenario():
-    return make_scenario(build_topology(RunConfig(rings=1)), seed=5, per_sector_users=3)
+    return hex_scenario(1, seed=5, per_sector_users=3)
 
 
 @settings(max_examples=100, deadline=None)
@@ -461,7 +438,7 @@ def test_apply_advances_state(three_site_scenario):
     ctx = manual_step(scn, [1e4] * scn.n_users)
     before_idx = scn.current_power_idx.copy()
     ev = ctx.evaluate(np.zeros(ctx.n_sites, dtype=int))
-    scn.apply(ctx, ev)
+    scn.apply(ctx, ev, np.random.default_rng(0))
     assert scn.t == ctx.t + 1
     assert np.all(scn.current_power_idx[ctx.active_sites] == 0)
     sleepers = np.flatnonzero(ctx.phi == 0.0)
@@ -482,7 +459,7 @@ def test_completed_requests_free_the_user(three_site):
     scn.arrival_step[0] = 0
     ctx = scn.build_step()
     ev = ctx.evaluate(np.full(ctx.n_sites, ctx.n_levels - 1))
-    scn.apply(ctx, ev)
+    scn.apply(ctx, ev, np.random.default_rng(0))
     assert scn.residual_bits[0] == 0.0
     assert scn.arrival_step[0] == -1
     assert 0 in scn.idle_users
@@ -546,9 +523,8 @@ def test_static_scenario_ignores_motion_rng(three_site_scenario):
 
 def moving_scenario(seed=11):
     # 0.3 metres a slot, so positions drift visibly
-    return make_scenario(
-        build_topology(RunConfig(rings=1)), seed=seed, per_sector_users=2,
-        mobility="waypoint", user_speed_mps=300.0,
+    return hex_scenario(
+        1, seed=seed, per_sector_users=2, mobility="waypoint", user_speed_mps=300.0
     )
 
 
@@ -565,8 +541,8 @@ def test_moving_build_step_matches_the_full_matrix_slice(seed):
         scn.arrival_step[:] = np.where(pending, rng.integers(0, 3, scn.n_users), -1)
         ctx = scn.build_step()
         users, site = ctx.sched_users, ctx.sched_site
-        full = sector_gain_matrix(scn.topo, scn.cfg, scn.user_xy, clamp=True)
-        sector_active = np.zeros((ctx.n_sites, scn.topo.sectors_per_site), dtype=bool)
+        full = sector_gain_matrix(scn.site_xy, scn.cfg, scn.user_xy, clamp=True)
+        sector_active = np.zeros((ctx.n_sites, SECTORS_PER_SITE), dtype=bool)
         sector_active[site, scn.serving_sector[users]] = True
         stu = np.where(sector_active[:, :, None], full[:, :, users], 0.0).sum(axis=1)
         ref = dataclasses.replace(
@@ -602,7 +578,7 @@ def test_static_build_step_matches_the_masked_sector_sum(seed, per_sector):
     ctx = scn.build_step()
     users, site = ctx.sched_users, ctx.sched_site
     sector = scn.serving_sector[users]
-    sector_active = np.zeros((ctx.n_sites, scn.topo.sectors_per_site), dtype=bool)
+    sector_active = np.zeros((ctx.n_sites, SECTORS_PER_SITE), dtype=bool)
     sector_active[site, sector] = True
     want = np.asfortranarray(
         np.where(sector_active[:, :, None], scn.gains[:, :, users], 0.0).sum(axis=1)
@@ -615,7 +591,7 @@ def test_static_build_step_matches_the_masked_sector_sum(seed, per_sector):
 
 @functools.lru_cache(maxsize=None)
 def static_scenario(per_sector):
-    return make_scenario(NINETEEN_SITES, seed=per_sector, per_sector_users=per_sector)
+    return hex_scenario(2, seed=per_sector, per_sector_users=per_sector)
 
 
 @pytest.mark.parametrize("moving", [False, True])
@@ -644,9 +620,7 @@ def test_batch_rows_do_not_depend_on_the_rest_of_the_batch(rings, moving):
     rounds a row differently with other batch mates fails here first.  One
     row alone may take another BLAS path, so the search never rates one."""
     keys = {"mobility": "waypoint", "user_speed_mps": 300.0} if moving else {}
-    scn = make_scenario(
-        build_topology(RunConfig(rings=rings)), seed=rings, per_sector_users=2, **keys
-    )
+    scn = hex_scenario(rings, seed=rings, per_sector_users=2, **keys)
     rng = np.random.default_rng(rings)
     pending = rng.random(scn.n_users) < 0.8
     scn.residual_bits[:] = np.where(pending, 1e5, 0.0)
@@ -673,17 +647,3 @@ def test_batch_rows_do_not_depend_on_the_rest_of_the_batch(rings, moving):
         order, cut = rng.permutation(len(idx)), rng.integers(2, len(idx) - 1)
         assert_rows(idx, whole, order[:cut])
         assert_rows(idx, whole, order[cut:])
-
-
-@pytest.mark.parametrize("keys", [
-    {},  # the default 5 levels on a 4-level topology
-    {"n_power_levels": 4, "p_max_dbw": 16.0},
-    {"n_power_levels": 4, "delta_p_max_db": 3.0},
-])
-def test_scenario_rejects_a_power_set_other_than_the_configs(three_site, keys):
-    """A learner sizes its actions from the config while a step rates the
-    topology's levels, so the two must be the same power set."""
-    users = drop_users(three_site, topo_config(three_site), np.random.default_rng(0))
-    with pytest.raises(ValidationError, match="power levels"):
-        Scenario(three_site, RunConfig(**keys), users)
-    Scenario(three_site, topo_config(three_site), users)
