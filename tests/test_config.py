@@ -188,8 +188,10 @@ def test_load_config_validates_merged_result(tmp_path):
                  id="parse_config_text"),
     pytest.param(lambda: RunConfig(episodes=0).validate(), "'episodes'",
                  id="RunConfig.validate"),
+    pytest.param(lambda: Scenario((Position(0.0, 0.0),), RunConfig(), []),
+                 "at least one user", id="Scenario"),
     pytest.param(lambda: Scenario((), RunConfig(), [Position(30.0, 0.0)]),
-                 "at least one site", id="Scenario"),
+                 "at least one site", id="Scenario-no-sites"),
     pytest.param(lambda: ReplayMemory(0), "replay capacity", id="ReplayMemory"),
 ])
 def test_every_entry_point_raises_validation_error(call, match):
