@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .errors import InvariantViolation, SearchSpaceTooLarge
+from .errors import InvariantViolation, ValidationError
 from .rl import (
     QNetwork,
     ReplayMemory,
@@ -263,7 +263,7 @@ def exhaustive_oracle(
     memory stays bounded, and ties resolve to the lexicographically smallest
     index vector.  The full-power assignment has zero rate deltas by
     construction, so the feasible set is never empty.  Raises
-    ``SearchSpaceTooLarge`` when the enumeration would exceed ``max_nodes``
+    ``ValidationError`` when the enumeration would exceed ``max_nodes``
     assignments.
     """
     active = ctx.active_sites
@@ -272,7 +272,7 @@ def exhaustive_oracle(
         return full, 0.0
     n_nodes = ctx.n_levels ** active.size
     if n_nodes > max_nodes:
-        raise SearchSpaceTooLarge(
+        raise ValidationError(
             f"{n_nodes} joint assignments exceed the {max_nodes} cap"
         )
     shape = (ctx.n_levels,) * active.size

@@ -8,8 +8,10 @@ Subcommands:
 * ``oracle``  - run a small instance and score it against exhaustive search
 
 Exit codes: 0 on success, 1 for bad input (an unreadable config file, or a
-``ValidationError``: a config that does not parse or validate, bad sweep
-values or worker count), 2 for runtime failures.
+``ValidationError``: a config that does not parse or validate, a ``--vary``
+key or value given twice, a bad worker count, an oracle grid beyond the
+oracle's cap), 2 for runtime failures, an ``InvariantViolation`` among them.
+Bad input is rejected before anything is written.
 """
 
 from __future__ import annotations
@@ -81,6 +83,8 @@ def _parse_vary(specs: list[str]) -> dict[str, list]:
         key = key.strip()
         if key not in FIELD_TYPES:
             raise ValidationError(f"unknown config key '{key}'")
+        if key in vary:
+            raise ValidationError(f"--vary gives '{key}' twice")
         vary[key] = [coerce_value(key, v.strip()) for v in raw.split(",") if v.strip()]
         if not vary[key]:
             raise ValidationError(f"--vary gave no values for '{key}'")
@@ -116,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
             run_sweep(cfg, vary, args.out, workers=args.workers, quiet=args.quiet)
         elif args.command == "oracle":
             run_oracle_check(cfg, args.out, quiet=args.quiet)
-    except ValidationError as exc:  # a --vary combination; run_sweep writes nothing first
+    except ValidationError as exc:  # a --vary combo or the oracle grid; nothing written yet
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (RanPowerError, OSError) as exc:

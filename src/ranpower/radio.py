@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonPositivePower
+from .errors import ValidationError
 
 SPEED_OF_LIGHT_M_S = 299792458.0
 
@@ -43,8 +43,8 @@ def dbw_to_watts(p_dbw: float) -> float:
 
 
 def watts_to_dbw(p_w: float) -> float:
-    """Convert watts to dBW.  Raises ``NonPositivePower`` for p <= 0."""
+    """Convert watts to dBW.  Raises ``ValidationError`` for p <= 0."""
     if p_w <= 0.0:
-        raise NonPositivePower(f"cannot express {p_w} W in dBW")
+        raise ValidationError(f"cannot express {p_w} W in dBW")
     return 10.0 * math.log10(p_w)
 

@@ -31,12 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ArchitectureMismatch,
-    EmptyMemory,
-    InsufficientSamples,
-    ValidationError,
-)
+from .errors import ValidationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +113,7 @@ class ReplayMemory:
         ring maps to slots.
         """
         if self._len <= size:
-            raise InsufficientSamples(
+            raise ValidationError(
                 f"memory holds {self._len} transitions, need more than {size}"
             )
         idx = rng.choice(self._len, size=size, replace=False)
@@ -151,13 +146,13 @@ class QNetwork:
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]) -> None:
         if len(weights) != len(biases) or not weights:
-            raise ArchitectureMismatch("need one bias vector per weight matrix")
+            raise ValidationError("need one bias vector per weight matrix")
         for w, b in zip(weights, biases):
             if w.shape[1] != b.shape[0]:
-                raise ArchitectureMismatch(f"bias {b.shape} does not fit {w.shape}")
+                raise ValidationError(f"bias {b.shape} does not fit {w.shape}")
         for prev, nxt in zip(weights, weights[1:]):
             if prev.shape[1] != nxt.shape[0]:
-                raise ArchitectureMismatch(
+                raise ValidationError(
                     f"layer chain broken: {prev.shape} -> {nxt.shape}"
                 )
         self.weights = weights
@@ -174,7 +169,7 @@ class QNetwork:
         zero_output: bool = True,
     ) -> "QNetwork":
         if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
-            raise ArchitectureMismatch(f"unusable layer sizes {layer_sizes}")
+            raise ValidationError(f"unusable layer sizes {layer_sizes}")
         weights, biases = [], []
         last = len(layer_sizes) - 2
         for i, (fan_in, fan_out) in enumerate(zip(layer_sizes, layer_sizes[1:])):
@@ -232,7 +227,7 @@ class QNetwork:
 
     def copy_from(self, other: "QNetwork") -> None:
         if self.layer_sizes != other.layer_sizes:
-            raise ArchitectureMismatch(
+            raise ValidationError(
                 f"cannot copy {other.layer_sizes} into {self.layer_sizes}"
             )
         for mine, theirs in zip(self.weights, other.weights):
@@ -342,7 +337,7 @@ def empirical_policy_prob(
     """Empirical probability that the behaviour policy emits ``action``:
     the exploit mass observed in replay plus the uniform explore mass."""
     if len(memory) == 0:
-        raise EmptyMemory("no transitions recorded yet")
+        raise ValidationError("no transitions recorded yet")
     exploit = (1.0 - epsilon) * memory.action_count(action) / len(memory)
     return exploit + epsilon / n_actions
 
@@ -393,21 +388,21 @@ def load_weights(path: str) -> QNetwork:
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 4:
-        raise ArchitectureMismatch(f"{path} is too short to hold a header")
+        raise ValidationError(f"{path} is too short to hold a header")
     n_sizes = int(np.frombuffer(raw, dtype="<i4", count=1)[0])
     if n_sizes < 2:
-        raise ArchitectureMismatch(f"{path} declares {n_sizes} layer sizes")
+        raise ValidationError(f"{path} declares {n_sizes} layer sizes")
     if len(raw) < 4 + 4 * n_sizes:
-        raise ArchitectureMismatch(f"{path} ends inside its layer-size header")
+        raise ValidationError(f"{path} ends inside its layer-size header")
     sizes = np.frombuffer(raw, dtype="<i4", count=n_sizes, offset=4).astype(int)
     if np.any(sizes < 1):
-        raise ArchitectureMismatch(f"{path} declares non-positive layer sizes")
+        raise ValidationError(f"{path} declares non-positive layer sizes")
     n_params = int(sum(a * b + b for a, b in zip(sizes, sizes[1:])))
     expected = 4 + 4 * n_sizes + 8 * n_params
     if len(raw) < expected:
-        raise ArchitectureMismatch(f"{path} ends before its declared layers")
+        raise ValidationError(f"{path} ends before its declared layers")
     if len(raw) > expected:
-        raise ArchitectureMismatch(f"{path} carries {len(raw) - expected} stray bytes")
+        raise ValidationError(f"{path} carries {len(raw) - expected} stray bytes")
     offset = 4 + 4 * n_sizes
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes, sizes[1:]):

@@ -25,8 +25,16 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .agents import DqnAgent, EpisodeOutcome, QLearningAgent, SleepAgent, exhaustive_oracle
+from .agents import (
+    MAX_ORACLE_NODES,
+    DqnAgent,
+    EpisodeOutcome,
+    QLearningAgent,
+    SleepAgent,
+    exhaustive_oracle,
+)
 from .config import AGENTS, RunConfig
+from .errors import ValidationError
 from .metrics import CSV_COLUMNS, MetricsAccumulator, MetricsRow
 from .rl import save_weights
 from .scenario import Scenario, drop_users, hex_site_positions
@@ -105,14 +113,12 @@ class RunResult:
     out_dir: Path
     csv_path: Path
     summary: dict
-    rows: list[MetricsRow]
 
 
 def run(
     cfg: RunConfig,
     out_dir: str | Path | None = None,
     quiet: bool = True,
-    keep_rows: bool = False,
     episode_hook: Callable[[int, object, EpisodeOutcome], None] | None = None,
 ) -> RunResult:
     """Execute one configured run and write ``metrics.csv`` + ``summary.json``.
@@ -134,7 +140,6 @@ def run(
     csv_path = out / "metrics.csv"
 
     acc = MetricsAccumulator(p_max_dbw=cfg.p_max_dbw)
-    rows: list[MetricsRow] = []
     with _replacing(csv_path) as tmp, open(tmp, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for t in range(cfg.episodes):
@@ -142,11 +147,8 @@ def run(
             ctx = scn.build_step()
             outcome = agent.run_episode(ctx, t, t == cfg.episodes - 1)
             scn.apply(ctx, outcome.ev, streams["mobility"])
-            row = outcome_to_row(t, ctx.phi, outcome)
-            record = acc.push(row)
+            record = acc.push(outcome_to_row(t, ctx.phi, outcome))
             fh.write(_format_row(record.values()))  # keyed in CSV_COLUMNS order
-            if keep_rows:
-                rows.append(row)
             if episode_hook is not None:
                 episode_hook(t, ctx, outcome)
 
@@ -169,7 +171,7 @@ def run(
     if not quiet:
         ee = summary["ee_overall_mbps_per_dbw"]
         print(f"[{cfg.agent}] seed={cfg.seed} episodes={cfg.episodes} ee={ee:.4f}")
-    return RunResult(cfg, out, csv_path, summary, rows)
+    return RunResult(cfg, out, csv_path, summary)
 
 
 def run_compare(
@@ -189,8 +191,8 @@ def run_compare(
     return table
 
 
-def _sweep_one(args: tuple[RunConfig, str]) -> dict:
-    cfg, out = args
+def _sweep_one(args: tuple[str, RunConfig]) -> dict:
+    out, cfg = args
     result = run(cfg, out, quiet=True)
     return {
         "out": out,
@@ -211,15 +213,20 @@ def run_sweep(
 
     Combos are independent runs, so ``workers > 1`` executes them in
     parallel processes without changing any output.  The pool never holds
-    more processes than there are combos or CPUs.
+    more processes than there are combos or CPUs.  Every combo is validated,
+    and two combos that would share a subdirectory (a repeated value, such
+    as ``500`` and ``500.0`` for a float key) raise ``ValidationError``,
+    before anything is written.
     """
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     keys = sorted(vary)
-    jobs: list[tuple[RunConfig, str]] = []
+    jobs: dict[str, RunConfig] = {}
     for combo in itertools.product(*(vary[k] for k in keys)):
         tags = dict(zip(keys, combo))
-        sub = out / "_".join(f"{k}={v}" for k, v in tags.items())
-        jobs.append((replace(cfg, **tags).validate(), str(sub)))
+        sub = str(out / "_".join(f"{k}={v}" for k, v in tags.items()))
+        if sub in jobs:
+            raise ValidationError(f"vary repeats a value: two combos would both write {sub}")
+        jobs[sub] = replace(cfg, **tags).validate()
     out.mkdir(parents=True, exist_ok=True)  # after every combo validated
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
@@ -227,9 +234,9 @@ def run_sweep(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(_sweep_one, jobs))
+            entries = list(pool.map(_sweep_one, jobs.items()))
     else:
-        entries = [_sweep_one(job) for job in jobs]
+        entries = [_sweep_one(job) for job in jobs.items()]
     _write_json(out / "sweep.json", entries)
     if not quiet:
         for entry in entries:
@@ -242,11 +249,20 @@ def run_oracle_check(
 ) -> dict:
     """Run the configured agent while scoring each step against the oracle.
 
-    Only viable on small instances: the enumeration is capped, so wide grids
-    or many power levels are rejected.  Writes ``oracle.csv`` with the
-    per-step efficiency ratio and returns summary statistics.
+    Only viable on small instances: like :func:`run`, it validates before it
+    writes, and a grid whose ``n_power_levels ** sites`` exceeds the oracle's
+    cap raises ``ValidationError`` naming ``'rings'`` and
+    ``'n_power_levels'``.  Writes ``oracle.csv`` with the per-step
+    efficiency ratio and returns summary statistics.
     """
     cfg = cfg.validate()
+    sites = len(hex_site_positions(cfg.rings, cfg.isd_m))
+    if cfg.n_power_levels ** sites > MAX_ORACLE_NODES:
+        raise ValidationError(
+            f"'rings' = {cfg.rings} and 'n_power_levels' = {cfg.n_power_levels} give "
+            f"{cfg.n_power_levels}**{sites} joint assignments, beyond the oracle's "
+            f"{MAX_ORACLE_NODES} cap"
+        )
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ratios: list[tuple[int, float, float, float]] = []

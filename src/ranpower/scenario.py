@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import RunConfig
-from .errors import DistanceTooSmall, ValidationError
+from .errors import ValidationError
 from .radio import (
     MIN_DISTANCE_M,
     MIN_DROP_RADIUS_M,
@@ -111,7 +111,7 @@ def sector_gain_matrix(
     if clamp:
         np.maximum(dist, MIN_DISTANCE_M, out=dist)
     elif (dist < MIN_DISTANCE_M).any():
-        raise DistanceTooSmall("a user sits closer to a site than the model allows")
+        raise ValidationError("a user sits closer to a site than the model allows")
 
     angles = np.degrees(np.arctan2(dy, dx))  # [-180, 180]
     angles += np.where(angles < 0.0, 360.0, 0.0)

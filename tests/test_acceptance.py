@@ -33,7 +33,7 @@ from ranpower.rl import (
     empirical_policy_prob,
     minibatch_targets,
 )
-from ranpower.runner import make_streams, run
+from ranpower.runner import make_streams, outcome_to_row, run
 from ranpower.scenario import Scenario, StepEval
 
 from conftest import GOLDEN_PATH, build_golden_scenario
@@ -110,9 +110,12 @@ def desk_runs(tmp_path_factory):
     base_dir = tmp_path_factory.mktemp("desk")
     base_cfg = RunConfig(rings=1, episodes=2000, search_iters=50).validate()
     started = time.perf_counter()
+    rows = None  # the current run's metrics rows, kept for the DQN runs
 
     def guard(t, ctx, outcome):
         assert not outcome.feasible or outcome.ev.rate_delta_sum >= 0.0
+        if rows is not None:
+            rows.append(outcome_to_row(t, ctx.phi, outcome))
 
     ee = {}
     iters = {}
@@ -123,16 +126,14 @@ def desk_runs(tmp_path_factory):
         iters[agent] = []
         for seed in range(5):
             cfg = replace(base_cfg, agent=agent, seed=seed)
-            keep = agent == "dqn"
-            res = run(
-                cfg, base_dir / f"{agent}-{seed}", keep_rows=keep, episode_hook=guard
-            )
+            rows = [] if agent == "dqn" else None
+            res = run(cfg, base_dir / f"{agent}-{seed}", episode_hook=guard)
             ee[agent].append(res.summary["ee_overall_mbps_per_dbw"])
             iters[agent].append(res.summary["iterations_overall"])
             if agent == "dqn":
-                z_series.append(complexity_averages(res.rows)[0])
+                z_series.append(complexity_averages(rows)[0])
                 if seed == 0:
-                    rows0 = res.rows
+                    rows0 = rows
     return {
         "ee": ee,
         "iters": iters,

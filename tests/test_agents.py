@@ -17,7 +17,7 @@ from ranpower.agents import (
     exhaustive_oracle,
 )
 from ranpower.config import RunConfig
-from ranpower.errors import InvariantViolation, SearchSpaceTooLarge, ValidationError
+from ranpower.errors import InvariantViolation, ValidationError
 from ranpower.rl import state_bin, tabular_q_update
 from ranpower.runner import run
 from ranpower.scenario import StepEval
@@ -569,7 +569,7 @@ def test_exhaustive_oracle_beats_or_ties_every_feasible_assignment(loaded_ctx):
 
 
 def test_exhaustive_oracle_respects_node_cap(loaded_ctx):
-    with pytest.raises(SearchSpaceTooLarge):
+    with pytest.raises(ValidationError, match="joint assignments exceed the 63 cap"):
         exhaustive_oracle(loaded_ctx, max_nodes=63)
 
 

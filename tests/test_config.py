@@ -4,12 +4,13 @@ class that every entry point raises for bad input."""
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from ranpower.config import RunConfig, load_config, parse_config_text
 from ranpower.errors import RanPowerError, ValidationError
-from ranpower.radio import Position
-from ranpower.rl import ReplayMemory
+from ranpower.radio import Position, watts_to_dbw
+from ranpower.rl import QNetwork, ReplayMemory
 from ranpower.scenario import Scenario
 
 
@@ -192,11 +193,21 @@ def test_load_config_validates_merged_result(tmp_path):
                  "at least one user", id="Scenario"),
     pytest.param(lambda: Scenario((), RunConfig(), [Position(30.0, 0.0)]),
                  "at least one site", id="Scenario-no-sites"),
+    pytest.param(lambda: Scenario((Position(0.0, 0.0),),
+                                  RunConfig(bs_height_m=1.5, user_height_m=1.5),
+                                  [Position(0.5, 0.0)]),
+                 "closer to a site than the model allows", id="Scenario-near-field"),
     pytest.param(lambda: ReplayMemory(0), "replay capacity", id="ReplayMemory"),
+    pytest.param(lambda: ReplayMemory(4).sample_minibatch(4, np.random.default_rng(0)),
+                 "need more than 4", id="ReplayMemory.sample_minibatch"),
+    pytest.param(lambda: QNetwork([np.zeros((2, 4))], [np.zeros(3)]), "does not fit",
+                 id="QNetwork"),
+    pytest.param(lambda: watts_to_dbw(0.0), "cannot express 0.0 W", id="watts_to_dbw"),
 ])
 def test_every_entry_point_raises_validation_error(call, match):
     """Bad input raises the one error class wherever it enters, with a
-    message that says where: the key, the line, or the part at fault."""
+    message that says where: the key, the line, the argument or the part at
+    fault."""
     with pytest.raises(ValidationError, match=match) as info:
         call()
     assert isinstance(info.value, RanPowerError) and isinstance(info.value, ValueError)

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ranpower.config import RunConfig
-from ranpower.errors import DistanceTooSmall, NonPositivePower
+from ranpower.errors import ValidationError
 from ranpower.radio import (
     MIN_DISTANCE_M,
     SPEED_OF_LIGHT_M_S,
@@ -78,9 +78,9 @@ def channel_gain(
     simulator; pass 2 for a conventional power-law path loss.
     """
     if d_m < MIN_DISTANCE_M:
-        raise DistanceTooSmall(f"distance {d_m} m is below {MIN_DISTANCE_M} m")
+        raise ValidationError(f"distance {d_m} m is below {MIN_DISTANCE_M} m")
     if fc_hz <= 0.0:
-        raise NonPositivePower(f"carrier frequency {fc_hz} Hz must be positive")
+        raise ValidationError(f"carrier frequency {fc_hz} Hz must be positive")
     path = (SPEED_OF_LIGHT_M_S / (4.0 * math.pi * fc_hz * d_m)) ** exponent
     return tx_gain_lin * path * rx_gain_lin
 
@@ -109,9 +109,9 @@ def test_dbw_spot_values():
 
 
 def test_watts_to_dbw_rejects_nonpositive():
-    with pytest.raises(NonPositivePower):
+    with pytest.raises(ValidationError, match="cannot express 0.0 W in dBW"):
         watts_to_dbw(0.0)
-    with pytest.raises(NonPositivePower):
+    with pytest.raises(ValidationError, match="cannot express -4.0 W in dBW"):
         watts_to_dbw(-4.0)
 
 
@@ -139,12 +139,12 @@ def test_channel_gain_monotone_in_distance():
 
 
 def test_channel_gain_rejects_near_field():
-    with pytest.raises(DistanceTooSmall):
+    with pytest.raises(ValidationError, match="distance 0.5 m is below 1.0 m"):
         channel_gain(1.0, 1.0, 2.6e9, 0.5)
 
 
 def test_channel_gain_rejects_bad_frequency():
-    with pytest.raises(NonPositivePower):
+    with pytest.raises(ValidationError, match="carrier frequency 0.0 Hz must be positive"):
         channel_gain(1.0, 1.0, 0.0, 100.0)
 
 

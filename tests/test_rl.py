@@ -16,11 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranpower.errors import (
-    ArchitectureMismatch,
-    EmptyMemory,
-    InsufficientSamples,
-)
+from ranpower.errors import ValidationError
 from ranpower.rl import (
     Minibatch,
     QNetwork,
@@ -106,7 +102,7 @@ def test_replay_memory_needs_strictly_more_than_size():
     mem = ReplayMemory(capacity=10)
     for k in range(4):
         mem.push(*one_row([float(k), 0.0], 0, 0.0))
-    with pytest.raises(InsufficientSamples):
+    with pytest.raises(ValidationError, match="memory holds 4 transitions, need more than 4"):
         mem.sample_minibatch(4, rng)
     batch = mem.sample_minibatch(3, rng)
     assert len(batch) == 3
@@ -202,11 +198,11 @@ def test_qnetwork_forward_matches_hand_rolled_product():
 
 
 def test_qnetwork_rejects_broken_chains():
-    with pytest.raises(ArchitectureMismatch):
+    with pytest.raises(ValidationError, match="layer chain broken"):
         QNetwork([np.zeros((2, 4)), np.zeros((5, 3))], [np.zeros(4), np.zeros(3)])
-    with pytest.raises(ArchitectureMismatch):
+    with pytest.raises(ValidationError, match=r"bias \(3,\) does not fit \(2, 4\)"):
         QNetwork([np.zeros((2, 4))], [np.zeros(3)])
-    with pytest.raises(ArchitectureMismatch):
+    with pytest.raises(ValidationError, match=r"unusable layer sizes \[2\]"):
         QNetwork.create([2], np.random.default_rng(0))
 
 
@@ -230,7 +226,7 @@ def test_sync_target_mismatch_raises():
     rng = np.random.default_rng(9)
     pred = QNetwork.create([2, 8, 4], rng)
     target = QNetwork.create([2, 6, 4], rng)
-    with pytest.raises(ArchitectureMismatch):
+    with pytest.raises(ValidationError, match=r"cannot copy \(2, 8, 4\) into \(2, 6, 4\)"):
         sync_target(pred, target)
 
 
@@ -585,7 +581,7 @@ def test_empirical_policy_prob_values():
 
 
 def test_empirical_policy_prob_empty_memory():
-    with pytest.raises(EmptyMemory):
+    with pytest.raises(ValidationError, match="no transitions recorded yet"):
         empirical_policy_prob(ReplayMemory(4), 0, 0.1, 5)
 
 
@@ -649,7 +645,7 @@ def test_load_weights_rejects_truncation(tmp_path):
     save_weights(net, str(path))
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) - 9])
-    with pytest.raises(ArchitectureMismatch):
+    with pytest.raises(ValidationError, match="ends before its declared layers"):
         load_weights(str(path))
 
 
@@ -659,5 +655,5 @@ def test_load_weights_rejects_stray_bytes(tmp_path):
     path = tmp_path / "weights.bin"
     save_weights(net, str(path))
     path.write_bytes(path.read_bytes() + b"\x00" * 8)
-    with pytest.raises(ArchitectureMismatch):
+    with pytest.raises(ValidationError, match="carries 8 stray bytes"):
         load_weights(str(path))

@@ -187,12 +187,6 @@ def test_episode_hook_sees_every_step(tmp_path):
     assert [t for t, _ in seen] == list(range(12))
 
 
-def test_keep_rows_returns_one_row_per_episode(tmp_path):
-    result = run(small_cfg(episodes=15), tmp_path / "out", keep_rows=True)
-    assert len(result.rows) == 15
-    assert [r.t for r in result.rows] == list(range(15))
-
-
 def test_run_compare_covers_all_agents(tmp_path):
     cfg = small_cfg(episodes=25)
     table = run_compare(cfg, tmp_path / "cmp")
@@ -315,10 +309,21 @@ def test_cli_config_errors_exit_one(tmp_path, capsys):
     assert main(["run", "--config", cramped, "--out", str(tmp_path / "out")]) == 1
     coincide = write_cfg(tmp_path, "rings = 0\ndelta_p_max_db = 1e-16\n")  # repeated levels
     assert main(["run", "--config", coincide, "--out", str(tmp_path / "out")]) == 1
+    # A repeated --vary key or value would run two combos into one directory.
+    tiny = write_cfg(tmp_path, "rings = 0\nepisodes = 3\n")
+    for vary in (["seed=1", "--vary", "seed=2"], ["seed=1,1", "--workers", "2"],
+                 ["isd_m=500,500.0"]):
+        assert main(["sweep", "--config", tiny, "--vary", *vary,
+                     "--out", str(tmp_path / "out")]) == 1
+    wide = write_cfg(tmp_path, "rings = 2\nepisodes = 20\n")  # 5**19 oracle plans
+    assert main(["oracle", "--config", wide, "--out", str(tmp_path / "out"), "--quiet"]) == 1
     assert not (tmp_path / "out").exists()
     err = capsys.readouterr().err
     assert "config error" in err
     assert "'delta_p_max_db'" in err
+    assert "--vary gives 'seed' twice" in err
+    assert err.count("vary repeats a value") == 2
+    assert "'rings' = 2 and 'n_power_levels' = 5" in err
 
 
 @pytest.mark.parametrize("line", ["volume_hi_bits = inf", "isd_m = inf", "tx_gain_dbi = nan",
@@ -356,10 +361,14 @@ def test_row_formatter_matches_the_cell_formatter():
 
 
 def test_cli_runtime_errors_exit_two(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "rings = 2\nepisodes = 20\n")
-    code = main(["oracle", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
-    assert code == 2
+    """A failure past validation exits 2: here the output path is a regular
+    file, so creating the run directory fails."""
+    cfg = write_cfg(tmp_path, "rings = 0\nepisodes = 3\n")
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    assert main(["run", "--config", cfg, "--out", str(taken), "--quiet"]) == 2
     assert "runtime error" in capsys.readouterr().err
+    assert taken.read_text() == "kept\n"
 
 
 def test_cli_compare_and_sweep_end_to_end(tmp_path):

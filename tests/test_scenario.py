@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ranpower.config import RunConfig
-from ranpower.errors import DistanceTooSmall
+from ranpower.errors import ValidationError
 from ranpower.radio import (
     MIN_DISTANCE_M,
     SPEED_OF_LIGHT_M_S,
@@ -120,7 +120,7 @@ def test_user_at_sixty_degrees_gets_the_full_gain_of_sector_zero():
 def test_sector_gain_rejects_near_field_without_clamp():
     under = np.array([[0.0, 0.0]])
     cfg = RunConfig(user_height_m=24.5)
-    with pytest.raises(DistanceTooSmall):
+    with pytest.raises(ValidationError, match="closer to a site than the model allows"):
         sector_gain_matrix(ORIGIN_XY, cfg, under)
     clamped = sector_gain_matrix(ORIGIN_XY, cfg, under, clamp=True)
     assert np.all(np.isfinite(clamped))
