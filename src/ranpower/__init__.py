@@ -9,7 +9,7 @@ a non-learning sleep scheme.
 
 from .agents import DqnAgent, QLearningAgent, SleepAgent, exhaustive_oracle
 from .config import RunConfig, load_config
-from .metrics import CSV_COLUMNS, MetricsAccumulator, MetricsRow
+from .metrics import CSV_COLUMNS, MetricsAccumulator
 from .radio import Position
 from .rl import QNetwork, ReplayMemory
 from .runner import run, run_compare, run_oracle_check, run_sweep
@@ -21,7 +21,6 @@ __all__ = [
     "CSV_COLUMNS",
     "DqnAgent",
     "MetricsAccumulator",
-    "MetricsRow",
     "Position",
     "QLearningAgent",
     "QNetwork",

@@ -9,6 +9,7 @@ hex grid, 57 users, 15.2 dBW ceiling, 10 MHz carriers, 20000 steps).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -88,10 +89,11 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         for key, kind in FIELD_TYPES.items():
-            if kind == "float" and not math.isfinite(getattr(self, key)):
-                raise ValidationError(
-                    f"config key '{key}' has non-finite value {getattr(self, key)!r}"
-                )
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
+                raise ValidationError(f"config key '{key}' expects {kind}, got {value!r}")
+            if kind == "float" and not math.isfinite(value):
+                raise ValidationError(f"config key '{key}' has non-finite value {value!r}")
         checks: list[tuple[str, bool]] = [
             ("rings", self.rings >= 0),
             ("isd_m", self.isd_m > 2.0 * MIN_DROP_RADIUS_M),
@@ -147,6 +149,8 @@ class RunConfig:
 
 # Under ``from __future__ import annotations`` each type is its name: "int", "float" or "str".
 FIELD_TYPES: dict[str, str] = {f.name: f.type for f in fields(RunConfig)}  # type: ignore[misc]
+# What a value of each type may be; a bool is none of them.
+_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
 def coerce_value(key: str, raw: str) -> Any:

@@ -162,24 +162,15 @@ class QNetwork:
         self._buffers: dict[tuple[str, int], np.ndarray] = {}
 
     @classmethod
-    def create(
-        cls,
-        layer_sizes: Sequence[int],
-        rng: np.random.Generator,
-        zero_output: bool = True,
-    ) -> "QNetwork":
+    def create(cls, layer_sizes: Sequence[int], rng: np.random.Generator) -> "QNetwork":
         if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
             raise ValidationError(f"unusable layer sizes {layer_sizes}")
-        weights, biases = [], []
-        last = len(layer_sizes) - 2
-        for i, (fan_in, fan_out) in enumerate(zip(layer_sizes, layer_sizes[1:])):
-            if zero_output and i == last:
-                w = np.zeros((fan_in, fan_out))
-            else:
-                w = rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_in, fan_out))
-            weights.append(w)
-            biases.append(np.zeros(fan_out))
-        return cls(weights, biases)
+        weights = [
+            rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_in, fan_out))
+            for fan_in, fan_out in zip(layer_sizes[:-2], layer_sizes[1:-1])
+        ]
+        weights.append(np.zeros(tuple(layer_sizes[-2:])))
+        return cls(weights, [np.zeros(size) for size in layer_sizes[1:]])
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:

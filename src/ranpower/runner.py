@@ -21,7 +21,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .agents import (
 )
 from .config import AGENTS, RunConfig
 from .errors import ValidationError
-from .metrics import CSV_COLUMNS, MetricsAccumulator, MetricsRow
+from .metrics import CSV_COLUMNS, MetricsAccumulator, format_row
 from .rl import save_weights
 from .scenario import Scenario, drop_users, hex_site_positions
 
@@ -64,28 +64,6 @@ def make_agent(cfg: RunConfig, streams: dict[str, np.random.Generator]):
     if cfg.agent == "qlearning":
         return QLearningAgent(cfg, streams["exploration"])
     return SleepAgent()
-
-
-def outcome_to_row(t: int, phi: np.ndarray, outcome: EpisodeOutcome) -> MetricsRow:
-    ev = outcome.ev
-    asleep = outcome.all_sleep
-    return MetricsRow(
-        t=t,
-        phi=phi.copy(),
-        power_dbw=ev.power_dbw,
-        rate_bps=ev.rate_bps,
-        link_ee=ev.link_ee,
-        ee_reward=None if asleep else ev.network_ee,
-        zeta=None if asleep else int(outcome.feasible),
-        n_star=outcome.accepted_iteration,
-    )
-
-
-def _format_row(values: Iterable[float | int | str | None]) -> str:
-    """One CSV line in one pass: ``None`` is an empty cell, anything else its
-    ``str``, which for a float is its ``repr``, so a parsed cell is the
-    exact double."""
-    return ",".join(["" if v is None else str(v) for v in values]) + "\n"
 
 
 @contextmanager
@@ -139,7 +117,7 @@ def run(
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "metrics.csv"
 
-    acc = MetricsAccumulator(p_max_dbw=cfg.p_max_dbw)
+    acc = MetricsAccumulator(cfg.p_max_dbw, scn.n_sites)
     with _replacing(csv_path) as tmp, open(tmp, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for t in range(cfg.episodes):
@@ -147,10 +125,10 @@ def run(
             ctx = scn.build_step()
             outcome = agent.run_episode(ctx, t, t == cfg.episodes - 1)
             scn.apply(ctx, outcome.ev, streams["mobility"])
-            record = acc.push(outcome_to_row(t, ctx.phi, outcome))
-            fh.write(_format_row(record.values()))  # keyed in CSV_COLUMNS order
+            fh.write(acc.push(t, ctx.phi, outcome))
             if episode_hook is not None:
                 episode_hook(t, ctx, outcome)
+        fh.write(acc.flush())
 
     summary = {
         "agent": cfg.agent,
@@ -187,7 +165,7 @@ def run_compare(
         table.append({"agent": agent, **{k: result.summary[k] for k in COMPARE_KEYS}})
     with _replacing(out / "comparison.csv") as tmp, open(tmp, "w", newline="") as fh:
         fh.write(",".join(table[0]) + "\n")
-        fh.writelines(_format_row(entry.values()) for entry in table)
+        fh.writelines(format_row(entry.values()) for entry in table)
     return table
 
 
@@ -278,7 +256,7 @@ def run_oracle_check(
     run(cfg, out, quiet=True, episode_hook=hook)
     with _replacing(out / "oracle.csv") as tmp, open(tmp, "w", newline="") as fh:
         fh.write("t,achieved_ee,oracle_ee,ratio\n")
-        fh.writelines(_format_row(entry) for entry in ratios)
+        fh.writelines(format_row(entry) for entry in ratios)
     stats = {
         "steps_scored": len(ratios),
         "mean_ratio": float(np.mean([r[3] for r in ratios])) if ratios else None,

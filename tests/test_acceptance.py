@@ -17,27 +17,20 @@ import pytest
 from ranpower.agents import DqnAgent, _check_accepted, exhaustive_oracle
 from ranpower.config import RunConfig
 from ranpower.errors import InvariantViolation
-from ranpower.metrics import (
-    MetricsAccumulator,
-    MetricsRow,
-    complexity_averages,
-    decline_step,
-    ee_averages,
-    power_averages,
-    power_step_dbw,
-    throughput_averages,
-)
 from ranpower.radio import Position, dbw_to_watts, watts_to_dbw
-from ranpower.rl import (
-    QNetwork,
-    empirical_policy_prob,
-    minibatch_targets,
-)
-from ranpower.runner import make_streams, outcome_to_row, run
+from ranpower.rl import empirical_policy_prob, minibatch_targets
+from ranpower.runner import make_streams, run
 from ranpower.scenario import Scenario, StepEval
 
 from conftest import GOLDEN_PATH, build_golden_scenario
-from test_rl import extract_gradients, numeric_gradient, random_batch
+from test_metrics import (
+    library_record,
+    make_row,
+    read_metrics,
+    reference_records,
+    row_from_outcome,
+)
+from test_rl import extract_gradients, numeric_gradient, random_batch, random_network
 
 
 def report(num, name, ok, detail=""):
@@ -110,34 +103,33 @@ def desk_runs(tmp_path_factory):
     base_dir = tmp_path_factory.mktemp("desk")
     base_cfg = RunConfig(rings=1, episodes=2000, search_iters=50).validate()
     started = time.perf_counter()
-    rows = None  # the current run's metrics rows, kept for the DQN runs
+    rows0 = []  # the DQN seed-0 run's slots, for the per-row reference
 
     def guard(t, ctx, outcome):
         assert not outcome.feasible or outcome.ev.rate_delta_sum >= 0.0
-        if rows is not None:
-            rows.append(outcome_to_row(t, ctx.phi, outcome))
+
+    def guard_and_keep(t, ctx, outcome):
+        guard(t, ctx, outcome)
+        rows0.append(row_from_outcome(t, ctx.phi, outcome))
 
     ee = {}
     iters = {}
-    z_series = []
-    rows0 = None
+    dqn_csv = {}
     for agent in ("dqn", "qlearning", "sleep"):
         ee[agent] = []
         iters[agent] = []
         for seed in range(5):
             cfg = replace(base_cfg, agent=agent, seed=seed)
-            rows = [] if agent == "dqn" else None
-            res = run(cfg, base_dir / f"{agent}-{seed}", episode_hook=guard)
+            hook = guard_and_keep if (agent, seed) == ("dqn", 0) else guard
+            res = run(cfg, base_dir / f"{agent}-{seed}", episode_hook=hook)
             ee[agent].append(res.summary["ee_overall_mbps_per_dbw"])
             iters[agent].append(res.summary["iterations_overall"])
             if agent == "dqn":
-                z_series.append(complexity_averages(rows)[0])
-                if seed == 0:
-                    rows0 = rows
+                dqn_csv[seed] = read_metrics(res.csv_path)
     return {
         "ee": ee,
         "iters": iters,
-        "z_series": z_series,
+        "dqn_csv": dqn_csv,
         "rows0": rows0,
         "elapsed_s": time.perf_counter() - started,
     }
@@ -150,8 +142,8 @@ def test_criterion_01_gradient_oracle():
     for _ in range(50):
         hidden = int(rng.integers(4, 12))
         n_actions = int(rng.integers(2, 6))
-        net = QNetwork.create([2, hidden, n_actions], rng, zero_output=False)
-        target = QNetwork.create([2, hidden, n_actions], rng, zero_output=False)
+        net = random_network([2, hidden, n_actions], rng)
+        target = random_network([2, hidden, n_actions], rng)
         batch = random_batch(rng, int(rng.integers(6, 16)), 2, n_actions, terminal_every=3)
         targets = minibatch_targets(batch, target, 0.9)
         grads_w, grads_b = extract_gradients(net, batch, targets)
@@ -230,7 +222,8 @@ def test_criterion_04_throughput_constraint_soundness(small_dqn_run):
 def test_criterion_05_convergence_speed(desk_runs):
     ok = True
     reached = []
-    for series in desk_runs["z_series"]:
+    for records in desk_runs["dqn_csv"].values():
+        series = [rec["success_cum"] for rec in records]
         tail = series[199:]
         ok &= all(v is not None and v >= 0.9 for v in tail)
         first = next(
@@ -253,39 +246,21 @@ def test_criterion_06_iteration_complexity_ordering(desk_runs):
 
 
 def test_criterion_07_metric_identities(desk_runs, small_dqn_run):
-    rows = desk_runs["rows0"]
-    acc = MetricsAccumulator(p_max_dbw=15.2)
-    records = [acc.push(r) for r in rows]
-    ee_series, ee_overall = ee_averages(rows)
-    thr_series, _ = throughput_averages(rows)
-    _, pwr_running = power_averages(rows)
-    z_series, _, n_series, _ = complexity_averages(rows)
+    records = desk_runs["dqn_csv"][0]
+    reference = reference_records(desk_runs["rows0"], p_max_dbw=15.2)
+    assert len(records) == len(reference)
     worst = 0.0
-    for i, rec in enumerate(records):
-        worst = max(worst, abs(rec["ee_cum"] - ee_series[i]))
-        worst = max(worst, abs(rec["thr_cum_bps"] - thr_series[i]))
-        for key, series in (
-            ("pwr_cum_dbw", pwr_running),
-            ("success_cum", z_series),
-            ("iter_cum", n_series),
-        ):
-            if series[i] is None:
+    for rec, ref in zip(records, reference):
+        for key in ("ee_cum", "thr_cum_bps", "pwr_cum_dbw", "success_cum", "iter_cum"):
+            if ref[key] is None:
                 assert rec[key] is None
             else:
-                worst = max(worst, abs(rec[key] - series[i]))
-    assert acc.summary()["ee_overall_mbps_per_dbw"] == pytest.approx(ee_overall, abs=1e-9)
+                worst = max(worst, abs(rec[key] - ref[key]))
+    assert desk_runs["ee"]["dqn"][0] == pytest.approx(reference[-1]["ee_cum"], abs=1e-9)
 
-    uniform = MetricsRow(
-        t=0,
-        phi=np.ones(7),
-        power_dbw=np.full(7, 14.2),
-        rate_bps=np.ones(7),
-        link_ee=np.ones(7),
-        ee_reward=1.0,
-        zeta=1,
-        n_star=1,
-    )
-    power_err = abs(power_step_dbw(uniform) - 14.2)
+    uniform = make_row(phi=np.ones(7), power_dbw=np.full(7, 14.2), rate_bps=np.ones(7),
+                       link_ee=np.ones(7), n_star=1)
+    power_err = abs(library_record(uniform)["pwr_avg_dbw"] - 14.2)
 
     memory = small_dqn_run["agent"].memory
     prob_sum = sum(empirical_policy_prob(memory, a, 0.1, 4) for a in range(4))
@@ -294,7 +269,7 @@ def test_criterion_07_metric_identities(desk_runs, small_dqn_run):
     report(
         7, "metric identities",
         worst <= 1e-9 and power_err <= 1e-12 and prob_err <= 1e-9,
-        f"streaming vs batch {worst:.1e}, identical-level power err {power_err:.1e}, "
+        f"csv vs per-row reference {worst:.1e}, identical-level power err {power_err:.1e}, "
         f"policy prob sum err {prob_err:.1e}",
     )
 
@@ -350,11 +325,12 @@ def test_criterion_10_single_episode_physics():
 
     decl = golden["uniform_min_decline"]
     ev_min = ctx.evaluate(np.zeros(3, dtype=int))
-    row = MetricsRow(
-        t=0, phi=ctx.phi, power_dbw=ev_min.power_dbw, rate_bps=ev_min.rate_bps,
-        link_ee=ev_min.link_ee, ee_reward=ev_min.network_ee, zeta=1, n_star=1,
+    rec = library_record(
+        make_row(phi=ctx.phi, power_dbw=ev_min.power_dbw, rate_bps=ev_min.rate_bps,
+                 link_ee=ev_min.link_ee, ee_reward=ev_min.network_ee),
+        golden["inputs"]["p_max_dbw"],
     )
-    rsrp, itf, gap = decline_step(row, golden["inputs"]["p_max_dbw"])
+    rsrp, itf, gap = rec["rsrp_decl_dbw"], rec["itf_decl_dbw"], rec["decl_gap_dbw"]
     ok &= rsrp == pytest.approx(decl["rsrp_decline_dbw"], rel=rel)
     ok &= itf == pytest.approx(decl["interference_decline_dbw"], rel=rel)
     ok &= gap == pytest.approx(decl["gap_dbw"], rel=rel)

@@ -119,12 +119,23 @@ def test_validation_names_the_offending_key(key, value):
 
 
 FLOAT_KEYS = [f.name for f in dataclasses.fields(RunConfig) if f.type in (float, "float")]
+INT_KEYS = [f.name for f in dataclasses.fields(RunConfig) if f.type in (int, "int")]
 
 
 @pytest.mark.parametrize("key", FLOAT_KEYS)
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_validation_rejects_non_finite_floats(key, value):
     with pytest.raises(ValidationError, match=f"'{key}' has non-finite value"):
+        RunConfig(**{key: value}).validate()
+
+
+@pytest.mark.parametrize("key, value", [
+    *[(key, value) for key in INT_KEYS for value in (2.5, 4.0, True, "3")],
+    *[(key, value) for key in FLOAT_KEYS for value in (True, "500", None)],
+    ("out_dir", 5), ("agent", None),
+])
+def test_validation_rejects_values_of_the_wrong_type(key, value):
+    with pytest.raises(ValidationError, match=f"'{key}' expects"):
         RunConfig(**{key: value}).validate()
 
 

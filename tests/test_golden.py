@@ -13,9 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ranpower.metrics import MetricsRow, decline_step
-
 from conftest import GOLDEN_PATH, build_golden_scenario
+from test_metrics import library_record, make_row
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -98,17 +97,12 @@ def test_declines_match_and_interference_decline_exceeds_rsrp(golden, ctx):
     step, _ = ctx
     want = golden["uniform_min_decline"]
     ev = step.evaluate(np.zeros(3, dtype=int))
-    row = MetricsRow(
-        t=0,
-        phi=step.phi,
-        power_dbw=ev.power_dbw,
-        rate_bps=ev.rate_bps,
-        link_ee=ev.link_ee,
-        ee_reward=ev.network_ee,
-        zeta=1,
-        n_star=1,
+    rec = library_record(
+        make_row(phi=step.phi, power_dbw=ev.power_dbw, rate_bps=ev.rate_bps,
+                 link_ee=ev.link_ee, ee_reward=ev.network_ee),
+        golden["inputs"]["p_max_dbw"],
     )
-    rsrp, itf, gap = decline_step(row, golden["inputs"]["p_max_dbw"])
+    rsrp, itf, gap = rec["rsrp_decl_dbw"], rec["itf_decl_dbw"], rec["decl_gap_dbw"]
     assert rsrp == pytest.approx(want["rsrp_decline_dbw"], rel=REL)
     assert itf == pytest.approx(want["interference_decline_dbw"], rel=REL)
     assert gap == pytest.approx(want["gap_dbw"], rel=REL)

@@ -1,23 +1,142 @@
-"""Tests for per-step metrics, running means, and the streaming accumulator."""
+"""Tests for the slot metrics: the column function, its running means, and
+the accumulator that feeds it.
+
+The per-row reference below computes every figure from one slot at a time
+with Python scalars and running sums; the library computes whole blocks with
+array operations.  The two must write the same CSV bytes.
+"""
+
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from ranpower.metrics import (
-    CSV_COLUMNS,
-    MetricsAccumulator,
-    MetricsRow,
-    complexity_averages,
-    decline_step,
-    ee_averages,
-    ee_step,
-    power_averages,
-    power_step_dbw,
-    throughput_averages,
-    throughput_step,
-)
+from ranpower.agents import EpisodeOutcome
+from ranpower.metrics import CSV_COLUMNS, MetricsAccumulator, block_lines, format_row
+from ranpower.scenario import StepEval
 
 P_MAX = 15.2
+
+
+class Row(NamedTuple):
+    """One slot's raw figures."""
+
+    t: int
+    phi: np.ndarray
+    power_dbw: np.ndarray
+    rate_bps: np.ndarray
+    link_ee: np.ndarray
+    ee_reward: float | None
+    zeta: int | None
+    n_star: int | None
+
+
+def row_from_outcome(t, phi, outcome):
+    """A slot's row from what ``run`` hands its episode hook."""
+    ev = outcome.ev
+    asleep = outcome.all_sleep
+    return Row(
+        t, phi.copy(), ev.power_dbw, ev.rate_bps, ev.link_ee,
+        None if asleep else ev.network_ee,
+        None if asleep else int(outcome.feasible),
+        outcome.accepted_iteration,
+    )
+
+
+def ee_step(row):
+    return float(row.link_ee.sum() / row.phi.size)
+
+
+def throughput_step(row):
+    return float(row.rate_bps.sum() / row.phi.size)
+
+
+def power_step_dbw(row):
+    watts = 10.0 ** (row.power_dbw / 10.0)
+    lin = float((row.phi * watts).sum() / row.phi.size)
+    return 10.0 * float(np.log10(lin)) if lin > 0.0 else None
+
+
+def decline_step(row, p_max_dbw):
+    watts = 10.0 ** (row.power_dbw / 10.0)
+    own = float((row.phi * (10.0 ** (p_max_dbw / 10.0) - watts)).sum() / row.phi.size)
+    rsrp = 10.0 * float(np.log10(own)) if own > 0.0 else None
+    itf_lin = (row.phi.size - 1) * own
+    itf = 10.0 * float(np.log10(itf_lin)) if itf_lin > 0.0 else None
+    gap = itf - rsrp if rsrp is not None and itf is not None else None
+    return rsrp, itf, gap
+
+
+def reference_records(rows, p_max_dbw=P_MAX):
+    """Each row's CSV record, one row at a time: every running mean divides
+    a Python sum by the count of rows on which its figure existed."""
+    sums = [0.0] * 5
+    counts = [0] * 5
+    records = []
+    for row in rows:
+        ee, pwr = ee_step(row), power_step_dbw(row)
+        iters = row.n_star if row.n_star is not None and row.n_star > 0 else None
+        means = []
+        for k, value in enumerate((ee, throughput_step(row), pwr, row.zeta, iters)):
+            if value is not None:
+                sums[k] += value
+                counts[k] += 1
+            means.append(sums[k] / counts[k] if counts[k] else None)
+        rsrp, itf, gap = decline_step(row, p_max_dbw)
+        records.append(dict(zip(CSV_COLUMNS, (
+            row.t, row.ee_reward, ee, means[0], means[1], pwr, means[2], rsrp, itf, gap,
+            row.zeta, row.n_star, means[3], means[4],
+        ))))
+    return records
+
+
+def reference_lines(rows, p_max_dbw=P_MAX):
+    return "".join(format_row(rec.values()) for rec in reference_records(rows, p_max_dbw))
+
+
+def library_lines(rows, p_max_dbw=P_MAX, totals=None):
+    """The library's column function on ``rows`` as one block."""
+
+    def column(values):
+        return np.array([np.nan if v is None else v for v in values], dtype=float)
+
+    return block_lines(
+        column(r.t for r in rows),
+        np.array([r.phi for r in rows], dtype=float),
+        np.array([r.power_dbw for r in rows], dtype=float),
+        np.array([r.rate_bps for r in rows], dtype=float),
+        np.array([r.link_ee for r in rows], dtype=float),
+        column(r.ee_reward for r in rows),
+        column(r.zeta for r in rows),
+        column(r.n_star for r in rows),
+        p_max_dbw,
+        np.zeros((2, 5)) if totals is None else totals,
+    )
+
+
+def parse_lines(text):
+    """CSV lines back into records: an empty cell is ``None``, ``t``,
+    ``zeta`` and ``n_star`` are ints and the rest floats."""
+    ints = {"t", "zeta", "n_star"}
+    return [
+        {
+            key: None if cell == "" else (int(cell) if key in ints else float(cell))
+            for key, cell in zip(CSV_COLUMNS, line.split(","), strict=True)
+        }
+        for line in text.splitlines()
+    ]
+
+
+def read_metrics(path):
+    """The records of a ``metrics.csv``."""
+    header, body = path.read_text().split("\n", 1)
+    assert header == ",".join(CSV_COLUMNS)
+    return parse_lines(body)
+
+
+def library_record(row, p_max_dbw=P_MAX):
+    """The library's CSV record of ``row`` as a one-row block."""
+    return parse_lines(library_lines([row], p_max_dbw))[0]
 
 
 def make_row(
@@ -30,7 +149,7 @@ def make_row(
     zeta=1,
     n_star=3,
 ):
-    return MetricsRow(
+    return Row(
         t=t,
         phi=np.asarray(phi, dtype=float),
         power_dbw=np.asarray(power_dbw, dtype=float),
@@ -44,41 +163,47 @@ def make_row(
 
 def test_ee_step_divides_by_all_sites():
     row = make_row(link_ee=(0.6, 0.0, 1.2), phi=(1, 0, 1))
-    assert ee_step(row) == pytest.approx((0.6 + 1.2) / 3, rel=1e-12)
+    assert library_record(row)["ee_avg_allB"] == pytest.approx((0.6 + 1.2) / 3, rel=1e-12)
 
 
 def test_throughput_step_counts_sleepers_as_zero():
     row = make_row(rate_bps=(4e6, 0.0, 8e6), phi=(1, 0, 1))
-    assert throughput_step(row) == pytest.approx(4e6, rel=1e-12)
+    assert library_record(row)["thr_cum_bps"] == pytest.approx(4e6, rel=1e-12)
 
 
 def test_power_step_identical_levels_is_exact():
     row = make_row(power_dbw=(14.2, 14.2, 14.2))
-    assert power_step_dbw(row) == pytest.approx(14.2, abs=1e-12)
+    assert library_record(row)["pwr_avg_dbw"] == pytest.approx(14.2, abs=1e-12)
 
 
 def test_power_step_averages_in_watts():
     row = make_row(phi=(1, 1), power_dbw=(10.0, 20.0), rate_bps=(1, 1), link_ee=(1, 1))
     expected = 10.0 * np.log10((10.0 + 100.0) / 2.0)
-    assert power_step_dbw(row) == pytest.approx(expected, rel=1e-12)
+    assert library_record(row)["pwr_avg_dbw"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_power_step_sleeper_contributes_zero_watts():
     row = make_row(phi=(1, 0), power_dbw=(10.0, 20.0), rate_bps=(1, 0), link_ee=(1, 0))
     expected = 10.0 * np.log10(10.0 / 2.0)
-    assert power_step_dbw(row) == pytest.approx(expected, rel=1e-12)
+    assert library_record(row)["pwr_avg_dbw"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_power_step_all_asleep_is_undefined():
     row = make_row(phi=(0, 0, 0), link_ee=(0, 0, 0), rate_bps=(0, 0, 0))
-    assert power_step_dbw(row) is None
+    rec = library_record(row)
+    assert rec["pwr_avg_dbw"] is None
+    assert rec["pwr_cum_dbw"] is None
+
+
+def declines(rec):
+    return rec["rsrp_decl_dbw"], rec["itf_decl_dbw"], rec["decl_gap_dbw"]
 
 
 def test_decline_step_values():
     row = make_row(phi=(1, 1, 1), power_dbw=(13.2, 15.2, 15.2))
     gap_w = 10 ** (P_MAX / 10) - 10 ** (13.2 / 10)
     own = gap_w / 3
-    rsrp, itf, gap = decline_step(row, P_MAX)
+    rsrp, itf, gap = declines(library_record(row))
     assert rsrp == pytest.approx(10 * np.log10(own), rel=1e-12)
     assert itf == pytest.approx(10 * np.log10(2 * own), rel=1e-12)
     assert gap == pytest.approx(10 * np.log10(2), rel=1e-12)
@@ -93,18 +218,18 @@ def test_decline_gap_is_station_count_constant():
             rate_bps=np.ones(b),
             link_ee=np.ones(b),
         )
-        _, _, gap = decline_step(row, P_MAX)
+        _, _, gap = declines(library_record(row))
         assert gap == pytest.approx(10 * np.log10(b - 1), rel=1e-12)
 
 
 def test_decline_step_no_backoff_is_undefined():
     row = make_row(power_dbw=(15.2, 15.2, 15.2))
-    assert decline_step(row, P_MAX) == (None, None, None)
+    assert declines(library_record(row)) == (None, None, None)
 
 
 def test_decline_step_single_station_has_no_interference_decline():
     row = make_row(phi=(1,), power_dbw=(13.2,), rate_bps=(1e6,), link_ee=(0.1,))
-    rsrp, itf, gap = decline_step(row, P_MAX)
+    rsrp, itf, gap = declines(library_record(row))
     assert rsrp is not None
     assert itf is None
     assert gap is None
@@ -114,8 +239,8 @@ def test_decline_step_sleeping_station_counts_no_gap():
     """A sleeping station backs off nothing; its gap term is masked out."""
     awake = make_row(phi=(1, 1), power_dbw=(13.2, 13.2), rate_bps=(1, 1), link_ee=(1, 1))
     half = make_row(phi=(1, 0), power_dbw=(13.2, 13.2), rate_bps=(1, 0), link_ee=(1, 0))
-    r_awake, _, _ = decline_step(awake, P_MAX)
-    r_half, _, _ = decline_step(half, P_MAX)
+    r_awake = library_record(awake)["rsrp_decl_dbw"]
+    r_half = library_record(half)["rsrp_decl_dbw"]
     assert r_half == pytest.approx(r_awake - 10 * np.log10(2), rel=1e-12)
 
 
@@ -136,19 +261,20 @@ def mixed_rows():
 
 def test_ee_running_mean_matches_hand_value():
     rows = mixed_rows()
-    series, overall = ee_averages(rows)
-    per_step = [ee_step(r) for r in rows]
-    assert series[0] == pytest.approx(per_step[0], rel=1e-12)
-    assert overall == pytest.approx(sum(per_step) / len(per_step), rel=1e-12)
+    records = parse_lines(library_lines(rows))
+    per_step = [rec["ee_avg_allB"] for rec in records]
+    assert records[0]["ee_cum"] == pytest.approx(per_step[0], rel=1e-12)
+    assert records[-1]["ee_cum"] == pytest.approx(sum(per_step) / len(per_step), rel=1e-12)
 
 
 def test_masked_means_skip_undefined_steps():
     rows = mixed_rows()
-    step, running = power_averages(rows)
+    records = parse_lines(library_lines(rows))
+    step = [rec["pwr_avg_dbw"] for rec in records]
     assert step[1] is None
     defined = [s for s in step if s is not None]
-    assert running[-1] == pytest.approx(sum(defined) / len(defined), rel=1e-12)
-    assert len(running) == len(rows)
+    assert records[-1]["pwr_cum_dbw"] == pytest.approx(sum(defined) / len(defined), rel=1e-12)
+    assert len(records) == len(rows)
 
 
 def test_masked_means_are_none_until_first_defined_step():
@@ -157,113 +283,113 @@ def test_masked_means_are_none_until_first_defined_step():
                  zeta=None, n_star=None),
         make_row(t=1),
     ]
-    _, running = power_averages(rows)
-    assert running[0] is None
-    assert running[1] is not None
+    records = parse_lines(library_lines(rows))
+    assert records[0]["pwr_cum_dbw"] is None
+    assert records[1]["pwr_cum_dbw"] is not None
 
 
 def test_complexity_means_exclude_searchless_agents():
     """Zero accepted iterations marks an agent with no search to run."""
     rows = mixed_rows()
     rows.append(make_row(t=5, zeta=1, n_star=0))
-    z_series, z_overall, n_series, n_overall = complexity_averages(rows)
-    assert z_overall == pytest.approx((1 + 0 + 1 + 1 + 1) / 5, rel=1e-12)
-    assert n_overall == pytest.approx((4 + 1 + 7) / 3, rel=1e-12)
-    assert z_series[1] == pytest.approx(1.0, rel=1e-12)
-    assert n_series[2] == pytest.approx(4.0, rel=1e-12)
+    records = parse_lines(library_lines(rows))
+    assert records[-1]["success_cum"] == pytest.approx((1 + 0 + 1 + 1 + 1) / 5, rel=1e-12)
+    assert records[-1]["iter_cum"] == pytest.approx((4 + 1 + 7) / 3, rel=1e-12)
+    assert records[1]["success_cum"] == pytest.approx(1.0, rel=1e-12)
+    assert records[2]["iter_cum"] == pytest.approx(4.0, rel=1e-12)
+    assert records[-1]["n_star"] == 0
 
 
 def test_streaming_matches_batch_within_1e9():
+    """Blocks of every length, their running means carried from block to
+    block, agree with the per-row reference over the whole sequence."""
     rows = mixed_rows() * 4
-    acc = MetricsAccumulator(P_MAX)
-    records = [acc.push(r) for r in rows]
-
-    ee_series, ee_overall = ee_averages(rows)
-    thr_series, thr_overall = throughput_averages(rows)
-    _, pwr_running = power_averages(rows)
-    z_series, z_overall, n_series, n_overall = complexity_averages(rows)
-
-    for i, rec in enumerate(records):
-        assert rec["ee_cum"] == pytest.approx(ee_series[i], abs=1e-9)
-        assert rec["thr_cum_bps"] == pytest.approx(thr_series[i], abs=1e-9)
-        for key, batch in (
-            ("pwr_cum_dbw", pwr_running),
-            ("success_cum", z_series),
-            ("iter_cum", n_series),
-        ):
-            if batch[i] is None:
-                assert rec[key] is None
-            else:
-                assert rec[key] == pytest.approx(batch[i], abs=1e-9)
-
-    summary = acc.summary()
-    assert summary["episodes"] == len(rows)
-    assert summary["ee_overall_mbps_per_dbw"] == pytest.approx(ee_overall, abs=1e-9)
-    assert summary["throughput_overall_bps"] == pytest.approx(thr_overall, abs=1e-9)
-    assert summary["success_ratio_overall"] == pytest.approx(z_overall, abs=1e-9)
-    assert summary["iterations_overall"] == pytest.approx(n_overall, abs=1e-9)
+    want = reference_records(rows)
+    for cut in ([], [1], [3, 7], [5, 6, 19]):
+        totals = np.zeros((2, 5))
+        got = []
+        for lo, hi in zip([0, *cut], [*cut, len(rows)]):
+            got += parse_lines(library_lines(rows[lo:hi], totals=totals))
+        for rec, ref in zip(got, want, strict=True):
+            for key in ("ee_cum", "thr_cum_bps", "pwr_cum_dbw", "success_cum", "iter_cum"):
+                if ref[key] is None:
+                    assert rec[key] is None
+                else:
+                    assert rec[key] == pytest.approx(ref[key], abs=1e-9)
 
 
-def step_rows():
-    """Random rows, an all-asleep row and rows with one station awake."""
-    rng = np.random.default_rng(7)
+def step_rows(n_sites, rng):
+    """Random rows, all-asleep rows and rows with one station awake."""
     levels = np.linspace(13.2, 15.2, 5)
     rows = []
     for k in range(40):
-        n = int(rng.integers(1, 20))
-        phi = (rng.random(n) < 0.7).astype(float)
+        phi = (rng.random(n_sites) < 0.7).astype(float)
         if k % 10 == 0:
             phi[:] = 0.0
         elif k % 10 == 1:
             phi[:] = 0.0
-            phi[rng.integers(n)] = 1.0
-        rate = phi * rng.uniform(1e6, 5e7, n)
-        power = rng.choice(levels, n)
-        rows.append(make_row(t=k, phi=phi, power_dbw=power, rate_bps=rate,
-                             link_ee=phi * (rate / 1e6) / power))
+            phi[rng.integers(n_sites)] = 1.0
+        rate = phi * rng.uniform(1e6, 5e7, n_sites)
+        power = rng.choice(levels, n_sites)
+        asleep = not phi.any()
+        n_star = None if asleep or k % 7 == 3 else int(rng.integers(0, 20))
+        rows.append(make_row(
+            t=k, phi=phi, power_dbw=power, rate_bps=rate, link_ee=phi * (rate / 1e6) / power,
+            ee_reward=None if asleep else float(rng.random()),
+            zeta=None if asleep else int(n_star is not None), n_star=n_star,
+        ))
     return rows
 
 
+def outcome_of(row):
+    """An :class:`EpisodeOutcome` carrying ``row``'s figures."""
+    ev = StepEval(
+        power_idx=np.zeros(row.phi.size, dtype=int), power_dbw=row.power_dbw,
+        user_rates_bps=row.rate_bps, rate_bps=row.rate_bps,
+        rate_delta_bps=np.zeros(row.phi.size), rate_delta_sum=0.0, link_ee=row.link_ee,
+        network_ee=0.0 if row.ee_reward is None else row.ee_reward,
+    )
+    return EpisodeOutcome(ev, row.n_star, all_sleep=row.ee_reward is None)
+
+
 def test_push_equals_the_step_functions_exactly():
-    """The streamed per-step figures are the batch step functions' values,
-    ``==`` and not merely close: the CSV bytes depend on them."""
-    acc = MetricsAccumulator(P_MAX)
-    thr_total = 0.0
-    for n, row in enumerate(step_rows(), start=1):
-        rec = acc.push(row)
-        assert rec["ee_avg_allB"] == ee_step(row)
-        assert rec["pwr_avg_dbw"] == power_step_dbw(row)
-        assert (rec["rsrp_decl_dbw"], rec["itf_decl_dbw"], rec["decl_gap_dbw"]) == (
-            decline_step(row, P_MAX)
-        )
-        thr_total += throughput_step(row)
-        assert rec["thr_cum_bps"] == thr_total / n
+    """Pushed slots, and the column function on blocks cut anywhere, write
+    the per-row reference's bytes: ``==`` and not merely close, as the CSV
+    depends on it."""
+    for n_sites in (1, 3, 7, 19, 37):
+        rows = step_rows(n_sites, np.random.default_rng(n_sites))
+        want = reference_lines(rows)
+        acc = MetricsAccumulator(P_MAX, n_sites)
+        assert "".join(acc.push(r.t, r.phi, outcome_of(r)) for r in rows) == ""
+        assert acc.flush() == want
+        assert acc.summary()["episodes"] == len(rows)
+        totals = np.zeros((2, 5))
+        assert "".join(library_lines(rows[i:i + 9], totals=totals)
+                       for i in range(0, len(rows), 9)) == want
 
 
 def test_streaming_records_per_step_fields():
     row = make_row(power_dbw=(13.2, 14.2, 15.2))
-    acc = MetricsAccumulator(P_MAX)
-    rec = acc.push(row)
-    rsrp, itf, gap = decline_step(row, P_MAX)
+    rec = library_record(row)
+    (ref,) = reference_records([row])
     assert rec["t"] == row.t
     assert rec["ee_reward"] == row.ee_reward
-    assert rec["ee_avg_allB"] == pytest.approx(ee_step(row), rel=1e-12)
-    assert rec["pwr_avg_dbw"] == pytest.approx(power_step_dbw(row), rel=1e-12)
-    assert rec["rsrp_decl_dbw"] == pytest.approx(rsrp, rel=1e-12)
-    assert rec["itf_decl_dbw"] == pytest.approx(itf, rel=1e-12)
-    assert rec["decl_gap_dbw"] == pytest.approx(gap, rel=1e-12)
+    for key in ("ee_avg_allB", "pwr_avg_dbw", "rsrp_decl_dbw", "itf_decl_dbw",
+                "decl_gap_dbw"):
+        assert rec[key] == pytest.approx(ref[key], rel=1e-12)
     assert rec["zeta"] == row.zeta
     assert rec["n_star"] == row.n_star
 
 
 def test_record_keys_match_csv_columns():
-    acc = MetricsAccumulator(P_MAX)
-    rec = acc.push(make_row())
-    assert tuple(rec.keys()) == CSV_COLUMNS
+    line = library_lines([make_row()])
+    assert line.endswith("\n") and line.count("\n") == 1
+    assert len(line.split(",")) == len(CSV_COLUMNS)
 
 
 def test_empty_accumulator_summary():
-    acc = MetricsAccumulator(P_MAX)
+    acc = MetricsAccumulator(P_MAX, 3)
+    assert acc.flush() == ""
     summary = acc.summary()
     assert summary["episodes"] == 0
     assert summary["ee_overall_mbps_per_dbw"] == 0.0

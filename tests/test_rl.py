@@ -36,6 +36,15 @@ from ranpower.rl import (
 SMALL_NET = (2, 16, 16, 4)
 
 
+def random_network(layer_sizes, rng):
+    """A network whose output layer is drawn like the hidden ones, from the
+    same generator right after them, instead of starting at zero."""
+    net = QNetwork.create(layer_sizes, rng)
+    fan_in, fan_out = layer_sizes[-2:]
+    net.weights[-1][...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_in, fan_out))
+    return net
+
+
 def random_batch(rng, n, state_dim, n_actions, terminal_every=0):
     """n random transitions; every ``terminal_every``-th one is terminal."""
     s = np.zeros((n, state_dim))
@@ -177,7 +186,7 @@ def test_qnetwork_fresh_forward_is_zero():
 
 def test_qnetwork_forward_matches_hand_rolled_product():
     rng = np.random.default_rng(7)
-    net = QNetwork.create([2, 4, 3], rng, zero_output=False)
+    net = random_network([2, 4, 3], rng)
     x = np.array([0.3, -1.2])
 
     hidden = []
@@ -207,7 +216,7 @@ def test_qnetwork_rejects_broken_chains():
 
 
 def test_clone_is_independent():
-    net = QNetwork.create([2, 4, 3], np.random.default_rng(5), zero_output=False)
+    net = random_network([2, 4, 3], np.random.default_rng(5))
     other = net.clone()
     other.weights[0][0, 0] += 1.0
     assert net.weights[0][0, 0] != other.weights[0][0, 0]
@@ -215,8 +224,8 @@ def test_clone_is_independent():
 
 def test_sync_target_copies_bitwise():
     rng = np.random.default_rng(9)
-    pred = QNetwork.create([2, 8, 4], rng, zero_output=False)
-    target = QNetwork.create([2, 8, 4], rng, zero_output=False)
+    pred = random_network([2, 8, 4], rng)
+    target = random_network([2, 8, 4], rng)
     sync_target(pred, target)
     x = np.array([0.1, 0.7])
     assert np.array_equal(pred.forward_batch(x)[0], target.forward_batch(x)[0])
@@ -252,7 +261,7 @@ def test_minibatch_targets_values():
 
 def test_minibatch_targets_match_per_sample_forward():
     rng = np.random.default_rng(5)
-    net = QNetwork.create([2, 8, 4], rng, zero_output=False)
+    net = random_network([2, 8, 4], rng)
     batch = random_batch(rng, 20, 2, 4, terminal_every=3)
     expected = [
         r + 0.9 * float(np.max(net.forward_batch(s_next)[0])) if live else r
@@ -268,7 +277,7 @@ def test_network_rows_do_not_depend_on_the_rest_of_the_batch(sizes):
     rows and in whatever order.  A BLAS without the property fails here
     first, before the targets tests below."""
     rng = np.random.default_rng(23)
-    net = QNetwork.create(sizes, rng, zero_output=False)
+    net = random_network(sizes, rng)
     x = rng.random((5000, 2))
     full = net._activations(x)[-1].copy()
     for k in (2, 3, 7, 35, 1000, 4999):
@@ -297,7 +306,7 @@ def test_stored_bootstrap_values_give_the_direct_targets_bit_for_bit(capacity, r
     more rows, and target syncs after training steps, every round's targets
     equal one forward over all live successors bit for bit."""
     rng = np.random.default_rng(seed)
-    pred = QNetwork.create(SMALL_NET, rng, zero_output=False)
+    pred = random_network(SMALL_NET, rng)
     target = pred.clone()
     mem = ReplayMemory(capacity)
     replay = np.random.default_rng(seed)
@@ -326,7 +335,7 @@ def test_stored_bootstrap_values_hold_until_a_sync_or_an_overwrite():
     never on one row alone while two or more are live, and again after a
     sync or on an overwritten slot."""
     rng = np.random.default_rng(3)
-    pred = QNetwork.create(SMALL_NET, rng, zero_output=False)
+    pred = random_network(SMALL_NET, rng)
     target = pred.clone()
     mem = ReplayMemory(capacity=6)
     mem.push(rng.random((6, 2)), rng.integers(4, size=6), 0.5, rng.random((6, 2)))
@@ -381,7 +390,7 @@ def test_a_gradient_step_outdates_the_values_stored_for_the_network():
     """Values are kept per parameter version, so a network used as its own
     target network gets fresh bootstrap values after each step."""
     rng = np.random.default_rng(4)
-    net = QNetwork.create(SMALL_NET, rng, zero_output=False)
+    net = random_network(SMALL_NET, rng)
     mem = ReplayMemory(capacity=8)
     mem.push(rng.random((8, 2)), rng.integers(4, size=8), 0.5, rng.random((8, 2)))
     batch = mem.sample_minibatch(5, rng)
@@ -405,7 +414,7 @@ def test_minibatch_loss_single_sample():
 
 def test_minibatch_loss_duplication_invariant():
     rng = np.random.default_rng(21)
-    pred = QNetwork.create([2, 6, 3], rng, zero_output=False)
+    pred = random_network([2, 6, 3], rng)
     target = pred.clone()
     batch = random_batch(rng, 8, 2, 3)
     once = minibatch_loss(batch, pred, target, 0.9)
@@ -442,8 +451,8 @@ def numeric_gradient(net, batch, target_net, discount, arr, i, j=None, h=1e-5):
 
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(42)
-    net = QNetwork.create([2, 8, 5], rng, zero_output=False)
-    target_net = QNetwork.create([2, 8, 5], rng, zero_output=False)
+    net = random_network([2, 8, 5], rng)
+    target_net = random_network([2, 8, 5], rng)
     batch = random_batch(rng, 12, 2, 5, terminal_every=5)
     targets = minibatch_targets(batch, target_net, 0.9)
     grads_w, grads_b = extract_gradients(net, batch, targets)
@@ -462,8 +471,8 @@ def test_gradients_match_finite_differences():
 
 def test_gradient_step_reduces_loss():
     rng = np.random.default_rng(8)
-    net = QNetwork.create([2, 16, 4], rng, zero_output=False)
-    target_net = QNetwork.create([2, 16, 4], rng, zero_output=False)
+    net = random_network([2, 16, 4], rng)
+    target_net = random_network([2, 16, 4], rng)
     batch = random_batch(rng, 32, 2, 4)
     targets = minibatch_targets(batch, target_net, 0.9)
     before = minibatch_loss(batch, net, target_net, 0.9)
@@ -474,7 +483,7 @@ def test_gradient_step_reduces_loss():
 
 def test_zero_learning_rate_changes_nothing():
     rng = np.random.default_rng(13)
-    net = QNetwork.create([2, 4, 3], rng, zero_output=False)
+    net = random_network([2, 4, 3], rng)
     snapshot = net.clone()
     batch = random_batch(rng, 6, 2, 3)
     targets = minibatch_targets(batch, snapshot, 0.9)
@@ -526,7 +535,7 @@ def test_buffered_rounds_match_the_allocating_reference_bit_for_bit():
     target sync and a smaller batch after a larger one, reproduce the
     allocate-per-op round exactly."""
     rng = np.random.default_rng(77)
-    pred = QNetwork.create([2, 32, 32, 5], rng, zero_output=False)
+    pred = random_network([2, 32, 32, 5], rng)
     target = pred.clone()
     ref_pred, ref_target = pred.clone(), target.clone()
     mem = ReplayMemory(capacity=300)
@@ -554,7 +563,7 @@ def test_training_round_leaves_earlier_forward_results_alone():
     either network's buffers, already sized by an earlier round, must not
     write into the search's Q-rows taken between the two."""
     rng = np.random.default_rng(19)
-    pred = QNetwork.create([2, 16, 16, 4], rng, zero_output=False)
+    pred = random_network([2, 16, 16, 4], rng)
     target = pred.clone()
     batch = random_batch(rng, 30, 2, 4, terminal_every=4)
 
@@ -627,7 +636,7 @@ def test_tabular_q_update_converges_to_fixed_point():
 
 def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(31)
-    net = QNetwork.create([2, 64, 64, 5], rng, zero_output=False)
+    net = random_network([2, 64, 64, 5], rng)
     path = tmp_path / "weights.bin"
     save_weights(net, str(path))
     loaded = load_weights(str(path))

@@ -1,6 +1,7 @@
 """Run orchestration, output files, determinism, and the CLI."""
 
 import json
+from dataclasses import replace
 import subprocess
 import sys
 
@@ -12,18 +13,19 @@ from ranpower.agents import DqnAgent, QLearningAgent, SleepAgent
 from ranpower.cli import main
 from ranpower.config import RunConfig
 from ranpower.errors import ValidationError
-from ranpower.metrics import CSV_COLUMNS
+from ranpower.metrics import BLOCK_SLOTS, CSV_COLUMNS, MetricsAccumulator, format_row
 from ranpower.radio import Position
 from ranpower.runner import (
     STREAM_NAMES,
     make_streams,
-    outcome_to_row,
     run,
     run_compare,
     run_oracle_check,
     run_sweep,
 )
 from ranpower.scenario import Scenario
+
+from test_metrics import parse_lines, reference_lines, row_from_outcome
 
 
 def small_cfg(**kw):
@@ -47,14 +49,34 @@ def test_streams_differ_between_names_and_seeds():
     assert make_streams(8)["model"].random() != make_streams(7)["model"].random()
 
 
-def test_outcome_to_row_all_sleep_masks_everything():
+def test_push_all_sleep_masks_everything():
     ctx = runner.make_scenario(small_cfg(), make_streams(0)).build_step()
     out = SleepAgent().run_episode(ctx, 0, False)
-    row = outcome_to_row(5, ctx.phi, out)
-    assert row.t == 5
-    assert row.zeta is None
-    assert row.n_star is None
-    assert row.ee_reward is None
+    assert out.all_sleep
+    acc = MetricsAccumulator(15.2, ctx.n_sites)
+    assert acc.push(5, ctx.phi, out) == ""
+    (rec,) = parse_lines(acc.flush())
+    assert rec["t"] == 5
+    assert rec["zeta"] is None
+    assert rec["n_star"] is None
+    assert rec["ee_reward"] is None
+
+
+@pytest.mark.parametrize("episodes", [BLOCK_SLOTS - 1, BLOCK_SLOTS, BLOCK_SLOTS + 1,
+                                      2 * BLOCK_SLOTS + 3])
+def test_csv_blocks_equal_the_per_row_reference(tmp_path, episodes):
+    """However the slots fall into blocks, ``metrics.csv`` holds the per-row
+    reference's lines, and the summary its last running means."""
+    cfg = small_cfg(rings=1, agent="sleep", episodes=episodes)
+    rows = []
+    result = run(cfg, tmp_path / "out",
+                 episode_hook=lambda t, ctx, out: rows.append(row_from_outcome(t, ctx.phi, out)))
+    want = reference_lines(rows, cfg.p_max_dbw)
+    assert result.csv_path.read_text() == ",".join(CSV_COLUMNS) + "\n" + want
+    last = parse_lines(want)[-1]
+    assert result.summary["episodes"] == episodes
+    assert result.summary["ee_overall_mbps_per_dbw"] == last["ee_cum"]
+    assert result.summary["power_overall_dbw"] == last["pwr_cum_dbw"]
 
 
 def test_run_writes_csv_summary_and_weights(tmp_path):
@@ -77,7 +99,8 @@ def test_run_writes_csv_summary_and_weights(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("agent", "bogus"), ("minibatch_size", 9000),
-                                        ("isd_m", 18.0)])
+                                        ("isd_m", 18.0), ("episodes", 2.5),
+                                        ("n_power_levels", 4.0)])
 @pytest.mark.parametrize("entry", ["Scenario", "DqnAgent", "QLearningAgent", "run"])
 def test_every_config_entry_rejects_an_invalid_config(tmp_path, entry, key, value):
     """Each layer that takes the run config validates it as it is built, and
@@ -132,21 +155,24 @@ def test_learner_block_counts_rounds_by_the_interval_and_fill_rule(tmp_path):
 
 
 def test_interrupted_run_leaves_no_complete_looking_output(tmp_path):
-    def interrupt(t, ctx, outcome):
-        if t == 5:
-            raise KeyboardInterrupt
+    """Interrupted before and after the first block reaches the file."""
+    cfg = small_cfg(episodes=BLOCK_SLOTS + 20)
+    for stop in (5, BLOCK_SLOTS + 5):
+        def interrupt(t, ctx, outcome):
+            if t == stop:
+                raise KeyboardInterrupt
 
-    out = tmp_path / "out"
-    with pytest.raises(KeyboardInterrupt):
-        run(small_cfg(), out, episode_hook=interrupt)
-    assert not any(out.iterdir())
+        out = tmp_path / str(stop)
+        with pytest.raises(KeyboardInterrupt):
+            run(cfg, out, episode_hook=interrupt)
+        assert not any(out.iterdir())
 
-    run(small_cfg(), out)
-    before = {path.name: path.read_bytes() for path in out.iterdir()}
-    assert set(before) == {"metrics.csv", "summary.json", "weights.bin"}
-    with pytest.raises(KeyboardInterrupt):
-        run(small_cfg(seed=4), out, episode_hook=interrupt)
-    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        run(cfg, out)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert set(before) == {"metrics.csv", "summary.json", "weights.bin"}
+        with pytest.raises(KeyboardInterrupt):
+            run(replace(cfg, seed=4), out, episode_hook=interrupt)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_csv_floats_survive_a_parse_round_trip(tmp_path):
@@ -354,10 +380,10 @@ def format_cell(value):
 def test_row_formatter_matches_the_cell_formatter():
     values = [0, 7, -3, np.int64(12), np.int64(-1), None, 0.1, -2.5e-7, 1e16, 123456.789,
               float("inf"), 15.199999999999998, np.float64(0.3), None]
-    assert runner._format_row(values) == ",".join(format_cell(v) for v in values) + "\n"
+    assert format_row(values) == ",".join(format_cell(v) for v in values) + "\n"
     rng = np.random.default_rng(3)
     floats = (rng.standard_normal(2000) * 10.0 ** rng.uniform(-30, 30, 2000)).tolist()
-    assert runner._format_row(floats) == ",".join(map(format_cell, floats)) + "\n"
+    assert format_row(floats) == ",".join(map(format_cell, floats)) + "\n"
 
 
 def test_cli_runtime_errors_exit_two(tmp_path, capsys):

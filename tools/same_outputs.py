@@ -37,6 +37,7 @@ DESK_DQN = {"rings": 1, "per_sector_users": 2, "agent": "dqn", "search_iters": 1
 # two samples from a 50-slot ring and syncs every 3 rounds, so its rounds
 # pad one-row needs for stored bootstrap values, meet batches with one live
 # row at terminal steps, wrap the ring and re-evaluate after frequent syncs.
+# The 37-site sleep run gives the metrics columns their widest row sums.
 SHAPES = {
     "paper-dqn-search": {**PAPER_DQN, "episodes": 600},
     "desk-dqn-train": {**DESK_DQN, "episodes": 800},
@@ -49,6 +50,7 @@ SHAPES = {
     "desk-dqn-small-batch": {"rings": 1, "agent": "dqn", "search_iters": 4,
                              "minibatch_size": 2, "train_interval": 1, "sync_interval": 3,
                              "replay_capacity": 50, "episodes": 400},
+    "wide-sleep": {"rings": 3, "agent": "sleep", "episodes": 2000},
 }
 OUTPUTS = ("metrics.csv", "weights.bin")
 
