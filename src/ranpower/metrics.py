@@ -9,9 +9,9 @@ running mean, so a running mean divides by the number of slots on which the
 quantity existed.
 
 :class:`MetricsAccumulator` copies each slot's raw figures into block arrays
-of ``BLOCK_SLOTS`` rows; :func:`block_lines` turns a block into its CSV lines
-with row-wise array operations, carrying the running sums and counts from
-block to block.
+of ``BLOCK_SLOTS`` rows and turns a full block into its CSV lines with
+row-wise array operations, carrying the running sums and counts from block
+to block.
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ from typing import Iterable
 
 import numpy as np
 
+from .errors import InvariantViolation
+
+# At 37 sites the block arrays take about 300 kB.  The cost per slot measured
+# flat from 64 to 1,024 slots per block, so 256 is not tuned further.
 BLOCK_SLOTS = 256
 
 CSV_COLUMNS = (
@@ -51,62 +55,6 @@ def format_row(values: Iterable[float | int | str | None]) -> str:
 def _dbw(watts: np.ndarray) -> np.ndarray:
     """``10 log10`` of each positive entry; NaN where there is no power."""
     return 10.0 * np.log10(watts, out=np.full(watts.shape, np.nan), where=watts > 0.0)
-
-
-def block_lines(
-    t: np.ndarray,
-    phi: np.ndarray,
-    power_dbw: np.ndarray,
-    rate_bps: np.ndarray,
-    link_ee: np.ndarray,
-    reward: np.ndarray,
-    zeta: np.ndarray,
-    n_star: np.ndarray,
-    p_max_dbw: float,
-    totals: np.ndarray,
-) -> str:
-    """The CSV lines of a block of slots, one per row.
-
-    ``phi``, ``power_dbw``, ``rate_bps`` and ``link_ee`` are (n, B), one row
-    per slot; ``t``, ``reward``, ``zeta`` and ``n_star`` are (n,), NaN where
-    undefined.  ``totals`` holds the sums (row 0) and counts (row 1) of the
-    five running means, carried in from earlier blocks, and is advanced in
-    place.
-
-    Per slot: link efficiency and rate are means over all stations, sleepers
-    at zero.  The declines are linear-watt gaps below the full-power level,
-    averaged over all stations; each station's gap shows up once in its own
-    decline and once per other station in the interference decline, so a
-    single-station network has none.  Iteration counts of zero mark agents
-    that run no search and stay out of their mean.
-    """
-    n_sites = phi.shape[1]
-    watts = 10.0 ** (power_dbw / 10.0)
-    ee = link_ee.sum(axis=1) / n_sites
-    thr = rate_bps.sum(axis=1) / n_sites
-    pwr = _dbw((phi * watts).sum(axis=1) / n_sites)
-    own = (phi * (10.0 ** (p_max_dbw / 10.0) - watts)).sum(axis=1) / n_sites
-    rsrp = _dbw(own)
-    itf = _dbw((n_sites - 1) * own)
-    iters = np.where(n_star > 0, n_star, np.nan)
-
-    steps = np.column_stack([ee, thr, pwr, zeta, iters])
-    defined = ~np.isnan(steps)
-    sums = np.cumsum(np.vstack([totals[0], np.where(defined, steps, 0.0)]), axis=0)
-    counts = totals[1] + np.cumsum(defined, axis=0)
-    totals[0] = sums[-1]
-    totals[1] += defined.sum(axis=0)
-    with np.errstate(invalid="ignore"):  # 0/0 before a mean's first defined slot
-        running = sums[1:] / counts
-        ee_cum, thr_cum, pwr_cum, success_cum, iter_cum = running.T
-        table = np.column_stack([
-            t, reward, ee, ee_cum, thr_cum, pwr, pwr_cum, rsrp, itf, itf - rsrp,
-            zeta, n_star, success_cum, iter_cum,
-        ])
-        cells = table.astype(object)
-        cells[:, _INT_COLUMNS] = table[:, _INT_COLUMNS].astype(np.int64)
-    cells[np.isnan(table)] = None
-    return "".join(map(format_row, cells.tolist()))
 
 
 class MetricsAccumulator:
@@ -149,18 +97,61 @@ class MetricsAccumulator:
         return self.flush() if self.filled == BLOCK_SLOTS else ""
 
     def flush(self) -> str:
-        """The CSV lines of the slots pushed since the last flush."""
+        """The CSV lines of the slots pushed since the last flush, one per
+        slot, with the running sums and counts advanced past them.
+
+        Per slot: link efficiency and rate are means over all stations,
+        sleepers at zero.  The declines are linear-watt gaps below the
+        full-power level, averaged over all stations; each station's gap
+        shows up once in its own decline and once per other station in the
+        interference decline, so a single-station network has none.
+        Iteration counts of zero mark agents that run no search and stay out
+        of their mean.
+        """
         n = self.filled
         self.filled = 0
-        return block_lines(
-            self.t[:n], self.phi[:n], self.power_dbw[:n], self.rate_bps[:n],
-            self.link_ee[:n], self.reward[:n], self.zeta[:n], self.n_star[:n],
-            self.p_max_dbw, self.totals,
-        )
+        phi = self.phi[:n]
+        n_sites = phi.shape[1]
+        watts = 10.0 ** (self.power_dbw[:n] / 10.0)
+        ee = self.link_ee[:n].sum(axis=1) / n_sites
+        thr = self.rate_bps[:n].sum(axis=1) / n_sites
+        pwr = _dbw((phi * watts).sum(axis=1) / n_sites)
+        own = (phi * (10.0 ** (self.p_max_dbw / 10.0) - watts)).sum(axis=1) / n_sites
+        rsrp = _dbw(own)
+        itf = _dbw((n_sites - 1) * own)
+        zeta, n_star = self.zeta[:n], self.n_star[:n]
+        iters = np.where(n_star > 0, n_star, np.nan)
+
+        steps = np.column_stack([ee, thr, pwr, zeta, iters])
+        defined = ~np.isnan(steps)
+        sums = np.cumsum(np.vstack([self.totals[0], np.where(defined, steps, 0.0)]), axis=0)
+        counts = self.totals[1] + np.cumsum(defined, axis=0)
+        self.totals[0] = sums[-1]
+        self.totals[1] += defined.sum(axis=0)
+        with np.errstate(invalid="ignore"):  # 0/0 before a mean's first defined slot
+            running = sums[1:] / counts
+        ee_cum, thr_cum, pwr_cum, success_cum, iter_cum = running.T
+        table = np.column_stack([
+            self.t[:n], self.reward[:n], ee, ee_cum, thr_cum, pwr, pwr_cum, rsrp, itf,
+            itf - rsrp, zeta, n_star, success_cum, iter_cum,
+        ])
+        missing = np.isnan(table)
+        cells = table.astype(object)
+        cells[:, _INT_COLUMNS] = np.where(missing, 0.0, table)[:, _INT_COLUMNS].astype(np.int64)
+        cells[missing] = None
+        return "".join(map(format_row, cells.tolist()))
 
     def summary(self) -> dict[str, float | int | None]:
-        """Overall means of the flushed slots; the efficiency and throughput
-        means read 0 before any slot, the others ``None``."""
+        """Overall means of every slot pushed; the efficiency and throughput
+        means read 0 before any slot, the others ``None``.
+
+        Raises :class:`~ranpower.errors.InvariantViolation` while pushed
+        slots wait for :meth:`flush`, as their lines are not written yet.
+        """
+        if self.filled:
+            raise InvariantViolation(
+                f"summary() with {self.filled} slots not yet flushed"
+            )
         sums, counts = self.totals.tolist()
         ee, thr, pwr, success, iters = [
             s / c if c else None for s, c in zip(sums, counts)

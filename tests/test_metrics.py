@@ -1,5 +1,4 @@
-"""Tests for the slot metrics: the column function, its running means, and
-the accumulator that feeds it.
+"""Tests for the slot metrics: the accumulator's columns and running means.
 
 The per-row reference below computes every figure from one slot at a time
 with Python scalars and running sums; the library computes whole blocks with
@@ -12,7 +11,8 @@ import numpy as np
 import pytest
 
 from ranpower.agents import EpisodeOutcome
-from ranpower.metrics import CSV_COLUMNS, MetricsAccumulator, block_lines, format_row
+from ranpower.errors import InvariantViolation
+from ranpower.metrics import CSV_COLUMNS, MetricsAccumulator, format_row
 from ranpower.scenario import StepEval
 
 P_MAX = 15.2
@@ -94,24 +94,27 @@ def reference_lines(rows, p_max_dbw=P_MAX):
     return "".join(format_row(rec.values()) for rec in reference_records(rows, p_max_dbw))
 
 
-def library_lines(rows, p_max_dbw=P_MAX, totals=None):
-    """The library's column function on ``rows`` as one block."""
-
-    def column(values):
-        return np.array([np.nan if v is None else v for v in values], dtype=float)
-
-    return block_lines(
-        column(r.t for r in rows),
-        np.array([r.phi for r in rows], dtype=float),
-        np.array([r.power_dbw for r in rows], dtype=float),
-        np.array([r.rate_bps for r in rows], dtype=float),
-        np.array([r.link_ee for r in rows], dtype=float),
-        column(r.ee_reward for r in rows),
-        column(r.zeta for r in rows),
-        column(r.n_star for r in rows),
-        p_max_dbw,
-        np.zeros((2, 5)) if totals is None else totals,
+def outcome_of(row):
+    """An :class:`EpisodeOutcome` carrying ``row``'s figures; the row's
+    ``zeta`` must be what the outcome implies."""
+    asleep = row.ee_reward is None
+    assert row.zeta == (None if asleep else int(row.n_star is not None))
+    ev = StepEval(
+        power_idx=np.zeros(row.phi.size, dtype=int), power_dbw=row.power_dbw,
+        user_rates_bps=row.rate_bps, rate_bps=row.rate_bps,
+        rate_delta_bps=np.zeros(row.phi.size), rate_delta_sum=0.0, link_ee=row.link_ee,
+        network_ee=0.0 if asleep else row.ee_reward,
     )
+    return EpisodeOutcome(ev, row.n_star, all_sleep=asleep)
+
+
+def library_lines(rows, p_max_dbw=P_MAX, acc=None):
+    """The lines the accumulator writes for ``rows`` pushed and then
+    flushed; pass ``acc`` to carry its running means across calls."""
+    if acc is None:
+        acc = MetricsAccumulator(p_max_dbw, rows[0].phi.size)
+    pushed = "".join(acc.push(r.t, r.phi, outcome_of(r)) for r in rows)
+    return pushed + acc.flush()
 
 
 def parse_lines(text):
@@ -135,7 +138,7 @@ def read_metrics(path):
 
 
 def library_record(row, p_max_dbw=P_MAX):
-    """The library's CSV record of ``row`` as a one-row block."""
+    """The library's CSV record of ``row`` pushed alone."""
     return parse_lines(library_lines([row], p_max_dbw))[0]
 
 
@@ -280,7 +283,7 @@ def test_masked_means_skip_undefined_steps():
 def test_masked_means_are_none_until_first_defined_step():
     rows = [
         make_row(t=0, phi=(0, 0, 0), link_ee=(0, 0, 0), rate_bps=(0, 0, 0),
-                 zeta=None, n_star=None),
+                 ee_reward=None, zeta=None, n_star=None),
         make_row(t=1),
     ]
     records = parse_lines(library_lines(rows))
@@ -300,22 +303,44 @@ def test_complexity_means_exclude_searchless_agents():
     assert records[-1]["n_star"] == 0
 
 
+SUMMARY_OF_CUM = {
+    "ee_overall_mbps_per_dbw": "ee_cum",
+    "throughput_overall_bps": "thr_cum_bps",
+    "power_overall_dbw": "pwr_cum_dbw",
+    "success_ratio_overall": "success_cum",
+    "iterations_overall": "iter_cum",
+}
+
+
+def assert_summary_is_last_record(summary, records):
+    """The summary's overall means are the last record's running means."""
+    assert summary["episodes"] == len(records)
+    for key, column in SUMMARY_OF_CUM.items():
+        assert summary[key] is not None
+        assert summary[key] == records[-1][column], key
+
+
 def test_streaming_matches_batch_within_1e9():
     """Blocks of every length, their running means carried from block to
-    block, agree with the per-row reference over the whole sequence."""
+    block, agree with the per-row reference over the whole sequence, and
+    the summary with its last running means."""
     rows = mixed_rows() * 4
     want = reference_records(rows)
     for cut in ([], [1], [3, 7], [5, 6, 19]):
-        totals = np.zeros((2, 5))
+        acc = MetricsAccumulator(P_MAX, 3)
         got = []
         for lo, hi in zip([0, *cut], [*cut, len(rows)]):
-            got += parse_lines(library_lines(rows[lo:hi], totals=totals))
+            got += parse_lines(library_lines(rows[lo:hi], acc=acc))
         for rec, ref in zip(got, want, strict=True):
             for key in ("ee_cum", "thr_cum_bps", "pwr_cum_dbw", "success_cum", "iter_cum"):
                 if ref[key] is None:
                     assert rec[key] is None
                 else:
                     assert rec[key] == pytest.approx(ref[key], abs=1e-9)
+        summary = acc.summary()
+        assert summary["episodes"] == len(rows)
+        for key, column in SUMMARY_OF_CUM.items():
+            assert summary[key] == pytest.approx(want[-1][column], abs=1e-9), key
 
 
 def step_rows(n_sites, rng):
@@ -341,31 +366,31 @@ def step_rows(n_sites, rng):
     return rows
 
 
-def outcome_of(row):
-    """An :class:`EpisodeOutcome` carrying ``row``'s figures."""
-    ev = StepEval(
-        power_idx=np.zeros(row.phi.size, dtype=int), power_dbw=row.power_dbw,
-        user_rates_bps=row.rate_bps, rate_bps=row.rate_bps,
-        rate_delta_bps=np.zeros(row.phi.size), rate_delta_sum=0.0, link_ee=row.link_ee,
-        network_ee=0.0 if row.ee_reward is None else row.ee_reward,
-    )
-    return EpisodeOutcome(ev, row.n_star, all_sleep=row.ee_reward is None)
-
-
 def test_push_equals_the_step_functions_exactly():
-    """Pushed slots, and the column function on blocks cut anywhere, write
-    the per-row reference's bytes: ``==`` and not merely close, as the CSV
-    depends on it."""
+    """Pushed slots, flushed once or every few slots, write the per-row
+    reference's bytes: ``==`` and not merely close, as the CSV depends on
+    it.  The summary holds the reference's last running means."""
     for n_sites in (1, 3, 7, 19, 37):
         rows = step_rows(n_sites, np.random.default_rng(n_sites))
         want = reference_lines(rows)
         acc = MetricsAccumulator(P_MAX, n_sites)
         assert "".join(acc.push(r.t, r.phi, outcome_of(r)) for r in rows) == ""
         assert acc.flush() == want
-        assert acc.summary()["episodes"] == len(rows)
-        totals = np.zeros((2, 5))
-        assert "".join(library_lines(rows[i:i + 9], totals=totals)
+        assert_summary_is_last_record(acc.summary(), reference_records(rows))
+        acc = MetricsAccumulator(P_MAX, n_sites)
+        assert "".join(library_lines(rows[i:i + 9], acc=acc)
                        for i in range(0, len(rows), 9)) == want
+
+
+def test_summary_refuses_unflushed_slots():
+    """Slots still in the block are not in the running sums yet."""
+    row = make_row()
+    acc = MetricsAccumulator(P_MAX, 3)
+    acc.push(row.t, row.phi, outcome_of(row))
+    with pytest.raises(InvariantViolation, match="1 slots not yet flushed"):
+        acc.summary()
+    acc.flush()
+    assert acc.summary()["episodes"] == 1
 
 
 def test_streaming_records_per_step_fields():

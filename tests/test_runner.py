@@ -76,7 +76,10 @@ def test_csv_blocks_equal_the_per_row_reference(tmp_path, episodes):
     last = parse_lines(want)[-1]
     assert result.summary["episodes"] == episodes
     assert result.summary["ee_overall_mbps_per_dbw"] == last["ee_cum"]
+    assert result.summary["throughput_overall_bps"] == last["thr_cum_bps"]
     assert result.summary["power_overall_dbw"] == last["pwr_cum_dbw"]
+    assert result.summary["success_ratio_overall"] == last["success_cum"]
+    assert result.summary["iterations_overall"] is None  # the sleep agent runs no search
 
 
 def test_run_writes_csv_summary_and_weights(tmp_path):
