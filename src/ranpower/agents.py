@@ -196,13 +196,15 @@ class DqnAgent:
         return outcome
 
     def _maybe_train(self, t: int) -> None:
-        cfg = self.cfg
+        cfg, memory = self.cfg, self.memory
         due = t > 0 and t % cfg.train_interval == 0
-        if not due or len(self.memory) <= cfg.minibatch_size:
+        if not due or len(memory) <= cfg.minibatch_size:
             return
-        batch = self.memory.sample_minibatch(cfg.minibatch_size, self.replay)
-        targets = minibatch_targets(batch, self.target, cfg.discount)
-        backward_and_step(self.predicted, batch, targets, cfg.learning_rate)
+        slots = memory.sample_minibatch(cfg.minibatch_size, self.replay)
+        targets = minibatch_targets(memory, slots, self.target, cfg.discount)
+        backward_and_step(
+            self.predicted, memory.s[slots], memory.a[slots], targets, cfg.learning_rate
+        )
         self.training_rounds += 1
         if self.training_rounds % cfg.sync_interval == 0:
             sync_target(self.predicted, self.target)

@@ -128,6 +128,7 @@ class RunConfig:
             ("hidden_layers", self.hidden_layers >= 1),
             ("q_bins", self.q_bins >= 2),
             ("q_alpha", 0.0 <= self.q_alpha <= 1.0),
+            ("seed", self.seed >= 0),
         ]
         for key, ok in checks:
             if not ok:

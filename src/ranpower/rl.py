@@ -9,16 +9,17 @@ minimises the quadratic regression loss
     L = 1 / (2 m) * sum_k (Q(s_k, a_k) - y_k)^2
 
 with plain gradient descent, where the targets ``y_k`` come from a separate
-target network that is synchronised every few training rounds.  Between
-syncs the target network is frozen, and a stored successor does not change
-until its ring slot is overwritten, so the replay ring keeps each
-transition's bootstrap value max_a Q_target(s') once a round has computed
-it, and later rounds run the target network only on sampled rows without
-one.  This is exact because a row of the network's forward pass has the
-same bits in any batch of two or more rows; a lone row can take another
-BLAS path, so no value is ever computed in a one-row batch where one
-forward over all live successors would have had more rows.  The target
-network shares the predicted network's training-round buffers.  These
+target network that is synchronised every few training rounds.  A
+minibatch is a set of replay ring slots.  Between syncs the target network
+is frozen, and a stored successor does not change until its ring slot is
+overwritten, so the replay ring keeps each transition's bootstrap value
+max_a Q_target(s') once a round has computed it, and later rounds run the
+target network only on sampled rows without one.  This is exact because a
+row of the network's forward pass has the same bits in any batch of two or
+more rows; a lone row can take another BLAS path, so no value is ever
+computed in a one-row batch where one forward over all live successors
+would have had more rows.  Every forward pass, the search's included, runs
+in the network's buffers, which the target network shares.  These
 primitives take their constants (sizes, discount, learning rate) as plain
 arguments; the agents read them from the run's ``RunConfig``.
 """
@@ -26,7 +27,6 @@ arguments; the agents read them from the run's ``RunConfig``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,33 +34,14 @@ import numpy as np
 from .errors import ValidationError
 
 
-@dataclass(frozen=True, eq=False)
-class Minibatch:
-    """Sampled transitions as row-aligned arrays: states ``s`` and successors
-    ``s_next`` (m, 2), action indices ``a`` and rewards ``r`` (m,).  Rows
-    where ``live`` is False ended a run: their ``s_next`` is meaningless and
-    the bootstrap term is dropped from their learning target.  A batch drawn
-    by :meth:`ReplayMemory.sample_minibatch` also names the ``memory`` it came
-    from and each row's ring ``slots``, where its bootstrap value is kept."""
-
-    s: np.ndarray
-    a: np.ndarray
-    r: np.ndarray
-    s_next: np.ndarray
-    live: np.ndarray
-    slots: np.ndarray | None = None
-    memory: ReplayMemory | None = None
-
-    def __len__(self) -> int:
-        return len(self.a)
-
-
 class ReplayMemory:
     """Bounded FIFO store of transitions with uniform minibatch sampling.
 
     Transitions live in preallocated ring arrays ``s``, ``a``, ``r``,
     ``s_next`` and ``live``; ``head`` is the next slot written, which once
-    the ring is full is also the oldest transition.
+    the ring is full is also the oldest transition.  A slot whose ``live``
+    is False ended a run: its ``s_next`` is meaningless and the bootstrap
+    term is dropped from its learning target.
 
     ``boot`` holds each slot's bootstrap value max_a Q_target(s'), valid for
     the target network whose :attr:`QNetwork.version` is in ``boot_version``
@@ -106,8 +87,9 @@ class ReplayMemory:
     def __len__(self) -> int:
         return self._len
 
-    def sample_minibatch(self, size: int, rng: np.random.Generator) -> Minibatch:
-        """Uniform sample without replacement; needs strictly more than ``size``.
+    def sample_minibatch(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        """The ring slots of ``size`` transitions drawn uniformly without
+        replacement; needs strictly more than ``size``.
 
         ``rng`` draws indices in insertion order (oldest first), which the
         ring maps to slots.
@@ -117,11 +99,7 @@ class ReplayMemory:
                 f"memory holds {self._len} transitions, need more than {size}"
             )
         idx = rng.choice(self._len, size=size, replace=False)
-        slots = (self.head - self._len + idx) % self.capacity
-        return Minibatch(
-            self.s[slots], self.a[slots], self.r[slots], self.s_next[slots], self.live[slots],
-            slots, self,
-        )
+        return (self.head - self._len + idx) % self.capacity
 
     def action_count(self, action: int) -> int:
         return int(np.count_nonzero(self.a[: self._len] == action))
@@ -158,7 +136,7 @@ class QNetwork:
         self.weights = weights
         self.biases = biases
         self.version = next(_versions)
-        # Training-round arrays, allocated on first use (see ``_scratch``).
+        # Layer arrays, allocated on first use (see ``_scratch``).
         self._buffers: dict[tuple[str, int], np.ndarray] = {}
 
     @classmethod
@@ -177,15 +155,14 @@ class QNetwork:
         return tuple([self.weights[0].shape[0]] + [w.shape[1] for w in self.weights])
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        a = np.atleast_2d(np.asarray(x, dtype=float))
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.maximum(a @ w + b, 0.0)
-        return a @ self.weights[-1] + self.biases[-1]
+        """Q-values of each state row of ``x`` (or of one state), in an
+        array the caller owns."""
+        return self._activations(np.atleast_2d(x))[-1].copy()
 
     def _scratch(self, key: tuple[str, int], shape: tuple[int, ...], dtype=float) -> np.ndarray:
-        """The leading ``shape[0]`` rows of a training-round buffer of this
-        network, reallocated only when a larger batch asks for more rows.
-        A :meth:`clone` shares the buffers, so the target network's forward
+        """The leading ``shape[0]`` rows of a buffer of this network,
+        reallocated only when a larger batch asks for more rows.  A
+        :meth:`clone` shares the buffers, so the target network's forward
         and the predicted network's round use the same arrays."""
         buf = self._buffers.get(key)
         if buf is None or len(buf) < shape[0]:
@@ -193,12 +170,10 @@ class QNetwork:
         return buf[: shape[0]]
 
     def _activations(self, x: np.ndarray) -> list[np.ndarray]:
-        """``x`` and every layer's output for its rows, the last being the
-        Q-values, written into this network's buffers: valid only until the
-        next training-round call of this network or of any network sharing
-        its buffers (its clones).  Each element sees ``forward_batch``'s
-        operations in its order (``a @ w``, ``+ b``, ReLU), so the values
-        are bit-identical to it."""
+        """``x`` and every layer's output for its rows (``a @ w``, ``+ b``,
+        then ReLU on all but the last), the last being the Q-values, written
+        into this network's buffers: valid only until the next forward of
+        this network or of any network sharing its buffers (its clones)."""
         acts = [x]
         for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = np.matmul(acts[-1], w, out=self._scratch(("out", layer), (len(x), w.shape[1])))
@@ -210,8 +185,8 @@ class QNetwork:
 
     def clone(self) -> "QNetwork":
         """A copy with its own parameters that shares this network's
-        training-round buffers (see ``_scratch``): a round reduces the target
-        network's output before the predicted network's pass reuses them."""
+        buffers (see ``_scratch``): a round reduces the target network's
+        output before the predicted network's pass reuses them."""
         twin = QNetwork([w.copy() for w in self.weights], [b.copy() for b in self.biases])
         twin._buffers = self._buffers
         return twin
@@ -239,60 +214,60 @@ def _row_max(q: np.ndarray) -> np.ndarray:
 
 
 def minibatch_targets(
-    batch: Minibatch, target_net: QNetwork, discount: float
+    memory: ReplayMemory, slots: np.ndarray, target_net: QNetwork, discount: float
 ) -> np.ndarray:
-    """One-step bootstrap targets ``r + discount * max_a Q_target(s')``;
-    terminal samples keep the bare reward.
+    """One-step bootstrap targets ``r + discount * max_a Q_target(s')`` of
+    the transitions in these ring ``slots``; terminal ones keep the bare
+    reward.
 
-    A batch from a :class:`ReplayMemory` with two or more live rows reads
-    the bootstrap values the ring holds for ``target_net.version`` and runs
-    the target network once, on the live rows without one, storing what it
-    computes.  A one-row need is padded with another live row, because a
-    lone row can round differently from the same row in a batch, while any
-    batch of two or more rows gives each row the same bits.  So the targets
-    equal those of one forward over all live successors, which is what a
-    hand-built batch, or one with fewer than two live rows, runs, storing
-    nothing.
+    With two or more live rows, the bootstrap values the ring holds for
+    ``target_net.version`` are read, and the target network runs once, on
+    the live rows without one, storing what it computes.  A one-row need is
+    padded with another live row, because a lone row can round differently
+    from the same row in a batch, while any batch of two or more rows gives
+    each row the same bits.  So the targets equal those of one forward over
+    all live successors, which is what a minibatch with fewer than two live
+    rows runs, storing nothing.
     """
-    targets = batch.r.copy()
-    live = np.flatnonzero(batch.live)
-    memory = batch.memory
-    if memory is None or len(live) < 2:
+    targets = memory.r[slots]
+    is_live = memory.live[slots]
+    live = slots[is_live]
+    if len(live) < 2:
         if len(live):
-            q_next = target_net._activations(batch.s_next[live])[-1]
-            targets[live] += discount * _row_max(q_next)
+            q_next = target_net._activations(memory.s_next[live])[-1]
+            targets[is_live] += discount * _row_max(q_next)
         return targets
-    slots = batch.slots[live]
     version = target_net.version
-    need = slots[memory.boot_version[slots] != version]
+    need = live[memory.boot_version[live] != version]
     if len(need) == 1:
-        need = np.append(need, slots[1] if slots[0] == need[0] else slots[0])
+        need = np.append(need, live[1] if live[0] == need[0] else live[0])
     if len(need):
         q_next = target_net._activations(memory.s_next[need])[-1]
         memory.boot[need] = _row_max(q_next)
         memory.boot_version[need] = version
-    targets[live] += discount * memory.boot[slots]
+    targets[is_live] += discount * memory.boot[live]
     return targets
 
 
 def backward_and_step(
-    net: QNetwork, batch: Minibatch, targets: np.ndarray, learning_rate: float
+    net: QNetwork, s: np.ndarray, a: np.ndarray, targets: np.ndarray, learning_rate: float
 ) -> QNetwork:
-    """One plain gradient-descent step on the minibatch regression loss.
+    """One plain gradient-descent step on the minibatch regression loss of
+    states ``s`` (m, 2), taken actions ``a`` (m,) and their ``targets``.
 
     Gradients are computed by hand: the error lands only on each sample's
     chosen action output, then flows back through the ReLU stack.  Every
     (m, width) array lives in the network's buffers, so a round allocates
     only (m,)-sized temporaries.
     """
-    m = len(batch)
-    acts = net._activations(batch.s)
+    m = len(a)
+    acts = net._activations(s)
     out = acts.pop()
     rows = np.arange(m)
     last = len(net.weights) - 1
     delta = net._scratch(("delta", last), out.shape)
     delta.fill(0.0)
-    delta[rows, batch.a] = (out[rows, batch.a] - targets) / m
+    delta[rows, a] = (out[rows, a] - targets) / m
 
     grads = []
     for layer in range(last, -1, -1):

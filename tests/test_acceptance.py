@@ -144,8 +144,8 @@ def test_criterion_01_gradient_oracle():
         n_actions = int(rng.integers(2, 6))
         net = random_network([2, hidden, n_actions], rng)
         target = random_network([2, hidden, n_actions], rng)
-        batch = random_batch(rng, int(rng.integers(6, 16)), 2, n_actions, terminal_every=3)
-        targets = minibatch_targets(batch, target, 0.9)
+        batch = random_batch(rng, int(rng.integers(6, 16)), n_actions, terminal_every=3)
+        targets = minibatch_targets(*batch, target, 0.9)
         grads_w, grads_b = extract_gradients(net, batch, targets)
         for layer in range(len(net.weights)):
             w = net.weights[layer]

@@ -591,10 +591,10 @@ def test_dqn_rounds_on_stored_bootstrap_values_train_as_direct_targets(tmp_path,
     stored_reads = []
     targets = agents.minibatch_targets
 
-    def counted(batch, target_net, discount):
-        live = batch.slots[batch.live]
-        stored_reads.append(np.count_nonzero(batch.memory.boot_version[live] == target_net.version))
-        return targets(batch, target_net, discount)
+    def counted(memory, slots, target_net, discount):
+        live = slots[memory.live[slots]]
+        stored_reads.append(np.count_nonzero(memory.boot_version[live] == target_net.version))
+        return targets(memory, slots, target_net, discount)
 
     monkeypatch.setattr(agents, "minibatch_targets", counted)
     reuse = run(cfg, tmp_path / "reuse")

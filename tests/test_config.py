@@ -110,6 +110,7 @@ def test_parse_rejects_wrong_type():
         ("q_bins", 1),
         ("q_alpha", 1.5),
         ("q_alpha", 2.0),
+        ("seed", -1),
     ],
 )
 def test_validation_names_the_offending_key(key, value):

@@ -6,7 +6,8 @@ central finite differences of the minibatch loss.  The ring replay and the
 buffered training round are checked against allocate-as-you-go reference
 models kept here: a deque of tuples and the per-op forward and backward.
 Targets built from the ring's stored bootstrap values are checked against
-one forward over all live successors.
+one forward over all live successors.  A minibatch here is what the learner
+trains on: a replay ring and the slots of its sampled transitions.
 """
 
 from collections import deque
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 
 from ranpower.errors import ValidationError
 from ranpower.rl import (
-    Minibatch,
     QNetwork,
     ReplayMemory,
     backward_and_step,
@@ -45,22 +45,32 @@ def random_network(layer_sizes, rng):
     return net
 
 
-def random_batch(rng, n, state_dim, n_actions, terminal_every=0):
-    """n random transitions; every ``terminal_every``-th one is terminal."""
-    s = np.zeros((n, state_dim))
+def ring_of(s, a, r, s_next, live):
+    """A minibatch of these transitions: a ring holding them in order, one
+    push each, and the slots that hold them."""
+    mem = ReplayMemory(len(a))
+    for k in range(len(a)):
+        mem.push(s[k : k + 1], a[k : k + 1], float(r[k]), s_next[k : k + 1] if live[k] else None)
+    return mem, np.arange(len(a))
+
+
+def random_batch(rng, n, n_actions, terminal_every=0):
+    """A minibatch of n random transitions; every ``terminal_every``-th one
+    is terminal."""
+    s = np.zeros((n, 2))
     a = np.zeros(n, dtype=int)
     r = np.zeros(n)
-    s_next = np.zeros((n, state_dim))
+    s_next = np.zeros((n, 2))
     live = np.ones(n, dtype=bool)
     for k in range(n):
         if not terminal_every or (k + 1) % terminal_every:
-            s_next[k] = rng.random(state_dim)
+            s_next[k] = rng.random(2)
         else:
             live[k] = False
-        s[k] = rng.random(state_dim)
+        s[k] = rng.random(2)
         a[k] = rng.integers(n_actions)
         r[k] = rng.normal()
-    return Minibatch(s, a, r, s_next, live)
+    return ring_of(s, a, r, s_next, live)
 
 
 def one_row(s, a, r, s_next=None):
@@ -73,28 +83,29 @@ def one_row(s, a, r, s_next=None):
     )
 
 
-def reference_targets(batch, target_net, discount):
+def reference_targets(memory, slots, target_net, discount):
     """Bootstrap targets from one forward over all live successors, with no
     stored values: what every round computed before the ring kept them."""
-    targets = batch.r.copy()
-    if batch.live.any():
-        q_next = target_net._activations(batch.s_next[batch.live])[-1]
-        targets[batch.live] += discount * q_next.max(axis=1)
+    targets, live, s_next = memory.r[slots], memory.live[slots], memory.s_next[slots]
+    if live.any():
+        q_next = target_net._activations(s_next[live])[-1]
+        targets[live] += discount * q_next.max(axis=1)
     return targets
 
 
 def minibatch_loss(batch, predicted, target_net, discount):
     """Quadratic regression loss of the predicted network against the targets."""
-    m = len(batch)
-    q = predicted.forward_batch(batch.s)[np.arange(m), batch.a]
-    y = minibatch_targets(batch, target_net, discount)
+    mem, slots = batch
+    m = len(slots)
+    q = predicted.forward_batch(mem.s[slots])[np.arange(m), mem.a[slots]]
+    y = minibatch_targets(mem, slots, target_net, discount)
     return float(np.sum((q - y) ** 2) / (2 * m))
 
 
 def concat(*batches):
-    return Minibatch(*(np.concatenate(parts) for parts in zip(
-        *((b.s, b.a, b.r, b.s_next, b.live) for b in batches)
-    )))
+    """One minibatch of the transitions of these, in order."""
+    parts = [(m.s[sl], m.a[sl], m.r[sl], m.s_next[sl], m.live[sl]) for m, sl in batches]
+    return ring_of(*(np.concatenate(arrays) for arrays in zip(*parts)))
 
 
 def test_replay_memory_evicts_oldest():
@@ -113,8 +124,7 @@ def test_replay_memory_needs_strictly_more_than_size():
         mem.push(*one_row([float(k), 0.0], 0, 0.0))
     with pytest.raises(ValidationError, match="memory holds 4 transitions, need more than 4"):
         mem.sample_minibatch(4, rng)
-    batch = mem.sample_minibatch(3, rng)
-    assert len(batch) == 3
+    assert len(mem.sample_minibatch(3, rng)) == 3
 
 
 def test_replay_memory_samples_without_replacement():
@@ -122,8 +132,8 @@ def test_replay_memory_samples_without_replacement():
     mem = ReplayMemory(capacity=16)
     for k in range(10):
         mem.push(*one_row([float(k), 0.0], 0, 0.0))
-    batch = mem.sample_minibatch(9, rng)
-    assert len(set(batch.s[:, 0])) == 9
+    slots = mem.sample_minibatch(9, rng)
+    assert len(set(mem.s[slots, 0])) == 9
 
 
 def test_replay_memory_action_count():
@@ -165,14 +175,14 @@ def test_ring_replay_samples_what_a_deque_would(capacity, push_sizes, seed):
         if len(ref) < 2:
             continue
         size = int(data.integers(1, len(ref)))
-        batch = mem.sample_minibatch(size, np.random.default_rng(seed))
+        slots = mem.sample_minibatch(size, np.random.default_rng(seed))
         idx = np.random.default_rng(seed).choice(len(ref), size=size, replace=False)
         expected = [list(ref)[i] for i in idx]
-        assert np.array_equal(batch.s, [tr[0] for tr in expected])
-        assert np.array_equal(batch.a, [tr[1] for tr in expected])
-        assert np.array_equal(batch.r, [tr[2] for tr in expected])
-        assert np.array_equal(batch.live, [tr[3] is not None for tr in expected])
-        for row, tr in zip(batch.s_next, expected):
+        assert np.array_equal(mem.s[slots], [tr[0] for tr in expected])
+        assert np.array_equal(mem.a[slots], [tr[1] for tr in expected])
+        assert np.array_equal(mem.r[slots], [tr[2] for tr in expected])
+        assert np.array_equal(mem.live[slots], [tr[3] is not None for tr in expected])
+        for row, tr in zip(mem.s_next[slots], expected):
             if tr[3] is not None:
                 assert np.array_equal(row, tr[3])
 
@@ -245,29 +255,29 @@ def test_minibatch_targets_values():
         [np.zeros((2, 3))],
         [np.array([0.5, 2.0, -1.0])],
     )
-    batch = Minibatch(
+    batch = ring_of(
         s=np.zeros((3, 2)),
         a=np.array([0, 1, 2]),
         r=np.array([1.0, 1.0, -0.5]),
         s_next=np.array([[0.0, 0.0], [9.0, 9.0], [0.3, 0.7]]),
         live=np.array([True, False, True]),
     )
-    assert minibatch_targets(batch, net, 0.9) == pytest.approx([2.8, 1.0, 1.3])
-    assert np.array_equal(minibatch_targets(batch, net, 0.0), [1.0, 1.0, -0.5])
-    terminal = Minibatch(np.zeros((2, 2)), np.zeros(2, dtype=int), np.full(2, 4.0),
-                         np.zeros((2, 2)), np.zeros(2, dtype=bool))
-    assert np.array_equal(minibatch_targets(terminal, net, 0.9), [4.0, 4.0])
+    assert minibatch_targets(*batch, net, 0.9) == pytest.approx([2.8, 1.0, 1.3])
+    assert np.array_equal(minibatch_targets(*batch, net, 0.0), [1.0, 1.0, -0.5])
+    terminal = ring_of(np.zeros((2, 2)), np.zeros(2, dtype=int), np.full(2, 4.0),
+                       np.zeros((2, 2)), np.zeros(2, dtype=bool))
+    assert np.array_equal(minibatch_targets(*terminal, net, 0.9), [4.0, 4.0])
 
 
 def test_minibatch_targets_match_per_sample_forward():
     rng = np.random.default_rng(5)
     net = random_network([2, 8, 4], rng)
-    batch = random_batch(rng, 20, 2, 4, terminal_every=3)
+    mem, slots = random_batch(rng, 20, 4, terminal_every=3)
     expected = [
         r + 0.9 * float(np.max(net.forward_batch(s_next)[0])) if live else r
-        for r, s_next, live in zip(batch.r, batch.s_next, batch.live)
+        for r, s_next, live in zip(mem.r[slots], mem.s_next[slots], mem.live[slots])
     ]
-    assert minibatch_targets(batch, net, 0.9) == pytest.approx(expected, rel=1e-12)
+    assert minibatch_targets(mem, slots, net, 0.9) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("sizes", [(2, 64, 64, 5), SMALL_NET])
@@ -315,19 +325,12 @@ def test_stored_bootstrap_values_give_the_direct_targets_bit_for_bit(capacity, r
                  None if terminal else rng.random((n, 2)))
         if len(mem) <= size:
             continue
-        batch = mem.sample_minibatch(size, replay)
-        targets = minibatch_targets(batch, target, 0.9)
-        assert targets.tobytes() == reference_targets(batch, target, 0.9).tobytes()
-        backward_and_step(pred, batch, targets, learning_rate=0.1)
+        slots = mem.sample_minibatch(size, replay)
+        targets = minibatch_targets(mem, slots, target, 0.9)
+        assert targets.tobytes() == reference_targets(mem, slots, target, 0.9).tobytes()
+        backward_and_step(pred, mem.s[slots], mem.a[slots], targets, learning_rate=0.1)
         if sync:
             sync_target(pred, target)
-
-
-def batch_at(mem, slots):
-    """The minibatch of these ring slots, as ``sample_minibatch`` builds it."""
-    slots = np.asarray(slots)
-    return Minibatch(mem.s[slots], mem.a[slots], mem.r[slots], mem.s_next[slots],
-                     mem.live[slots], slots, mem)
 
 
 def test_stored_bootstrap_values_hold_until_a_sync_or_an_overwrite():
@@ -349,11 +352,11 @@ def test_stored_bootstrap_values_hold_until_a_sync_or_an_overwrite():
     target._activations = counted
 
     def targets_at(slots):
-        batch = batch_at(mem, slots)
-        want = reference_targets(batch, target.clone(), 0.9)
-        got = minibatch_targets(batch, target, 0.9)
+        slots = np.asarray(slots)
+        want = reference_targets(mem, slots, target.clone(), 0.9)
+        got = minibatch_targets(mem, slots, target, 0.9)
         assert got.tobytes() == want.tobytes()
-        return batch, got
+        return slots, got
 
     targets_at([0, 1, 2])
     assert forward_rows == [3]
@@ -376,10 +379,10 @@ def test_stored_bootstrap_values_hold_until_a_sync_or_an_overwrite():
     targets_at([2, 3])
     assert forward_rows == [3, 2, 1, 2]
 
-    batch, targets = targets_at([2, 3, 5])
+    slots, targets = targets_at([2, 3, 5])
     assert forward_rows == [3, 2, 1, 2, 2]
     stored = mem.boot[[2, 3, 5]].copy()
-    backward_and_step(pred, batch, targets, learning_rate=0.5)
+    backward_and_step(pred, mem.s[slots], mem.a[slots], targets, learning_rate=0.5)
     sync_target(pred, target)
     targets_at([2, 3, 5])
     assert forward_rows == [3, 2, 1, 2, 2, 3]
@@ -393,19 +396,20 @@ def test_a_gradient_step_outdates_the_values_stored_for_the_network():
     net = random_network(SMALL_NET, rng)
     mem = ReplayMemory(capacity=8)
     mem.push(rng.random((8, 2)), rng.integers(4, size=8), 0.5, rng.random((8, 2)))
-    batch = mem.sample_minibatch(5, rng)
-    backward_and_step(net, batch, minibatch_targets(batch, net, 0.9), learning_rate=0.5)
-    targets = minibatch_targets(batch, net, 0.9)
-    assert targets.tobytes() == reference_targets(batch, net, 0.9).tobytes()
+    slots = mem.sample_minibatch(5, rng)
+    targets = minibatch_targets(mem, slots, net, 0.9)
+    backward_and_step(net, mem.s[slots], mem.a[slots], targets, learning_rate=0.5)
+    targets = minibatch_targets(mem, slots, net, 0.9)
+    assert targets.tobytes() == reference_targets(mem, slots, net, 0.9).tobytes()
 
 
 def test_minibatch_loss_single_sample():
     # prediction 1 against target 3 gives (1/2) * (1 - 3)^2 = 2
-    pred = QNetwork([np.zeros((1, 1))], [np.array([1.0])])
-    target = QNetwork([np.zeros((1, 1))], [np.array([3.0])])
+    pred = QNetwork([np.zeros((2, 1))], [np.array([1.0])])
+    target = QNetwork([np.zeros((2, 1))], [np.array([3.0])])
     def terminal(r):
-        return Minibatch(np.zeros((1, 1)), np.zeros(1, dtype=int), np.array([r]),
-                         np.zeros((1, 1)), np.zeros(1, dtype=bool))
+        return ring_of(np.zeros((1, 2)), np.zeros(1, dtype=int), np.array([r]),
+                       np.zeros((1, 2)), np.zeros(1, dtype=bool))
 
     assert minibatch_loss(terminal(3.0), pred, target, 0.9) == pytest.approx(2.0)
     # terminal transition: target is r alone, so matching r zeroes the loss
@@ -416,7 +420,7 @@ def test_minibatch_loss_duplication_invariant():
     rng = np.random.default_rng(21)
     pred = random_network([2, 6, 3], rng)
     target = pred.clone()
-    batch = random_batch(rng, 8, 2, 3)
+    batch = random_batch(rng, 8, 3)
     once = minibatch_loss(batch, pred, target, 0.9)
     twice = minibatch_loss(concat(batch, batch), pred, target, 0.9)
     assert once == pytest.approx(twice, rel=1e-12)
@@ -424,8 +428,9 @@ def test_minibatch_loss_duplication_invariant():
 
 def extract_gradients(net, batch, targets):
     """Recover analytic gradients from a unit-learning-rate step."""
+    mem, slots = batch
     probe = net.clone()
-    backward_and_step(probe, batch, targets, learning_rate=1.0)
+    backward_and_step(probe, mem.s[slots], mem.a[slots], targets, learning_rate=1.0)
     grads_w = [w - pw for w, pw in zip(net.weights, probe.weights)]
     grads_b = [b - pb for b, pb in zip(net.biases, probe.biases)]
     return grads_w, grads_b
@@ -453,8 +458,8 @@ def test_gradients_match_finite_differences():
     rng = np.random.default_rng(42)
     net = random_network([2, 8, 5], rng)
     target_net = random_network([2, 8, 5], rng)
-    batch = random_batch(rng, 12, 2, 5, terminal_every=5)
-    targets = minibatch_targets(batch, target_net, 0.9)
+    batch = random_batch(rng, 12, 5, terminal_every=5)
+    targets = minibatch_targets(*batch, target_net, 0.9)
     grads_w, grads_b = extract_gradients(net, batch, targets)
 
     for layer in range(len(net.weights)):
@@ -473,10 +478,10 @@ def test_gradient_step_reduces_loss():
     rng = np.random.default_rng(8)
     net = random_network([2, 16, 4], rng)
     target_net = random_network([2, 16, 4], rng)
-    batch = random_batch(rng, 32, 2, 4)
-    targets = minibatch_targets(batch, target_net, 0.9)
+    mem, slots = batch = random_batch(rng, 32, 4)
+    targets = minibatch_targets(mem, slots, target_net, 0.9)
     before = minibatch_loss(batch, net, target_net, 0.9)
-    backward_and_step(net, batch, targets, learning_rate=1e-2)
+    backward_and_step(net, mem.s[slots], mem.a[slots], targets, learning_rate=1e-2)
     after = minibatch_loss(batch, net, target_net, 0.9)
     assert after < before
 
@@ -485,9 +490,9 @@ def test_zero_learning_rate_changes_nothing():
     rng = np.random.default_rng(13)
     net = random_network([2, 4, 3], rng)
     snapshot = net.clone()
-    batch = random_batch(rng, 6, 2, 3)
-    targets = minibatch_targets(batch, snapshot, 0.9)
-    backward_and_step(net, batch, targets, learning_rate=0.0)
+    mem, slots = random_batch(rng, 6, 3)
+    targets = minibatch_targets(mem, slots, snapshot, 0.9)
+    backward_and_step(net, mem.s[slots], mem.a[slots], targets, learning_rate=0.0)
     for w, ws in zip(net.weights, snapshot.weights):
         assert np.array_equal(w, ws)
 
@@ -504,20 +509,21 @@ def reference_forward(net, x):
     return acts, pre, a @ net.weights[-1] + net.biases[-1]
 
 
-def reference_round(pred, target, batch, discount, learning_rate):
+def reference_round(pred, target, mem, slots, discount, learning_rate):
     """One training round the allocate-per-op way: targets from the stacked
     live successors, then backpropagation with fresh arrays throughout."""
-    targets = batch.r.copy()
-    live = np.flatnonzero(batch.live)
+    targets = mem.r[slots]
+    live = np.flatnonzero(mem.live[slots])
     if live.size:
-        q_next = reference_forward(target, np.stack([batch.s_next[k] for k in live]))[2]
+        q_next = reference_forward(target, np.stack([mem.s_next[slots[k]] for k in live]))[2]
         targets[live] += discount * q_next.max(axis=1)
-    states = np.stack(list(batch.s))
-    m = len(batch)
+    states = np.stack([mem.s[k] for k in slots])
+    m = len(slots)
     acts, pre, out = reference_forward(pred, states)
     delta = np.zeros_like(out)
     rows = np.arange(m)
-    delta[rows, batch.a] = (out[rows, batch.a] - targets) / m
+    a = mem.a[slots]
+    delta[rows, a] = (out[rows, a] - targets) / m
     grads_w, grads_b = [None] * len(pred.weights), [None] * len(pred.biases)
     for layer in range(len(pred.weights) - 1, -1, -1):
         grads_w[layer] = acts[layer].T @ delta
@@ -546,16 +552,42 @@ def test_buffered_rounds_match_the_allocating_reference_bit_for_bit():
             terminal = rng.random() < 0.2
             mem.push(rng.random((n, 2)), rng.integers(5, size=n), float(rng.normal()),
                      None if terminal else rng.random((n, 2)))
-        batch = mem.sample_minibatch(size, replay)
-        assert not batch.live.all()
-        targets = minibatch_targets(batch, target, 0.9)
-        backward_and_step(pred, batch, targets, learning_rate=0.05)
-        reference_round(ref_pred, ref_target, batch, 0.9, learning_rate=0.05)
+        slots = mem.sample_minibatch(size, replay)
+        assert not mem.live[slots].all()
+        targets = minibatch_targets(mem, slots, target, 0.9)
+        backward_and_step(pred, mem.s[slots], mem.a[slots], targets, learning_rate=0.05)
+        reference_round(ref_pred, ref_target, mem, slots, 0.9, learning_rate=0.05)
         for mine, ref in zip(pred.weights + pred.biases, ref_pred.weights + ref_pred.biases):
             assert mine.tobytes() == ref.tobytes()
         if step % 2:
             sync_target(pred, target)
             sync_target(ref_pred, ref_target)
+
+
+def test_forward_matches_the_allocating_reference_bit_for_bit():
+    """``forward_batch`` runs in the buffers a training round also uses:
+    for any row count, on fresh buffers and on ones a 1,000-row round has
+    grown, both networks give the allocate-per-op forward's bits."""
+    rng = np.random.default_rng(29)
+    pred = random_network([2, 64, 64, 5], rng)
+    target = pred.clone()
+    x = rng.random((57, 2))
+
+    def check():
+        for net in (pred, target):
+            for n in (1, 2, 7, 19, 57):
+                want = reference_forward(net, x[:n])[2]
+                assert net.forward_batch(x[:n]).tobytes() == want.tobytes()
+
+    check()
+    assert [len(pred._buffers["out", layer]) for layer in range(3)] == [57] * 3
+    mem = ReplayMemory(capacity=1200)
+    mem.push(rng.random((1200, 2)), rng.integers(5, size=1200), 0.5, rng.random((1200, 2)))
+    slots = mem.sample_minibatch(1000, rng)
+    targets = minibatch_targets(mem, slots, target, 0.9)
+    backward_and_step(pred, mem.s[slots], mem.a[slots], targets, learning_rate=0.05)
+    assert [len(pred._buffers["out", layer]) for layer in range(3)] == [1000] * 3
+    check()
 
 
 def test_training_round_leaves_earlier_forward_results_alone():
@@ -565,10 +597,11 @@ def test_training_round_leaves_earlier_forward_results_alone():
     rng = np.random.default_rng(19)
     pred = random_network([2, 16, 16, 4], rng)
     target = pred.clone()
-    batch = random_batch(rng, 30, 2, 4, terminal_every=4)
+    mem, slots = random_batch(rng, 30, 4, terminal_every=4)
 
     def train():
-        backward_and_step(pred, batch, minibatch_targets(batch, target, 0.9), 0.1)
+        targets = minibatch_targets(mem, slots, target, 0.9)
+        backward_and_step(pred, mem.s[slots], mem.a[slots], targets, 0.1)
 
     train()
     x = rng.random((7, 2))

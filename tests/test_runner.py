@@ -344,6 +344,10 @@ def test_cli_config_errors_exit_one(tmp_path, capsys):
                  ["isd_m=500,500.0"]):
         assert main(["sweep", "--config", tiny, "--vary", *vary,
                      "--out", str(tmp_path / "out")]) == 1
+    # A negative seed is bad input, not a crash inside the seed sequence.
+    assert main(["run", "--config", tiny, "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+    assert main(["sweep", "--config", tiny, "--vary", "seed=-1",
+                 "--out", str(tmp_path / "out")]) == 1
     wide = write_cfg(tmp_path, "rings = 2\nepisodes = 20\n")  # 5**19 oracle plans
     assert main(["oracle", "--config", wide, "--out", str(tmp_path / "out"), "--quiet"]) == 1
     assert not (tmp_path / "out").exists()

@@ -37,7 +37,9 @@ DESK_DQN = {"rings": 1, "per_sector_users": 2, "agent": "dqn", "search_iters": 1
 # two samples from a 50-slot ring and syncs every 3 rounds, so its rounds
 # pad one-row needs for stored bootstrap values, meet batches with one live
 # row at terminal steps, wrap the ring and re-evaluate after frequent syncs.
-# The 37-site sleep run gives the metrics columns their widest row sums.
+# The one-row learner samples a single transition, so every round takes the
+# fewer-than-two-live-rows path and stores no bootstrap value.  The 37-site
+# sleep run gives the metrics columns their widest row sums.
 SHAPES = {
     "paper-dqn-search": {**PAPER_DQN, "episodes": 600},
     "desk-dqn-train": {**DESK_DQN, "episodes": 800},
@@ -50,6 +52,9 @@ SHAPES = {
     "desk-dqn-small-batch": {"rings": 1, "agent": "dqn", "search_iters": 4,
                              "minibatch_size": 2, "train_interval": 1, "sync_interval": 3,
                              "replay_capacity": 50, "episodes": 400},
+    "desk-dqn-one-row": {"rings": 1, "agent": "dqn", "search_iters": 4,
+                         "minibatch_size": 1, "train_interval": 1, "sync_interval": 3,
+                         "replay_capacity": 20, "episodes": 300},
     "wide-sleep": {"rings": 3, "agent": "sleep", "episodes": 2000},
 }
 OUTPUTS = ("metrics.csv", "weights.bin")
