@@ -19,7 +19,9 @@ row of the network's forward pass has the same bits in any batch of two or
 more rows; a lone row can take another BLAS path, so no value is ever
 computed in a one-row batch where one forward over all live successors
 would have had more rows.  Every forward pass, the search's included, runs
-in the network's buffers, which the target network shares.  These
+in the network's buffers, which the target network shares, and the backward
+pass writes each layer's error into the activation buffer that layer has
+already used, so a round holds one (minibatch, width) array per layer.  These
 primitives take their constants (sizes, discount, learning rate) as plain
 arguments; the agents read them from the run's ``RunConfig``.
 """
@@ -161,9 +163,12 @@ class QNetwork:
 
     def _scratch(self, key: tuple[str, int], shape: tuple[int, ...], dtype=float) -> np.ndarray:
         """The leading ``shape[0]`` rows of a buffer of this network,
-        reallocated only when a larger batch asks for more rows.  A
-        :meth:`clone` shares the buffers, so the target network's forward
-        and the predicted network's round use the same arrays."""
+        reallocated only when a larger batch asks for more rows.  The
+        buffers are each layer's output (``"out"``), which a training round
+        overwrites with that layer's error, the ReLU masks (``"mask"``) and
+        the gradients (``"grad_w"``, ``"grad_b"``).  A :meth:`clone` shares
+        them, so the target network's forward and the predicted network's
+        round use the same arrays."""
         buf = self._buffers.get(key)
         if buf is None or len(buf) < shape[0]:
             buf = self._buffers[key] = np.empty(shape, dtype)
@@ -172,8 +177,9 @@ class QNetwork:
     def _activations(self, x: np.ndarray) -> list[np.ndarray]:
         """``x`` and every layer's output for its rows (``a @ w``, ``+ b``,
         then ReLU on all but the last), the last being the Q-values, written
-        into this network's buffers: valid only until the next forward of
-        this network or of any network sharing its buffers (its clones)."""
+        into this network's buffers: valid only until the next forward or
+        training round of this network or of any network sharing its
+        buffers (its clones)."""
         acts = [x]
         for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = np.matmul(acts[-1], w, out=self._scratch(("out", layer), (len(x), w.shape[1])))
@@ -186,7 +192,8 @@ class QNetwork:
     def clone(self) -> "QNetwork":
         """A copy with its own parameters that shares this network's
         buffers (see ``_scratch``): a round reduces the target network's
-        output before the predicted network's pass reuses them."""
+        output before the predicted network's pass reuses them, and after
+        a round they hold errors, not Q-values."""
         twin = QNetwork([w.copy() for w in self.weights], [b.copy() for b in self.biases])
         twin._buffers = self._buffers
         return twin
@@ -256,18 +263,22 @@ def backward_and_step(
     states ``s`` (m, 2), taken actions ``a`` (m,) and their ``targets``.
 
     Gradients are computed by hand: the error lands only on each sample's
-    chosen action output, then flows back through the ReLU stack.  Every
-    (m, width) array lives in the network's buffers, so a round allocates
-    only (m,)-sized temporaries.
+    chosen action output, then flows back through the ReLU stack.  Each
+    layer's error is written into the activation buffer that layer has
+    already used: the Q-value buffer becomes the output layer's error, and
+    a hidden layer's activations are overwritten once its gradients and
+    ReLU mask are taken.  So every (m, width) array lives in the network's
+    buffers, one per layer, and a round allocates only (m,)-sized
+    temporaries.
     """
     m = len(a)
     acts = net._activations(s)
-    out = acts.pop()
+    delta = acts.pop()  # the Q-values, until the output error replaces them
     rows = np.arange(m)
     last = len(net.weights) - 1
-    delta = net._scratch(("delta", last), out.shape)
+    error = (delta[rows, a] - targets) / m
     delta.fill(0.0)
-    delta[rows, a] = (out[rows, a] - targets) / m
+    delta[rows, a] = error
 
     grads = []
     for layer in range(last, -1, -1):
@@ -276,10 +287,12 @@ def backward_and_step(
         gb = np.sum(delta, axis=0, out=net._scratch(("grad_b", layer), b.shape))
         grads.append((w, gw, b, gb))
         if layer > 0:
-            shape = acts[layer].shape
-            delta = np.matmul(delta, w.T, out=net._scratch(("delta", layer - 1), shape))
+            act = acts[layer]
             # acts > 0 exactly where the pre-activation was > 0.
-            mask = np.greater(acts[layer], 0.0, out=net._scratch(("mask", layer - 1), shape, bool))
+            mask = np.greater(act, 0.0, out=net._scratch(("mask", layer - 1), act.shape, bool))
+            # The delta is in the layer above's buffer, so this matmul's
+            # output is none of its inputs.
+            delta = np.matmul(delta, w.T, out=act)
             delta *= mask
 
     for w, gw, b, gb in grads:
@@ -327,10 +340,16 @@ def tabular_q_update(
     discount: float,
     alpha: float,
 ) -> None:
-    """Classic in-place Q-learning update; terminal steps skip the bootstrap."""
-    boot = 0.0 if s_next_bin is None else discount * float(np.max(table[s_next_bin]))
-    q = table[s_bin][action]
-    table[s_bin][action] = q + alpha * (reward + boot - q)
+    """Classic in-place Q-learning update; terminal steps skip the bootstrap.
+
+    The arithmetic runs on Python floats, which round like numpy float64
+    scalars, and the bootstrap's ``max`` is exact, so the table gets the
+    same bits as the numpy-scalar formula at a fraction of the call cost.
+    """
+    boot = 0.0 if s_next_bin is None else discount * max(table[s_next_bin].tolist())
+    row = table[s_bin]
+    q = float(row[action])
+    row[action] = q + alpha * (reward + boot - q)
 
 
 def save_weights(net: QNetwork, path: str) -> None:

@@ -38,8 +38,11 @@ DESK_DQN = {"rings": 1, "per_sector_users": 2, "agent": "dqn", "search_iters": 1
 # pad one-row needs for stored bootstrap values, meet batches with one live
 # row at terminal steps, wrap the ring and re-evaluate after frequent syncs.
 # The one-row learner samples a single transition, so every round takes the
-# fewer-than-two-live-rows path and stores no bootstrap value.  The 37-site
-# sleep run gives the metrics columns their widest row sums.
+# fewer-than-two-live-rows path and stores no bootstrap value.  The deep
+# learner trains a three-hidden-layer network every other slot, so its
+# backward pass writes errors into the activation buffers of three hidden
+# layers.  The 37-site sleep run gives the metrics columns their widest row
+# sums.
 SHAPES = {
     "paper-dqn-search": {**PAPER_DQN, "episodes": 600},
     "desk-dqn-train": {**DESK_DQN, "episodes": 800},
@@ -55,6 +58,9 @@ SHAPES = {
     "desk-dqn-one-row": {"rings": 1, "agent": "dqn", "search_iters": 4,
                          "minibatch_size": 1, "train_interval": 1, "sync_interval": 3,
                          "replay_capacity": 20, "episodes": 300},
+    "desk-dqn-deep": {"rings": 1, "agent": "dqn", "search_iters": 10, "hidden_layers": 3,
+                      "hidden_units": 16, "minibatch_size": 64, "train_interval": 2,
+                      "sync_interval": 3, "replay_capacity": 400, "episodes": 400},
     "wide-sleep": {"rings": 3, "agent": "sleep", "episodes": 2000},
 }
 OUTPUTS = ("metrics.csv", "weights.bin")
