@@ -5,7 +5,7 @@ gets the random generators it draws from at construction, and returns an
 :class:`EpisodeOutcome`: the executed :class:`StepEval` and which candidate
 was accepted.  The two learners read their constants (search width,
 exploration, learning rates, network and table sizes) from the run's
-:class:`RunConfig`, which each validates as it is built.
+:class:`RunConfig`.
 
 Both learning agents share one search on a frozen step: draw K joint power
 assignments for the active stations (epsilon-greedy per station), score
@@ -13,9 +13,10 @@ each by its summed action values, and rate them best-first in batched
 evaluations, so every station's SINR reflects the others' draws: the
 top-scored few first, the rest only when none of those is feasible.  A
 candidate is feasible when its summed rate deltas stay non-negative; the
-search accepts the feasible candidate with the largest score, the same one
-rating all K together would, or keeps full power when none is.  The
-oracle picks from its enumeration with the same mask-and-argmax, scored by
+search accepts the feasible candidate with the largest score (at 7 and 19
+sites the one rating all K together would; not at 37, where a row's bits
+depend on its batch mates), or keeps full power when none is.  The oracle
+picks from its enumeration with the same mask-and-argmax, scored by
 efficiency.  Only the accepted candidate touches the environment or the
 learners, and its network efficiency is their reward.
 """
@@ -118,10 +119,10 @@ def _search(
     rest in a second batch only when the head holds no feasible one.  Every
     candidate outside the head scores no higher, and ties there come later,
     so the first chunk holding a feasible candidate picks what rating all K
-    together would, bit for bit: a batch of two or more rows rates each row
-    the same whichever rows share it, while one row alone may round
-    differently.  So the rest is never a single row; when it would be, the
-    head takes all K.
+    together would, bit for bit at 7 and 19 sites: there a batch of two or
+    more rows rates each row the same whichever rows share it, which does
+    not hold at 37 sites.  One row alone may round differently, so the rest
+    is never a single row; when it would be, the head takes all K.
     """
     active = ctx.active_sites
     n_actions = qrows.shape[1]
@@ -165,7 +166,7 @@ class DqnAgent:
         exploration: np.random.Generator,
         replay: np.random.Generator,
     ) -> None:
-        self.cfg = cfg.validate()
+        self.cfg = cfg
         sizes = (2, *(cfg.hidden_units,) * cfg.hidden_layers, cfg.n_power_levels)
         self.predicted = QNetwork.create(sizes, rng_init)
         self.target = self.predicted.clone()
@@ -217,7 +218,7 @@ class QLearningAgent:
     draws the search's candidates."""
 
     def __init__(self, cfg: RunConfig, exploration: np.random.Generator) -> None:
-        self.cfg = cfg.validate()
+        self.cfg = cfg
         self.table = np.zeros((cfg.q_bins, cfg.q_bins, cfg.n_power_levels))
         self.exploration = exploration
 
@@ -255,9 +256,7 @@ class SleepAgent:
         return EpisodeOutcome(ev=ctx.full_power, accepted_iteration=0)
 
 
-def exhaustive_oracle(
-    ctx: StepContext, max_nodes: int = MAX_ORACLE_NODES
-) -> tuple[np.ndarray, float]:
+def exhaustive_oracle(ctx: StepContext) -> tuple[np.ndarray, float]:
     """Enumerate every joint assignment over the active stations and return
     the feasible one with the highest network efficiency.
 
@@ -265,17 +264,17 @@ def exhaustive_oracle(
     memory stays bounded, and ties resolve to the lexicographically smallest
     index vector.  The full-power assignment has zero rate deltas by
     construction, so the feasible set is never empty.  Raises
-    ``ValidationError`` when the enumeration would exceed ``max_nodes``
-    assignments.
+    ``ValidationError`` when the enumeration would exceed
+    ``MAX_ORACLE_NODES`` assignments.
     """
     active = ctx.active_sites
     if active.size == 0:
         full = np.full(ctx.n_sites, ctx.n_levels - 1, dtype=int)
         return full, 0.0
     n_nodes = ctx.n_levels ** active.size
-    if n_nodes > max_nodes:
+    if n_nodes > MAX_ORACLE_NODES:
         raise ValidationError(
-            f"{n_nodes} joint assignments exceed the {max_nodes} cap"
+            f"{n_nodes} joint assignments exceed the {MAX_ORACLE_NODES} cap"
         )
     shape = (ctx.n_levels,) * active.size
     best_idx: np.ndarray | None = None

@@ -27,9 +27,9 @@ MOBILITY_MODES = ("static", "waypoint")
 class RunConfig:
     """Every tunable of a run; see the README for the key reference.
 
-    The scenario, the agents and the runner all read this one object, and
-    each of them takes it through :meth:`validate`, the one rule set.  The
-    power set is :meth:`power_levels_dbw`, computed from it.
+    Building one, ``dataclasses.replace`` included, runs :meth:`validate`,
+    the one rule set, so the scenario, the agents and the runner read it as
+    given.  The power set is :meth:`power_levels_dbw`, computed from it.
     """
 
     # Deployment
@@ -81,6 +81,9 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "runs"
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def power_levels_dbw(self) -> np.ndarray:
         """Evenly spaced dBW levels on [p_max - delta_p_max, p_max], ascending."""
         return np.linspace(
@@ -88,6 +91,7 @@ class RunConfig:
         )
 
     def validate(self) -> "RunConfig":
+        """Raise ``ValidationError`` naming the first key at fault; else ``self``."""
         for key, kind in FIELD_TYPES.items():
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
@@ -189,10 +193,11 @@ def parse_config_text(text: str) -> dict[str, Any]:
 
 
 def load_config(path: str | Path | None = None, **overrides: Any) -> RunConfig:
-    """Build a validated :class:`RunConfig` from a file plus overrides.
+    """Build a :class:`RunConfig` from a file plus overrides.
 
     ``path=None`` yields the pure defaults.  Overrides (e.g. the CLI's seed
-    and agent flags) are applied after the file and validated together.
+    and agent flags) are applied after the file, and the two are checked
+    together as the config is built.
     """
     values: dict[str, Any] = {}
     if path is not None:
@@ -207,4 +212,4 @@ def load_config(path: str | Path | None = None, **overrides: Any) -> RunConfig:
         if key not in FIELD_TYPES:
             raise ValidationError(f"unknown config key '{key}'")
         values[key] = val
-    return RunConfig(**values).validate()
+    return RunConfig(**values)

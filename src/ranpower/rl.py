@@ -14,16 +14,19 @@ minibatch is a set of replay ring slots.  Between syncs the target network
 is frozen, and a stored successor does not change until its ring slot is
 overwritten, so the replay ring keeps each transition's bootstrap value
 max_a Q_target(s') once a round has computed it, and later rounds run the
-target network only on sampled rows without one.  This is exact because a
-row of the network's forward pass has the same bits in any batch of two or
-more rows; a lone row can take another BLAS path, so no value is ever
-computed in a one-row batch where one forward over all live successors
-would have had more rows.  Every forward pass, the search's included, runs
-in the network's buffers, which the target network shares, and the backward
-pass writes each layer's error into the activation buffer that layer has
-already used, so a round holds one (minibatch, width) array per layer.  These
-primitives take their constants (sizes, discount, learning rate) as plain
-arguments; the agents read them from the run's ``RunConfig``.
+target network only on sampled rows without one.  This is exact where a
+row of the forward pass has the same bits in any batch of two or more
+rows, as at the widths (2, 64, 64, 5) and (2, 16, 16, 4) the tests pin; at
+``n_power_levels`` 2-3 or ``hidden_units`` 17 or 50 a target can be off by
+an ulp (the strict xfail ``2-16-16-16-3``).  A lone row can take another
+BLAS path, so no value is ever computed in a one-row batch where one
+forward over all live successors would have had more rows.  Every
+forward pass, the search's included, runs in the network's buffers, which
+the target network shares, and the backward pass writes each layer's error
+into the activation buffer that layer has already used, so a round holds
+one (minibatch, width) array per layer.  These primitives take their
+constants (sizes, discount, learning rate) as plain arguments; the agents
+read them from the run's ``RunConfig``.
 """
 
 from __future__ import annotations
@@ -120,7 +123,7 @@ class QNetwork:
     initial ordering rather than initialisation noise.
 
     ``version`` names the current parameters, unique across networks: it
-    changes whenever :meth:`copy_from` or :func:`backward_and_step` writes
+    changes whenever :func:`sync_target` or :func:`backward_and_step` writes
     them, so values computed under one version stay valid while it holds.
     """
 
@@ -198,17 +201,6 @@ class QNetwork:
         twin._buffers = self._buffers
         return twin
 
-    def copy_from(self, other: "QNetwork") -> None:
-        if self.layer_sizes != other.layer_sizes:
-            raise ValidationError(
-                f"cannot copy {other.layer_sizes} into {self.layer_sizes}"
-            )
-        for mine, theirs in zip(self.weights, other.weights):
-            mine[:] = theirs
-        for mine, theirs in zip(self.biases, other.biases):
-            mine[:] = theirs
-        self.version = next(_versions)
-
 
 def _row_max(q: np.ndarray) -> np.ndarray:
     """Row maxima of a 2-D array, folded over its columns with
@@ -231,10 +223,10 @@ def minibatch_targets(
     ``target_net.version`` are read, and the target network runs once, on
     the live rows without one, storing what it computes.  A one-row need is
     padded with another live row, because a lone row can round differently
-    from the same row in a batch, while any batch of two or more rows gives
-    each row the same bits.  So the targets equal those of one forward over
-    all live successors, which is what a minibatch with fewer than two live
-    rows runs, storing nothing.
+    from the same row in a batch.  At the widths the module docstring names,
+    any batch of two or more rows gives each row the same bits, so the
+    targets equal those of one forward over all live successors: what a
+    minibatch with fewer than two live rows runs, storing nothing.
     """
     targets = memory.r[slots]
     is_live = memory.live[slots]
@@ -306,7 +298,15 @@ def backward_and_step(
 
 def sync_target(predicted: QNetwork, target_net: QNetwork) -> QNetwork:
     """Overwrite the target network's parameters with the predicted ones."""
-    target_net.copy_from(predicted)
+    if target_net.layer_sizes != predicted.layer_sizes:
+        raise ValidationError(
+            f"cannot copy {predicted.layer_sizes} into {target_net.layer_sizes}"
+        )
+    for mine, theirs in zip(target_net.weights, predicted.weights):
+        mine[:] = theirs
+    for mine, theirs in zip(target_net.biases, predicted.biases):
+        mine[:] = theirs
+    target_net.version = next(_versions)
     return target_net
 
 

@@ -1,8 +1,7 @@
 """Run orchestration: wiring config to objects, the episode loop, and files.
 
-:func:`run` validates its :class:`RunConfig` before it touches the disk, and
-hands that one object to the scenario and the agent, which read what they
-need from it.
+:func:`run` hands its :class:`RunConfig` to the scenario and the agent,
+which read what they need from it.
 
 Determinism contract: all randomness flows from numpy's counter-based
 Philox generator, seeded once per run and split into named sub-streams
@@ -101,15 +100,14 @@ def run(
 ) -> RunResult:
     """Execute one configured run and write ``metrics.csv`` + ``summary.json``.
 
-    ``cfg`` is validated first, so a bad config raises ``ValidationError``
-    before anything is written; the summary's config records the output
-    directory actually used.  ``episode_hook`` receives ``(t, step_context, outcome)`` after each step;
+    The summary's config records the output directory actually used.
+    ``episode_hook`` receives ``(t, step_context, outcome)`` after each step;
     the acceptance suite uses it to compare accepted actions against the
     exhaustive oracle on the very contexts the agent saw.
     """
     started = time.perf_counter()
     out = Path(cfg.out_dir if out_dir is None else out_dir)
-    cfg = replace(cfg, out_dir=str(out)).validate()
+    cfg = replace(cfg, out_dir=str(out))
     streams = make_streams(cfg.seed)
     scn = make_scenario(cfg, streams)
     agent = make_agent(cfg, streams)
@@ -156,7 +154,6 @@ def run_compare(
     cfg: RunConfig, out_dir: str | Path | None = None, quiet: bool = True
 ) -> list[dict]:
     """Run every agent on the same seed and write a joined comparison table."""
-    cfg = cfg.validate()
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     table: list[dict] = []
@@ -191,10 +188,10 @@ def run_sweep(
 
     Combos are independent runs, so ``workers > 1`` executes them in
     parallel processes without changing any output.  The pool never holds
-    more processes than there are combos or CPUs.  Every combo is validated,
-    and two combos that would share a subdirectory (a repeated value, such
-    as ``500`` and ``500.0`` for a float key) raise ``ValidationError``,
-    before anything is written.
+    more processes than there are combos or CPUs.  A combo whose config is
+    invalid, or two combos that would share a subdirectory (a repeated
+    value, such as ``500`` and ``500.0`` for a float key), raise
+    ``ValidationError`` before anything is written.
     """
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     keys = sorted(vary)
@@ -204,8 +201,8 @@ def run_sweep(
         sub = str(out / "_".join(f"{k}={v}" for k, v in tags.items()))
         if sub in jobs:
             raise ValidationError(f"vary repeats a value: two combos would both write {sub}")
-        jobs[sub] = replace(cfg, **tags).validate()
-    out.mkdir(parents=True, exist_ok=True)  # after every combo validated
+        jobs[sub] = replace(cfg, **tags)
+    out.mkdir(parents=True, exist_ok=True)  # after every combo is built
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         # Imported here: it loads multiprocessing, which no single run needs.
@@ -227,13 +224,12 @@ def run_oracle_check(
 ) -> dict:
     """Run the configured agent while scoring each step against the oracle.
 
-    Only viable on small instances: like :func:`run`, it validates before it
-    writes, and a grid whose ``n_power_levels ** sites`` exceeds the oracle's
-    cap raises ``ValidationError`` naming ``'rings'`` and
-    ``'n_power_levels'``.  Writes ``oracle.csv`` with the per-step
-    efficiency ratio and returns summary statistics.
+    Only viable on small instances: a grid whose ``n_power_levels ** sites``
+    exceeds the oracle's cap raises ``ValidationError`` naming ``'rings'``
+    and ``'n_power_levels'`` before anything is written.  Writes
+    ``oracle.csv`` with the per-step efficiency ratio and returns summary
+    statistics.
     """
-    cfg = cfg.validate()
     sites = len(hex_site_positions(cfg.rings, cfg.isd_m))
     if cfg.n_power_levels ** sites > MAX_ORACLE_NODES:
         raise ValidationError(

@@ -4,8 +4,6 @@ Every function and class here reads the run's :class:`RunConfig` directly
 for its radio, traffic and deployment constants, and the power set from
 :meth:`RunConfig.power_levels_dbw`.  A deployment is a sequence of site
 positions, each with the three sectors of :data:`BORESIGHTS_DEG`.
-:class:`Scenario` validates the config and raises ``ValidationError`` for
-an empty site or user list.
 A :class:`Scenario` owns the mutable simulation state (pending volumes,
 current power levels, user positions).  Each time step it freezes the
 physics into a :class:`StepContext`: which users are scheduled and the gain
@@ -323,16 +321,16 @@ class StepContext:
 class Scenario:
     """Mutable simulation state plus the machinery to freeze each step.
 
-    It is built from the site positions, the config and the user positions;
-    the power set is the config's, from which the learners size their
-    actions.  Users move only under ``waypoint`` mobility, at
-    ``user_speed_mps``.
+    It is built from the site positions, the config and the user positions,
+    and raises ``ValidationError`` for no sites or no users; the power set
+    is the config's, from which the learners size their actions.  Users
+    move only under ``waypoint`` mobility, at ``user_speed_mps``.
     """
 
     def __init__(
         self, sites: Sequence[Position], cfg: RunConfig, user_positions: Sequence[Position]
     ) -> None:
-        self.cfg = cfg.validate()
+        self.cfg = cfg
         self.n_sites = len(sites)
         if self.n_sites == 0:
             raise ValidationError("a scenario needs at least one site")

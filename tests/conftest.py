@@ -1,6 +1,15 @@
 """Shared fixtures: small site layouts, scenarios around them, and run configs."""
 
-import dataclasses
+import os
+
+# One BLAS thread, as perfbench/run.py and tools/same_outputs.py run: a
+# second OpenBLAS thread only spins beside the main one on these small
+# products.  The variables are read when numpy is first imported, so they
+# are set before anything here imports it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import dataclasses  # noqa: E402
 from pathlib import Path
 
 import numpy as np

@@ -101,7 +101,7 @@ def small_dqn_run():
 def desk_runs(tmp_path_factory):
     """All three agents, shared seeds 0..4, on the 7-station grid."""
     base_dir = tmp_path_factory.mktemp("desk")
-    base_cfg = RunConfig(rings=1, episodes=2000, search_iters=50).validate()
+    base_cfg = RunConfig(rings=1, episodes=2000, search_iters=50)
     started = time.perf_counter()
     rows0 = []  # the DQN seed-0 run's slots, for the per-row reference
 
@@ -290,7 +290,7 @@ def test_criterion_08_unit_round_trips():
 
 
 def test_criterion_09_determinism(tmp_path):
-    cfg0 = RunConfig(rings=1, episodes=300, search_iters=50, seed=7).validate()
+    cfg0 = RunConfig(rings=1, episodes=300, search_iters=50, seed=7)
     identical = True
     for agent in ("dqn", "qlearning", "sleep"):
         cfg = replace(cfg0, agent=agent)

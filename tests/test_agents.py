@@ -516,7 +516,7 @@ def test_agents_never_accept_negative_delta_sums(loaded_ctx):
 
 def test_agent_constructor_validation():
     """The values the agents' own checks rejected before they read the run
-    config: the config's validation rejects them as each agent is built."""
+    config: the config rejects them as it is built, before any agent."""
     rng = np.random.default_rng(0)
     with pytest.raises(ValidationError, match="'search_iters'"):
         DqnAgent(RunConfig(search_iters=0), rng, rng, rng)
@@ -568,9 +568,18 @@ def test_exhaustive_oracle_beats_or_ties_every_feasible_assignment(loaded_ctx):
             assert ee >= ev.network_ee - 1e-12
 
 
-def test_exhaustive_oracle_respects_node_cap(loaded_ctx):
-    with pytest.raises(ValidationError, match="joint assignments exceed the 63 cap"):
-        exhaustive_oracle(loaded_ctx, max_nodes=63)
+def test_exhaustive_oracle_respects_node_cap():
+    """The loaded 19-site grid has 5**19 plans, beyond the cap: the oracle
+    raises before it rates any."""
+    scn = hex_scenario(2)
+    scn.residual_bits[:] = 1e5
+    scn.arrival_step[:] = 0
+    ctx = CountingCtx(scn.build_step())
+    assert ctx.active_sites.size == 19 and ctx.n_levels == 5
+    with pytest.raises(ValidationError, match=f"{5**19} joint assignments exceed the "
+                                              f"{agents.MAX_ORACLE_NODES} cap"):
+        exhaustive_oracle(ctx)
+    assert ctx.calls == []
 
 
 def test_exhaustive_oracle_all_idle(three_site):

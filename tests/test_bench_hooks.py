@@ -50,7 +50,7 @@ def test_training_rounds_call_backward_through_the_agents_module(tmp_path, monke
     cfg = RunConfig(
         rings=1, episodes=60, search_iters=4, minibatch_size=20, replay_capacity=60,
         train_interval=5, seed=3,
-    ).validate()
+    )
     rounds = run(cfg, tmp_path).summary["learner"]["training_rounds"]
     assert rounds > 0
     assert len(calls) == rounds
@@ -64,7 +64,7 @@ def test_check_run_finds_no_errors(child, tmp_path, keys):
     """The benchmark's check run reads the step context and each outcome
     (``sched_site``, ``site_to_user_gain``, ``serving_gain``, ``outcome.ev``)
     and recomputes the physics and the CSV from them independently."""
-    cfg = RunConfig(rings=1, episodes=200, seed=1, **keys).validate()
+    cfg = RunConfig(rings=1, episodes=200, seed=1, **keys)
     checker = child.SlotChecker(cfg)
     result = run(cfg, tmp_path, episode_hook=checker)
     assert checker.errors == []

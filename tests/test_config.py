@@ -15,7 +15,8 @@ from ranpower.scenario import Scenario
 
 
 def test_defaults_describe_the_large_reference_network():
-    cfg = RunConfig().validate()
+    cfg = RunConfig()
+    assert cfg.validate() is cfg
     assert cfg.rings == 2
     assert cfg.per_sector_users == 1
     assert cfg.p_max_dbw == 15.2
@@ -79,65 +80,76 @@ def test_parse_rejects_wrong_type():
         parse_config_text("episodes = soon")
 
 
-@pytest.mark.parametrize(
-    "key, value",
-    [
-        ("rings", -1),
-        ("isd_m", 0.0),
-        ("isd_m", 20.0),  # no room between the 10 m drop floor and isd / 2
-        ("per_sector_users", 0),
-        ("mobility", "drunkard"),
-        ("noise_dbw", 3.0),
-        ("p_max_dbw", 0.5),
-        ("delta_p_max_db", 0.0),
-        ("delta_p_max_db", 1e-15),  # below the spacing of doubles at p_max: repeated levels
-        ("n_power_levels", 1),
-        ("traffic_p0", 1.5),
-        ("traffic_period", -1),
-        ("volume_lo_bits", 0.0),
-        ("volume_hi_bits", 1e3),
-        ("agent", "sarsa"),
-        ("episodes", 0),
-        ("search_iters", 0),
-        ("discount", 0.0),
-        ("epsilon", -0.1),
-        ("epsilon", 1.5),
-        ("learning_rate", 0.0),
-        ("minibatch_size", 0),
-        ("minibatch_size", 5000),
-        ("train_interval", 0),
-        ("sync_interval", 0),
-        ("q_bins", 1),
-        ("q_alpha", 1.5),
-        ("q_alpha", 2.0),
-        ("seed", -1),
-    ],
-)
-def test_validation_names_the_offending_key(key, value):
-    cfg = RunConfig(**{key: value})
-    with pytest.raises(ValidationError, match=f"'{key}'"):
-        cfg.validate()
-
-
+OUT_OF_RANGE = [
+    ("rings", -1),
+    ("isd_m", 0.0),
+    ("isd_m", 20.0),  # no room between the 10 m drop floor and isd / 2
+    ("per_sector_users", 0),
+    ("mobility", "drunkard"),
+    ("noise_dbw", 3.0),
+    ("p_max_dbw", 0.5),
+    ("delta_p_max_db", 0.0),
+    ("delta_p_max_db", 1e-15),  # below the spacing of doubles at p_max: repeated levels
+    ("n_power_levels", 1),
+    ("traffic_p0", 1.5),
+    ("traffic_period", -1),
+    ("volume_lo_bits", 0.0),
+    ("volume_hi_bits", 1e3),
+    ("agent", "sarsa"),
+    ("episodes", 0),
+    ("search_iters", 0),
+    ("discount", 0.0),
+    ("epsilon", -0.1),
+    ("epsilon", 1.5),
+    ("learning_rate", 0.0),
+    ("minibatch_size", 0),
+    ("minibatch_size", 5000),
+    ("train_interval", 0),
+    ("sync_interval", 0),
+    ("q_bins", 1),
+    ("q_alpha", 1.5),
+    ("q_alpha", 2.0),
+    ("seed", -1),
+]
 FLOAT_KEYS = [f.name for f in dataclasses.fields(RunConfig) if f.type in (float, "float")]
 INT_KEYS = [f.name for f in dataclasses.fields(RunConfig) if f.type in (int, "int")]
-
-
-@pytest.mark.parametrize("key", FLOAT_KEYS)
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-def test_validation_rejects_non_finite_floats(key, value):
-    with pytest.raises(ValidationError, match=f"'{key}' has non-finite value"):
-        RunConfig(**{key: value}).validate()
-
-
-@pytest.mark.parametrize("key, value", [
+NON_FINITE = [math.inf, -math.inf, math.nan]
+WRONG_TYPE = [
     *[(key, value) for key in INT_KEYS for value in (2.5, 4.0, True, "3")],
     *[(key, value) for key in FLOAT_KEYS for value in (True, "500", None)],
     ("out_dir", 5), ("agent", None),
-])
+]
+
+
+@pytest.mark.parametrize("key, value", OUT_OF_RANGE)
+def test_validation_names_the_offending_key(key, value):
+    with pytest.raises(ValidationError, match=f"'{key}'"):
+        RunConfig(**{key: value})
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_validation_rejects_non_finite_floats(key, value):
+    with pytest.raises(ValidationError, match=f"'{key}' has non-finite value"):
+        RunConfig(**{key: value})
+
+
+@pytest.mark.parametrize("key, value", WRONG_TYPE)
 def test_validation_rejects_values_of_the_wrong_type(key, value):
     with pytest.raises(ValidationError, match=f"'{key}' expects"):
-        RunConfig(**{key: value}).validate()
+        RunConfig(**{key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    *OUT_OF_RANGE, *[(key, value) for key in FLOAT_KEYS for value in NON_FINITE], *WRONG_TYPE,
+])
+def test_an_invalid_config_cannot_be_built_or_derived(key, value):
+    """A config that exists is valid: building one and deriving one from a
+    valid config with ``dataclasses.replace`` both run the rule set."""
+    with pytest.raises(ValidationError, match=f"'{key}'"):
+        RunConfig(**{key: value})
+    with pytest.raises(ValidationError, match=f"'{key}'"):
+        dataclasses.replace(RunConfig(), **{key: value})
 
 
 def test_non_finite_values_fail_from_a_file_and_with_overrides(tmp_path):
@@ -151,9 +163,8 @@ def test_non_finite_values_fail_from_a_file_and_with_overrides(tmp_path):
 
 
 def test_validation_guards_lowest_power_level():
-    cfg = RunConfig(p_max_dbw=2.0, delta_p_max_db=1.9)
     with pytest.raises(ValidationError, match="'delta_p_max_db' pushes the lowest power level"):
-        cfg.validate()
+        RunConfig(p_max_dbw=2.0, delta_p_max_db=1.9)
 
 
 def test_load_config_defaults_without_file():
@@ -199,7 +210,7 @@ def test_load_config_validates_merged_result(tmp_path):
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda: parse_config_text("rings = 1\nepisodes"), "line 2",
                  id="parse_config_text"),
-    pytest.param(lambda: RunConfig(episodes=0).validate(), "'episodes'",
+    pytest.param(lambda: RunConfig(episodes=0), "'episodes'",
                  id="RunConfig.validate"),
     pytest.param(lambda: Scenario((Position(0.0, 0.0),), RunConfig(), []),
                  "at least one user", id="Scenario"),

@@ -31,7 +31,7 @@ from test_metrics import parse_lines, reference_lines, row_from_outcome
 def small_cfg(**kw):
     base = dict(rings=0, episodes=40, search_iters=10, seed=3, agent="dqn")
     base.update(kw)
-    return RunConfig(**base).validate()
+    return RunConfig(**base)
 
 
 def test_streams_are_named_and_reproducible():
@@ -106,19 +106,19 @@ def test_run_writes_csv_summary_and_weights(tmp_path):
                                         ("n_power_levels", 4.0)])
 @pytest.mark.parametrize("entry", ["Scenario", "DqnAgent", "QLearningAgent", "run"])
 def test_every_config_entry_rejects_an_invalid_config(tmp_path, entry, key, value):
-    """Each layer that takes the run config validates it as it is built, and
-    ``run`` does so before it creates its output directory."""
-    cfg = RunConfig(**{key: value})
+    """No layer that takes the run config can be handed an invalid one:
+    deriving it from a valid config raises before the layer is built, so
+    ``run`` creates no output directory."""
     rng = np.random.default_rng(0)
     out = tmp_path / "out"
     build = {
-        "Scenario": lambda: Scenario([Position(0.0, 0.0)], cfg, [Position(100.0, 0.0)]),
-        "DqnAgent": lambda: DqnAgent(cfg, rng, rng, rng),
-        "QLearningAgent": lambda: QLearningAgent(cfg, rng),
-        "run": lambda: run(cfg, out),
+        "Scenario": lambda cfg: Scenario([Position(0.0, 0.0)], cfg, [Position(100.0, 0.0)]),
+        "DqnAgent": lambda cfg: DqnAgent(cfg, rng, rng, rng),
+        "QLearningAgent": lambda cfg: QLearningAgent(cfg, rng),
+        "run": lambda cfg: run(cfg, out),
     }[entry]
     with pytest.raises(ValidationError, match=f"'{key}'"):
-        build()
+        build(replace(RunConfig(), **{key: value}))
     assert not out.exists()
 
 

@@ -609,16 +609,21 @@ def test_full_power_is_the_evaluation_of_the_full_plan(three_site_scenario, movi
         assert ctx.full_power.rate_delta_sum == 0.0
 
 
+# At 37 sites the (K, B) @ (B, U) product gives a row bits that depend on
+# its batch mates, so the best-first search can accept another eval than one
+# batch of all K candidates would, and writes other bytes than it.
 @pytest.mark.parametrize("moving", [False, True])
-@pytest.mark.parametrize("rings", [1, 2])
+@pytest.mark.parametrize("rings", [1, 2, pytest.param(3, marks=pytest.mark.xfail(
+    strict=True, reason="at 37 sites a batch row's bits depend on the rest of the batch"))])
 def test_batch_rows_do_not_depend_on_the_rest_of_the_batch(rings, moving):
     """Any two or more rows of a batch, in any order, rate bit for bit as
     they do inside the whole batch, at 7 and 19 sites with static and moving
     users.  The best-first search rests on this: it rates the top-scored
     candidates, and maybe the rest, in separate batches and must accept the
     very eval that one batch of all of them would.  A BLAS whose product
-    rounds a row differently with other batch mates fails here first.  One
-    row alone may take another BLAS path, so the search never rates one."""
+    rounds a row differently with other batch mates fails here first, as
+    the 37-site grid does.  One row alone may take another BLAS path, so the
+    search never rates one."""
     keys = {"mobility": "waypoint", "user_speed_mps": 300.0} if moving else {}
     scn = hex_scenario(rings, seed=rings, per_sector_users=2, **keys)
     rng = np.random.default_rng(rings)

@@ -42,7 +42,9 @@ DESK_DQN = {"rings": 1, "per_sector_users": 2, "agent": "dqn", "search_iters": 1
 # learner trains a three-hidden-layer network every other slot, so its
 # backward pass writes errors into the activation buffers of three hidden
 # layers.  The 37-site sleep run gives the metrics columns their widest row
-# sums.
+# sums.  The 37-site DQN search rates batches whose rows' bits depend on
+# their batch mates, so its bytes hold only while the same rows share a
+# batch: it is the shape a change to the search would move first.
 SHAPES = {
     "paper-dqn-search": {**PAPER_DQN, "episodes": 600},
     "desk-dqn-train": {**DESK_DQN, "episodes": 800},
@@ -62,6 +64,7 @@ SHAPES = {
                       "hidden_units": 16, "minibatch_size": 64, "train_interval": 2,
                       "sync_interval": 3, "replay_capacity": 400, "episodes": 400},
     "wide-sleep": {"rings": 3, "agent": "sleep", "episodes": 2000},
+    "wide-dqn": {"rings": 3, "agent": "dqn", "search_iters": 100, "episodes": 300},
 }
 OUTPUTS = ("metrics.csv", "weights.bin")
 
