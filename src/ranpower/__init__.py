@@ -10,7 +10,6 @@ a non-learning sleep scheme.
 from .agents import DqnAgent, QLearningAgent, SleepAgent, exhaustive_oracle
 from .config import RunConfig, load_config
 from .metrics import CSV_COLUMNS, MetricsAccumulator
-from .radio import Position
 from .rl import QNetwork, ReplayMemory
 from .runner import run, run_compare, run_oracle_check, run_sweep
 from .scenario import Scenario, StepContext, drop_users
@@ -21,7 +20,6 @@ __all__ = [
     "CSV_COLUMNS",
     "DqnAgent",
     "MetricsAccumulator",
-    "Position",
     "QLearningAgent",
     "QNetwork",
     "ReplayMemory",

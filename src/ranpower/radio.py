@@ -1,16 +1,16 @@
 """Link-level constants and scalar conversions.
 
-Positions and the dBW/watt conversions.  The simulation itself computes
-gains, SINR, rates and efficiencies on arrays in :mod:`ranpower.scenario`.
-Energy efficiency is expressed in Mbps per dBW, i.e. the rate in Mbps
-divided by the transmit power level in dBW, which is why transmit levels
-are kept above ``MIN_POWER_DBW``.
+The distance and power guards and the dBW/watt conversions.  Sites and
+users sit at (N, 2) planar coordinates in metres, heights in ``RunConfig``.
+The simulation computes gains, SINR, rates and efficiencies on arrays in
+:mod:`ranpower.scenario`.  Energy efficiency is expressed in Mbps per dBW,
+i.e. the rate in Mbps divided by the transmit power level in dBW, which is
+why transmit levels are kept above ``MIN_POWER_DBW``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ValidationError
 
@@ -27,14 +27,6 @@ MIN_DISTANCE_M = 1.0
 # Users are dropped no closer to their own site than this, so a deployment
 # needs more than twice this inter-site distance to leave them any room.
 MIN_DROP_RADIUS_M = 10.0
-
-
-@dataclass(frozen=True)
-class Position:
-    """A point on the ground plane, in metres; heights are in ``RunConfig``."""
-
-    x: float
-    y: float
 
 
 def dbw_to_watts(p_dbw: float) -> float:

@@ -2,8 +2,8 @@
 
 Every function and class here reads the run's :class:`RunConfig` directly
 for its radio, traffic and deployment constants, and the power set from
-:meth:`RunConfig.power_levels_dbw`.  A deployment is a sequence of site
-positions, each with the three sectors of :data:`BORESIGHTS_DEG`.
+:meth:`RunConfig.power_levels_dbw`.  Sites and users are (B, 2) and (U, 2)
+arrays of planar positions; every site has the sectors of :data:`BORESIGHTS_DEG`.
 A :class:`Scenario` owns the mutable simulation state (pending volumes,
 current power levels, user positions).  Each time step it freezes the
 physics into a :class:`StepContext`: which users are scheduled and the gain
@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .radio import (
     MIN_DISTANCE_M,
     MIN_DROP_RADIUS_M,
     SPEED_OF_LIGHT_M_S,
-    Position,
     dbw_to_watts,
 )
 
@@ -46,8 +44,8 @@ _ARC_LO = (np.asarray(BORESIGHTS_DEG)[:, None] - SECTOR_WIDTH_DEG / 2.0) % 360.0
 _ARC_HI = (np.asarray(BORESIGHTS_DEG)[:, None] + SECTOR_WIDTH_DEG / 2.0) % 360.0
 
 
-def hex_site_positions(rings: int, isd_m: float) -> tuple[Position, ...]:
-    """Hexagonal grid positions: 1 + 3*rings*(rings+1) sites, centre first."""
+def hex_site_positions(rings: int, isd_m: float) -> np.ndarray:
+    """Hexagonal grid positions (B, 2) of 1 + 3*rings*(rings+1) sites, centre first."""
     sites: list[tuple[int, float, float, float]] = []
     for q in range(-rings, rings + 1):
         for r in range(-rings, rings + 1):
@@ -59,41 +57,32 @@ def hex_site_positions(rings: int, isd_m: float) -> tuple[Position, ...]:
             y = isd_m * (math.sqrt(3.0) / 2.0) * r
             sites.append((ring, math.atan2(y, x) % (2.0 * math.pi), x, y))
     sites.sort(key=lambda t: (t[0], t[1]))
-    return tuple(Position(x, y) for _, _, x, y in sites)
+    return np.array([(x, y) for _, _, x, y in sites])
 
 
-def drop_users(
-    sites: Sequence[Position], cfg: RunConfig, rng: np.random.Generator
-) -> list[Position]:
+def drop_users(site_xy: np.ndarray, cfg: RunConfig, rng: np.random.Generator) -> np.ndarray:
     """Drop ``per_sector_users`` users uniformly in each sector's annular wedge.
 
     Radii span [10 m, isd/2] with uniform density in area; azimuths stay
-    inside the sector's 120-degree arc around its boresight.
+    inside the sector's 120-degree arc around its boresight.  Returns (U, 2)
+    positions site by site, then sector by sector; each user draws its
+    squared radius, then its azimuth offset.
     """
-    r_lo = MIN_DROP_RADIUS_M
-    r_hi = cfg.isd_m / 2.0
-    users: list[Position] = []
     half = SECTOR_WIDTH_DEG / 2.0
-    for site in sites:
-        for boresight in BORESIGHTS_DEG:
-            for _ in range(cfg.per_sector_users):
-                radius = math.sqrt(rng.uniform(r_lo**2, r_hi**2))
-                azim = math.radians(boresight + rng.uniform(-half, half))
-                users.append(
-                    Position(
-                        site.x + radius * math.cos(azim),
-                        site.y + radius * math.sin(azim),
-                    )
-                )
-    return users
+    draws = rng.uniform(
+        (MIN_DROP_RADIUS_M**2, -half), ((cfg.isd_m / 2.0) ** 2, half),
+        (len(site_xy), SECTORS_PER_SITE, cfg.per_sector_users, 2),
+    )
+    radius = np.sqrt(draws[..., 0])
+    azim = np.radians(np.asarray(BORESIGHTS_DEG)[:, None] + draws[..., 1])
+    offset = np.stack([radius * np.cos(azim), radius * np.sin(azim)], axis=-1)
+    return (site_xy[:, None, None] + offset).reshape(-1, 2)
 
 
 def sector_gain_matrix(
     site_xy: np.ndarray, cfg: RunConfig, user_xy: np.ndarray, *, clamp: bool = False
 ) -> np.ndarray:
-    """Channel gain from every (site, sector) to every user, shape (B, S, U),
-    for sites and users at the planar positions ``site_xy`` (B, 2) and
-    ``user_xy`` (U, 2).
+    """Channel gain from every (site, sector) to every user, shape (B, S, U).
 
     The antenna pattern is ideal: full transmit gain inside the sector's arc
     and a flat backlobe attenuation outside it.  With ``clamp`` the distance
@@ -185,19 +174,20 @@ class StepContext:
     """Frozen physics of one time step, shared by every candidate evaluation.
 
     It takes only what it cannot derive, so a hand-built context cannot
-    contradict itself.  Construction derives from ``sched_site`` and
-    ``site_to_user_gain`` the site count ``n_sites``; ``phi``, 1 for each
-    site serving a scheduled user and 0 for a sleeping one; ``active_sites``,
-    the former; and ``own_gain[u]``, the gain of user u's own site towards it
-    (all of that site's active sectors), the diagonal of
-    ``site_to_user_gain`` along ``sched_site``.  It then evaluates every
+    contradict itself: the run's ``cfg``, the power set in dBW and in watts,
+    the scheduled users with their sites, gains and pending volumes, and each
+    station's power before this step, ``prior_power_w``, from which
+    ``features`` are computed when first read.  Construction derives from
+    ``sched_site`` and ``site_to_user_gain`` the site count ``n_sites``;
+    ``phi``, 1 for each site serving a scheduled user and 0 for a sleeping
+    one; ``active_sites``, the former; and ``own_gain[u]``, the gain of user
+    u's own site towards it (all of that site's active sectors), the diagonal
+    of ``site_to_user_gain`` along ``sched_site``.  It then evaluates every
     station at the top level once: that is ``full_power``, whose site rates
     are ``ref_rate_bps`` and whose rate deltas are therefore zero.
-    ``prior_power_w`` holds each station's power before this step, from
-    which ``features`` are computed when first read.
     """
 
-    t: int
+    cfg: RunConfig
     power_levels_dbw: np.ndarray
     power_levels_w: np.ndarray
     sched_users: np.ndarray
@@ -206,11 +196,6 @@ class StepContext:
     site_to_user_gain: np.ndarray
     residual_bits: np.ndarray
     prior_power_w: np.ndarray
-    noise_w: float
-    bandwidth_hz: float
-    slot_s: float
-    volume_scale_bits: float
-    rsrp_floor_dbw: float
     n_sites: int = field(init=False)
     phi: np.ndarray = field(init=False, repr=False)
     active_sites: np.ndarray = field(init=False)
@@ -251,7 +236,9 @@ class StepContext:
         power_idx = np.asarray(power_idx)
         return self._outcome(power_idx, *self._rates(power_idx))
 
-    # One joint assignment of shape (B,), without a candidate axis.
+    # No slot calls this one-plan name; perfbench/child.py traces it by name
+    # (TRACE_POINTS) and tests call it.  It goes once perfbench reads the
+    # run's summary.json instead of patching names (ROADMAP item 1).
     evaluate = evaluate_many
 
     def _rates(self, power_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,8 +246,9 @@ class StepContext:
         power_w = self.power_levels_w.take(power_idx) * self.phi
         total = power_w @ self.site_to_user_gain
         site_w = power_w.take(self.sched_site, axis=-1)
-        snr = site_w * self.serving_gain / (total - site_w * self.own_gain + self.noise_w)
-        rates = self.bandwidth_hz * np.log2(1.0 + snr)
+        noise_w = dbw_to_watts(self.cfg.noise_dbw)
+        snr = site_w * self.serving_gain / (total - site_w * self.own_gain + noise_w)
+        rates = self.cfg.bandwidth_hz * np.log2(1.0 + snr)
         bins = self.sched_site
         if power_idx.ndim == 2:
             # Row k's users land in bins k*B + site, summed in column order.
@@ -298,7 +286,7 @@ class StepContext:
 
     def drained_residual(self, ev: StepEval) -> np.ndarray:
         """Pending volume of each scheduled user after serving one slot."""
-        return np.maximum(self.residual_bits - ev.user_rates_bps * self.slot_s, 0.0)
+        return np.maximum(self.residual_bits - ev.user_rates_bps * SLOT_S, 0.0)
 
     def next_features(self, ev: StepEval) -> np.ndarray:
         """Per-site (volume, RSRP) features after applying ``ev``, shape (B, 2)."""
@@ -312,9 +300,9 @@ class StepContext:
         volume_b = np.bincount(site, weights=residual, minlength=self.n_sites)[act]
         rsrp_u = power_w[site] * self.serving_gain
         rsrp_b = np.bincount(site, weights=rsrp_u, minlength=self.n_sites)[act]
-        feats[act, 0] = volume_b / self.volume_scale_bits
+        feats[act, 0] = volume_b / self.cfg.volume_hi_bits
         rsrp_dbw = 10.0 * np.log10(rsrp_b / self._sched_counts)
-        feats[act, 1] = (rsrp_dbw - self.rsrp_floor_dbw) / -self.rsrp_floor_dbw
+        feats[act, 1] = (rsrp_dbw - self.cfg.noise_dbw) / -self.cfg.noise_dbw
         return feats
 
 
@@ -322,24 +310,18 @@ class Scenario:
     """Mutable simulation state plus the machinery to freeze each step.
 
     It is built from the site positions, the config and the user positions,
-    and raises ``ValidationError`` for no sites or no users; the power set
-    is the config's, from which the learners size their actions.  Users
-    move only under ``waypoint`` mobility, at ``user_speed_mps``.
+    keeps copies of both arrays, and raises ``ValidationError`` for no sites,
+    no users or coordinates not shaped (N, 2); the power set is the config's,
+    from which the learners size their actions.  Users move only under
+    ``waypoint`` mobility, at ``user_speed_mps``.
     """
 
-    def __init__(
-        self, sites: Sequence[Position], cfg: RunConfig, user_positions: Sequence[Position]
-    ) -> None:
+    def __init__(self, site_xy: np.ndarray, cfg: RunConfig, user_xy: np.ndarray) -> None:
         self.cfg = cfg
-        self.n_sites = len(sites)
-        if self.n_sites == 0:
-            raise ValidationError("a scenario needs at least one site")
-        self.n_users = len(user_positions)
-        if self.n_users == 0:
-            raise ValidationError("a scenario needs at least one user")
-        self.site_xy = np.array([[p.x, p.y] for p in sites])
+        self.site_xy = _planar(site_xy, "site")
+        self.user_xy = _planar(user_xy, "user")
+        self.n_sites, self.n_users = len(self.site_xy), len(self.user_xy)
         self.user_speed_mps = cfg.user_speed_mps if cfg.mobility == "waypoint" else 0.0
-        self.user_xy = np.array([[p.x, p.y] for p in user_positions])
         # Moving users' gains are computed per slot instead (see build_step).
         self.gains = sector_gain_matrix(self.site_xy, cfg, self.user_xy)
         # Each user attaches to the (site, sector) with the strongest full-power
@@ -421,7 +403,7 @@ class Scenario:
             ].T
 
         return StepContext(
-            t=self.t,
+            cfg=self.cfg,
             power_levels_dbw=self.power_levels_dbw,
             power_levels_w=self.power_levels_w,
             sched_users=sched_users,
@@ -430,11 +412,6 @@ class Scenario:
             site_to_user_gain=site_to_user,
             residual_bits=self.residual_bits[sched_users],
             prior_power_w=self.power_levels_w[self.current_power_idx],
-            noise_w=dbw_to_watts(self.cfg.noise_dbw),
-            bandwidth_hz=self.cfg.bandwidth_hz,
-            slot_s=SLOT_S,
-            volume_scale_bits=self.cfg.volume_hi_bits,
-            rsrp_floor_dbw=self.cfg.noise_dbw,
         )
 
     def apply(self, ctx: StepContext, ev: StepEval, rng: np.random.Generator) -> None:
@@ -473,3 +450,13 @@ class Scenario:
         return anchors + np.stack(
             [radius * np.cos(theta), radius * np.sin(theta)], axis=1
         )
+
+
+def _planar(xy: np.ndarray, what: str) -> np.ndarray:
+    """A float copy of ``xy``, which must be a non-empty (N, 2) array."""
+    xy = np.array(xy, dtype=float)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValidationError(f"{what} coordinates must be shaped (N, 2), got {xy.shape}")
+    if not len(xy):
+        raise ValidationError(f"a scenario needs at least one {what}")
+    return xy

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from ranpower.config import RunConfig
-from ranpower.radio import Position
 from ranpower.scenario import Scenario, StepEval, drop_users, hex_site_positions
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_three_site.json"
@@ -24,7 +23,7 @@ GOLDEN_PATH = Path(__file__).parent / "data" / "golden_three_site.json"
 
 @pytest.fixture
 def single_site():
-    return (Position(0.0, 0.0),)
+    return np.zeros((1, 2))
 
 
 @pytest.fixture
@@ -34,7 +33,7 @@ def three_site():
     Small enough for exhaustive enumeration, asymmetric enough that the
     stations interfere with each other at different strengths.
     """
-    return (Position(0.0, 0.0), Position(500.0, 0.0), Position(250.0, 433.0))
+    return np.array([[0.0, 0.0], [500.0, 0.0], [250.0, 433.0]])
 
 
 def make_scenario(sites, seed=0, **overrides):
@@ -61,7 +60,6 @@ def three_site_scenario(three_site):
 
 def build_golden_scenario(inputs):
     """Rebuild the frozen three-station fixture from its recorded inputs."""
-    sites = [Position(x, y) for x, y in inputs["sites_xy"]]
     cfg = RunConfig(
         p_max_dbw=inputs["p_max_dbw"],
         delta_p_max_db=inputs["delta_p_max_db"],
@@ -75,8 +73,7 @@ def build_golden_scenario(inputs):
         bs_height_m=inputs["site_height_m"],
         user_height_m=inputs["user_height_m"],
     )
-    users = [Position(x, y) for x, y in inputs["users_xy"]]
-    scn = Scenario(sites, cfg, users)
+    scn = Scenario(np.array(inputs["sites_xy"]), cfg, np.array(inputs["users_xy"]))
     scn.residual_bits[:] = 1e6
     scn.arrival_step[:] = 0
     return scn

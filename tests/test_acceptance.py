@@ -17,7 +17,7 @@ import pytest
 from ranpower.agents import DqnAgent, _check_accepted, exhaustive_oracle
 from ranpower.config import RunConfig
 from ranpower.errors import InvariantViolation
-from ranpower.radio import Position, dbw_to_watts, watts_to_dbw
+from ranpower.radio import dbw_to_watts, watts_to_dbw
 from ranpower.rl import empirical_policy_prob, minibatch_targets
 from ranpower.runner import make_streams, run
 from ranpower.scenario import Scenario, StepEval
@@ -47,12 +47,8 @@ THREE_STATION_CFG = RunConfig(n_power_levels=4)
 
 def three_station_scenario():
     """Three stations, one pinned static user each."""
-    sites = (Position(0.0, 0.0), Position(500.0, 0.0), Position(250.0, 433.0))
-    users = [
-        Position(80.0, 30.0),
-        Position(560.0, 40.0),
-        Position(180.0, 460.0),
-    ]
+    sites = np.array([[0.0, 0.0], [500.0, 0.0], [250.0, 433.0]])
+    users = np.array([[80.0, 30.0], [560.0, 40.0], [180.0, 460.0]])
     return Scenario(sites, THREE_STATION_CFG, users)
 
 
@@ -320,7 +316,7 @@ def test_criterion_10_single_episode_physics():
         and ev.network_ee == pytest.approx(want["network_ee"], rel=rel)
         and ctx.ref_rate_bps == pytest.approx(golden["reference"]["user_rate_bps"], rel=rel)
     )
-    snr = 2.0 ** (ev.user_rates_bps / ctx.bandwidth_hz) - 1.0
+    snr = 2.0 ** (ev.user_rates_bps / ctx.cfg.bandwidth_hz) - 1.0
     ok &= snr == pytest.approx(want["snr"], rel=1e-6)
 
     decl = golden["uniform_min_decline"]

@@ -514,20 +514,6 @@ def test_agents_never_accept_negative_delta_sums(loaded_ctx):
     assert np.all(dqn.memory.r[: len(dqn.memory)] >= 0.0)
 
 
-def test_agent_constructor_validation():
-    """The values the agents' own checks rejected before they read the run
-    config: the config rejects them as it is built, before any agent."""
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValidationError, match="'search_iters'"):
-        DqnAgent(RunConfig(search_iters=0), rng, rng, rng)
-    with pytest.raises(ValidationError, match="'search_iters'"):
-        QLearningAgent(RunConfig(search_iters=0), rng)
-    with pytest.raises(ValidationError, match="'q_bins'"):
-        QLearningAgent(RunConfig(q_bins=1), rng)
-    with pytest.raises(ValidationError, match="'q_alpha'"):
-        QLearningAgent(RunConfig(q_alpha=1.5), rng)
-
-
 def test_exhaustive_oracle_matches_hand_enumeration(loaded_ctx, monkeypatch):
     """A per-plan evaluate loop is the reference; any chunking of the batched
     enumeration must give its result."""

@@ -81,7 +81,7 @@ def test_chosen_assignment_physics_match(golden, ctx):
     want = golden["chosen"]
     ev = step.evaluate(np.asarray(golden["inputs"]["chosen_power_idx"]))
     assert ev.power_dbw == pytest.approx(want["power_dbw"], rel=1e-12)
-    snr = 2.0 ** (ev.user_rates_bps / step.bandwidth_hz) - 1.0
+    snr = 2.0 ** (ev.user_rates_bps / step.cfg.bandwidth_hz) - 1.0
     assert snr == pytest.approx(want["snr"], rel=1e-6)
     assert ev.user_rates_bps == pytest.approx(want["user_rate_bps"], rel=REL)
     assert ev.rate_bps == pytest.approx(want["site_rate_bps"], rel=REL)

@@ -24,7 +24,6 @@ from ranpower.radio import (
 )
 from ranpower.scenario import StepContext, StepEval, sector_gain_matrix
 
-NOISE_W = 10**-12.5
 # Sites 0 and 2 serve users 0 and 1 at 2e-10 and hear each other at 5e-11;
 # site 1 serves nobody, so it sleeps, though its gains are the largest.
 GAIN = [[2e-10, 5e-11], [1e-6, 1e-6], [5e-11, 2e-10]]
@@ -36,21 +35,20 @@ RATE_BPS = 23211984.19396464
 TOP_RATE_BPS = 23216506.14769019
 
 
-def hand_step(gain=GAIN, sched_site=SCHED_SITE, noise_w=NOISE_W):
+def hand_step(gain=GAIN, sched_site=SCHED_SITE, noise_dbw=-125.0):
     """A frozen step: ``gain[b][u]`` from site b to user u, user u served by
     site ``sched_site[u]`` with all of that site's gain, sites serving nobody
-    asleep, and the power levels 10 and 14.2 dBW over 10 MHz."""
+    asleep, and the power levels 10 and 14.2 dBW over the default 10 MHz."""
     gain = np.asarray(gain, dtype=float)
     sched_site = np.asarray(sched_site)
     n_sites, n_users = gain.shape
     levels = np.array([10.0, 14.2])
     return StepContext(
-        t=0, power_levels_dbw=levels, power_levels_w=10.0 ** (levels / 10.0),
+        cfg=RunConfig(noise_dbw=noise_dbw),
+        power_levels_dbw=levels, power_levels_w=10.0 ** (levels / 10.0),
         sched_users=np.arange(n_users), sched_site=sched_site,
         serving_gain=gain[sched_site, np.arange(n_users)], site_to_user_gain=gain,
-        residual_bits=np.full(n_users, 1e5),
-        prior_power_w=np.zeros(n_sites), noise_w=noise_w, bandwidth_hz=1e7,
-        slot_s=1e-3, volume_scale_bits=2e5, rsrp_floor_dbw=-125.0,
+        residual_bits=np.full(n_users, 1e5), prior_power_w=np.zeros(n_sites),
     )
 
 
@@ -255,9 +253,9 @@ def test_network_ee_permutation_invariant(perm, levels):
 
 
 def test_ee_decreases_when_only_power_rises():
-    """Without noise, raising every site one level leaves each SINR and rate
-    as it was, so every link's efficiency falls."""
-    ctx = hand_step(noise_w=0.0)
+    """Without noise (-1000 dBW, 1e-100 W), raising every site one level
+    leaves each SINR and rate as it was, so every link's efficiency falls."""
+    ctx = hand_step(noise_dbw=-1000.0)
     low, high = lowest_level(ctx), ctx.evaluate(np.ones(3, dtype=int))
     assert high.rate_bps == pytest.approx(low.rate_bps, rel=1e-12)
     assert np.all(high.link_ee[[0, 2]] < low.link_ee[[0, 2]])

@@ -14,7 +14,6 @@ from ranpower.cli import main
 from ranpower.config import RunConfig
 from ranpower.errors import ValidationError
 from ranpower.metrics import BLOCK_SLOTS, CSV_COLUMNS, MetricsAccumulator, format_row
-from ranpower.radio import Position
 from ranpower.runner import (
     STREAM_NAMES,
     make_streams,
@@ -112,7 +111,7 @@ def test_every_config_entry_rejects_an_invalid_config(tmp_path, entry, key, valu
     rng = np.random.default_rng(0)
     out = tmp_path / "out"
     build = {
-        "Scenario": lambda cfg: Scenario([Position(0.0, 0.0)], cfg, [Position(100.0, 0.0)]),
+        "Scenario": lambda cfg: Scenario(np.zeros((1, 2)), cfg, np.array([[100.0, 0.0]])),
         "DqnAgent": lambda cfg: DqnAgent(cfg, rng, rng, rng),
         "QLearningAgent": lambda cfg: QLearningAgent(cfg, rng),
         "run": lambda cfg: run(cfg, out),

@@ -14,8 +14,8 @@ from ranpower.config import RunConfig
 from ranpower.errors import ValidationError
 from ranpower.radio import (
     MIN_DISTANCE_M,
+    MIN_DROP_RADIUS_M,
     SPEED_OF_LIGHT_M_S,
-    Position,
     dbw_to_watts,
 )
 from ranpower.scenario import (
@@ -55,30 +55,59 @@ def test_hex_ring_counts():
 
 def test_hex_centre_first_and_ring_distances():
     sites = hex_site_positions(1, 500.0)
-    assert (sites[0].x, sites[0].y) == (0.0, 0.0)
-    for site in sites[1:]:
-        assert math.hypot(site.x, site.y) == pytest.approx(500.0, rel=1e-12)
+    assert sites.shape == (7, 2) and sites.dtype == np.float64
+    assert sites[0].tolist() == [0.0, 0.0]
+    assert np.hypot(sites[1:, 0], sites[1:, 1]) == pytest.approx([500.0] * 6, rel=1e-12)
 
 
 def test_hex_positions_are_distinct():
     sites = hex_site_positions(2, 500.0)
-    coords = {(round(p.x, 6), round(p.y, 6)) for p in sites}
-    assert len(coords) == 19
+    assert len(np.unique(sites.round(6), axis=0)) == 19
 
 
 def test_drop_users_counts_and_annulus(single_site):
     rng = np.random.default_rng(4)
     users = drop_users(single_site, RunConfig(per_sector_users=2), rng)
-    assert len(users) == 6
-    for u in users:
-        r = math.hypot(u.x, u.y)
-        assert 10.0 <= r <= 250.0
+    assert users.shape == (6, 2)
+    r = np.hypot(users[:, 0], users[:, 1])
+    assert np.all((10.0 <= r) & (r <= 250.0))
 
 
 def test_drop_users_deterministic(single_site):
     a = drop_users(single_site, DEFAULTS, np.random.default_rng(9))
     b = drop_users(single_site, DEFAULTS, np.random.default_rng(9))
-    assert [(p.x, p.y) for p in a] == [(p.x, p.y) for p in b]
+    assert a.tobytes() == b.tobytes()
+
+
+def reference_drop(site_xy, cfg, rng):
+    """The per-user scalar loop that ``drop_users`` replaced: site by site,
+    sector by sector, each user drawing its squared radius, then its azimuth
+    offset."""
+    r_lo, r_hi = MIN_DROP_RADIUS_M, cfg.isd_m / 2.0
+    half = SECTOR_WIDTH_DEG / 2.0
+    users = []
+    for x, y in site_xy.tolist():
+        for boresight in BORESIGHTS_DEG:
+            for _ in range(cfg.per_sector_users):
+                radius = math.sqrt(rng.uniform(r_lo**2, r_hi**2))
+                azim = math.radians(boresight + rng.uniform(-half, half))
+                users.append((x + radius * math.cos(azim), y + radius * math.sin(azim)))
+    return np.array(users)
+
+
+@pytest.mark.parametrize("rings", [0, 1, 2])
+@pytest.mark.parametrize("per_sector_users", [1, 2, 3])
+def test_drop_users_matches_the_scalar_loop_bit_for_bit(rings, per_sector_users):
+    """One whole-array draw gives the loop's positions, and leaves the
+    generator where the loop leaves it."""
+    cfg = RunConfig(rings=rings, per_sector_users=per_sector_users)
+    sites = hex_site_positions(rings, cfg.isd_m)
+    for seed in range(6):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = drop_users(sites, cfg, got_rng), reference_drop(sites, cfg, want_rng)
+        assert got.shape == want.shape == (len(sites) * 3 * per_sector_users, 2)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.random() == want_rng.random()
 
 
 def test_sector_gain_boresight_and_backlobe():
@@ -144,7 +173,7 @@ def remainder_gain_matrix(site_xy, cfg, user_xy):
     return TX_GAIN * pattern * path[:, None, :] * RX_GAIN, in_arc
 
 
-NINETEEN_SITES_XY = np.array([[p.x, p.y] for p in hex_site_positions(2, DEFAULTS.isd_m)])
+NINETEEN_SITES_XY = hex_site_positions(2, DEFAULTS.isd_m)
 
 
 @settings(max_examples=100, deadline=None)
@@ -180,10 +209,25 @@ def test_sector_gain_matches_remainder_and_puts_each_user_in_one_arc(seed):
 
 
 def test_association_picks_nearest_site(three_site):
-    users = [Position(40.0, 0.0), Position(480.0, 10.0)]
+    users = np.array([[40.0, 0.0], [480.0, 10.0]])
     scn = Scenario(three_site, RunConfig(n_power_levels=4), users)
     assert scn.serving_site.tolist() == [0, 1]
     assert 0 <= scn.serving_sector[0] < 3
+
+
+def test_scenario_moves_its_own_copy_of_the_users(three_site):
+    """Waypoint users move in the scenario's array, never in the caller's."""
+    cfg = RunConfig(n_power_levels=4, mobility="waypoint", user_speed_mps=5000.0)
+    site_xy = three_site.copy()
+    user_xy = drop_users(three_site, cfg, np.random.default_rng(11))
+    given = user_xy.copy()
+    scn = Scenario(three_site, cfg, user_xy)
+    scn.residual_bits[:] = 1e5
+    ctx = scn.build_step()
+    scn.apply(ctx, ctx.evaluate(np.zeros(ctx.n_sites, dtype=int)), np.random.default_rng(3))
+    assert np.any(scn.user_xy != given)
+    assert user_xy.tobytes() == given.tobytes()
+    assert three_site.tobytes() == site_xy.tobytes()
 
 
 def test_arrival_probability_modulation():
@@ -249,8 +293,8 @@ def test_evaluate_against_scalar_oracle(three_site_scenario):
                 interference += (
                     dbw_to_watts(levels[idx[other]]) * ctx.site_to_user_gain[other, k]
                 )
-        snr = serving / (interference + ctx.noise_w)
-        rates[site] += ctx.bandwidth_hz * math.log2(1.0 + snr)
+        snr = serving / (interference + dbw_to_watts(ctx.cfg.noise_dbw))
+        rates[site] += ctx.cfg.bandwidth_hz * math.log2(1.0 + snr)
 
     assert ev.rate_bps == pytest.approx(rates, rel=1e-12)
     for b in range(ctx.n_sites):
@@ -335,7 +379,7 @@ def test_sleeping_site_is_masked(three_site_scenario):
     # no interference from sleepers: per-user SNR uses serving power alone
     k = 0
     serving = ctx.power_levels_w[0] * ctx.serving_gain[k]
-    expected = ctx.bandwidth_hz * math.log2(1.0 + serving / ctx.noise_w)
+    expected = ctx.cfg.bandwidth_hz * math.log2(1.0 + serving / dbw_to_watts(ctx.cfg.noise_dbw))
     assert ev.user_rates_bps[k] == pytest.approx(expected, rel=1e-12)
 
 
@@ -344,7 +388,7 @@ def test_drain_and_conservation(three_site_scenario):
     ctx = manual_step(scn, [2.5e5] * scn.n_users)
     ev = ctx.evaluate(np.full(ctx.n_sites, ctx.n_levels - 1))
     drained = ctx.drained_residual(ev)
-    manual = np.maximum(ctx.residual_bits - ev.user_rates_bps * ctx.slot_s, 0.0)
+    manual = np.maximum(ctx.residual_bits - ev.user_rates_bps * SLOT_S, 0.0)
     assert drained == pytest.approx(manual, rel=1e-12)
 
 
@@ -436,10 +480,10 @@ def test_schedule_is_fifo_within_sector(three_site):
 def test_apply_advances_state(three_site_scenario):
     scn = three_site_scenario
     ctx = manual_step(scn, [1e4] * scn.n_users)
-    before_idx = scn.current_power_idx.copy()
+    before_idx, before_t = scn.current_power_idx.copy(), scn.t
     ev = ctx.evaluate(np.zeros(ctx.n_sites, dtype=int))
     scn.apply(ctx, ev, np.random.default_rng(0))
-    assert scn.t == ctx.t + 1
+    assert scn.t == before_t + 1
     assert np.all(scn.current_power_idx[ctx.active_sites] == 0)
     sleepers = np.flatnonzero(ctx.phi == 0.0)
     assert np.all(scn.current_power_idx[sleepers] == before_idx[sleepers])

@@ -44,7 +44,10 @@ DESK_DQN = {"rings": 1, "per_sector_users": 2, "agent": "dqn", "search_iters": 1
 # layers.  The 37-site sleep run gives the metrics columns their widest row
 # sums.  The 37-site DQN search rates batches whose rows' bits depend on
 # their batch mates, so its bytes hold only while the same rows share a
-# batch: it is the shape a change to the search would move first.
+# batch: it is the shape a change to the search would move first.  The
+# single-site DQN drops three users into each sector of one site, the one
+# case of the user drop that no other shape reaches (every other shape has at
+# least 7 sites and at most 2 users per sector).
 SHAPES = {
     "paper-dqn-search": {**PAPER_DQN, "episodes": 600},
     "desk-dqn-train": {**DESK_DQN, "episodes": 800},
@@ -65,6 +68,8 @@ SHAPES = {
                       "sync_interval": 3, "replay_capacity": 400, "episodes": 400},
     "wide-sleep": {"rings": 3, "agent": "sleep", "episodes": 2000},
     "wide-dqn": {"rings": 3, "agent": "dqn", "search_iters": 100, "episodes": 300},
+    "single-site": {"rings": 0, "per_sector_users": 3, "agent": "dqn", "search_iters": 10,
+                    "train_interval": 5, "episodes": 600},
 }
 OUTPUTS = ("metrics.csv", "weights.bin")
 
