@@ -13,9 +13,8 @@ each by its summed action values, and rate them best-first in batched
 evaluations, so every station's SINR reflects the others' draws: the
 top-scored few first, the rest only when none of those is feasible.  A
 candidate is feasible when its summed rate deltas stay non-negative; the
-search accepts the feasible candidate with the largest score (at 7 and 19
-sites the one rating all K together would; not at 37, where a row's bits
-depend on its batch mates), or keeps full power when none is.  The oracle
+search accepts the feasible candidate with the largest score, the one
+rating all K together would, or keeps full power when none is.  The oracle
 picks from its enumeration with the same mask-and-argmax, scored by
 efficiency.  Only the accepted candidate touches the environment or the
 learners, and its network efficiency is their reward.
@@ -118,11 +117,8 @@ def _search(
     ones (a stable sort, so ties stay in index order) in one batch, and the
     rest in a second batch only when the head holds no feasible one.  Every
     candidate outside the head scores no higher, and ties there come later,
-    so the first chunk holding a feasible candidate picks what rating all K
-    together would, bit for bit at 7 and 19 sites: there a batch of two or
-    more rows rates each row the same whichever rows share it, which does
-    not hold at 37 sites.  One row alone may round differently, so the rest
-    is never a single row; when it would be, the head takes all K.
+    and a row rates the same bits in any batch, so the first chunk holding a
+    feasible candidate picks what rating all K together would.
     """
     active = ctx.active_sites
     n_actions = qrows.shape[1]
@@ -132,13 +128,12 @@ def _search(
     picks = np.where(explore, random_levels, greedy)
     scores = qrows[active, picks].sum(axis=1)
     order = np.argsort(-scores, kind="stable")
-    head = SEARCH_HEAD if n_iterations - SEARCH_HEAD >= 2 else n_iterations
-    for chunk in (order[:head], order[head:]):
+    for chunk in (order[:SEARCH_HEAD], order[SEARCH_HEAD:]):
         if not chunk.size:
             break
         idx = np.full((chunk.size, ctx.n_sites), ctx.n_levels - 1, dtype=int)
         idx[:, active] = picks[chunk]
-        evs = ctx.evaluate_many(idx)
+        evs = ctx.evaluate(idx)
         best = _best_feasible(evs, scores[chunk])
         if best is not None:
             ev = evs.row(best)
@@ -283,7 +278,7 @@ def exhaustive_oracle(ctx: StepContext) -> tuple[np.ndarray, float]:
         plans = np.arange(start, min(start + ORACLE_CHUNK, n_nodes))
         idx = np.full((plans.size, ctx.n_sites), ctx.n_levels - 1, dtype=int)
         idx[:, active] = np.stack(np.unravel_index(plans, shape), axis=1)
-        evs = ctx.evaluate_many(idx)
+        evs = ctx.evaluate(idx)
         k = _best_feasible(evs, evs.network_ee)
         if k is not None and evs.network_ee[k] > best_ee:
             best_idx, best_ee = idx[k].copy(), evs.network_ee[k]

@@ -10,8 +10,10 @@ Subcommands:
 Exit codes: 0 on success, 1 for bad input (an unreadable config file, or a
 ``ValidationError``: a config that does not parse or validate, a ``--vary``
 key or value given twice, a bad worker count, an oracle grid beyond the
-oracle's cap), 2 for runtime failures, an ``InvariantViolation`` among them.
-Bad input is rejected before anything is written.
+oracle's cap), 2 for runtime failures: a ``RanPowerError`` such as an
+``InvariantViolation``, an ``OSError``, or any other exception a subcommand
+raises (a ``MemoryError``, say), each reported as one ``runtime error:``
+line without a traceback.  Bad input is rejected before anything is written.
 """
 
 from __future__ import annotations
@@ -125,6 +127,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (RanPowerError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # not the library's own: name the type, its message may be empty
+        print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -8,9 +8,9 @@ A :class:`Scenario` owns the mutable simulation state (pending volumes,
 current power levels, user positions).  Each time step it freezes the
 physics into a :class:`StepContext`: which users are scheduled and the gain
 of every site towards every scheduled user, from which the context derives,
-as it is built, the active sites and the full-power assignment whose rates
-are the reference.  Agents then rate candidate joint power assignments
-against that frozen context without touching the scenario; one
+as it is built, the active sites.  Agents then rate candidate joint power
+assignments against that frozen context without touching the scenario, each
+against the full-power assignment, whose rates are the reference; one
 :class:`StepEval` holds the outcome of one assignment, or of a batch with a
 leading candidate axis.  The runner applies exactly one accepted assignment
 per step.
@@ -151,7 +151,6 @@ class StepEval:
     power_dbw: np.ndarray
     user_rates_bps: np.ndarray
     rate_bps: np.ndarray
-    rate_delta_bps: np.ndarray
     rate_delta_sum: float | np.ndarray
     link_ee: np.ndarray
     network_ee: float | np.ndarray
@@ -162,7 +161,6 @@ class StepEval:
             power_dbw=self.power_dbw[k],
             user_rates_bps=self.user_rates_bps[k],
             rate_bps=self.rate_bps[k],
-            rate_delta_bps=self.rate_delta_bps[k],
             rate_delta_sum=float(self.rate_delta_sum[k]),
             link_ee=self.link_ee[k],
             network_ee=float(self.network_ee[k]),
@@ -177,14 +175,13 @@ class StepContext:
     contradict itself: the run's ``cfg``, the power set in dBW and in watts,
     the scheduled users with their sites, gains and pending volumes, and each
     station's power before this step, ``prior_power_w``, from which
-    ``features`` are computed when first read.  Construction derives from
-    ``sched_site`` and ``site_to_user_gain`` the site count ``n_sites``;
-    ``phi``, 1 for each site serving a scheduled user and 0 for a sleeping
-    one; ``active_sites``, the former; and ``own_gain[u]``, the gain of user
-    u's own site towards it (all of that site's active sectors), the diagonal
-    of ``site_to_user_gain`` along ``sched_site``.  It then evaluates every
-    station at the top level once: that is ``full_power``, whose site rates
-    are ``ref_rate_bps`` and whose rate deltas are therefore zero.
+    ``features`` are computed when first read.  Construction keeps a
+    C-ordered copy of ``site_to_user_gain`` (the layout the rates are summed
+    in) and derives from ``sched_site`` and that gain the site count
+    ``n_sites``; ``phi``, 1 for each site serving a scheduled user and 0 for
+    a sleeping one; ``active_sites``, the former; and ``own_gain[u]``, the
+    gain of user u's own site towards it (all of that site's active
+    sectors), the diagonal of ``site_to_user_gain`` along ``sched_site``.
     """
 
     cfg: RunConfig
@@ -200,22 +197,17 @@ class StepContext:
     phi: np.ndarray = field(init=False, repr=False)
     active_sites: np.ndarray = field(init=False)
     own_gain: np.ndarray = field(init=False, repr=False)
-    ref_rate_bps: np.ndarray = field(init=False, repr=False)
-    full_power: StepEval = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n_sites, n_users = self.site_to_user_gain.shape
+        gain = np.ascontiguousarray(self.site_to_user_gain)
+        n_sites, n_users = gain.shape
         phi = np.zeros(n_sites)
         phi[self.sched_site] = 1.0
-        own_gain = self.site_to_user_gain[self.sched_site, np.arange(n_users)]
+        object.__setattr__(self, "site_to_user_gain", gain)
         object.__setattr__(self, "n_sites", n_sites)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "active_sites", phi.nonzero()[0])
-        object.__setattr__(self, "own_gain", own_gain)
-        full = np.full(n_sites, self.n_levels - 1)
-        rates, rate_b = self._rates(full)
-        object.__setattr__(self, "ref_rate_bps", rate_b)
-        object.__setattr__(self, "full_power", self._outcome(full, rates, rate_b))
+        object.__setattr__(self, "own_gain", gain[self.sched_site, np.arange(n_users)])
 
     @property
     def n_levels(self) -> int:
@@ -225,54 +217,60 @@ class StepContext:
     def any_active(self) -> bool:
         return bool(self.active_sites.size)
 
-    def evaluate_many(self, power_idx: np.ndarray) -> StepEval:
-        """Rates, deltas and efficiencies of one joint assignment of shape
-        (B,), or of K at once of shape (K, B): one (K, B) @ (B, U)
-        interference product for all.
+    @functools.cached_property
+    def full_power(self) -> StepEval:
+        """Every station at the top level: the reference, rated alone, whose
+        rate deltas are zero.  It is the first row of every :meth:`evaluate`
+        batch, bit for bit."""
+        full = self._full_plan()
+        rates, rate_b = self._rates(full)
+        return self._outcome(full, rates, rate_b, rate_b[0]).row(0)
 
+    def evaluate(self, power_idx: np.ndarray) -> StepEval:
+        """Rates, deltas and efficiencies of one joint assignment of shape
+        (B,), or of K at once of shape (K, B).
+
+        The full-power assignment rides as an extra first row of the batch,
+        and its site rates are the reference the deltas are taken against.
         Sleeping sites neither transmit nor count toward averages regardless
         of the index they carry.
         """
         power_idx = np.asarray(power_idx)
-        return self._outcome(power_idx, *self._rates(power_idx))
+        plans = np.concatenate([self._full_plan(), power_idx.reshape(-1, self.n_sites)])
+        rates, rate_b = self._rates(plans)
+        evs = self._outcome(plans[1:], rates[1:], rate_b[1:], rate_b[0])
+        return evs if power_idx.ndim == 2 else evs.row(0)
 
-    # No slot calls this one-plan name; perfbench/child.py traces it by name
-    # (TRACE_POINTS) and tests call it.  It goes once perfbench reads the
-    # run's summary.json instead of patching names (ROADMAP item 1).
-    evaluate = evaluate_many
+    def _full_plan(self) -> np.ndarray:
+        return np.full((1, self.n_sites), self.n_levels - 1)
 
     def _rates(self, power_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Scheduled users' rates and their sums per site."""
+        """Scheduled users' rates (K, U) and their sums per site (K, B) for K
+        plans (K, B).  Each is a sum in a fixed order, so a row's bits do not
+        depend on which rows share its batch."""
         power_w = self.power_levels_w.take(power_idx) * self.phi
-        total = power_w @ self.site_to_user_gain
+        total = np.einsum("...b,bu->...u", power_w, self.site_to_user_gain)
         site_w = power_w.take(self.sched_site, axis=-1)
         noise_w = dbw_to_watts(self.cfg.noise_dbw)
         snr = site_w * self.serving_gain / (total - site_w * self.own_gain + noise_w)
         rates = self.cfg.bandwidth_hz * np.log2(1.0 + snr)
-        bins = self.sched_site
-        if power_idx.ndim == 2:
-            # Row k's users land in bins k*B + site, summed in column order.
-            bins = bins + self.n_sites * np.arange(len(power_idx))[:, None]
+        # Row k's users land in bins k*B + site, summed in column order.
+        bins = self.sched_site + self.n_sites * np.arange(len(power_idx))[:, None]
         rate_b = np.bincount(
             bins.ravel(), weights=rates.ravel(), minlength=power_idx.size
         ).reshape(power_idx.shape)
         return rates, rate_b
 
-    def _outcome(self, power_idx: np.ndarray, rates: np.ndarray, rate_b: np.ndarray) -> StepEval:
-        """The record of ``power_idx`` from its rates, deltas against ``ref_rate_bps``."""
+    def _outcome(
+        self, power_idx: np.ndarray, rates: np.ndarray, rate_b: np.ndarray, ref_rate_b: np.ndarray
+    ) -> StepEval:
+        """The records of K plans from their rates, deltas against ``ref_rate_b``."""
         power_dbw = self.power_levels_dbw.take(power_idx)
-        rate_delta = self.phi * (self.ref_rate_bps - rate_b)
+        delta_sum = (self.phi * (ref_rate_b - rate_b)).sum(axis=-1)
         link_ee = self.phi * (rate_b / 1e6) / power_dbw
-        delta_sum = rate_delta.sum(axis=-1)
         n_active = self.active_sites.size
-        network_ee = (
-            link_ee.sum(axis=-1) / n_active if n_active else np.zeros(power_idx.shape[:-1])
-        )
-        if power_idx.ndim == 1:
-            delta_sum, network_ee = float(delta_sum), float(network_ee)
-        return StepEval(
-            power_idx, power_dbw, rates, rate_b, rate_delta, delta_sum, link_ee, network_ee
-        )
+        network_ee = link_ee.sum(axis=-1) / n_active if n_active else np.zeros(len(power_idx))
+        return StepEval(power_idx, power_dbw, rates, rate_b, delta_sum, link_ee, network_ee)
 
     @functools.cached_property
     def features(self) -> np.ndarray:
@@ -377,30 +375,25 @@ class Scenario:
         return table.reshape(self.n_users, -1)
 
     def build_step(self) -> StepContext:
-        """Freeze the current step: scheduling, gains and reference rates."""
+        """Freeze the current step: scheduling and gains."""
         sched_users = self._schedule()
         sched_site = self.serving_site[sched_users]
         sched_sector = self.serving_sector[sched_users]
         n_sites = self.n_sites
 
-        # site_to_user is column-major in both paths: the layout picks the BLAS kernel
-        # of ``power_w @ site_to_user``, and a C-ordered one rounds the rates differently.
         if self.user_speed_mps > 0.0:
             gains = sector_gain_matrix(self.site_xy, self.cfg, self.user_xy[sched_users], clamp=True)
             serving_gain = gains[sched_site, sched_sector, np.arange(sched_users.size)]
             sector_active = np.zeros((n_sites, SECTORS_PER_SITE))
             sector_active[sched_site, sched_sector] = 1.0
-            site_to_user = np.add.reduce(
-                gains * sector_active[:, :, None], axis=1,
-                out=np.empty((n_sites, sched_users.size), order="F"),
-            )
+            site_to_user = np.add.reduce(gains * sector_active[:, :, None], axis=1)
         else:
             serving_gain = self.gains[sched_site, sched_sector, sched_users]
             # Each site's active sectors as a bitmask: one user per sector at most.
             mask = np.bincount(sched_site, weights=1 << sched_sector, minlength=n_sites)
             site_to_user = self._subset_gain[
-                sched_users[:, None], mask.astype(np.intp) * n_sites + np.arange(n_sites)
-            ].T
+                sched_users, (mask.astype(np.intp) * n_sites + np.arange(n_sites))[:, None]
+            ]
 
         return StepContext(
             cfg=self.cfg,

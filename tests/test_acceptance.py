@@ -199,7 +199,6 @@ def test_criterion_04_throughput_constraint_soundness(small_dqn_run):
                 power_dbw=np.full(3, 13.2),
                 user_rates_bps=np.zeros(3),
                 rate_bps=np.zeros(3),
-                rate_delta_bps=np.zeros(3),
                 rate_delta_sum=-1.0,
                 link_ee=np.zeros(3),
                 network_ee=0.0,
@@ -314,7 +313,7 @@ def test_criterion_10_single_episode_physics():
         and ev.rate_bps == pytest.approx(want["site_rate_bps"], rel=rel)
         and ev.link_ee == pytest.approx(want["link_ee"], rel=rel)
         and ev.network_ee == pytest.approx(want["network_ee"], rel=rel)
-        and ctx.ref_rate_bps == pytest.approx(golden["reference"]["user_rate_bps"], rel=rel)
+        and ctx.full_power.rate_bps == pytest.approx(golden["reference"]["user_rate_bps"], rel=rel)
     )
     snr = 2.0 ** (ev.user_rates_bps / ctx.cfg.bandwidth_hz) - 1.0
     ok &= snr == pytest.approx(want["snr"], rel=1e-6)

@@ -46,31 +46,29 @@ class InfeasibleCtx:
         self.features = np.full((n_sites, 2), 0.5)
         self.full_power = self.evaluate(np.full(n_sites, n_levels - 1))
 
-    def evaluate_many(self, power_idx):
+    def evaluate(self, power_idx):
         power_idx = np.asarray(power_idx, dtype=int)
-        shape = power_idx.shape
-        full = np.all(power_idx == self.n_levels - 1, axis=1)
-        return StepEval(
-            power_idx=power_idx,
+        plans = np.atleast_2d(power_idx)
+        shape = plans.shape
+        full = np.all(plans == self.n_levels - 1, axis=1)
+        evs = StepEval(
+            power_idx=plans,
             power_dbw=np.full(shape, 15.2),
             user_rates_bps=np.zeros(shape),
             rate_bps=np.full(shape, 1e6),
-            rate_delta_bps=np.zeros(shape),
             rate_delta_sum=np.where(full, 0.0, -1.0),
             link_ee=np.full(shape, 0.25),
             network_ee=np.full(shape[0], 0.25),
         )
-
-    def evaluate(self, power_idx):
-        return self.evaluate_many(np.asarray(power_idx)[None, :]).row(0)
+        return evs if power_idx.ndim == 2 else evs.row(0)
 
     def next_features(self, ev):
         return self.features
 
 
 class CountingCtx:
-    """Forwards to a real step and records every evaluator call, keeping
-    each batch that ``evaluate_many`` rated."""
+    """Forwards to a real step and records the number of plans of every
+    evaluator call, keeping each batch it rated."""
 
     def __init__(self, ctx):
         self._ctx = ctx
@@ -80,14 +78,10 @@ class CountingCtx:
     def __getattr__(self, name):
         return getattr(self._ctx, name)
 
-    def evaluate_many(self, power_idx):
-        self.calls.append(("many", len(power_idx)))
-        self.rated.append(self._ctx.evaluate_many(power_idx))
-        return self.rated[-1]
-
     def evaluate(self, power_idx):
-        self.calls.append(("one", 1))
-        return self._ctx.evaluate(power_idx)
+        self.calls.append(len(np.atleast_2d(power_idx)))
+        self.rated.append(self._ctx.evaluate(power_idx))
+        return self.rated[-1]
 
 
 def full_batch_search(ctx, qrows, n_iterations, epsilon, rng):
@@ -102,7 +96,7 @@ def full_batch_search(ctx, qrows, n_iterations, epsilon, rng):
     picks = np.where(explore, random_levels, greedy)
     idx = np.full((n_iterations, ctx.n_sites), ctx.n_levels - 1, dtype=int)
     idx[:, active] = picks
-    evs = ctx.evaluate_many(idx)
+    evs = ctx.evaluate(idx)
     scores = qrows[active, picks].sum(axis=1)
     feasible = evs.rate_delta_sum >= 0.0
     if not feasible.any():
@@ -221,7 +215,7 @@ def test_search_accepts_the_row_it_tested(loaded_ctx):
     qrows = np.random.default_rng(3).normal(size=(3, loaded_ctx.n_levels))
     out = _search(ctx, qrows, 40, 0.5, np.random.default_rng(7))
     ev, n_star = out.ev, out.accepted_iteration
-    assert ctx.calls in ([("many", 8)], [("many", 8), ("many", 32)])
+    assert ctx.calls in ([8], [8, 32])
     evs = ctx.rated[-1]
     (k, *_) = np.flatnonzero((evs.power_idx == ev.power_idx).all(axis=1))
     assert ev.rate_delta_sum == evs.rate_delta_sum[k]
@@ -284,20 +278,10 @@ def test_search_rates_the_rest_only_when_the_head_has_no_feasible_plan(
         top = np.argsort(-scores, kind="stable")[:head]
         assert np.array_equal(ctx.rated[0].power_idx, evs.power_idx[top])
         head_feasible = bool((evs.rate_delta_sum[top] >= 0.0).any())
-        rest = [] if head_feasible else [("many", n_iterations - head)]
-        assert ctx.calls == [("many", head), *rest]
+        rest = [] if head_feasible else [n_iterations - head]
+        assert ctx.calls == [head, *rest]
         seen.add(head_feasible)
     assert seen == {True, False}
-
-
-def test_search_never_rates_a_one_row_rest(loaded_ctx):
-    """With one candidate beyond the head, the head takes all of them: a
-    one-row product may round differently from the same row in a batch."""
-    qrows = np.zeros((3, loaded_ctx.n_levels))
-    for n_iterations in (1, 2, agents.SEARCH_HEAD, agents.SEARCH_HEAD + 1):
-        ctx = CountingCtx(loaded_ctx)
-        _search(ctx, qrows, n_iterations, 1.0, np.random.default_rng(0))
-        assert ctx.calls[0] == ("many", n_iterations)
 
 
 def test_check_accepted_raises_on_negative_delta_sum(loaded_ctx):
@@ -535,9 +519,9 @@ def test_exhaustive_oracle_ties_go_to_the_smallest_plan(monkeypatch, chunk):
     """Every plan scores the same here; the lexicographically first feasible
     plan wins across chunk boundaries too."""
     class FlatCtx(InfeasibleCtx):
-        def evaluate_many(self, power_idx):
-            evs = super().evaluate_many(power_idx)
-            feasible = power_idx.sum(axis=1) >= 2
+        def evaluate(self, power_idx):
+            evs = super().evaluate(power_idx)
+            feasible = np.asarray(power_idx).sum(axis=-1) >= 2
             return replace(evs, rate_delta_sum=np.where(feasible, 0.0, -1.0))
 
     monkeypatch.setattr(agents, "ORACLE_CHUNK", chunk)

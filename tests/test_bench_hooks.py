@@ -11,11 +11,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ranpower import agents
 from ranpower.config import RunConfig
 from ranpower.runner import run
+from ranpower.scenario import StepContext
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
@@ -54,6 +56,27 @@ def test_training_rounds_call_backward_through_the_agents_module(tmp_path, monke
     rounds = run(cfg, tmp_path).summary["learner"]["training_rounds"]
     assert rounds > 0
     assert len(calls) == rounds
+
+
+def test_every_dqn_search_rates_through_step_context_evaluate(tmp_path, monkeypatch):
+    """The benchmark times candidate rating as ``StepContext.evaluate`` and
+    reads a call's plans as its first positional argument: every DQN slot
+    with an active station makes at least one such call, on a (K, B) batch."""
+    plans, made = [], []
+    evaluate = StepContext.evaluate
+
+    def counted(ctx, *args, **kwargs):
+        plans.append(args[0])
+        return evaluate(ctx, *args, **kwargs)
+
+    monkeypatch.setattr(StepContext, "evaluate", counted)
+    cfg = RunConfig(rings=1, episodes=60, search_iters=10, seed=1)
+    run(cfg, tmp_path, episode_hook=lambda t, ctx, out: made.append((len(plans), ctx.any_active)))
+    calls = np.diff([0] + [n for n, _ in made])
+    active = np.array([a for _, a in made])
+    assert active.any()
+    assert np.all(calls[active] >= 1) and np.all(calls[~active] == 0)
+    assert all(p.ndim == 2 and 1 <= len(p) <= cfg.search_iters and p.shape[1] == 7 for p in plans)
 
 
 @pytest.mark.parametrize("keys", [

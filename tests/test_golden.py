@@ -71,7 +71,7 @@ def test_reference_rates_match(golden, ctx):
     assert ev.user_rates_bps == pytest.approx(
         golden["reference"]["user_rate_bps"], rel=REL
     )
-    assert step.ref_rate_bps == pytest.approx(
+    assert step.full_power.rate_bps == pytest.approx(
         golden["reference"]["user_rate_bps"], rel=REL
     )
 
@@ -87,7 +87,8 @@ def test_chosen_assignment_physics_match(golden, ctx):
     assert ev.rate_bps == pytest.approx(want["site_rate_bps"], rel=REL)
     assert ev.link_ee == pytest.approx(want["link_ee"], rel=REL)
     assert ev.network_ee == pytest.approx(want["network_ee"], rel=REL)
-    assert ev.rate_delta_bps == pytest.approx(want["rate_delta_bps"], rel=REL)
+    delta = step.phi * (step.full_power.rate_bps - ev.rate_bps)
+    assert delta == pytest.approx(want["rate_delta_bps"], rel=REL)
     assert ev.rate_delta_sum == pytest.approx(want["rate_delta_sum"], rel=REL)
 
 

@@ -102,7 +102,7 @@ def outcome_of(row):
     ev = StepEval(
         power_idx=np.zeros(row.phi.size, dtype=int), power_dbw=row.power_dbw,
         user_rates_bps=row.rate_bps, rate_bps=row.rate_bps,
-        rate_delta_bps=np.zeros(row.phi.size), rate_delta_sum=0.0, link_ee=row.link_ee,
+        rate_delta_sum=0.0, link_ee=row.link_ee,
         network_ee=0.0 if asleep else row.ee_reward,
     )
     return EpisodeOutcome(ev, row.n_star, all_sleep=asleep)

@@ -176,10 +176,11 @@ def test_data_rate_zero_sinr_is_zero():
 def test_power_and_rate_delta_active():
     """The deltas run against the step's own top-level rates."""
     ctx = hand_step()
-    assert ctx.ref_rate_bps == pytest.approx([TOP_RATE_BPS, 0.0, TOP_RATE_BPS], rel=1e-12)
+    ref = ctx.full_power.rate_bps
+    assert ref == pytest.approx([TOP_RATE_BPS, 0.0, TOP_RATE_BPS], rel=1e-12)
     ev = lowest_level(ctx)
     gap = TOP_RATE_BPS - RATE_BPS
-    assert ev.rate_delta_bps == pytest.approx([gap, 0.0, gap], abs=1e-6)
+    assert ctx.phi * (ref - ev.rate_bps) == pytest.approx([gap, 0.0, gap], abs=1e-6)
     assert ev.rate_delta_sum == pytest.approx(2 * gap, abs=1e-6)
 
 
@@ -187,32 +188,32 @@ def test_power_and_rate_delta_sleeping_station_is_zero():
     """A sleeping site has no reference rate and no delta, whatever level
     it carries."""
     ctx = hand_step()
-    assert ctx.ref_rate_bps[1] == 0.0
+    assert ctx.full_power.rate_bps[1] == 0.0
     for level in (0, 1):
         ev = ctx.evaluate(np.array([0, level, 0]))
-        assert ev.rate_delta_bps[1] == 0.0
+        assert ctx.phi[1] * (ctx.full_power.rate_bps[1] - ev.rate_bps[1]) == 0.0
         assert ev.rate_delta_sum == pytest.approx(2 * (TOP_RATE_BPS - RATE_BPS), abs=1e-6)
 
 
 def test_full_power_station_has_zero_deltas():
     """Measured against the top level's own rates, the top level has no delta."""
-    ev = hand_step().evaluate(np.ones(3, dtype=int))
+    ctx = hand_step()
+    ev = ctx.evaluate(np.ones(3, dtype=int))
     assert ev.rate_bps == pytest.approx([TOP_RATE_BPS, 0.0, TOP_RATE_BPS], rel=1e-12)
-    assert np.all(ev.rate_delta_bps == 0.0)
+    assert np.all(ctx.phi * (ctx.full_power.rate_bps - ev.rate_bps) == 0.0)
     assert ev.rate_delta_sum == 0.0
 
 
 def test_hand_built_full_power_is_the_full_plan():
-    """Construction alone sets ``full_power``: it is ``evaluate_many`` of the
-    top-level plan bit for bit, and its rates are the reference."""
+    """Construction rates nothing; ``full_power``, rated when first read, is
+    ``evaluate`` of the top-level plan bit for bit, with no delta."""
     ctx = hand_step()
-    want = ctx.evaluate_many(np.ones(3, dtype=int))
+    assert "full_power" not in vars(ctx)
+    want = ctx.evaluate(np.ones(3, dtype=int))
     for f in fields(StepEval):
         got, exp = np.asarray(getattr(ctx.full_power, f.name)), np.asarray(getattr(want, f.name))
         assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes(), f.name
-    assert np.all(ctx.full_power.rate_delta_bps == 0.0)
     assert ctx.full_power.rate_delta_sum == 0.0
-    assert ctx.ref_rate_bps.tobytes() == want.rate_bps.tobytes()
 
 
 def test_a_hand_built_step_derives_who_is_active_and_the_own_gains():
@@ -225,7 +226,7 @@ def test_a_hand_built_step_derives_who_is_active_and_the_own_gains():
     moved = replace(ctx, sched_site=np.array([1, 2]))
     assert (moved.phi.tolist(), moved.active_sites.tolist()) == ([0, 1, 1], [1, 2])
     assert moved.own_gain.tolist() == [1e-6, 2e-10]
-    assert moved.ref_rate_bps[0] == 0.0 and moved.ref_rate_bps[1] > 0.0
+    assert moved.full_power.rate_bps[0] == 0.0 and moved.full_power.rate_bps[1] > 0.0
 
 
 def test_link_ee_spot_value():

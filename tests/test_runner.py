@@ -403,6 +403,19 @@ def test_cli_runtime_errors_exit_two(tmp_path, capsys):
     assert taken.read_text() == "kept\n"
 
 
+def test_cli_any_other_subcommand_failure_exits_two_in_one_line(tmp_path, capsys, monkeypatch):
+    """An exception that is neither the library's own nor an ``OSError``
+    still exits 2 with a single ``runtime error:`` line, not a traceback."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError("cannot allocate the replay ring")
+
+    monkeypatch.setattr("ranpower.cli.run", exhausted)
+    cfg = write_cfg(tmp_path, "rings = 0\nepisodes = 3\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == "runtime error: MemoryError: cannot allocate the replay ring\n"
+
+
 def test_cli_compare_and_sweep_end_to_end(tmp_path):
     cfg = write_cfg(
         tmp_path, "rings = 0\nepisodes = 15\nsearch_iters = 5\nseed = 1\n"

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ranpower.agents import is_feasible
 from ranpower.config import RunConfig
 from ranpower.errors import ValidationError
 from ranpower.radio import (
@@ -325,28 +326,14 @@ def seven_site_step():
         st.lists(st.integers(0, 4), min_size=7, max_size=7), min_size=1, max_size=12
     )
 )
-def test_evaluate_many_rows_match_evaluate(plans):
-    """Each row of the batched evaluator is the single-plan evaluation of
-    that row to 1e-12 relative.  Rate deltas are differences of nearly equal
-    rates, so theirs is relative to the reference throughput."""
+def test_batch_rows_match_lone_evaluations(plans):
+    """Each row of a batched evaluation is the single-plan evaluation of that
+    row, bit for bit in every field."""
     ctx = seven_site_step()
     idx = np.array(plans)
-    evs = ctx.evaluate_many(idx)
-    delta_tol = 1e-12 * ctx.ref_rate_bps.sum()
+    evs = ctx.evaluate(idx)
     for k, plan in enumerate(idx):
-        one, row = ctx.evaluate(plan), evs.row(k)
-        assert np.array_equal(row.power_idx, one.power_idx)
-        assert np.array_equal(row.power_dbw, one.power_dbw)
-        for field in ("user_rates_bps", "rate_bps", "link_ee"):
-            np.testing.assert_allclose(getattr(row, field), getattr(one, field), rtol=1e-12)
-        assert row.network_ee == pytest.approx(one.network_ee, rel=1e-12)
-        np.testing.assert_allclose(row.rate_delta_bps, one.rate_delta_bps, rtol=0, atol=delta_tol)
-        assert row.rate_delta_sum == pytest.approx(one.rate_delta_sum, rel=0, abs=delta_tol)
-    # a batch of one is the single-plan path bit for bit
-    single = ctx.evaluate_many(idx[:1]).row(0)
-    one = ctx.evaluate(idx[0])
-    for field in dataclasses.fields(StepEval):
-        assert np.array_equal(getattr(single, field.name), getattr(one, field.name))
+        assert_same_eval(evs.row(k), ctx.evaluate(plan))
 
 
 def test_full_power_reference_has_zero_delta(three_site_scenario):
@@ -354,7 +341,33 @@ def test_full_power_reference_has_zero_delta(three_site_scenario):
     full = np.full(ctx.n_sites, ctx.n_levels - 1)
     ev = ctx.evaluate(full)
     assert ev.rate_delta_sum == 0.0
-    assert np.all(ev.rate_delta_bps == 0.0)
+    assert np.all(ctx.phi * (ctx.full_power.rate_bps - ev.rate_bps) == 0.0)
+
+
+def loaded_hex_step(rings, rng, share, **keys):
+    """A step on the hex grid of ``rings`` rings, two users per sector, with
+    each user pending with probability ``share``; ``keys`` are config keys."""
+    scn = hex_scenario(rings, seed=rings, per_sector_users=2, **keys)
+    pending = rng.random(scn.n_users) < share
+    scn.residual_bits[:] = np.where(pending, 1e5, 0.0)
+    scn.arrival_step[:] = np.where(pending, 0, -1)
+    return scn.build_step()
+
+
+@pytest.mark.parametrize("rings", [0, 1, 2, 3])
+def test_a_full_power_row_has_zero_delta_anywhere_in_any_batch(rings):
+    """The full-power plan's deltas are exactly 0 wherever it sits in a batch
+    and whatever shares that batch, so full power is always feasible."""
+    rng = np.random.default_rng(rings + 5)
+    ctx = loaded_hex_step(rings, rng, 0.7)
+    for size in (1, 2, 3, 8, 9, 33, 100):
+        idx = rng.integers(ctx.n_levels, size=(size, ctx.n_sites))
+        full_rows = rng.random(size) < 0.3
+        full_rows[rng.integers(size)] = True
+        idx[full_rows] = ctx.n_levels - 1
+        evs = ctx.evaluate(idx)
+        assert np.all(evs.rate_delta_sum[full_rows] == 0.0)
+        assert np.all(is_feasible(evs.rate_delta_sum[full_rows]))
 
 
 def test_uniform_reduction_is_feasible(three_site_scenario):
@@ -575,8 +588,8 @@ def moving_scenario(seed=11):
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_moving_build_step_matches_the_full_matrix_slice(seed):
     """Gains computed for the scheduled users only equal the slice of the
-    full (B, S, U) matrix the moving path used to rebuild every slot, in
-    values and in memory order, so every evaluation rounds the same."""
+    full (B, S, U) matrix the moving path used to rebuild every slot, so
+    every evaluation rounds the same."""
     scn = moving_scenario(seed)
     rng, plans = np.random.default_rng(seed), np.random.default_rng(seed + 1)
     for _ in range(8):
@@ -594,16 +607,15 @@ def test_moving_build_step_matches_the_full_matrix_slice(seed):
             site_to_user_gain=stu,
             serving_gain=full[site, scn.serving_sector[users], users],
         )
-        assert ctx.site_to_user_gain.tobytes() == stu.tobytes()
-        assert ctx.site_to_user_gain.flags.f_contiguous == stu.flags.f_contiguous
+        assert ctx.site_to_user_gain.tobytes() == np.ascontiguousarray(stu).tobytes()
         assert ctx.serving_gain.tobytes() == ref.serving_gain.tobytes()
         idx = plans.integers(ctx.n_levels, size=(6, ctx.n_sites))
         for plan in idx:
             assert ctx.evaluate(plan).user_rates_bps.tobytes() == (
                 ref.evaluate(plan).user_rates_bps.tobytes()
             )
-        assert ctx.evaluate_many(idx).user_rates_bps.tobytes() == (
-            ref.evaluate_many(idx).user_rates_bps.tobytes()
+        assert ctx.evaluate(idx).user_rates_bps.tobytes() == (
+            ref.evaluate(idx).user_rates_bps.tobytes()
         )
         scn.apply(ctx, ctx.full_power, rng)
 
@@ -612,8 +624,8 @@ def test_moving_build_step_matches_the_full_matrix_slice(seed):
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3]))
 def test_static_build_step_matches_the_masked_sector_sum(seed, per_sector):
     """The subset table's gather equals the ``where``/``sum`` over the
-    fancy-indexed (B, S, |sched|) slice that it replaced, bit for bit and
-    column-major, and the serving gains equal the full matrix's entries."""
+    fancy-indexed (B, S, |sched|) slice that it replaced, bit for bit, and
+    the serving gains equal the full matrix's entries."""
     scn = static_scenario(per_sector)
     rng = np.random.default_rng(seed)
     pending = rng.random(scn.n_users) < rng.uniform(0.05, 1.0)
@@ -624,11 +636,10 @@ def test_static_build_step_matches_the_masked_sector_sum(seed, per_sector):
     sector = scn.serving_sector[users]
     sector_active = np.zeros((ctx.n_sites, SECTORS_PER_SITE), dtype=bool)
     sector_active[site, sector] = True
-    want = np.asfortranarray(
+    want = np.ascontiguousarray(
         np.where(sector_active[:, :, None], scn.gains[:, :, users], 0.0).sum(axis=1)
     )
     assert ctx.site_to_user_gain.tobytes() == want.tobytes()
-    assert ctx.site_to_user_gain.flags.f_contiguous
     assert ctx.serving_gain.tobytes() == scn.gains[site, sector, users].tobytes()
     assert ctx.own_gain.tobytes() == want[site, np.arange(users.size)].tobytes()
 
@@ -653,46 +664,54 @@ def test_full_power_is_the_evaluation_of_the_full_plan(three_site_scenario, movi
         assert ctx.full_power.rate_delta_sum == 0.0
 
 
-# At 37 sites the (K, B) @ (B, U) product gives a row bits that depend on
-# its batch mates, so the best-first search can accept another eval than one
-# batch of all K candidates would, and writes other bytes than it.
-@pytest.mark.parametrize("moving", [False, True])
-@pytest.mark.parametrize("rings", [1, 2, pytest.param(3, marks=pytest.mark.xfail(
-    strict=True, reason="at 37 sites a batch row's bits depend on the rest of the batch"))])
-def test_batch_rows_do_not_depend_on_the_rest_of_the_batch(rings, moving):
-    """Any two or more rows of a batch, in any order, rate bit for bit as
-    they do inside the whole batch, at 7 and 19 sites with static and moving
-    users.  The best-first search rests on this: it rates the top-scored
-    candidates, and maybe the rest, in separate batches and must accept the
-    very eval that one batch of all of them would.  A BLAS whose product
-    rounds a row differently with other batch mates fails here first, as
-    the 37-site grid does.  One row alone may take another BLAS path, so the
-    search never rates one."""
-    keys = {"mobility": "waypoint", "user_speed_mps": 300.0} if moving else {}
-    scn = hex_scenario(rings, seed=rings, per_sector_users=2, **keys)
+@pytest.mark.parametrize("rings", [0, 1, 2, 3])
+def test_the_gain_layout_does_not_change_a_rating(rings):
+    """A context built from C- or F-ordered copies of the same gains rates
+    every plan, alone and in a batch, with the same bits: the context picks
+    the layout its sums run over, not the caller."""
     rng = np.random.default_rng(rings)
-    pending = rng.random(scn.n_users) < 0.8
-    scn.residual_bits[:] = np.where(pending, 1e5, 0.0)
-    scn.arrival_step[:] = np.where(pending, 0, -1)
-    ctx = scn.build_step()
+    ctx = loaded_hex_step(rings, rng, 0.8)
+    c_ctx, f_ctx = (
+        dataclasses.replace(ctx, site_to_user_gain=order(ctx.site_to_user_gain))
+        for order in (np.ascontiguousarray, np.asfortranarray)
+    )
+    assert all(c.site_to_user_gain.flags.c_contiguous for c in (c_ctx, f_ctx))
+    idx = rng.integers(ctx.n_levels, size=(40, ctx.n_sites))
+    assert_same_eval(c_ctx.evaluate(idx), f_ctx.evaluate(idx))
+    for plan in idx[:10]:
+        assert_same_eval(c_ctx.evaluate(plan), f_ctx.evaluate(plan))
+    assert_same_eval(c_ctx.full_power, f_ctx.full_power)
+
+
+@pytest.mark.parametrize("moving", [False, True])
+@pytest.mark.parametrize("rings", [0, 1, 2, 3])
+def test_batch_rows_do_not_depend_on_the_rest_of_the_batch(rings, moving):
+    """Any rows of a batch, one alone included, in any order, rate bit for
+    bit as they do inside the whole batch, at 1 to 37 sites with static and
+    moving users.  The best-first search rests on this: it rates the
+    top-scored candidates, and maybe the rest, in separate batches and must
+    accept the very eval that one batch of all of them would."""
+    keys = {"mobility": "waypoint", "user_speed_mps": 300.0} if moving else {}
+    rng = np.random.default_rng(rings)
+    ctx = loaded_hex_step(rings, rng, 0.8, **keys)
     fields = [f.name for f in dataclasses.fields(StepEval)]
 
     def assert_rows(idx, whole, rows):
-        part = ctx.evaluate_many(idx[rows])
+        part = ctx.evaluate(idx[rows])
         for name in fields:
             assert getattr(part, name).tobytes() == getattr(whole, name)[rows].tobytes(), name
 
     idx = rng.integers(ctx.n_levels, size=(7, ctx.n_sites))
     idx[3] = ctx.n_levels - 1  # a full-power candidate
-    whole = ctx.evaluate_many(idx)
-    for size in range(2, len(idx) + 1):
+    whole = ctx.evaluate(idx)
+    for size in range(1, len(idx) + 1):
         for rows in itertools.combinations(range(len(idx)), size):
             assert_rows(idx, whole, np.array(rows))
             assert_rows(idx, whole, rng.permutation(rows))
     # a paper-width batch cut into a head and the rest, as the search cuts it
     idx = rng.integers(ctx.n_levels, size=(100, ctx.n_sites))
-    whole = ctx.evaluate_many(idx)
+    whole = ctx.evaluate(idx)
     for _ in range(20):
-        order, cut = rng.permutation(len(idx)), rng.integers(2, len(idx) - 1)
+        order, cut = rng.permutation(len(idx)), rng.integers(1, len(idx))
         assert_rows(idx, whole, order[:cut])
         assert_rows(idx, whole, order[cut:])

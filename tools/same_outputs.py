@@ -42,12 +42,12 @@ DESK_DQN = {"rings": 1, "per_sector_users": 2, "agent": "dqn", "search_iters": 1
 # learner trains a three-hidden-layer network every other slot, so its
 # backward pass writes errors into the activation buffers of three hidden
 # layers.  The 37-site sleep run gives the metrics columns their widest row
-# sums.  The 37-site DQN search rates batches whose rows' bits depend on
-# their batch mates, so its bytes hold only while the same rows share a
-# batch: it is the shape a change to the search would move first.  The
+# sums.  The 37-site DQN search sums the most stations into each
+# interference entry and splits 100 candidates into a head and a rest.  The
 # single-site DQN drops three users into each sector of one site, the one
 # case of the user drop that no other shape reaches (every other shape has at
-# least 7 sites and at most 2 users per sector).
+# least 7 sites and at most 2 users per sector), and trains on 64-row
+# minibatches, since one site fills its replay by one transition a slot.
 SHAPES = {
     "paper-dqn-search": {**PAPER_DQN, "episodes": 600},
     "desk-dqn-train": {**DESK_DQN, "episodes": 800},
@@ -69,7 +69,7 @@ SHAPES = {
     "wide-sleep": {"rings": 3, "agent": "sleep", "episodes": 2000},
     "wide-dqn": {"rings": 3, "agent": "dqn", "search_iters": 100, "episodes": 300},
     "single-site": {"rings": 0, "per_sector_users": 3, "agent": "dqn", "search_iters": 10,
-                    "train_interval": 5, "episodes": 600},
+                    "train_interval": 5, "minibatch_size": 64, "episodes": 600},
 }
 OUTPUTS = ("metrics.csv", "weights.bin")
 
