@@ -38,10 +38,19 @@ SECTORS_PER_SITE = len(BORESIGHTS_DEG)
 SECTOR_WIDTH_DEG = 120.0
 SLOT_S = 1e-3  # length of one simulated slot, in seconds
 
-# Sector s's arc is ``lo <= azimuth < hi``, wrapping through 0 when lo > hi;
-# every azimuth in [0, 360] lies in exactly one arc.
-_ARC_LO = (np.asarray(BORESIGHTS_DEG)[:, None] - SECTOR_WIDTH_DEG / 2.0) % 360.0
-_ARC_HI = (np.asarray(BORESIGHTS_DEG)[:, None] + SECTOR_WIDTH_DEG / 2.0) % 360.0
+# Sector s's arc is ``lo <= azimuth < hi`` for lo, hi = its boresight -/+ half
+# the width (mod 360), wrapping through 0 when lo > hi; the arcs tile [0, 360).
+# So the count c of sorted arc edges at or below an azimuth in [0, 360] picks
+# its arc: the one ending at ``_EDGES_DEG[c]``, where count S wraps to the
+# first edge.  ``_COUNT_IN_ARC[s, c]`` says whether count c is sector s's arc,
+# and ``_PATTERN_ROW[s]`` is the flat index of (s, 0) in that (S, S + 1) table.
+_ARC_END = [(b + SECTOR_WIDTH_DEG / 2.0) % 360.0 for b in BORESIGHTS_DEG]
+_EDGES_DEG = sorted(_ARC_END)
+_COUNT_IN_ARC = np.array(
+    [[end == _EDGES_DEG[c % SECTORS_PER_SITE] for c in range(SECTORS_PER_SITE + 1)]
+     for end in _ARC_END]
+)
+_PATTERN_ROW = np.arange(SECTORS_PER_SITE, dtype=np.uint8)[:, None] * (SECTORS_PER_SITE + 1)
 
 
 def hex_site_positions(rings: int, isd_m: float) -> np.ndarray:
@@ -85,9 +94,12 @@ def sector_gain_matrix(
     """Channel gain from every (site, sector) to every user, shape (B, S, U).
 
     The antenna pattern is ideal: full transmit gain inside the sector's arc
-    and a flat backlobe attenuation outside it.  With ``clamp`` the distance
-    is floored at the model minimum instead of raising; the moving-user path
-    uses that so a drifting user cannot crash a long run.
+    and a flat backlobe attenuation outside it.  Each (site, user) azimuth is
+    classified once, by counting the sorted arc edges at or below it, and
+    the count takes every sector's pattern value from an (S, S + 1) table.
+    With ``clamp`` the distance is floored at the model minimum instead of
+    raising; the moving-user path uses that so a drifting user cannot crash
+    a long run.
     """
     dx = user_xy[:, 0] - site_xy[:, 0, None]
     dy = user_xy[:, 1] - site_xy[:, 1, None]
@@ -101,11 +113,13 @@ def sector_gain_matrix(
         raise ValidationError("a user sits closer to a site than the model allows")
 
     angles = np.degrees(np.arctan2(dy, dx))  # [-180, 180]
-    angles += np.where(angles < 0.0, 360.0, 0.0)
-    above, below = angles[:, None, :] >= _ARC_LO, angles[:, None, :] < _ARC_HI
-    in_arc = np.where(_ARC_LO < _ARC_HI, above & below, above | below)
+    np.add(angles, 360.0, out=angles, where=angles < 0.0)
+    count = np.zeros(angles.shape, dtype=np.uint8)
+    for edge in _EDGES_DEG:
+        count += angles >= edge
     tx = 10.0 ** (cfg.tx_gain_dbi / 10.0)
-    gains = np.where(in_arc, tx, tx * 10.0 ** (-cfg.backlobe_atten_db / 10.0))
+    pattern = np.where(_COUNT_IN_ARC, tx, tx * 10.0 ** (-cfg.backlobe_atten_db / 10.0))
+    gains = pattern.take(count[:, None, :] + _PATTERN_ROW)
     dist *= 4.0 * math.pi * cfg.fc_hz
     path = np.divide(SPEED_OF_LIGHT_M_S, dist, out=dist)
     path **= cfg.path_loss_exponent
@@ -386,7 +400,8 @@ class Scenario:
             serving_gain = gains[sched_site, sched_sector, np.arange(sched_users.size)]
             sector_active = np.zeros((n_sites, SECTORS_PER_SITE))
             sector_active[sched_site, sched_sector] = 1.0
-            site_to_user = np.add.reduce(gains * sector_active[:, :, None], axis=1)
+            # Sums each site's scheduled sectors in sector order: g * 1.0 or g * 0.0.
+            site_to_user = np.einsum("bsu,bs->bu", gains, sector_active)
         else:
             serving_gain = self.gains[sched_site, sched_sector, sched_users]
             # Each site's active sectors as a bitmask: one user per sector at most.

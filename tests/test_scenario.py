@@ -156,22 +156,38 @@ def test_sector_gain_rejects_near_field_without_clamp():
     assert np.all(np.isfinite(clamped))
 
 
-def remainder_gain_matrix(site_xy, cfg, user_xy):
-    """The (B, S, U) gains with both angle folds done by ``% 360``, clamped,
-    and the (B, S, U) arc membership that form gives."""
+def reference_gain_matrix(site_xy, cfg, user_xy, arcs):
+    """The (B, S, U) gains, clamped, with the arc membership that ``arcs``
+    gives the (B, U) azimuths in [-180, 180]; returns both."""
     dxy = user_xy[None, :, :] - site_xy[:, None, :]
     planar = np.hypot(dxy[:, :, 0], dxy[:, :, 1])
     height = cfg.user_height_m - cfg.bs_height_m
     dist = np.maximum(np.sqrt(planar**2 + height**2), MIN_DISTANCE_M)
-    angles = np.degrees(np.arctan2(dxy[:, :, 1], dxy[:, :, 0])) % 360.0
-    boresights = np.asarray(BORESIGHTS_DEG)
-    offset = (angles[:, None, :] - boresights[None, :, None] + SECTOR_WIDTH_DEG / 2.0) % 360.0
-    in_arc = offset < SECTOR_WIDTH_DEG
+    in_arc = arcs(np.degrees(np.arctan2(dxy[:, :, 1], dxy[:, :, 0])))
     pattern = np.where(in_arc, 1.0, 10.0 ** (-cfg.backlobe_atten_db / 10.0))
     path = (
         SPEED_OF_LIGHT_M_S / (4.0 * math.pi * cfg.fc_hz * dist)
     ) ** cfg.path_loss_exponent
     return TX_GAIN * pattern * path[:, None, :] * RX_GAIN, in_arc
+
+
+def remainder_arcs(angles):
+    """Both angle folds done by ``% 360``."""
+    boresights = np.asarray(BORESIGHTS_DEG)
+    offset = ((angles % 360.0)[:, None, :] - boresights[:, None] + SECTOR_WIDTH_DEG / 2.0) % 360.0
+    return offset < SECTOR_WIDTH_DEG
+
+
+def interval_arcs(angles):
+    """Negative azimuths folded by adding 360, then sector s's arc is
+    ``lo <= azimuth < hi`` with lo, hi = boresight -/+ 60 (mod 360), wrapping
+    through 0 when lo > hi."""
+    angles = angles + np.where(angles < 0.0, 360.0, 0.0)
+    boresights = np.asarray(BORESIGHTS_DEG)[:, None]
+    lo = (boresights - SECTOR_WIDTH_DEG / 2.0) % 360.0
+    hi = (boresights + SECTOR_WIDTH_DEG / 2.0) % 360.0
+    above, below = angles[:, None, :] >= lo, angles[:, None, :] < hi
+    return np.where(lo < hi, above & below, above | below)
 
 
 NINETEEN_SITES_XY = hex_site_positions(2, DEFAULTS.isd_m)
@@ -183,10 +199,11 @@ def test_sector_gain_matches_remainder_and_puts_each_user_in_one_arc(seed):
     """Random users, plus users on the sector edges (the boresights +-60
     degrees, nudged by an ulp either way) and due west of a site (+-180
     degrees, with dy = +0.0 and -0.0).  Every (site, user) pair lies in
-    exactly one sector's arc; wherever the ``%`` form puts a pair in an arc,
-    its gains carry that form's bits; and any subset of the users carries
-    the full matrix's bits.  The ``%`` form puts an azimuth one ulp below a
-    sector edge in no arc at all, so it is no reference there."""
+    exactly one sector's arc; every gain carries the bits of the interval
+    arc test ``lo <= azimuth < hi``; wherever the ``%`` form puts a pair in
+    an arc, its gains carry that form's bits too; and any subset of the users
+    carries the full matrix's bits.  The ``%`` form puts an azimuth one ulp
+    below a sector edge in no arc at all, so it is no reference there."""
     site_xy, cfg = NINETEEN_SITES_XY, DEFAULTS
     rng = np.random.default_rng(seed)
     anchor = site_xy[rng.integers(len(site_xy), size=30)]
@@ -200,7 +217,10 @@ def test_sector_gain_matches_remainder_and_puts_each_user_in_one_arc(seed):
     # A sector in its arc has the full transmit gain, above its site's backlobe.
     in_arc = got > got.min(axis=1, keepdims=True)
     assert np.all(in_arc.sum(axis=1) == 1)
-    ref, ref_in_arc = remainder_gain_matrix(site_xy, cfg, user_xy)
+    want, want_in_arc = reference_gain_matrix(site_xy, cfg, user_xy, interval_arcs)
+    assert np.array_equal(in_arc, want_in_arc)
+    assert got.tobytes() == want.tobytes()
+    ref, ref_in_arc = reference_gain_matrix(site_xy, cfg, user_xy, remainder_arcs)
     covered = ref_in_arc.any(axis=1)  # (B, U)
     pairs_got, pairs_ref = got.transpose(0, 2, 1)[covered], ref.transpose(0, 2, 1)[covered]
     assert pairs_got.tobytes() == pairs_ref.tobytes()

@@ -48,6 +48,9 @@ DESK_DQN = {"rings": 1, "per_sector_users": 2, "agent": "dqn", "search_iters": 1
 # case of the user drop that no other shape reaches (every other shape has at
 # least 7 sites and at most 2 users per sector), and trains on 64-row
 # minibatches, since one site fills its replay by one transition a slot.
+# The fast sleep run moves users at 30 m/s, 60 m over its 2,000 slots, so
+# their per-slot gains cross sector edges; the other waypoint shapes walk at
+# 1 m/s and move their users 0.6-5 m.
 SHAPES = {
     "paper-dqn-search": {**PAPER_DQN, "episodes": 600},
     "desk-dqn-train": {**DESK_DQN, "episodes": 800},
@@ -70,6 +73,8 @@ SHAPES = {
     "wide-dqn": {"rings": 3, "agent": "dqn", "search_iters": 100, "episodes": 300},
     "single-site": {"rings": 0, "per_sector_users": 3, "agent": "dqn", "search_iters": 10,
                     "train_interval": 5, "minibatch_size": 64, "episodes": 600},
+    "fast-waypoint": {"rings": 2, "agent": "sleep", "mobility": "waypoint",
+                      "user_speed_mps": 30.0, "episodes": 2000},
 }
 OUTPUTS = ("metrics.csv", "weights.bin")
 
