@@ -21,6 +21,8 @@ from .radio import MIN_DROP_RADIUS_M, MIN_POWER_DBW
 
 AGENTS = ("dqn", "qlearning", "sleep")
 MOBILITY_MODES = ("static", "waypoint")
+# The most elements any one array of a run may hold: 80 MB of doubles.
+MAX_ARRAY_ELEMENTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -139,6 +141,22 @@ class RunConfig:
                 raise ValidationError(
                     f"config key '{key}' has invalid value {getattr(self, key)!r}"
                 )
+        n_sectors = 3 * (1 + 3 * self.rings * (self.rings + 1))  # three per hex-grid site
+        n_users = n_sectors * self.per_sector_users
+        width = max(self.hidden_units, self.n_power_levels)  # the network's widest layer
+        for keys, array, n in [
+            ("rings per_sector_users", "gain matrix", n_sectors * n_users),
+            ("search_iters rings per_sector_users", "search batch",
+             (self.search_iters + 1) * n_users),
+            ("replay_capacity", "replay ring", self.replay_capacity),
+            ("q_bins n_power_levels", "Q-table", self.q_bins**2 * self.n_power_levels),
+            ("hidden_units n_power_levels", "network layer", self.hidden_units * width),
+            ("minibatch_size hidden_units n_power_levels", "minibatch",
+             self.minibatch_size * width),
+        ]:
+            if n > MAX_ARRAY_ELEMENTS:
+                named = ", ".join(f"'{key}' = {getattr(self, key)!r}" for key in keys.split())
+                raise ValidationError(f"config {named}: a {n}-element {array} exceeds the cap")
         if self.p_max_dbw - self.delta_p_max_db < MIN_POWER_DBW:
             raise ValidationError(
                 "config key 'delta_p_max_db' pushes the lowest power level "

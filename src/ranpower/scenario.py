@@ -334,7 +334,6 @@ class Scenario:
         self.user_xy = _planar(user_xy, "user")
         self.n_sites, self.n_users = len(self.site_xy), len(self.user_xy)
         self.user_speed_mps = cfg.user_speed_mps if cfg.mobility == "waypoint" else 0.0
-        # Moving users' gains are computed per slot instead (see build_step).
         self.gains = sector_gain_matrix(self.site_xy, cfg, self.user_xy)
         # Each user attaches to the (site, sector) with the strongest full-power
         # RSRP; ties go to the lowest site id, then the lowest sector id.
@@ -375,41 +374,23 @@ class Scenario:
         rank = site[taken] * self.n_users + order[taken]
         return order[taken[rank.argsort()]]
 
-    @functools.cached_property
-    def _subset_gain(self) -> np.ndarray:
-        """Gain of each site's active sectors towards each static user, for
-        every subset of active sectors: ``[u, mask * B + b]`` sums site b's
-        sectors in bitmask ``mask`` as a left fold in sector order from 0.0,
-        the bits of summing the masked (B, S, U) gains over sectors."""
-        gains = self.gains.transpose(2, 1, 0)  # (U, S, B)
-        table = np.zeros((self.n_users, 2**SECTORS_PER_SITE, self.n_sites))
-        for mask in range(1, 2**SECTORS_PER_SITE):
-            top = mask.bit_length() - 1  # the fold's last sector
-            table[:, mask] = table[:, mask ^ (1 << top)] + gains[:, top]
-        return table.reshape(self.n_users, -1)
-
     def build_step(self) -> StepContext:
-        """Freeze the current step: scheduling and gains."""
+        """Freeze the current step: scheduling and gains.  Static users gather
+        their columns of the drop-time gain matrix, moving users' are computed
+        where they stand; one contraction sums each site's scheduled sectors."""
         sched_users = self._schedule()
         sched_site = self.serving_site[sched_users]
         sched_sector = self.serving_sector[sched_users]
-        n_sites = self.n_sites
-
         if self.user_speed_mps > 0.0:
             gains = sector_gain_matrix(self.site_xy, self.cfg, self.user_xy[sched_users], clamp=True)
-            serving_gain = gains[sched_site, sched_sector, np.arange(sched_users.size)]
-            sector_active = np.zeros((n_sites, SECTORS_PER_SITE))
-            sector_active[sched_site, sched_sector] = 1.0
-            # Sums each site's scheduled sectors in sector order: g * 1.0 or g * 0.0.
-            site_to_user = np.einsum("bsu,bs->bu", gains, sector_active)
         else:
-            serving_gain = self.gains[sched_site, sched_sector, sched_users]
-            # Each site's active sectors as a bitmask: one user per sector at most.
-            mask = np.bincount(sched_site, weights=1 << sched_sector, minlength=n_sites)
-            site_to_user = self._subset_gain[
-                sched_users, (mask.astype(np.intp) * n_sites + np.arange(n_sites))[:, None]
-            ]
-
+            # take keeps the gather C-ordered, the layout the contraction's bits depend on
+            gains = self.gains.take(sched_users, axis=2)
+        serving_gain = gains[sched_site, sched_sector, np.arange(sched_users.size)]
+        sector_active = np.zeros((self.n_sites, SECTORS_PER_SITE))
+        sector_active[sched_site, sched_sector] = 1.0
+        # Sums each site's scheduled sectors in sector order: g * 1.0 or g * 0.0.
+        site_to_user = np.einsum("bsu,bs->bu", gains, sector_active)
         return StepContext(
             cfg=self.cfg,
             power_levels_dbw=self.power_levels_dbw,

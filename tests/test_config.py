@@ -151,6 +151,31 @@ def test_an_invalid_config_cannot_be_built_or_derived(key, value):
         dataclasses.replace(RunConfig(), **{key: value})
 
 
+# (key, other keys, the key's largest value under MAX_ARRAY_ELEMENTS): the
+# gain matrix, the search batch, the replay ring, the Q-table, a network
+# layer and a minibatch pass each hold at most that many elements.  The other
+# keys keep every array but the one under test well inside the cap.
+SIZE_EDGES = [
+    ("rings", {}, 18),  # 1027 sites: 9 * 1027**2 gains
+    ("per_sector_users", {"rings": 0, "search_iters": 1}, 1_111_111),
+    ("search_iters", {}, 175_437),  # 175_438 rows of 57 users
+    ("replay_capacity", {}, 10**7),
+    ("q_bins", {}, 1414),
+    ("n_power_levels", {"minibatch_size": 100}, 39_062),  # 16 * 16 * 39_062 cells
+    ("hidden_units", {}, 3162),
+    ("minibatch_size", {"replay_capacity": 200_000}, 156_250),  # 64 units wide
+]
+
+
+@pytest.mark.parametrize("key, others, top", SIZE_EDGES)
+def test_validation_caps_the_largest_array_a_config_asks_for(key, others, top):
+    """The largest value of each size key validates and one more raises,
+    naming the key; validation only, nothing is allocated."""
+    assert getattr(RunConfig(**others, **{key: top}), key) == top
+    with pytest.raises(ValidationError, match=f"'{key}' = {top + 1}\\b.*exceeds the cap"):
+        RunConfig(**others, **{key: top + 1})
+
+
 def test_non_finite_values_fail_from_a_file_and_with_overrides(tmp_path):
     path = tmp_path / "run.cfg"
     for line in ("volume_hi_bits = inf", "isd_m = inf", "tx_gain_dbi = nan"):

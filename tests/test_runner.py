@@ -22,6 +22,7 @@ from ranpower.runner import (
     run_sweep,
 )
 
+from test_config import SIZE_EDGES
 from test_metrics import parse_lines, reference_lines, row_from_outcome
 
 
@@ -348,6 +349,18 @@ def test_cli_non_finite_values_exit_one(tmp_path, capsys, line):
     good = write_cfg(tmp_path, "rings = 0\nepisodes = 3\n")
     assert main(["sweep", "--config", good, "--vary", f"{key}=1.0,{value}", "--out", out]) == 1
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, others, top", SIZE_EDGES)
+def test_cli_oversized_configs_exit_one_and_write_nothing(tmp_path, capsys, key, others, top):
+    """A config asking for an array beyond the cap is bad input: exit 1 before
+    the output directory exists.  Validation rejects it; nothing is allocated."""
+    lines = [f"{k} = {v}" for k, v in {"episodes": 3, **others, key: top + 1}.items()]
+    cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"'{key}' = {top + 1}" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -444,7 +444,7 @@ def test_features_on_read_equal_the_eager_ones(moving):
     """``features`` is computed when first read, from the power levels the
     step started with: the same bits whether read before or after
     ``apply`` moved the state on."""
-    scn = moving_scenario(seed=21) if moving else static_scenario(1)
+    scn = moving_scenario(seed=21) if moving else static_scenario(2, 1)
     rng = np.random.default_rng(21)
     for step in range(6):
         pending = rng.random(scn.n_users) < 0.7
@@ -641,16 +641,14 @@ def test_moving_build_step_matches_the_full_matrix_slice(seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3]))
-def test_static_build_step_matches_the_masked_sector_sum(seed, per_sector):
-    """The subset table's gather equals the ``where``/``sum`` over the
-    fancy-indexed (B, S, |sched|) slice that it replaced, bit for bit, and
-    the serving gains equal the full matrix's entries."""
-    scn = static_scenario(per_sector)
-    rng = np.random.default_rng(seed)
-    pending = rng.random(scn.n_users) < rng.uniform(0.05, 1.0)
-    scn.residual_bits[:] = np.where(pending, 1e5, 0.0)
-    scn.arrival_step[:] = np.where(pending, rng.integers(0, 3, scn.n_users), -1)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.sampled_from([1, 3]))
+def test_static_build_step_matches_the_masked_sector_sum(seed, rings, per_sector):
+    """Static users' site-to-user gains equal the ``where``/``sum`` over the
+    fancy-indexed (B, S, |sched|) slice of the drop-time matrix, bit for bit,
+    on every grid size, and the serving gains equal that matrix's entries.
+    Contracting the fancy-indexed slice itself, users outermost, sums the
+    sectors in another order and misses by an ulp."""
+    scn = pending_static_scenario(seed, rings, per_sector)
     ctx = scn.build_step()
     users, site = ctx.sched_users, ctx.sched_site
     sector = scn.serving_sector[users]
@@ -665,8 +663,35 @@ def test_static_build_step_matches_the_masked_sector_sum(seed, per_sector):
 
 
 @functools.lru_cache(maxsize=None)
-def static_scenario(per_sector):
-    return hex_scenario(2, seed=per_sector, per_sector_users=per_sector)
+def static_scenario(rings, per_sector):
+    return hex_scenario(rings, seed=per_sector, per_sector_users=per_sector)
+
+
+def pending_static_scenario(seed, rings, per_sector):
+    """:func:`static_scenario` with a random share of its users pending."""
+    scn = static_scenario(rings, per_sector)
+    rng = np.random.default_rng(seed)
+    pending = rng.random(scn.n_users) < rng.uniform(0.05, 1.0)
+    scn.residual_bits[:] = np.where(pending, 1e5, 0.0)
+    scn.arrival_step[:] = np.where(pending, rng.integers(0, 3, scn.n_users), -1)
+    return scn
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(1, 3))
+def test_both_gain_sources_agree_while_no_user_has_moved(seed, rings, per_sector):
+    """Before any user moves, gains computed where the users stand and gains
+    gathered from the drop-time matrix freeze the same step bit for bit, so
+    a layout slip in either source shows."""
+    scn = pending_static_scenario(seed, rings, per_sector)
+    steps = []
+    for speed in (0.0, 1.0):
+        scn.user_speed_mps = speed
+        steps.append(scn.build_step())
+    scn.user_speed_mps = 0.0
+    static, moving = steps
+    for name in ("site_to_user_gain", "serving_gain", "own_gain", "sched_users"):
+        assert getattr(static, name).tobytes() == getattr(moving, name).tobytes(), name
 
 
 @pytest.mark.parametrize("moving", [False, True])
