@@ -11,9 +11,11 @@ Exit codes: 0 on success, 1 for bad input (an unreadable config file, or a
 ``ValidationError``: a config that does not parse or validate, a ``--vary``
 key or value given twice, a bad worker count, an oracle grid beyond the
 oracle's cap), 2 for runtime failures: a ``RanPowerError`` such as an
-``InvariantViolation``, an ``OSError``, or any other exception a subcommand
-raises (a ``MemoryError``, say), each reported as one ``runtime error:``
-line without a traceback.  Bad input is rejected before anything is written.
+``InvariantViolation`` or a mobility process that ends before its last
+slot, an ``OSError``, or any other exception a subcommand raises (a
+``MemoryError``, or the ``BrokenProcessPool`` of a sweep worker that died),
+each reported as one ``runtime error:`` line without a traceback.  Bad
+input is rejected before anything is written.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated values for one key; repeat for a grid",
     )
     p_sweep.add_argument(
-        "--workers", type=int, default=1, help="parallel worker processes"
+        "--workers", type=int, default=1,
+        help="parallel worker processes, at most one per combo and per usable CPU",
     )
 
     p_oracle = sub.add_parser("oracle", help="score a small run against exhaustive search")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -325,7 +326,11 @@ class Scenario:
     keeps copies of both arrays, and raises ``ValidationError`` for no sites,
     no users or coordinates not shaped (N, 2); the power set is the config's,
     from which the learners size their actions.  Users move only under
-    ``waypoint`` mobility, at ``user_speed_mps``.
+    ``waypoint`` mobility, at ``user_speed_mps``.  ``gains`` (B, S, U) is
+    the all-user matrix while it holds where the users stand: the drop-time
+    one for static users, and for moving users the one another process
+    refreshes each slot (see :meth:`apply`).  Users walked here leave it
+    None, and :meth:`build_step` computes the scheduled users' gains.
     """
 
     def __init__(self, site_xy: np.ndarray, cfg: RunConfig, user_xy: np.ndarray) -> None:
@@ -334,7 +339,7 @@ class Scenario:
         self.user_xy = _planar(user_xy, "user")
         self.n_sites, self.n_users = len(self.site_xy), len(self.user_xy)
         self.user_speed_mps = cfg.user_speed_mps if cfg.mobility == "waypoint" else 0.0
-        self.gains = sector_gain_matrix(self.site_xy, cfg, self.user_xy)
+        self.gains: np.ndarray | None = sector_gain_matrix(self.site_xy, cfg, self.user_xy)
         # Each user attaches to the (site, sector) with the strongest full-power
         # RSRP; ties go to the lowest site id, then the lowest sector id.
         best = self.gains.reshape(-1, self.n_users).argmax(axis=0)
@@ -346,6 +351,8 @@ class Scenario:
         self.current_power_idx = np.full(self.n_sites, cfg.n_power_levels - 1, dtype=int)
         self.t = 0
         self._waypoints: np.ndarray | None = None
+        # Set while another process walks the users ahead (see apply).
+        self.walk_ahead: Callable[[np.ndarray, np.ndarray], None] | None = None
 
     @property
     def idle_users(self) -> np.ndarray:
@@ -375,14 +382,16 @@ class Scenario:
         return order[taken[rank.argsort()]]
 
     def build_step(self) -> StepContext:
-        """Freeze the current step: scheduling and gains.  Static users gather
-        their columns of the drop-time gain matrix, moving users' are computed
-        where they stand; one contraction sums each site's scheduled sectors."""
+        """Freeze the current step: scheduling and gains.  The scheduled users
+        gather their columns of ``gains`` where it holds; users walked here
+        have theirs computed where they stand, only the scheduled ones.  One
+        contraction sums each site's scheduled sectors."""
         sched_users = self._schedule()
         sched_site = self.serving_site[sched_users]
         sched_sector = self.serving_sector[sched_users]
-        if self.user_speed_mps > 0.0:
-            gains = sector_gain_matrix(self.site_xy, self.cfg, self.user_xy[sched_users], clamp=True)
+        if self.gains is None:
+            gains = sector_gain_matrix(self.site_xy, self.cfg, self.user_xy[sched_users],
+                                       clamp=True)
         else:
             # take keeps the gather C-ordered, the layout the contraction's bits depend on
             gains = self.gains.take(sched_users, axis=2)
@@ -405,14 +414,30 @@ class Scenario:
 
     def apply(self, ctx: StepContext, ev: StepEval, rng: np.random.Generator) -> None:
         """Advance the state by one slot under the accepted assignment; moving
-        users then take one step, drawing new waypoints from ``rng``."""
+        users then take one step.
+
+        Without ``walk_ahead`` this scenario walks (:meth:`walk`) and draws
+        new waypoints from ``rng`` itself.  With it, a process holding a copy
+        of this scenario and of ``rng`` walks and draws, and ``walk_ahead``
+        loads the positions and all-user gains it wrote into ``user_xy`` and
+        ``gains``; here ``rng`` is not drawn from.
+        """
         drained = ctx.drained_residual(ev)
         self.residual_bits[ctx.sched_users] = drained
         self.arrival_step[ctx.sched_users[drained <= 0.0]] = -1
         self.current_power_idx[ctx.active_sites] = ev.power_idx[ctx.active_sites]
         self.t += 1
         if self.user_speed_mps > 0.0:
-            self._move_users(rng)
+            if self.walk_ahead is None:
+                self.walk(rng)
+            else:
+                self.walk_ahead(self.user_xy, self.gains)
+
+    def walk(self, rng: np.random.Generator) -> None:
+        """Moving users take one step; ``gains`` no longer holds where they
+        stand, so it becomes None."""
+        self._move_users(rng)
+        self.gains = None
 
     def _move_users(self, rng: np.random.Generator) -> None:
         """Random-waypoint drift: walk toward a waypoint, redraw on arrival."""

@@ -80,6 +80,22 @@ def build_golden_scenario(inputs):
 
 
 @pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes this test's ``os.fork`` calls start."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@pytest.fixture
 def desk_config():
     return RunConfig(rings=1, episodes=60, search_iters=10, seed=5)
 

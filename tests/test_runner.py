@@ -1,6 +1,7 @@
 """Run orchestration, output files, determinism, and the CLI."""
 
 import json
+import os
 from dataclasses import replace
 import subprocess
 import sys
@@ -220,11 +221,13 @@ def test_run_sweep_serial_and_parallel_agree(tmp_path):
 
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records the pool size it was
-    asked for and runs the jobs in this process."""
+    asked for, requires the initializer that keeps each worker's users
+    walking in-process, and runs the jobs in this process."""
 
     sizes: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer):
+        assert initializer is runner._walk_in_process
         RecordingPool.sizes.append(max_workers)
 
     def __enter__(self):
@@ -251,13 +254,92 @@ class RecordingPool:
 )
 def test_run_sweep_clamps_workers_to_jobs_and_cpus(tmp_path, monkeypatch, workers, cpus,
                                                     seeds, pool):
+    """The CPUs are the ones this process may run on, which the machine's
+    count (here 128) does not limit; without an affinity to read, the
+    machine's count, and one CPU where even that is unknown."""
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
+    if cpus is None:
+        monkeypatch.delattr(runner.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 128)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     entries = run_sweep(small_cfg(episodes=3, agent="sleep"), {"seed": seeds},
                         tmp_path, workers=workers)
     assert RecordingPool.sizes == pool
     assert [entry["seed"] for entry in entries] == seeds
+
+
+@pytest.mark.parametrize("affinity, cpu_count, usable", [
+    ({3}, 8, 1), ({0, 1}, 8, 2), (None, 6, 6), (None, None, 1),
+])
+def test_usable_cpus_reads_the_affinity_where_there_is_one(monkeypatch, affinity, cpu_count,
+                                                           usable):
+    if affinity is None:
+        monkeypatch.delattr(runner.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: affinity)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: cpu_count)
+    assert runner.usable_cpus() == usable
+
+
+def waypoint_sweep_cfg(tmp_path):
+    return write_cfg(tmp_path, "rings = 1\nagent = sleep\nmobility = waypoint\nepisodes = 30\n")
+
+
+def test_sweep_on_one_cpu_runs_serially_and_forks_nothing(tmp_path, monkeypatch):
+    """With one CPU in the affinity, ``--workers 4`` starts no pool, and the
+    waypoint runs walk their users in this process."""
+    def no_fork():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(runner.os, "fork", no_fork)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", waypoint_sweep_cfg(tmp_path), "--vary", "seed=0,1",
+                 "--workers", "4", "--out", str(out), "--quiet"]) == 0
+    assert len(json.loads((out / "sweep.json").read_text())) == 2
+
+
+def test_a_one_worker_sweep_walks_in_process_on_two_cpus(tmp_path, monkeypatch, forks):
+    """``--workers 1`` keeps one process busy: its waypoint combos fork no
+    mobility process.  A single combo with ``--workers 2`` runs like ``run``
+    and walks ahead in its one allowed second process."""
+    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = waypoint_sweep_cfg(tmp_path)
+    assert main(["sweep", "--config", cfg, "--vary", "seed=0,1", "--workers", "1",
+                 "--out", str(tmp_path / "one"), "--quiet"]) == 0
+    assert forks == []
+    assert runner._walk_ahead_allowed
+    assert main(["sweep", "--config", cfg, "--vary", "seed=0", "--workers", "2",
+                 "--out", str(tmp_path / "two"), "--quiet"]) == 0
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
+
+
+def _die_in_the_pool(job):
+    os._exit(3)
+
+
+def test_sweep_exits_two_when_a_pool_worker_dies(tmp_path, monkeypatch, capsys, forks):
+    """A pool worker that dies breaks the pool: one ``runtime error:`` line
+    naming ``BrokenProcessPool``, exit 2, no ``sweep.json``, and both
+    workers, the only processes started, reaped."""
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(runner, "_sweep_one", _die_in_the_pool)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", waypoint_sweep_cfg(tmp_path), "--vary", "seed=0,1",
+                 "--workers", "2", "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: BrokenProcessPool: ")
+    assert err.count("\n") == 1
+    assert not (out / "sweep.json").exists()
+    assert len(forks) == 2
+    for pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def test_cli_rejects_fewer_than_one_worker(tmp_path, capsys):

@@ -680,26 +680,34 @@ def pending_static_scenario(seed, rings, per_sector):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(1, 3))
 def test_both_gain_sources_agree_while_no_user_has_moved(seed, rings, per_sector):
-    """Before any user moves, gains computed where the users stand and gains
-    gathered from the drop-time matrix freeze the same step bit for bit, so
-    a layout slip in either source shows."""
+    """Before any user moves, the drop-time matrix, the all-user matrix a
+    mobility process refreshes where the users stand, and the scheduled
+    users' gains computed alone (``gains`` None, as after a walk here)
+    freeze the same step bit for bit, so a layout slip in any source shows."""
     scn = pending_static_scenario(seed, rings, per_sector)
+    static = scn.build_step()
+    drop_gains = scn.gains
     steps = []
-    for speed in (0.0, 1.0):
-        scn.user_speed_mps = speed
-        steps.append(scn.build_step())
-    scn.user_speed_mps = 0.0
-    static, moving = steps
-    for name in ("site_to_user_gain", "serving_gain", "own_gain", "sched_users"):
-        assert getattr(static, name).tobytes() == getattr(moving, name).tobytes(), name
+    try:
+        for gains in (sector_gain_matrix(scn.site_xy, scn.cfg, scn.user_xy, clamp=True), None):
+            scn.gains = gains
+            steps.append(scn.build_step())
+    finally:
+        scn.gains = drop_gains
+    for moving in steps:
+        for name in ("site_to_user_gain", "serving_gain", "own_gain", "sched_users"):
+            assert getattr(static, name).tobytes() == getattr(moving, name).tobytes(), name
 
 
 @pytest.mark.parametrize("moving", [False, True])
 def test_full_power_is_the_evaluation_of_the_full_plan(three_site_scenario, moving):
     """``ctx.full_power`` is ``evaluate`` of the all-top-level plan in every
-    field, bit for bit, on loaded, partly loaded and all-idle steps."""
+    field, bit for bit, on loaded, partly loaded and all-idle steps, with
+    the drop-time gains and with gains computed where walked users stand."""
     scn = three_site_scenario
-    scn.user_speed_mps = 1.0 if moving else 0.0
+    if moving:
+        scn.user_speed_mps = 1.0
+        scn.walk(np.random.default_rng(0))
     n = scn.n_users
     for volumes, n_active in (([1e5] * n, 3), ([1e5] + [0.0] * (n - 1), 1), ([0.0] * n, 0)):
         ctx = manual_step(scn, volumes)

@@ -3,14 +3,17 @@
     python3 tools/same_outputs.py REV [--seeds 1 2 ...]
 
 Run from the repository root.  Each shape in ``SHAPES`` runs at each seed
-twice through ``python -m ranpower.cli run``: once on a ``git archive REV``
-copy in a temp directory and once on this working tree.  The sha256 of
-``metrics.csv`` and, where either side writes one, ``weights.bin`` must
-match, and so must ``summary.json``, which carries the ``learner`` block
-that no CSV byte shows, without ``wall_clock_s`` and ``config.out_dir``:
-the first varies run to run, and the two sides write to different temp
-directories.  Prints one line per
-run and exits 1 on any difference or failed run.
+through ``python -m ranpower.cli run``: once on a ``git archive REV`` copy
+in a temp directory and once on this working tree.  A waypoint shape runs
+on the working tree a second time, pinned to one CPU by
+``os.sched_setaffinity`` in that subprocess alone, so its users walk in the
+run's own process instead of a forked one: both gain sources are checked
+against the revision's bytes.  The sha256 of ``metrics.csv`` and, where
+either side writes one, ``weights.bin`` must match, and so must
+``summary.json``, which carries the ``learner`` block that no CSV byte
+shows, without ``wall_clock_s`` and ``config.out_dir``: the first varies
+run to run, and the two sides write to different temp directories.  Prints
+one line per run and exits 1 on any difference or failed run.
 """
 
 from __future__ import annotations
@@ -91,15 +94,22 @@ def summary_sha256(path: Path) -> str:
     return hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
 
 
-def run_once(tree: Path, config: dict, seed: int, out: Path) -> dict[str, str | None]:
-    out.mkdir(parents=True)
+def one_cpu() -> None:
+    """``preexec_fn`` of a pinned run: this child may use one CPU only."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def run_once(tree: Path, config: dict, seed: int, out: Path,
+             pinned: bool = False) -> dict[str, str | None]:
+    out.mkdir(parents=True, exist_ok=True)
     cfg = out / "run.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     cmd = [sys.executable, "-m", "ranpower.cli", "run", "--config", str(cfg),
            "--seed", str(seed), "--out", str(out), "--quiet"]
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True,
+                          preexec_fn=one_cpu if pinned else None)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr.strip()}")
     return {**{name: sha256(out / name) for name in OUTPUTS},
@@ -120,21 +130,29 @@ def main(argv: list[str] | None = None) -> int:
             f"git archive {shlex.quote(args.rev)} | tar -x -C {shlex.quote(str(base))}",
             shell=True, check=True, cwd=ROOT,
         )
+        runs = 0
         for name, config in SHAPES.items():
+            passes = (False, True) if config.get("mobility") == "waypoint" else (False,)
             for seed in args.seeds:
-                try:
-                    want = run_once(base, config, seed, Path(tmp) / "a" / name / str(seed))
-                    got = run_once(ROOT, config, seed, Path(tmp) / "b" / name / str(seed))
-                except RuntimeError as exc:
-                    print(f"{name} seed={seed}: FAILED {exc}")
-                    differ += 1
-                    continue
-                diff = [k for k in want if want[k] != got[k]]
-                differ += bool(diff)
-                status = f"DIFFER in {', '.join(diff)}" if diff else "same"
-                print(f"{name} seed={seed}: {status} (metrics.csv {got['metrics.csv'][:12]})",
-                      flush=True)
-    print(f"{differ} of {len(SHAPES) * len(args.seeds)} runs differ or failed")
+                want = None
+                for pinned in passes:
+                    runs += 1
+                    label = f"{name} seed={seed}{' one-cpu' if pinned else ''}"
+                    tag = f"{name}/{seed}"
+                    try:
+                        want = want or run_once(base, config, seed, Path(tmp) / "a" / tag)
+                        got = run_once(ROOT, config, seed,
+                                       Path(tmp) / ("c" if pinned else "b") / tag, pinned)
+                    except RuntimeError as exc:
+                        print(f"{label}: FAILED {exc}")
+                        differ += 1
+                        continue
+                    diff = [k for k in want if want[k] != got[k]]
+                    differ += bool(diff)
+                    status = f"DIFFER in {', '.join(diff)}" if diff else "same"
+                    print(f"{label}: {status} (metrics.csv {got['metrics.csv'][:12]})",
+                          flush=True)
+    print(f"{differ} of {runs} runs differ or failed")
     return 1 if differ else 0
 
 
