@@ -10,12 +10,13 @@ mobility).  Because the streams are independent, switching an agent that
 does not consume a stream cannot perturb the others, and two runs with the
 same config and seed produce byte-identical CSV output.  The mobility
 stream is drawn from by whichever process walks the users, this one or a
-forked copy of it (see :func:`_walking_ahead`), so where they walk does not
+forked copy of it (see :func:`_moving_users`), so where they walk does not
 change a byte.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -100,30 +101,6 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# False in a sweep's pool workers and in a sweep asked for one worker,
-# which may keep only one process busy.
-_walk_ahead_allowed = True
-
-
-def _walk_in_process() -> None:
-    """Pool initializer: a sweep worker moves its users itself, so
-    ``workers`` pool processes are all the busy processes a sweep has."""
-    global _walk_ahead_allowed
-    _walk_ahead_allowed = False
-
-
-@contextmanager
-def _walk_ahead_only_if(allowed: bool) -> Iterator[None]:
-    """Runs in the block walk their users here unless ``allowed``."""
-    global _walk_ahead_allowed
-    saved = _walk_ahead_allowed
-    _walk_ahead_allowed = saved and allowed
-    try:
-        yield
-    finally:
-        _walk_ahead_allowed = saved
-
-
 def _read_into(fd: int, array: np.ndarray) -> bool:
     """Fill ``array`` from ``fd``; False if the writer closed its end first."""
     view = memoryview(array).cast("B")
@@ -168,24 +145,30 @@ def _walk_ahead_child(scn: Scenario, rng: np.random.Generator, slots: int,
 
 
 @contextmanager
-def _walking_ahead(scn: Scenario, rng: np.random.Generator, slots: int) -> Iterator[None]:
-    """Moving users walk ahead of the slot loop, in a second process.
+def _moving_users(scn: Scenario, rng: np.random.Generator, slots: int,
+                  walk_ahead: bool) -> Iterator[Callable[[], None]]:
+    """Yield the step that moves the users once a slot is applied.
 
-    Where ``os.fork`` exists and this process may run on two CPUs, a forked
-    child runs the same :meth:`Scenario.walk` on its copy of the scenario and
-    of ``rng`` for each of the next ``slots`` applies and writes the positions
-    and every user's gains to a pipe, whose capacity bounds how far ahead it
-    gets; the scenario's ``apply`` reads them back.  A gain is computed per
-    user, so the scheduled users' columns hold the bits an in-process walk
-    computes for them alone, and every output byte is the same.  Static users, a sweep's pool workers, a sweep
-    asked for one worker and a single CPU keep the walk in this process.
-    The child is reaped on the way out, whether the block returns or raises;
-    a child that ends before its last slot makes the read raise
-    ``RanPowerError``.
+    Static users never move, so their step does nothing.  Moving users walk
+    ahead of the slot loop, in a second process, where ``walk_ahead``
+    allows it, ``os.fork`` exists and this process may run on two CPUs: a
+    forked child runs the same :meth:`Scenario.walk` on its copy of the
+    scenario and of ``rng`` for each of the next ``slots`` steps and writes
+    the positions and every user's gains to a pipe, whose capacity bounds
+    how far ahead it gets; the step reads them back into ``scn.user_xy`` and
+    ``scn.gains``.  A gain is computed per user, so the scheduled users'
+    columns hold the bits an in-process walk computes for them alone, and
+    every output byte is the same.  Elsewhere, or where the fork fails, the
+    step is that walk, here.  The child is reaped on the way out, whether
+    the block returns or raises; a child that ends before its last slot
+    makes the step raise ``RanPowerError``.
     """
-    if not (scn.user_speed_mps > 0.0 and _walk_ahead_allowed and hasattr(os, "fork")
-            and usable_cpus() >= 2):
-        yield
+    if scn.user_speed_mps <= 0.0:
+        yield lambda: None
+        return
+    walk_here = functools.partial(scn.walk, rng)
+    if not (walk_ahead and hasattr(os, "fork") and usable_cpus() >= 2):
+        yield walk_here
         return
     import fcntl  # here: only a walk-ahead run needs it
 
@@ -202,13 +185,13 @@ def _walking_ahead(scn: Scenario, rng: np.random.Generator, slots: int) -> Itera
     os.close(write_fd)
     if pid is None:
         os.close(read_fd)
-        yield
+        yield walk_here
         return
     reaped = False
 
-    def read(user_xy: np.ndarray, gains: np.ndarray) -> None:
+    def read() -> None:
         nonlocal reaped
-        if not (_read_into(read_fd, user_xy) and _read_into(read_fd, gains)):
+        if not (_read_into(read_fd, scn.user_xy) and _read_into(read_fd, scn.gains)):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             reaped = True
             how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
@@ -217,11 +200,9 @@ def _walking_ahead(scn: Scenario, rng: np.random.Generator, slots: int) -> Itera
                 f"no positions for slot {scn.t - 1} of {slots}"
             )
 
-    scn.walk_ahead = read
     try:
-        yield
+        yield read
     finally:
-        scn.walk_ahead = None
         os.close(read_fd)  # a child still walking stops at its next write
         if not reaped:
             os.waitpid(pid, 0)
@@ -240,6 +221,8 @@ def run(
     out_dir: str | Path | None = None,
     quiet: bool = True,
     episode_hook: Callable[[int, object, EpisodeOutcome], None] | None = None,
+    *,
+    walk_ahead: bool = True,
 ) -> RunResult:
     """Execute one configured run and write ``metrics.csv`` + ``summary.json``.
 
@@ -247,8 +230,9 @@ def run(
     ``episode_hook`` receives ``(t, step_context, outcome)`` after each step;
     the acceptance suite uses it to compare accepted actions against the
     exhaustive oracle on the very contexts the agent saw.  Moving users
-    walk ahead of the slot loop in a second process where the host allows
-    (see :func:`_walking_ahead`); a static run never forks.
+    walk ahead of the slot loop in a second process where the host and
+    ``walk_ahead`` allow (see :func:`_moving_users`); with ``walk_ahead``
+    False they walk in this process, and a static run never forks.
     """
     started = time.perf_counter()
     out = Path(cfg.out_dir if out_dir is None else out_dir)
@@ -261,14 +245,15 @@ def run(
     csv_path = out / "metrics.csv"
 
     acc = MetricsAccumulator(cfg.p_max_dbw, scn.n_sites)
-    with (_walking_ahead(scn, streams["mobility"], cfg.episodes),
+    with (_moving_users(scn, streams["mobility"], cfg.episodes, walk_ahead) as move,
           _replacing(csv_path) as tmp, open(tmp, "w", newline="") as fh):
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for t in range(cfg.episodes):
             scn.spawn_arrivals(streams["traffic"])
             ctx = scn.build_step()
             outcome = agent.run_episode(ctx, t, t == cfg.episodes - 1)
-            scn.apply(ctx, outcome.ev, streams["mobility"])
+            scn.apply(ctx, outcome.ev)
+            move()
             fh.write(acc.push(t, ctx.phi, outcome))
             if episode_hook is not None:
                 episode_hook(t, ctx, outcome)
@@ -312,9 +297,9 @@ def run_compare(
     return table
 
 
-def _sweep_one(args: tuple[str, RunConfig]) -> dict:
-    out, cfg = args
-    result = run(cfg, out, quiet=True)
+def _sweep_one(args: tuple[str, RunConfig, bool]) -> dict:
+    out, cfg, walk_ahead = args
+    result = run(cfg, out, quiet=True, walk_ahead=walk_ahead)
     return {
         "out": out,
         "agent": cfg.agent,
@@ -334,14 +319,14 @@ def run_sweep(
 
     Combos are independent runs, so ``workers > 1`` executes them in
     parallel processes without changing any output.  The pool never holds
-    more processes than there are combos or usable CPUs, and its workers
-    move their users themselves, so it keeps at most ``workers`` processes
-    busy.  A sweep left with one process runs its combos here: each like
-    :func:`run` when ``workers`` is 2 or more, with its users walked here
-    when it is 1.  A combo whose config is invalid, or two combos that
-    would share a subdirectory (a repeated value, such as ``500`` and
-    ``500.0`` for a float key), raise ``ValidationError`` before anything
-    is written.
+    more processes than there are combos or usable CPUs, and its jobs run
+    with ``walk_ahead`` False, so its workers move their users themselves
+    and it keeps at most ``workers`` processes busy.  A sweep left with one
+    process runs its combos here: each like :func:`run` when ``workers`` is
+    2 or more, and with ``walk_ahead`` False when it is 1.  A combo whose
+    config is invalid, or two combos that would share a subdirectory (a
+    repeated value, such as ``500`` and ``500.0`` for a float key), raise
+    ``ValidationError`` before anything is written.
     """
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     keys = sorted(vary)
@@ -358,11 +343,10 @@ def run_sweep(
         # Imported here: it loads multiprocessing, which no single run needs.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=pool_size, initializer=_walk_in_process) as pool:
-            entries = list(pool.map(_sweep_one, jobs.items()))
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            entries = list(pool.map(_sweep_one, [(sub, job, False) for sub, job in jobs.items()]))
     else:
-        with _walk_ahead_only_if(workers > 1):
-            entries = [_sweep_one(job) for job in jobs.items()]
+        entries = [_sweep_one((sub, job, workers > 1)) for sub, job in jobs.items()]
     _write_json(out / "sweep.json", entries)
     if not quiet:
         for entry in entries:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -326,11 +325,12 @@ class Scenario:
     keeps copies of both arrays, and raises ``ValidationError`` for no sites,
     no users or coordinates not shaped (N, 2); the power set is the config's,
     from which the learners size their actions.  Users move only under
-    ``waypoint`` mobility, at ``user_speed_mps``.  ``gains`` (B, S, U) is
+    ``waypoint`` mobility, at ``user_speed_mps``, one :meth:`walk` a slot,
+    which the runner calls after :meth:`apply`.  ``gains`` (B, S, U) is
     the all-user matrix while it holds where the users stand: the drop-time
-    one for static users, and for moving users the one another process
-    refreshes each slot (see :meth:`apply`).  Users walked here leave it
-    None, and :meth:`build_step` computes the scheduled users' gains.
+    one for static users, and for moving users the one the runner's
+    mobility process refreshes each slot.  Users walked here leave it None,
+    and :meth:`build_step` computes the scheduled users' gains.
     """
 
     def __init__(self, site_xy: np.ndarray, cfg: RunConfig, user_xy: np.ndarray) -> None:
@@ -351,8 +351,6 @@ class Scenario:
         self.current_power_idx = np.full(self.n_sites, cfg.n_power_levels - 1, dtype=int)
         self.t = 0
         self._waypoints: np.ndarray | None = None
-        # Set while another process walks the users ahead (see apply).
-        self.walk_ahead: Callable[[np.ndarray, np.ndarray], None] | None = None
 
     @property
     def idle_users(self) -> np.ndarray:
@@ -412,35 +410,19 @@ class Scenario:
             prior_power_w=self.power_levels_w[self.current_power_idx],
         )
 
-    def apply(self, ctx: StepContext, ev: StepEval, rng: np.random.Generator) -> None:
-        """Advance the state by one slot under the accepted assignment; moving
-        users then take one step.
-
-        Without ``walk_ahead`` this scenario walks (:meth:`walk`) and draws
-        new waypoints from ``rng`` itself.  With it, a process holding a copy
-        of this scenario and of ``rng`` walks and draws, and ``walk_ahead``
-        loads the positions and all-user gains it wrote into ``user_xy`` and
-        ``gains``; here ``rng`` is not drawn from.
-        """
+    def apply(self, ctx: StepContext, ev: StepEval) -> None:
+        """Advance traffic and power by one slot under the accepted assignment;
+        the users stay where they are (see :meth:`walk`)."""
         drained = ctx.drained_residual(ev)
         self.residual_bits[ctx.sched_users] = drained
         self.arrival_step[ctx.sched_users[drained <= 0.0]] = -1
         self.current_power_idx[ctx.active_sites] = ev.power_idx[ctx.active_sites]
         self.t += 1
-        if self.user_speed_mps > 0.0:
-            if self.walk_ahead is None:
-                self.walk(rng)
-            else:
-                self.walk_ahead(self.user_xy, self.gains)
 
     def walk(self, rng: np.random.Generator) -> None:
-        """Moving users take one step; ``gains`` no longer holds where they
-        stand, so it becomes None."""
-        self._move_users(rng)
-        self.gains = None
-
-    def _move_users(self, rng: np.random.Generator) -> None:
-        """Random-waypoint drift: walk toward a waypoint, redraw on arrival."""
+        """Moving users take one random-waypoint step: each walks toward its
+        waypoint and draws a new one from ``rng`` on arrival.  ``gains`` no
+        longer holds where they stand, so it becomes None."""
         if self._waypoints is None:
             self._waypoints = self._draw_waypoints(rng, np.arange(self.n_users))
         step = self.user_speed_mps * SLOT_S
@@ -454,6 +436,7 @@ class Scenario:
         if arrived.any():
             self.user_xy[arrived] = self._waypoints[arrived]
             self._waypoints[arrived] = self._draw_waypoints(rng, np.flatnonzero(arrived))
+        self.gains = None
 
     def _draw_waypoints(self, rng: np.random.Generator, users: np.ndarray) -> np.ndarray:
         anchors = self.site_xy[self.serving_site[users]]

@@ -83,7 +83,7 @@ def small_dqn_run():
             else:
                 _, best_ee = exhaustive_oracle(ctx)
                 ratios.append(out.ev.network_ee / best_ee)
-        scn.apply(ctx, out.ev, streams["mobility"])
+        scn.apply(ctx, out.ev)
     return {
         "agent": agent,
         "ratios": ratios,

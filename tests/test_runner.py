@@ -221,13 +221,11 @@ def test_run_sweep_serial_and_parallel_agree(tmp_path):
 
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records the pool size it was
-    asked for, requires the initializer that keeps each worker's users
-    walking in-process, and runs the jobs in this process."""
+    asked for and runs the jobs in this process."""
 
     sizes: list = []
 
-    def __init__(self, max_workers, initializer):
-        assert initializer is runner._walk_in_process
+    def __init__(self, max_workers):
         RecordingPool.sizes.append(max_workers)
 
     def __enter__(self):
@@ -311,12 +309,24 @@ def test_a_one_worker_sweep_walks_in_process_on_two_cpus(tmp_path, monkeypatch, 
     assert main(["sweep", "--config", cfg, "--vary", "seed=0,1", "--workers", "1",
                  "--out", str(tmp_path / "one"), "--quiet"]) == 0
     assert forks == []
-    assert runner._walk_ahead_allowed
     assert main(["sweep", "--config", cfg, "--vary", "seed=0", "--workers", "2",
                  "--out", str(tmp_path / "two"), "--quiet"]) == 0
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(forks[0], os.WNOHANG)
+
+
+def test_pool_jobs_walk_their_users_in_process(tmp_path, monkeypatch, forks):
+    """A pool job keeps its worker the only busy process: a two-combo
+    waypoint sweep on two CPUs, its jobs run here by the recording pool,
+    forks no mobility process."""
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+    assert main(["sweep", "--config", waypoint_sweep_cfg(tmp_path), "--vary", "seed=0,1",
+                 "--workers", "2", "--out", str(tmp_path / "sw"), "--quiet"]) == 0
+    assert RecordingPool.sizes == [2]
+    assert forks == []
 
 
 def _die_in_the_pool(job):

@@ -19,6 +19,7 @@ from ranpower.radio import (
     SPEED_OF_LIGHT_M_S,
     dbw_to_watts,
 )
+from ranpower.runner import _moving_users
 from ranpower.scenario import (
     BORESIGHTS_DEG,
     SECTOR_WIDTH_DEG,
@@ -245,7 +246,8 @@ def test_scenario_moves_its_own_copy_of_the_users(three_site):
     scn = Scenario(three_site, cfg, user_xy)
     scn.residual_bits[:] = 1e5
     ctx = scn.build_step()
-    scn.apply(ctx, ctx.evaluate(np.zeros(ctx.n_sites, dtype=int)), np.random.default_rng(3))
+    scn.apply(ctx, ctx.evaluate(np.zeros(ctx.n_sites, dtype=int)))
+    scn.walk(np.random.default_rng(3))
     assert np.any(scn.user_xy != given)
     assert user_xy.tobytes() == given.tobytes()
     assert three_site.tobytes() == site_xy.tobytes()
@@ -443,7 +445,7 @@ def eager_features(scn, ctx):
 def test_features_on_read_equal_the_eager_ones(moving):
     """``features`` is computed when first read, from the power levels the
     step started with: the same bits whether read before or after
-    ``apply`` moved the state on."""
+    ``apply`` moved the state on and moving users walked."""
     scn = moving_scenario(seed=21) if moving else static_scenario(2, 1)
     rng = np.random.default_rng(21)
     for step in range(6):
@@ -455,7 +457,9 @@ def test_features_on_read_equal_the_eager_ones(moving):
         plan = rng.integers(ctx.n_levels, size=ctx.n_sites)
         if step % 2:
             assert ctx.features.tobytes() == want.tobytes()
-        scn.apply(ctx, ctx.evaluate(plan), rng)
+        scn.apply(ctx, ctx.evaluate(plan))
+        if moving:
+            scn.walk(rng)
         assert ctx.features.tobytes() == want.tobytes()
         assert ctx.features is ctx.features
 
@@ -515,7 +519,7 @@ def test_apply_advances_state(three_site_scenario):
     ctx = manual_step(scn, [1e4] * scn.n_users)
     before_idx, before_t = scn.current_power_idx.copy(), scn.t
     ev = ctx.evaluate(np.zeros(ctx.n_sites, dtype=int))
-    scn.apply(ctx, ev, np.random.default_rng(0))
+    scn.apply(ctx, ev)
     assert scn.t == before_t + 1
     assert np.all(scn.current_power_idx[ctx.active_sites] == 0)
     sleepers = np.flatnonzero(ctx.phi == 0.0)
@@ -536,7 +540,7 @@ def test_completed_requests_free_the_user(three_site):
     scn.arrival_step[0] = 0
     ctx = scn.build_step()
     ev = ctx.evaluate(np.full(ctx.n_sites, ctx.n_levels - 1))
-    scn.apply(ctx, ev, np.random.default_rng(0))
+    scn.apply(ctx, ev)
     assert scn.residual_bits[0] == 0.0
     assert scn.arrival_step[0] == -1
     assert 0 in scn.idle_users
@@ -550,12 +554,14 @@ def test_mobility_moves_users(three_site):
     before = scn.user_xy.copy()
     rng = np.random.default_rng(3)
     ctx = scn.build_step()
-    scn.apply(ctx, ctx.evaluate(np.zeros(ctx.n_sites, dtype=int)), rng)
+    scn.apply(ctx, ctx.evaluate(np.zeros(ctx.n_sites, dtype=int)))
+    scn.walk(rng)
     assert np.any(scn.user_xy != before)
 
 
 def reference_move(scn, rng):
-    """The boolean-index random-waypoint step that ``_move_users`` replaced."""
+    """The boolean-index random-waypoint step that ``walk``'s whole-array
+    moves replaced."""
     step = scn.user_speed_mps * SLOT_S
     delta = scn._waypoints - scn.user_xy
     dist = np.hypot(delta[:, 0], delta[:, 1])
@@ -582,20 +588,27 @@ def test_move_users_matches_the_boolean_index_reference(three_site):
     assert np.hypot(*(got._waypoints[0] - got.user_xy[0])) == 1.0
     rng_got, rng_want = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(8):
-        got._move_users(rng_got)
+        got.walk(rng_got)
         reference_move(want, rng_want)
         assert got.user_xy.tobytes() == want.user_xy.tobytes()
         assert got._waypoints.tobytes() == want._waypoints.tobytes()
 
 
 def test_static_scenario_ignores_motion_rng(three_site_scenario):
+    """The runner's move step for static users neither moves them nor draws
+    from the mobility stream, even with walk-ahead allowed."""
     scn = three_site_scenario
     scn.residual_bits[:] = 1e5
     scn.arrival_step[:] = 0
     before = scn.user_xy.copy()
-    ctx = scn.build_step()
-    scn.apply(ctx, ctx.evaluate(np.zeros(ctx.n_sites, dtype=int)), np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    rng_state = rng.bit_generator.state
+    with _moving_users(scn, rng, slots=1, walk_ahead=True) as move:
+        ctx = scn.build_step()
+        scn.apply(ctx, ctx.evaluate(np.zeros(ctx.n_sites, dtype=int)))
+        move()
     assert np.array_equal(scn.user_xy, before)
+    assert rng.bit_generator.state == rng_state
 
 
 def moving_scenario(seed=11):
@@ -637,7 +650,8 @@ def test_moving_build_step_matches_the_full_matrix_slice(seed):
         assert ctx.evaluate(idx).user_rates_bps.tobytes() == (
             ref.evaluate(idx).user_rates_bps.tobytes()
         )
-        scn.apply(ctx, ctx.full_power, rng)
+        scn.apply(ctx, ctx.full_power)
+        scn.walk(rng)
 
 
 @settings(max_examples=40, deadline=None)

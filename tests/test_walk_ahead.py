@@ -150,11 +150,16 @@ def test_cli_exits_two_when_the_mobility_process_dies(tmp_path, monkeypatch, for
 
 
 def test_a_static_run_never_forks(tmp_path, monkeypatch):
+    """Static users neither fork a mobility process nor walk here."""
     def no_fork():
         raise AssertionError("a static run forked")
 
+    def no_walk(self, rng):
+        raise AssertionError("static users walked")
+
     set_cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(Scenario, "walk", no_walk)
     result = runner.run(RunConfig(rings=1, agent="sleep", episodes=30), tmp_path / "out")
     assert result.csv_path.exists()
 
