@@ -122,9 +122,17 @@ def main(argv: list[str] | None = None) -> int:
                         f"ee={entry['ee_overall_mbps_per_dbw']:.4f} Mbps/dBW"
                     )
         elif args.command == "sweep":
-            run_sweep(cfg, vary, args.out, workers=args.workers, quiet=args.quiet)
+            entries = run_sweep(cfg, vary, args.out, workers=args.workers)
+            if not args.quiet:
+                for entry in entries:
+                    print(f"{entry['out']}: ee={entry['ee_overall_mbps_per_dbw']:.4f}")
         elif args.command == "oracle":
-            run_oracle_check(cfg, args.out, quiet=args.quiet)
+            stats = run_oracle_check(cfg, args.out)
+            if not args.quiet and stats["mean_ratio"] is not None:
+                print(
+                    f"oracle check: {stats['steps_scored']} steps, "
+                    f"mean ratio {stats['mean_ratio']:.4f}, min {stats['min_ratio']:.4f}"
+                )
     except ValidationError as exc:  # a --vary combo or the oracle grid; nothing written yet
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -11,7 +11,8 @@ does not consume a stream cannot perturb the others, and two runs with the
 same config and seed produce byte-identical CSV output.  The mobility
 stream is drawn from by whichever process walks the users, this one or a
 forked copy of it (see :func:`_moving_users`), so where they walk does not
-change a byte.
+change a byte.  A forked copy sends each slot's positions and gains back
+through a pipe, which each process wraps in a buffered file object.
 """
 
 from __future__ import annotations
@@ -101,39 +102,26 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _read_into(fd: int, array: np.ndarray) -> bool:
-    """Fill ``array`` from ``fd``; False if the writer closed its end first."""
-    view = memoryview(array).cast("B")
-    while view:
-        got = os.readv(fd, [view])
-        if not got:
-            return False
-        view = view[got:]
-    return True
-
-
-def _write_all(fd: int, array: np.ndarray) -> None:
-    view = memoryview(array).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
-
-
 def _walk_ahead_child(scn: Scenario, rng: np.random.Generator, slots: int,
                       fds: tuple[int, int]) -> None:
     """The forked mobility process: walk ``slots`` times and write each
-    slot's positions and all-user gains to the pipe ``fds``.  It leaves only through
-    ``os._exit``, so nothing the parent buffered is flushed twice and no
-    traceback is printed; a closed pipe (the parent has stopped reading or
-    is gone) ends it with status 0, any other failure with status 1, after
-    one line naming the exception on stderr."""
+    slot's positions and all-user gains to the pipe ``fds`` through a
+    buffered file, flushed once a slot, so a slot's bytes are all in the
+    pipe before the next walk.  It leaves only through ``os._exit``, so
+    nothing the parent buffered is flushed twice and no traceback is
+    printed; a closed pipe (the parent has stopped reading or is gone) ends
+    it with status 0, any other failure with status 1, after one line
+    naming the exception on stderr."""
     code = 1
     try:
-        read_fd, fd = fds
+        read_fd, write_fd = fds
         os.close(read_fd)
-        for _ in range(slots):
-            scn.walk(rng)
-            _write_all(fd, scn.user_xy)
-            _write_all(fd, sector_gain_matrix(scn.site_xy, scn.cfg, scn.user_xy, clamp=True))
+        with open(write_fd, "wb") as pipe:
+            for _ in range(slots):
+                scn.walk(rng)
+                pipe.write(scn.user_xy)
+                pipe.write(sector_gain_matrix(scn.site_xy, scn.cfg, scn.user_xy, clamp=True))
+                pipe.flush()
         code = 0
     except BrokenPipeError:
         code = 0
@@ -155,8 +143,10 @@ def _moving_users(scn: Scenario, rng: np.random.Generator, slots: int,
     forked child runs the same :meth:`Scenario.walk` on its copy of the
     scenario and of ``rng`` for each of the next ``slots`` steps and writes
     the positions and every user's gains to a pipe, whose capacity bounds
-    how far ahead it gets; the step reads them back into ``scn.user_xy`` and
-    ``scn.gains``.  A gain is computed per user, so the scheduled users'
+    how far ahead it gets.  The step fills ``scn.user_xy`` and ``scn.gains``
+    with ``readinto`` on a buffered reader of the pipe, which returns fewer
+    bytes than an array holds only once the child has closed its end.  A
+    gain is computed per user, so the scheduled users'
     columns hold the bits an in-process walk computes for them alone, and
     every output byte is the same.  Elsewhere, or where the fork fails, the
     step is that walk, here.  The child is reaped on the way out, whether
@@ -188,10 +178,12 @@ def _moving_users(scn: Scenario, rng: np.random.Generator, slots: int,
         yield walk_here
         return
     reaped = False
+    pipe = open(read_fd, "rb")
 
     def read() -> None:
         nonlocal reaped
-        if not (_read_into(read_fd, scn.user_xy) and _read_into(read_fd, scn.gains)):
+        if (pipe.readinto(scn.user_xy) < scn.user_xy.nbytes
+                or pipe.readinto(scn.gains) < scn.gains.nbytes):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             reaped = True
             how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
@@ -203,7 +195,7 @@ def _moving_users(scn: Scenario, rng: np.random.Generator, slots: int,
     try:
         yield read
     finally:
-        os.close(read_fd)  # a child still walking stops at its next write
+        pipe.close()  # a child still walking stops at its next write
         if not reaped:
             os.waitpid(pid, 0)
 
@@ -299,7 +291,7 @@ def run_compare(
 
 def _sweep_one(args: tuple[str, RunConfig, bool]) -> dict:
     out, cfg, walk_ahead = args
-    result = run(cfg, out, quiet=True, walk_ahead=walk_ahead)
+    result = run(cfg, out, walk_ahead=walk_ahead)
     return {
         "out": out,
         "agent": cfg.agent,
@@ -313,7 +305,6 @@ def run_sweep(
     vary: dict[str, Sequence],
     out_dir: str | Path | None = None,
     workers: int = 1,
-    quiet: bool = True,
 ) -> list[dict]:
     """Cartesian sweep over the listed keys; one subdirectory per combo.
 
@@ -348,15 +339,10 @@ def run_sweep(
     else:
         entries = [_sweep_one((sub, job, workers > 1)) for sub, job in jobs.items()]
     _write_json(out / "sweep.json", entries)
-    if not quiet:
-        for entry in entries:
-            print(f"{entry['out']}: ee={entry['ee_overall_mbps_per_dbw']:.4f}")
     return entries
 
 
-def run_oracle_check(
-    cfg: RunConfig, out_dir: str | Path | None = None, quiet: bool = True
-) -> dict:
+def run_oracle_check(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
     """Run the configured agent while scoring each step against the oracle.
 
     Only viable on small instances: a grid whose ``n_power_levels ** sites``
@@ -384,7 +370,7 @@ def run_oracle_check(
         ratio = achieved / best_ee if best_ee > 0.0 else 1.0
         ratios.append((t, achieved, best_ee, ratio))
 
-    run(cfg, out, quiet=True, episode_hook=hook)
+    run(cfg, out, episode_hook=hook)
     with _replacing(out / "oracle.csv") as tmp, open(tmp, "w", newline="") as fh:
         fh.write("t,achieved_ee,oracle_ee,ratio\n")
         fh.writelines(format_row(entry) for entry in ratios)
@@ -394,9 +380,4 @@ def run_oracle_check(
         "min_ratio": float(np.min([r[3] for r in ratios])) if ratios else None,
     }
     _write_json(out / "oracle_summary.json", stats)
-    if not quiet and stats["mean_ratio"] is not None:
-        print(
-            f"oracle check: {stats['steps_scored']} steps, "
-            f"mean ratio {stats['mean_ratio']:.4f}, min {stats['min_ratio']:.4f}"
-        )
     return stats

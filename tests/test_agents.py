@@ -98,7 +98,7 @@ def full_batch_search(ctx, qrows, n_iterations, epsilon, rng):
     idx[:, active] = picks
     evs = ctx.evaluate(idx)
     scores = qrows[active, picks].sum(axis=1)
-    feasible = evs.rate_delta_sum >= 0.0
+    feasible = agents.is_feasible(evs.rate_delta_sum)
     if not feasible.any():
         return EpisodeOutcome(ev=ctx.full_power, accepted_iteration=None), evs, scores
     best = int(np.argmax(np.where(feasible, scores, -np.inf)))
@@ -277,7 +277,7 @@ def test_search_rates_the_rest_only_when_the_head_has_no_feasible_plan(
         )
         top = np.argsort(-scores, kind="stable")[:head]
         assert np.array_equal(ctx.rated[0].power_idx, evs.power_idx[top])
-        head_feasible = bool((evs.rate_delta_sum[top] >= 0.0).any())
+        head_feasible = bool(agents.is_feasible(evs.rate_delta_sum[top]).any())
         rest = [] if head_feasible else [n_iterations - head]
         assert ctx.calls == [head, *rest]
         seen.add(head_feasible)
@@ -504,7 +504,7 @@ def test_exhaustive_oracle_matches_hand_enumeration(loaded_ctx, monkeypatch):
     best_idx, best_ee = None, -np.inf
     for combo in itertools.product(range(loaded_ctx.n_levels), repeat=3):
         ev = loaded_ctx.evaluate(np.asarray(combo, dtype=int))
-        if ev.rate_delta_sum >= 0.0 and ev.network_ee > best_ee:
+        if agents.is_feasible(ev.rate_delta_sum) and ev.network_ee > best_ee:
             best_idx, best_ee = np.asarray(combo, dtype=int), ev.network_ee
 
     for chunk in (agents.ORACLE_CHUNK, 1, 5, 64):
@@ -534,7 +534,7 @@ def test_exhaustive_oracle_beats_or_ties_every_feasible_assignment(loaded_ctx):
     _, ee = exhaustive_oracle(loaded_ctx)
     for combo in itertools.product(range(loaded_ctx.n_levels), repeat=3):
         ev = loaded_ctx.evaluate(np.asarray(combo, dtype=int))
-        if ev.rate_delta_sum >= 0.0:
+        if agents.is_feasible(ev.rate_delta_sum):
             assert ee >= ev.network_ee - 1e-12
 
 

@@ -514,6 +514,27 @@ def test_cli_compare_and_sweep_end_to_end(tmp_path):
     assert (tmp_path / "sw" / "sweep.json").exists()
 
 
+def test_cli_sweep_and_oracle_print_their_tables(tmp_path, capsys):
+    """Without ``--quiet``, ``sweep`` prints one line per combo and
+    ``oracle`` one line of its ratios, from the files they write."""
+    cfg = write_cfg(tmp_path, "rings = 0\nepisodes = 15\nsearch_iters = 5\nseed = 1\n")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--vary", "seed=0,1", "--out", str(out)]) == 0
+    entries = json.loads((out / "sweep.json").read_text())
+    assert capsys.readouterr().out == "".join(
+        f"{out / f'seed={seed}'}: ee={entry['ee_overall_mbps_per_dbw']:.4f}\n"
+        for seed, entry in zip((0, 1), entries)
+    )
+    out = tmp_path / "oracle"
+    assert main(["oracle", "--config", cfg, "--out", str(out)]) == 0
+    stats = json.loads((out / "oracle_summary.json").read_text())
+    assert stats["steps_scored"] > 0
+    assert capsys.readouterr().out == (
+        f"oracle check: {stats['steps_scored']} steps, "
+        f"mean ratio {stats['mean_ratio']:.4f}, min {stats['min_ratio']:.4f}\n"
+    )
+
+
 def test_console_script_is_installed(tmp_path):
     cfg = write_cfg(tmp_path, "rings = 0\nepisodes = 5\nsearch_iters = 2\n")
     proc = subprocess.run(

@@ -74,6 +74,22 @@ def test_walk_ahead_writes_the_bytes_of_an_in_process_walk(tmp_path, monkeypatch
     assert digests(tmp_path / "ahead") == digests(tmp_path / "here")
 
 
+def test_a_one_page_pipe_writes_the_bytes_of_an_in_process_walk(tmp_path, monkeypatch, forks):
+    """With the pipe cut to 4096 bytes, one page and the smallest Linux
+    allows, each slot's 26,904 bytes of positions and gains (19 sites, 57
+    users) reach the run over several reads, and it writes the bytes of an
+    in-process walk."""
+    monkeypatch.setattr(runner, "AHEAD_PIPE_BYTES", 4096)
+    cfg = waypoint_cfg()
+    set_cpus(monkeypatch, 2)
+    runner.run(cfg, tmp_path / "ahead")
+    assert len(forks) == 1
+    set_cpus(monkeypatch, 1)
+    runner.run(cfg, tmp_path / "here")
+    assert len(forks) == 1
+    assert digests(tmp_path / "ahead") == digests(tmp_path / "here")
+
+
 def test_no_mobility_process_outlives_a_run(tmp_path, monkeypatch, forks):
     """A run reaps its one mobility process when it returns, and when an
     ``episode_hook`` raises at slot 3 while the process is still walking."""

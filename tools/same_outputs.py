@@ -29,11 +29,14 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-PAPER_DQN = {"rings": 2, "agent": "dqn", "search_iters": 100}
-DESK_DQN = {"rings": 1, "per_sector_users": 2, "agent": "dqn", "search_iters": 10,
-            "train_interval": 5}
-# The benchmark's three workloads, then DQN with moving users at both shapes,
+import run as bench  # noqa: E402  the benchmark's workload table
+
+PAPER_DQN = bench.WORKLOADS["paper-dqn-search"].config
+DESK_DQN = bench.WORKLOADS["desk-dqn-train"].config
+# The benchmark's three workloads, with their configs and slot counts from
+# perfbench/run.py, then DQN with moving users at both shapes,
 # Q-learning at both shapes and a small-batch DQN learner.  With 10
 # candidates the desk search rates an 8-row head and, when that holds no
 # feasible plan, a 2-row rest.  The small-batch learner trains every slot on
@@ -55,10 +58,7 @@ DESK_DQN = {"rings": 1, "per_sector_users": 2, "agent": "dqn", "search_iters": 1
 # their per-slot gains cross sector edges; the other waypoint shapes walk at
 # 1 m/s and move their users 0.6-5 m.
 SHAPES = {
-    "paper-dqn-search": {**PAPER_DQN, "episodes": 600},
-    "desk-dqn-train": {**DESK_DQN, "episodes": 800},
-    "paper-sleep-mobile": {"rings": 2, "agent": "sleep", "mobility": "waypoint",
-                           "episodes": 5000},
+    **{name: {**w.config, "episodes": w.episodes} for name, w in bench.WORKLOADS.items()},
     "paper-dqn-waypoint": {**PAPER_DQN, "mobility": "waypoint", "episodes": 600},
     "desk-dqn-waypoint": {**DESK_DQN, "mobility": "waypoint", "episodes": 800},
     "paper-qlearning": {**PAPER_DQN, "agent": "qlearning", "episodes": 600},
