@@ -41,16 +41,11 @@ from .config import AGENTS, RunConfig
 from .errors import RanPowerError, ValidationError
 from .metrics import CSV_COLUMNS, MetricsAccumulator, format_row
 from .rl import save_weights
-from .scenario import Scenario, drop_users, hex_site_positions, sector_gain_matrix
+from .scenario import Scenario, drop_users, hex_site_positions
 
 STREAM_NAMES = ("model", "topology", "traffic", "exploration", "replay", "mobility")
 COMPARE_KEYS = ("ee_overall_mbps_per_dbw", "throughput_overall_bps", "power_overall_dbw",
                 "success_ratio_overall", "iterations_overall")
-# Capacity asked of the walk-ahead pipe: about nine slots of positions and
-# gains at 19 sites and 57 users (26,904 bytes a slot).  Linux's default,
-# 64 KiB, holds two: on a 2-vCPU host, 5,000-slot runs of that shape (sleep
-# agent) read a median of about 3,600 slots/s with it against 4,100 here.
-AHEAD_PIPE_BYTES = 256 * 1024
 
 
 def make_streams(seed: int) -> dict[str, np.random.Generator]:
@@ -104,10 +99,10 @@ def usable_cpus() -> int:
 
 def _walk_ahead_child(scn: Scenario, rng: np.random.Generator, slots: int,
                       fds: tuple[int, int]) -> None:
-    """The forked mobility process: walk ``slots`` times and write each
-    slot's positions and all-user gains to the pipe ``fds`` through a
-    buffered file, flushed once a slot, so a slot's bytes are all in the
-    pipe before the next walk.  It leaves only through ``os._exit``, so
+    """The forked mobility process: walk ``slots`` times and write the
+    positions and all-user gains that each walk leaves to the pipe ``fds``
+    through a buffered file, flushed once a slot, so a slot's bytes are all
+    in the pipe before the next walk.  It leaves only through ``os._exit``, so
     nothing the parent buffered is flushed twice and no traceback is
     printed; a closed pipe (the parent has stopped reading or is gone) ends
     it with status 0, any other failure with status 1, after one line
@@ -120,7 +115,7 @@ def _walk_ahead_child(scn: Scenario, rng: np.random.Generator, slots: int,
             for _ in range(slots):
                 scn.walk(rng)
                 pipe.write(scn.user_xy)
-                pipe.write(sector_gain_matrix(scn.site_xy, scn.cfg, scn.user_xy, clamp=True))
+                pipe.write(scn.gains)
                 pipe.flush()
         code = 0
     except BrokenPipeError:
@@ -142,14 +137,13 @@ def _moving_users(scn: Scenario, rng: np.random.Generator, slots: int,
     allows it, ``os.fork`` exists and this process may run on two CPUs: a
     forked child runs the same :meth:`Scenario.walk` on its copy of the
     scenario and of ``rng`` for each of the next ``slots`` steps and writes
-    the positions and every user's gains to a pipe, whose capacity bounds
-    how far ahead it gets.  The step fills ``scn.user_xy`` and ``scn.gains``
-    with ``readinto`` on a buffered reader of the pipe, which returns fewer
-    bytes than an array holds only once the child has closed its end.  A
-    gain is computed per user, so the scheduled users'
-    columns hold the bits an in-process walk computes for them alone, and
-    every output byte is the same.  Elsewhere, or where the fork fails, the
-    step is that walk, here.  The child is reaped on the way out, whether
+    the positions and every user's gains that the walk leaves to a pipe,
+    whose capacity bounds how far ahead it gets.  The step fills
+    ``scn.user_xy`` and ``scn.gains`` with ``readinto`` on a buffered reader
+    of the pipe, which returns fewer bytes than an array holds only once the
+    child has closed its end.  Both processes run the same walk, so every
+    output byte is the same.  Elsewhere, or where the fork fails, the step
+    is that walk, here.  The child is reaped on the way out, whether
     the block returns or raises; a child that ends before its last slot
     makes the step raise ``RanPowerError``.
     """
@@ -160,12 +154,7 @@ def _moving_users(scn: Scenario, rng: np.random.Generator, slots: int,
     if not (walk_ahead and hasattr(os, "fork") and usable_cpus() >= 2):
         yield walk_here
         return
-    import fcntl  # here: only a walk-ahead run needs it
-
     read_fd, write_fd = os.pipe()
-    if hasattr(fcntl, "F_SETPIPE_SZ"):  # Linux; elsewhere the default capacity stays
-        with suppress(OSError):
-            fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, AHEAD_PIPE_BYTES)
     try:
         pid = os.fork()
     except OSError:  # no process to spare: the walk stays here, with the same bytes

@@ -326,11 +326,9 @@ class Scenario:
     no users or coordinates not shaped (N, 2); the power set is the config's,
     from which the learners size their actions.  Users move only under
     ``waypoint`` mobility, at ``user_speed_mps``, one :meth:`walk` a slot,
-    which the runner calls after :meth:`apply`.  ``gains`` (B, S, U) is
-    the all-user matrix while it holds where the users stand: the drop-time
-    one for static users, and for moving users the one the runner's
-    mobility process refreshes each slot.  Users walked here leave it None,
-    and :meth:`build_step` computes the scheduled users' gains.
+    which the runner calls after :meth:`apply`.  ``gains`` (B, S, U) holds
+    every user's gains where they stand: the drop-time matrix for static
+    users, refreshed by each walk for moving ones.
     """
 
     def __init__(self, site_xy: np.ndarray, cfg: RunConfig, user_xy: np.ndarray) -> None:
@@ -339,7 +337,7 @@ class Scenario:
         self.user_xy = _planar(user_xy, "user")
         self.n_sites, self.n_users = len(self.site_xy), len(self.user_xy)
         self.user_speed_mps = cfg.user_speed_mps if cfg.mobility == "waypoint" else 0.0
-        self.gains: np.ndarray | None = sector_gain_matrix(self.site_xy, cfg, self.user_xy)
+        self.gains = sector_gain_matrix(self.site_xy, cfg, self.user_xy)
         # Each user attaches to the (site, sector) with the strongest full-power
         # RSRP; ties go to the lowest site id, then the lowest sector id.
         best = self.gains.reshape(-1, self.n_users).argmax(axis=0)
@@ -381,18 +379,13 @@ class Scenario:
 
     def build_step(self) -> StepContext:
         """Freeze the current step: scheduling and gains.  The scheduled users
-        gather their columns of ``gains`` where it holds; users walked here
-        have theirs computed where they stand, only the scheduled ones.  One
-        contraction sums each site's scheduled sectors."""
+        gather their columns of ``gains``, and one contraction sums each
+        site's scheduled sectors."""
         sched_users = self._schedule()
         sched_site = self.serving_site[sched_users]
         sched_sector = self.serving_sector[sched_users]
-        if self.gains is None:
-            gains = sector_gain_matrix(self.site_xy, self.cfg, self.user_xy[sched_users],
-                                       clamp=True)
-        else:
-            # take keeps the gather C-ordered, the layout the contraction's bits depend on
-            gains = self.gains.take(sched_users, axis=2)
+        # take keeps the gather C-ordered, the layout the contraction's bits depend on
+        gains = self.gains.take(sched_users, axis=2)
         serving_gain = gains[sched_site, sched_sector, np.arange(sched_users.size)]
         sector_active = np.zeros((self.n_sites, SECTORS_PER_SITE))
         sector_active[sched_site, sched_sector] = 1.0
@@ -421,8 +414,8 @@ class Scenario:
 
     def walk(self, rng: np.random.Generator) -> None:
         """Moving users take one random-waypoint step: each walks toward its
-        waypoint and draws a new one from ``rng`` on arrival.  ``gains`` no
-        longer holds where they stand, so it becomes None."""
+        waypoint and draws a new one from ``rng`` on arrival; then every
+        user's ``gains`` are computed where they now stand."""
         if self._waypoints is None:
             self._waypoints = self._draw_waypoints(rng, np.arange(self.n_users))
         step = self.user_speed_mps * SLOT_S
@@ -436,7 +429,7 @@ class Scenario:
         if arrived.any():
             self.user_xy[arrived] = self._waypoints[arrived]
             self._waypoints[arrived] = self._draw_waypoints(rng, np.flatnonzero(arrived))
-        self.gains = None
+        self.gains = sector_gain_matrix(self.site_xy, self.cfg, self.user_xy, clamp=True)
 
     def _draw_waypoints(self, rng: np.random.Generator, users: np.ndarray) -> np.ndarray:
         anchors = self.site_xy[self.serving_site[users]]

@@ -35,6 +35,10 @@ def loaded_ctx(three_site):
     return scn.build_step()
 
 
+# A rate delta sum that the throughput constraint rejects, whichever sign it holds.
+INFEASIBLE_DELTA = next(d for d in (-1.0, 1.0) if not agents.is_feasible(d))
+
+
 class InfeasibleCtx:
     """Duck-typed step on which only the full-power assignment is feasible."""
 
@@ -56,7 +60,7 @@ class InfeasibleCtx:
             power_dbw=np.full(shape, 15.2),
             user_rates_bps=np.zeros(shape),
             rate_bps=np.full(shape, 1e6),
-            rate_delta_sum=np.where(full, 0.0, -1.0),
+            rate_delta_sum=np.where(full, 0.0, INFEASIBLE_DELTA),
             link_ee=np.full(shape, 0.25),
             network_ee=np.full(shape[0], 0.25),
         )
@@ -285,9 +289,15 @@ def test_search_rates_the_rest_only_when_the_head_has_no_feasible_plan(
 
 
 def test_check_accepted_raises_on_negative_delta_sum(loaded_ctx):
-    ev = loaded_ctx.evaluate(np.array([0, 1, 0]))
+    """An accepted plan that ``is_feasible`` rejects raises; the first such
+    plan of the loaded step is taken, so the test follows the constraint."""
+    plans = np.array(list(itertools.product(range(loaded_ctx.n_levels),
+                                            repeat=loaded_ctx.n_sites)))
+    evs = loaded_ctx.evaluate(plans)
+    infeasible = np.flatnonzero(~agents.is_feasible(evs.rate_delta_sum))
+    assert infeasible.size
     with pytest.raises(InvariantViolation):
-        _check_accepted(ev)
+        _check_accepted(evs.row(infeasible[0]))
 
 
 def greedy_cfg(n_actions, **kw):
@@ -522,7 +532,7 @@ def test_exhaustive_oracle_ties_go_to_the_smallest_plan(monkeypatch, chunk):
         def evaluate(self, power_idx):
             evs = super().evaluate(power_idx)
             feasible = np.asarray(power_idx).sum(axis=-1) >= 2
-            return replace(evs, rate_delta_sum=np.where(feasible, 0.0, -1.0))
+            return replace(evs, rate_delta_sum=np.where(feasible, 0.0, INFEASIBLE_DELTA))
 
     monkeypatch.setattr(agents, "ORACLE_CHUNK", chunk)
     idx, ee = exhaustive_oracle(FlatCtx(n_sites=2, n_levels=3))

@@ -620,9 +620,9 @@ def moving_scenario(seed=11):
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_moving_build_step_matches_the_full_matrix_slice(seed):
-    """Gains computed for the scheduled users only equal the slice of the
-    full (B, S, U) matrix the moving path used to rebuild every slot, so
-    every evaluation rounds the same."""
+    """A moving step's gains equal the masked sector sum over the slice of
+    the full (B, S, U) matrix recomputed where the users stand, so every
+    evaluation rounds the same."""
     scn = moving_scenario(seed)
     rng, plans = np.random.default_rng(seed), np.random.default_rng(seed + 1)
     for _ in range(8):
@@ -694,23 +694,35 @@ def pending_static_scenario(seed, rings, per_sector):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(1, 3))
 def test_both_gain_sources_agree_while_no_user_has_moved(seed, rings, per_sector):
-    """Before any user moves, the drop-time matrix, the all-user matrix a
-    mobility process refreshes where the users stand, and the scheduled
-    users' gains computed alone (``gains`` None, as after a walk here)
-    freeze the same step bit for bit, so a layout slip in any source shows."""
+    """Before any user moves, the drop-time matrix and the all-user matrix a
+    walk refreshes where the users stand freeze the same step bit for bit,
+    so a layout slip in either source shows."""
     scn = pending_static_scenario(seed, rings, per_sector)
     static = scn.build_step()
     drop_gains = scn.gains
-    steps = []
     try:
-        for gains in (sector_gain_matrix(scn.site_xy, scn.cfg, scn.user_xy, clamp=True), None):
-            scn.gains = gains
-            steps.append(scn.build_step())
+        scn.gains = sector_gain_matrix(scn.site_xy, scn.cfg, scn.user_xy, clamp=True)
+        moving = scn.build_step()
     finally:
         scn.gains = drop_gains
-    for moving in steps:
-        for name in ("site_to_user_gain", "serving_gain", "own_gain", "sched_users"):
-            assert getattr(static, name).tobytes() == getattr(moving, name).tobytes(), name
+    for name in ("site_to_user_gain", "serving_gain", "own_gain", "sched_users"):
+        assert getattr(static, name).tobytes() == getattr(moving, name).tobytes(), name
+
+
+@pytest.mark.parametrize("rings", [0, 1, 2])
+def test_a_walk_refreshes_every_users_gains(rings):
+    """After each walk in this process, ``gains`` is the clamped all-user
+    matrix where the users now stand, bit for bit, C-ordered as the
+    mobility process writes it."""
+    scn = hex_scenario(rings, seed=rings, per_sector_users=2, mobility="waypoint",
+                       user_speed_mps=300.0)
+    rng = np.random.default_rng(rings)
+    for _ in range(5):
+        scn.walk(rng)
+        want = sector_gain_matrix(scn.site_xy, scn.cfg, scn.user_xy, clamp=True)
+        assert scn.gains.flags.c_contiguous
+        assert scn.gains.shape == want.shape
+        assert scn.gains.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("moving", [False, True])

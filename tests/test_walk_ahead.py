@@ -79,7 +79,17 @@ def test_a_one_page_pipe_writes_the_bytes_of_an_in_process_walk(tmp_path, monkey
     allows, each slot's 26,904 bytes of positions and gains (19 sites, 57
     users) reach the run over several reads, and it writes the bytes of an
     in-process walk."""
-    monkeypatch.setattr(runner, "AHEAD_PIPE_BYTES", 4096)
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("needs F_SETPIPE_SZ (Linux)")
+    real_pipe = os.pipe
+
+    def one_page_pipe():
+        read_fd, write_fd = real_pipe()
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+        return read_fd, write_fd
+
+    monkeypatch.setattr(os, "pipe", one_page_pipe)
     cfg = waypoint_cfg()
     set_cpus(monkeypatch, 2)
     runner.run(cfg, tmp_path / "ahead")

@@ -7,13 +7,14 @@ through ``python -m ranpower.cli run``: once on a ``git archive REV`` copy
 in a temp directory and once on this working tree.  A waypoint shape runs
 on the working tree a second time, pinned to one CPU by
 ``os.sched_setaffinity`` in that subprocess alone, so its users walk in the
-run's own process instead of a forked one: both gain sources are checked
+run's own process instead of a forked one: both walkers are checked
 against the revision's bytes.  The sha256 of ``metrics.csv`` and, where
 either side writes one, ``weights.bin`` must match, and so must
 ``summary.json``, which carries the ``learner`` block that no CSV byte
 shows, without ``wall_clock_s`` and ``config.out_dir``: the first varies
 run to run, and the two sides write to different temp directories.  Prints
-one line per run and exits 1 on any difference or failed run.
+one line per run and exits 1 on any difference or failed run, or, after
+one line naming it, on a REV that ``git archive`` cannot export.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import argparse
 import hashlib
 import json
 import os
-import shlex
 import subprocess
 import sys
 import tempfile
@@ -126,10 +126,14 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         base = Path(tmp) / "rev"
         base.mkdir()
-        subprocess.run(
-            f"git archive {shlex.quote(args.rev)} | tar -x -C {shlex.quote(str(base))}",
-            shell=True, check=True, cwd=ROOT,
-        )
+        tar = Path(tmp) / "rev.tar"
+        archive = subprocess.run(["git", "archive", "--output", str(tar), args.rev],
+                                 cwd=ROOT, capture_output=True, text=True)
+        if archive.returncode != 0:
+            why = archive.stderr.strip().splitlines() or [f"exit status {archive.returncode}"]
+            print(f"cannot archive {args.rev!r}: {why[-1]}", file=sys.stderr)
+            return 1
+        subprocess.run(["tar", "-x", "-f", str(tar), "-C", str(base)], check=True)
         runs = 0
         for name, config in SHAPES.items():
             passes = (False, True) if config.get("mobility") == "waypoint" else (False,)
