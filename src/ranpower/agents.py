@@ -14,10 +14,12 @@ evaluations, so every station's SINR reflects the others' draws: the
 top-scored few first, the rest only when none of those is feasible.  A
 candidate is feasible when its summed rate deltas stay non-negative; the
 search accepts the feasible candidate with the largest score, the one
-rating all K together would, or keeps full power when none is.  The oracle
-picks from its enumeration with the same mask-and-argmax, scored by
-efficiency.  Only the accepted candidate touches the environment or the
-learners, and its network efficiency is their reward.
+rating all K together would, or keeps full power when none is.  A chunk is
+rated in score order, so its first feasible row is that candidate.  The
+oracle picks from its enumeration by a mask-and-argmax over efficiency.
+Only the accepted candidate touches the environment or the learners, and
+its network efficiency is their reward; a learner's next state covers the
+active stations only, the ones it learns from.
 """
 
 from __future__ import annotations
@@ -94,6 +96,15 @@ def _all_sleep(ctx: StepContext) -> EpisodeOutcome:
     return EpisodeOutcome(ev=ctx.full_power, accepted_iteration=None, all_sleep=True)
 
 
+def _first_feasible(evs: StepEval) -> int | None:
+    """Row of ``evs`` that is feasible first, ``None`` when none is.  On rows
+    in descending score order, ties in index order, this is the row
+    :func:`_best_feasible` picks by score."""
+    feasible = is_feasible(evs.rate_delta_sum)
+    first = int(feasible.argmax())
+    return first if feasible[first] else None
+
+
 def _search(
     ctx: StepContext,
     qrows: np.ndarray,
@@ -117,28 +128,34 @@ def _search(
     ones (a stable sort, so ties stay in index order) in one batch, and the
     rest in a second batch only when the head holds no feasible one.  Every
     candidate outside the head scores no higher, and ties there come later,
-    and a row rates the same bits in any batch, so the first chunk holding a
-    feasible candidate picks what rating all K together would.
+    and a row rates the same bits in any batch, so the first feasible row of
+    the first chunk holding one is what rating all K together would pick.
     """
     active = ctx.active_sites
     n_actions = qrows.shape[1]
-    greedy = np.argmax(qrows[active], axis=1)
-    explore = rng.random((n_iterations, active.size)) < epsilon
-    random_levels = rng.integers(n_actions, size=(n_iterations, active.size))
-    picks = np.where(explore, random_levels, greedy)
-    scores = qrows[active, picks].sum(axis=1)
-    order = np.argsort(-scores, kind="stable")
+    values = qrows.take(active, axis=0)
+    greedy = values.argmax(axis=1)
+    exploit = rng.random((n_iterations, active.size)) >= epsilon
+    picks = rng.integers(n_actions, size=(n_iterations, active.size))
+    # putmask repeats greedy over the flat C-ordered picks: row by row.
+    np.putmask(picks, exploit, greedy)
+    # values.flat[a * n_actions + level] is station a's value of that level.
+    scores = np.add.reduce(values.take(picks + np.arange(0, values.size, n_actions)), axis=1)
+    order = (-scores).argsort(kind="stable")
     for chunk in (order[:SEARCH_HEAD], order[SEARCH_HEAD:]):
         if not chunk.size:
             break
-        idx = np.full((chunk.size, ctx.n_sites), ctx.n_levels - 1, dtype=int)
-        idx[:, active] = picks[chunk]
-        evs = ctx.evaluate(idx)
-        best = _best_feasible(evs, scores[chunk])
-        if best is not None:
-            ev = evs.row(best)
+        if active.size == ctx.n_sites:
+            plans = picks.take(chunk, axis=0)
+        else:  # sleeping stations keep the top level
+            plans = np.full((chunk.size, ctx.n_sites), ctx.n_levels - 1)
+            plans[:, active] = picks.take(chunk, axis=0)
+        evs = ctx.evaluate(plans)
+        first = _first_feasible(evs)
+        if first is not None:
+            ev = evs.row(first)
             _check_accepted(ev)
-            return EpisodeOutcome(ev=ev, accepted_iteration=int(chunk[best]) + 1)
+            return EpisodeOutcome(ev=ev, accepted_iteration=int(chunk[first]) + 1)
     return EpisodeOutcome(ev=ctx.full_power, accepted_iteration=None)
 
 
@@ -183,11 +200,11 @@ class DqnAgent:
         outcome = _search(ctx, qrows, self.cfg.search_iters, self.cfg.epsilon, self.exploration)
         if outcome.feasible:
             ev, active = outcome.ev, ctx.active_sites
+            states, actions = ctx.features, ev.power_idx
+            if active.size < ctx.n_sites:  # sleeping stations push nothing
+                states, actions = states.take(active, axis=0), actions[active]
             self.memory.push(
-                ctx.features[active],
-                ev.power_idx[active],
-                ev.network_ee,
-                None if terminal else ctx.next_features(ev)[active],
+                states, actions, ev.network_ee, None if terminal else ctx.next_features(ev)
             )
         return outcome
 
@@ -226,15 +243,15 @@ class QLearningAgent:
         outcome = _search(ctx, qrows, cfg.search_iters, cfg.epsilon, self.exploration)
         if not outcome.feasible:
             return outcome
-        ev = outcome.ev
+        ev, active = outcome.ev, ctx.active_sites.tolist()
         cell = [tuple(c) for c in bins.tolist()]
-        nxt = [None] * ctx.n_sites if terminal else [
+        nxt = [None] * len(active) if terminal else [
             tuple(c) for c in state_bin(ctx.next_features(ev), cfg.q_bins).tolist()
         ]
         # One station at a time, in order: two stations may share a cell.
-        for b in ctx.active_sites.tolist():
+        for b, nxt_cell in zip(active, nxt):
             tabular_q_update(
-                self.table, cell[b], int(ev.power_idx[b]), ev.network_ee, nxt[b],
+                self.table, cell[b], int(ev.power_idx[b]), ev.network_ee, nxt_cell,
                 cfg.discount, cfg.q_alpha,
             )
         return outcome

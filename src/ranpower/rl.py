@@ -24,9 +24,10 @@ forward over all live successors would have had more rows.  Every
 forward pass, the search's included, runs in the network's buffers, which
 the target network shares, and the backward pass writes each layer's error
 into the activation buffer that layer has already used, so a round holds
-one (minibatch, width) array per layer.  These primitives take their
-constants (sizes, discount, learning rate) as plain arguments; the agents
-read them from the run's ``RunConfig``.
+one (minibatch, width) array per layer.  A replay push that fits before
+the end of the ring writes one slice per ring array.  These primitives take
+their constants (sizes, discount, learning rate) as plain arguments; the
+agents read them from the run's ``RunConfig``.
 """
 
 from __future__ import annotations
@@ -75,19 +76,29 @@ class ReplayMemory:
         ``s`` and ``s_next`` of shape (n, 2), ``a`` of shape (n,).
         ``s_next`` None marks them as the last step of a run."""
         n, cap = len(a), self.capacity
-        keep = min(n, cap)
-        start = (self.head + n - keep) % cap
-        wrap = n - keep + min(keep, cap - start)  # first input row that lands in slot 0
-        # At most two slices: up to the end of the ring, then from its start.
-        for lo, rows in ((start, slice(n - keep, wrap)), (0, slice(wrap, n))):
-            dst = slice(lo, lo + rows.stop - rows.start)
-            if dst.start < dst.stop:
-                self.s[dst], self.a[dst], self.r[dst] = s[rows], a[rows], r
-                self.live[dst] = s_next is not None
-                self.s_next[dst] = 0.0 if s_next is None else s_next[rows]
-                self.boot_version[dst] = -1
+        if self.head + n <= cap:  # the rows fit before the end of the ring
+            self._store(slice(self.head, self.head + n), s, a, r, s_next)
+        else:
+            keep = min(n, cap)
+            start = (self.head + n - keep) % cap
+            wrap = n - keep + min(keep, cap - start)  # first input row that lands in slot 0
+            # Two slices: up to the end of the ring, then from its start.
+            for lo, rows in ((start, slice(n - keep, wrap)), (0, slice(wrap, n))):
+                if rows.start < rows.stop:
+                    self._store(
+                        slice(lo, lo + rows.stop - rows.start), s[rows], a[rows], r,
+                        None if s_next is None else s_next[rows],
+                    )
         self.head = (self.head + n) % cap
-        self._len = min(self._len + n, self.capacity)
+        self._len = min(self._len + n, cap)
+
+    def _store(
+        self, dst: slice, s: np.ndarray, a: np.ndarray, r: float, s_next: np.ndarray | None
+    ) -> None:
+        self.s[dst], self.a[dst], self.r[dst] = s, a, r
+        self.live[dst] = s_next is not None
+        self.s_next[dst] = 0.0 if s_next is None else s_next
+        self.boot_version[dst] = -1
 
     def __len__(self) -> int:
         return self._len

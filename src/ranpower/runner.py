@@ -144,8 +144,8 @@ def _moving_users(scn: Scenario, rng: np.random.Generator, slots: int,
     child has closed its end.  Both processes run the same walk, so every
     output byte is the same.  Elsewhere, or where the fork fails, the step
     is that walk, here.  The child is reaped on the way out, whether
-    the block returns or raises; a child that ends before its last slot
-    makes the step raise ``RanPowerError``.
+    the block returns or raises; a short read makes the step close the pipe,
+    reap the child and raise ``RanPowerError``.
     """
     if scn.user_speed_mps <= 0.0:
         yield lambda: None
@@ -173,6 +173,9 @@ def _moving_users(scn: Scenario, rng: np.random.Generator, slots: int,
         nonlocal reaped
         if (pipe.readinto(scn.user_xy) < scn.user_xy.nbytes
                 or pipe.readinto(scn.gains) < scn.gains.nbytes):
+            # Closed first: a child still writing, blocked on a full pipe,
+            # then gets EPIPE and ends, so the reap cannot wait forever.
+            pipe.close()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             reaped = True
             how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
@@ -235,7 +238,9 @@ def run(
             outcome = agent.run_episode(ctx, t, t == cfg.episodes - 1)
             scn.apply(ctx, outcome.ev)
             move()
-            fh.write(acc.push(t, ctx.phi, outcome))
+            lines = acc.push(t, ctx.phi, outcome)
+            if lines:  # a full block
+                fh.write(lines)
             if episode_hook is not None:
                 episode_hook(t, ctx, outcome)
         fh.write(acc.flush())

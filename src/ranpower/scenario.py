@@ -6,14 +6,18 @@ for its radio, traffic and deployment constants, and the power set from
 arrays of planar positions; every site has the sectors of :data:`BORESIGHTS_DEG`.
 A :class:`Scenario` owns the mutable simulation state (pending volumes,
 current power levels, user positions).  Each time step it freezes the
-physics into a :class:`StepContext`: which users are scheduled and the gain
-of every site towards every scheduled user, from which the context derives,
+physics into a :class:`StepContext`: which users are scheduled (each
+sector's oldest request, found by one minimum per sector) and the gain of
+every site towards every scheduled user, from which the context derives,
 as it is built, the active sites.  Agents then rate candidate joint power
 assignments against that frozen context without touching the scenario, each
 against the full-power assignment, whose rates are the reference; one
 :class:`StepEval` holds the outcome of one assignment, or of a batch with a
-leading candidate axis.  The runner applies exactly one accepted assignment
-per step.
+leading candidate axis.  A sleeping site serves no scheduled user, so its
+rate is exactly 0.0 and the records need no weighting by ``phi``.  The
+runner applies exactly one accepted assignment per step.  The code works on
+the few dozen stations and users of a step through as few numpy calls as it
+can, since each call's fixed cost outweighs its arithmetic at that size.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ BORESIGHTS_DEG = (0.0, 120.0, 240.0)
 SECTORS_PER_SITE = len(BORESIGHTS_DEG)
 SECTOR_WIDTH_DEG = 120.0
 SLOT_S = 1e-3  # length of one simulated slot, in seconds
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 # Sector s's arc is ``lo <= azimuth < hi`` for lo, hi = its boresight -/+ half
 # the width (mod 360), wrapping through 0 when lo > hi; the arcs tile [0, 360).
@@ -211,17 +216,25 @@ class StepContext:
     phi: np.ndarray = field(init=False, repr=False)
     active_sites: np.ndarray = field(init=False)
     own_gain: np.ndarray = field(init=False, repr=False)
+    # Scheduled users of each active site, in ``active_sites`` order.
+    _sched_counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         gain = np.ascontiguousarray(self.site_to_user_gain)
         n_sites, n_users = gain.shape
-        phi = np.zeros(n_sites)
-        phi[self.sched_site] = 1.0
-        object.__setattr__(self, "site_to_user_gain", gain)
-        object.__setattr__(self, "n_sites", n_sites)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "active_sites", phi.nonzero()[0])
-        object.__setattr__(self, "own_gain", gain[self.sched_site, np.arange(n_users)])
+        counts = np.bincount(self.sched_site, minlength=n_sites)
+        phi = np.minimum(counts, 1.0)
+        active = phi.nonzero()[0]
+        # Frozen fields, written past the dataclass's per-field __setattr__.
+        vars(self).update(
+            site_to_user_gain=gain,
+            n_sites=n_sites,
+            phi=phi,
+            active_sites=active,
+            _sched_counts=counts[active],
+            # the flat index of (sched_site[u], u) in the C-ordered gains
+            own_gain=gain.take(self.sched_site * n_users + np.arange(n_users)),
+        )
 
     @property
     def n_levels(self) -> int:
@@ -233,12 +246,12 @@ class StepContext:
 
     @functools.cached_property
     def full_power(self) -> StepEval:
-        """Every station at the top level: the reference, rated alone, whose
-        rate deltas are zero.  It is the first row of every :meth:`evaluate`
-        batch, bit for bit."""
-        full = self._full_plan()
+        """Every station at the top level: the reference, rated alone on (B,)
+        arrays, whose rate deltas are zero.  It is the first row of every
+        :meth:`evaluate` batch, bit for bit."""
+        full = np.full(self.n_sites, self.n_levels - 1)
         rates, rate_b = self._rates(full)
-        return self._outcome(full, rates, rate_b, rate_b[0]).row(0)
+        return self._outcome(full, rates, rate_b, rate_b)
 
     def evaluate(self, power_idx: np.ndarray) -> StepEval:
         """Rates, deltas and efficiencies of one joint assignment of shape
@@ -250,71 +263,108 @@ class StepContext:
         of the index they carry.
         """
         power_idx = np.asarray(power_idx)
-        plans = np.concatenate([self._full_plan(), power_idx.reshape(-1, self.n_sites)])
+        batch = power_idx.ndim == 2
+        plans = np.empty((len(power_idx) + 1 if batch else 2, self.n_sites), dtype=int)
+        plans[0] = self.n_levels - 1
+        plans[1:] = power_idx
         rates, rate_b = self._rates(plans)
         evs = self._outcome(plans[1:], rates[1:], rate_b[1:], rate_b[0])
-        return evs if power_idx.ndim == 2 else evs.row(0)
-
-    def _full_plan(self) -> np.ndarray:
-        return np.full((1, self.n_sites), self.n_levels - 1)
+        return evs if batch else evs.row(0)
 
     def _rates(self, power_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Scheduled users' rates (K, U) and their sums per site (K, B) for K
-        plans (K, B).  Each is a sum in a fixed order, so a row's bits do not
-        depend on which rows share its batch."""
-        power_w = self.power_levels_w.take(power_idx) * self.phi
+        plans (K, B), or (U,) and (B,) for one plan (B,).  Each is a sum in a
+        fixed order, so a row's bits do not depend on which rows share its
+        batch."""
+        power_w = self.power_levels_w.take(power_idx)
+        if self.active_sites.size < self.n_sites:  # sleeping sites do not transmit
+            power_w *= self.phi
         total = np.einsum("...b,bu->...u", power_w, self.site_to_user_gain)
+        # snr = site_w * serving_gain / (total - site_w * own_gain + noise_w),
+        # then rate = bandwidth * log2(1 + snr), in place in site_w.
         site_w = power_w.take(self.sched_site, axis=-1)
-        noise_w = dbw_to_watts(self.cfg.noise_dbw)
-        snr = site_w * self.serving_gain / (total - site_w * self.own_gain + noise_w)
-        rates = self.cfg.bandwidth_hz * np.log2(1.0 + snr)
+        total -= site_w * self.own_gain
+        total += dbw_to_watts(self.cfg.noise_dbw)
+        site_w *= self.serving_gain
+        site_w /= total
+        site_w += 1.0
+        rates = np.log2(site_w, out=site_w)
+        rates *= self.cfg.bandwidth_hz
+        if power_idx.ndim == 1:
+            return rates, np.bincount(self.sched_site, weights=rates, minlength=self.n_sites)
         # Row k's users land in bins k*B + site, summed in column order.
-        bins = self.sched_site + self.n_sites * np.arange(len(power_idx))[:, None]
-        rate_b = np.bincount(
-            bins.ravel(), weights=rates.ravel(), minlength=power_idx.size
-        ).reshape(power_idx.shape)
-        return rates, rate_b
+        bins = np.add.outer(np.arange(0, power_idx.size, self.n_sites), self.sched_site)
+        rate_b = np.bincount(bins.ravel(), weights=rates.ravel(), minlength=power_idx.size)
+        return rates, rate_b.reshape(power_idx.shape)
 
     def _outcome(
         self, power_idx: np.ndarray, rates: np.ndarray, rate_b: np.ndarray, ref_rate_b: np.ndarray
     ) -> StepEval:
-        """The records of K plans from their rates, deltas against ``ref_rate_b``."""
+        """The records of K plans from their rates, deltas against ``ref_rate_b``.
+        A sleeping site serves no scheduled user, so its rate in ``rate_b``
+        and in the reference is exactly 0.0: its delta and its link
+        efficiency are 0 without weighting by ``phi``."""
         power_dbw = self.power_levels_dbw.take(power_idx)
-        delta_sum = (self.phi * (ref_rate_b - rate_b)).sum(axis=-1)
-        link_ee = self.phi * (rate_b / 1e6) / power_dbw
+        delta_sum = np.add.reduce(ref_rate_b - rate_b, axis=-1)
+        link_ee = rate_b / 1e6
+        link_ee /= power_dbw
         n_active = self.active_sites.size
-        network_ee = link_ee.sum(axis=-1) / n_active if n_active else np.zeros(len(power_idx))
+        network_ee = (
+            np.add.reduce(link_ee, axis=-1) / n_active
+            if n_active else np.zeros(power_idx.shape[:-1])
+        )
+        if power_idx.ndim == 1:
+            delta_sum, network_ee = float(delta_sum), float(network_ee)
         return StepEval(power_idx, power_dbw, rates, rate_b, delta_sum, link_ee, network_ee)
 
     @functools.cached_property
     def features(self) -> np.ndarray:
-        """Per-site (volume, RSRP) features at the start of the step, shape (B, 2)."""
-        return self._site_features(self.residual_bits, self.prior_power_w)
-
-    @functools.cached_property
-    def _sched_counts(self) -> np.ndarray:
-        """Scheduled users of each active site, in ``active_sites`` order."""
-        return np.bincount(self.sched_site, minlength=self.n_sites)[self.active_sites]
+        """Per-site (volume, RSRP) features at the start of the step, shape
+        (B, 2); a sleeping site's are zero."""
+        rows = self._site_features(self.residual_bits, self.prior_power_w)
+        if len(rows) == self.n_sites:
+            return rows
+        feats = np.zeros((self.n_sites, 2))
+        feats[self.active_sites] = rows
+        return feats
 
     def drained_residual(self, ev: StepEval) -> np.ndarray:
-        """Pending volume of each scheduled user after serving one slot."""
-        return np.maximum(self.residual_bits - ev.user_rates_bps * SLOT_S, 0.0)
+        """Pending volume of each scheduled user after serving one slot under
+        ``ev``, read-only.  The last one is kept, so a learner's next state
+        and the scenario's :meth:`Scenario.apply` drain the slot once."""
+        last = vars(self).get("_drained")
+        if last is None or last[0] is not ev:
+            drained = np.maximum(self.residual_bits - ev.user_rates_bps * SLOT_S, 0.0)
+            drained.flags.writeable = False
+            last = vars(self)["_drained"] = (ev, drained)
+        return last[1]
 
     def next_features(self, ev: StepEval) -> np.ndarray:
-        """Per-site (volume, RSRP) features after applying ``ev``, shape (B, 2)."""
+        """The active stations' (volume, RSRP) features after applying
+        ``ev``, shape (active, 2), in ``active_sites`` order."""
         return self._site_features(
             self.drained_residual(ev), self.power_levels_w[ev.power_idx]
         )
 
     def _site_features(self, residual: np.ndarray, power_w: np.ndarray) -> np.ndarray:
-        feats = np.zeros((self.n_sites, 2))
-        act, site = self.active_sites, self.sched_site
-        volume_b = np.bincount(site, weights=residual, minlength=self.n_sites)[act]
+        """The (volume, RSRP) features of the active stations, shape
+        (active, 2), from each scheduled user's pending volume and each
+        station's power in watts."""
+        n_sites, site, act = self.n_sites, self.sched_site, self.active_sites
+        feats = np.empty((act.size, 2))
+        # With every site active, every site's sum is a row.
+        rows = act if act.size < n_sites else slice(None)
+        volume_b = np.bincount(site, weights=residual, minlength=n_sites)[rows]
+        np.divide(volume_b, self.cfg.volume_hi_bits, out=feats[:, 0])
         rsrp_u = power_w[site] * self.serving_gain
-        rsrp_b = np.bincount(site, weights=rsrp_u, minlength=self.n_sites)[act]
-        feats[act, 0] = volume_b / self.cfg.volume_hi_bits
-        rsrp_dbw = 10.0 * np.log10(rsrp_b / self._sched_counts)
-        feats[act, 1] = (rsrp_dbw - self.cfg.noise_dbw) / -self.cfg.noise_dbw
+        rsrp = np.bincount(site, weights=rsrp_u, minlength=n_sites)[rows]
+        # The mean RSRP in dBW, 10 log10(sum / count), less the noise floor
+        # over its magnitude, computed in place.
+        rsrp /= self._sched_counts
+        np.log10(rsrp, out=rsrp)
+        rsrp *= 10.0
+        rsrp -= self.cfg.noise_dbw
+        np.divide(rsrp, -self.cfg.noise_dbw, out=feats[:, 1])
         return feats
 
 
@@ -346,6 +396,7 @@ class Scenario:
         self.power_levels_w = 10.0 ** (self.power_levels_dbw / 10.0)
         self.residual_bits = np.zeros(self.n_users)
         self.arrival_step = np.full(self.n_users, -1, dtype=int)
+        self._user_ids = np.arange(self.n_users)
         self.current_power_idx = np.full(self.n_sites, cfg.n_power_levels - 1, dtype=int)
         self.t = 0
         self._waypoints: np.ndarray | None = None
@@ -364,33 +415,38 @@ class Scenario:
     def _schedule(self) -> np.ndarray:
         """Pick one pending user per sector, oldest request first (lower user
         id on ties); returned by site, then user id."""
-        pending = (self.residual_bits > 0.0).nonzero()[0]
-        # pending is ascending, so a stable sort on arrival breaks ties by id
-        order = pending[self.arrival_step[pending].argsort(kind="stable")]
-        site = self.serving_site[order]
-        key = site * SECTORS_PER_SITE + self.serving_sector[order]
-        by_sector = key.argsort(kind="stable")
-        key = key[by_sector]
-        first = np.ones(key.size, dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        taken = by_sector[first]
-        rank = site[taken] * self.n_users + order[taken]
-        return order[taken[rank.argsort()]]
+        n_users = self.n_users
+        stride = n_users + 1
+        # A pending user's rank is its arrival, then its id: arrival * stride +
+        # id.  The idle rank is the largest int64 whose id part is n_users,
+        # so a sector whose minimum it stays has no winner.
+        idle = _INT64_MAX - (_INT64_MAX - n_users) % stride
+        rank = np.where(
+            self.residual_bits > 0.0, self.arrival_step * stride + self._user_ids, idle
+        )
+        best = np.full(self.n_sites * SECTORS_PER_SITE, idle)
+        np.minimum.at(best, self.serving_site * SECTORS_PER_SITE + self.serving_sector, rank)
+        won = np.zeros(stride, dtype=bool)
+        won[best % stride] = True
+        by_site = self.serving_site.argsort(kind="stable")  # then by id
+        return by_site[won[by_site]]
 
     def build_step(self) -> StepContext:
-        """Freeze the current step: scheduling and gains.  The scheduled users
-        gather their columns of ``gains``, and one contraction sums each
-        site's scheduled sectors."""
+        """Freeze the current step: scheduling and gains.  One contraction
+        sums each site's scheduled sectors towards every user, and the
+        scheduled users gather their columns of it."""
         sched_users = self._schedule()
         sched_site = self.serving_site[sched_users]
-        sched_sector = self.serving_sector[sched_users]
-        # take keeps the gather C-ordered, the layout the contraction's bits depend on
-        gains = self.gains.take(sched_users, axis=2)
-        serving_gain = gains[sched_site, sched_sector, np.arange(sched_users.size)]
+        sector = sched_site * SECTORS_PER_SITE + self.serving_sector[sched_users]
+        # The flat index of (site, sector, user) in the (B, S, U) gains.
+        serving_gain = self.gains.take(sector * self.n_users + sched_users)
         sector_active = np.zeros((self.n_sites, SECTORS_PER_SITE))
-        sector_active[sched_site, sched_sector] = 1.0
-        # Sums each site's scheduled sectors in sector order: g * 1.0 or g * 0.0.
-        site_to_user = np.einsum("bsu,bs->bu", gains, sector_active)
+        sector_active.put(sector, 1.0)
+        # Sums each site's scheduled sectors in sector order, g * 1.0 or
+        # g * 0.0, each user's column on its own; take keeps the gather
+        # C-ordered, the layout the rates are summed in.
+        site_to_user = np.einsum("bsu,bs->bu", self.gains, sector_active)
+        site_to_user = site_to_user.take(sched_users, axis=1)
         return StepContext(
             cfg=self.cfg,
             power_levels_dbw=self.power_levels_dbw,

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranpower import agents
 from ranpower.agents import (
@@ -12,7 +14,9 @@ from ranpower.agents import (
     EpisodeOutcome,
     QLearningAgent,
     SleepAgent,
+    _best_feasible,
     _check_accepted,
+    _first_feasible,
     _search,
     exhaustive_oracle,
 )
@@ -322,6 +326,25 @@ def test_dqn_fresh_network_picks_lowest_level_everywhere(loaded_ctx):
     assert out.accepted_iteration == 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.booleans()), min_size=1, max_size=40))
+def test_first_feasible_row_in_score_order_is_the_best_feasible(rows):
+    """On a chunk in the order the search rates it, scores descending and
+    ties in index order, the first feasible row is the row that
+    ``_best_feasible``'s masked argmax picks by score, or None for both."""
+    rows.sort(key=lambda row: -row[0])  # stable: ties keep their order
+    scores = np.array([float(score) for score, _ in rows])
+    feasible = np.array([ok for _, ok in rows])
+    k = len(rows)
+    evs = StepEval(
+        power_idx=np.zeros((k, 2), dtype=int), power_dbw=np.ones((k, 2)),
+        user_rates_bps=np.zeros((k, 2)), rate_bps=np.zeros((k, 2)),
+        rate_delta_sum=np.where(feasible, 0.0, INFEASIBLE_DELTA),
+        link_ee=np.zeros((k, 2)), network_ee=np.zeros(k),
+    )
+    assert _first_feasible(evs) == _best_feasible(evs, scores)
+
+
 def test_dqn_pushes_one_transition_per_active_station(loaded_ctx):
     agent = make_dqn(greedy_cfg(loaded_ctx.n_levels))
     out = agent.run_episode(loaded_ctx, 1, False)
@@ -329,11 +352,12 @@ def test_dqn_pushes_one_transition_per_active_station(loaded_ctx):
     mem = agent.memory
     assert len(mem) == n
     nxt = loaded_ctx.next_features(out.ev)
+    assert nxt.shape == (n, 2)
     for k, b in enumerate(loaded_ctx.active_sites):
         assert mem.r[k] == pytest.approx(out.ev.network_ee, rel=1e-12)
         assert mem.a[k] == int(out.ev.power_idx[b])
         assert np.array_equal(mem.s[k], loaded_ctx.features[b])
-        assert np.allclose(mem.s_next[k], nxt[b])
+        assert np.allclose(mem.s_next[k], nxt[k])
         assert mem.live[k]
 
 
@@ -411,13 +435,13 @@ def test_ql_update_matches_replayed_rule(loaded_ctx):
 
     expected = np.zeros_like(agent.table)
     nxt = loaded_ctx.next_features(out.ev)
-    for b in loaded_ctx.active_sites:
+    for k, b in enumerate(loaded_ctx.active_sites):
         tabular_q_update(
             expected,
             tuple(state_bin(loaded_ctx.features[b], agent.cfg.q_bins)),
             int(out.ev.power_idx[b]),
             out.ev.network_ee,
-            tuple(state_bin(nxt[b], agent.cfg.q_bins)),
+            tuple(state_bin(nxt[k], agent.cfg.q_bins)),
             agent.cfg.discount,
             agent.cfg.q_alpha,
         )

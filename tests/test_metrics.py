@@ -382,6 +382,26 @@ def test_push_equals_the_step_functions_exactly():
                        for i in range(0, len(rows), 9)) == want
 
 
+def test_push_copies_each_slot_so_later_writes_change_no_line():
+    """``push`` copies a slot's arrays: writing into the outcome's arrays
+    and ``phi`` after each push, as the next slot's buffers would, leaves
+    the flushed lines those of the rows as pushed."""
+    rows = step_rows(7, np.random.default_rng(8))
+    want = reference_lines(rows)
+    acc = MetricsAccumulator(P_MAX, 7)
+    for r in rows:
+        outcome = outcome_of(make_row(
+            t=r.t, phi=r.phi.copy(), power_dbw=r.power_dbw.copy(), rate_bps=r.rate_bps.copy(),
+            link_ee=r.link_ee.copy(), ee_reward=r.ee_reward, zeta=r.zeta, n_star=r.n_star,
+        ))
+        phi = r.phi.copy()
+        assert acc.push(r.t, phi, outcome) == ""
+        ev = outcome.ev
+        for array in (phi, ev.power_dbw, ev.rate_bps, ev.link_ee, ev.user_rates_bps):
+            array[:] = -7.0
+    assert acc.flush() == want
+
+
 def test_summary_refuses_unflushed_slots():
     """Slots still in the block are not in the running sums yet."""
     row = make_row()

@@ -392,6 +392,47 @@ def test_a_full_power_row_has_zero_delta_anywhere_in_any_batch(rings):
         assert np.all(is_feasible(evs.rate_delta_sum[full_rows]))
 
 
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.floats(0.05, 1.0))
+def test_evaluate_rows_equal_the_phi_weighted_formulas(seed, rings, share):
+    """On random plans in which sleeping sites carry random levels, every
+    row's ``rate_delta_sum``, ``link_ee`` and ``network_ee`` equal the
+    formulas weighted by ``phi``, bit for bit: a sleeping site serves no
+    scheduled user, so its rate is exactly 0.0 and the evaluator needs no
+    products with ``phi``."""
+    rng = np.random.default_rng(seed)
+    ctx = loaded_hex_step(rings, rng, share)
+    plans = rng.integers(ctx.n_levels, size=(int(rng.integers(1, 20)), ctx.n_sites))
+    evs = ctx.evaluate(plans)
+    ref = ctx.full_power.rate_bps
+    n_active = ctx.active_sites.size
+    for k in range(len(plans)):
+        rate_b, power_dbw = evs.rate_bps[k], evs.power_dbw[k]
+        link_ee = ctx.phi * (rate_b / 1e6) / power_dbw
+        assert bits(evs.rate_delta_sum[k]) == bits((ctx.phi * (ref - rate_b)).sum())
+        assert bits(evs.link_ee[k]) == bits(link_ee)
+        network_ee = link_ee.sum() / n_active if n_active else 0.0
+        assert bits(evs.network_ee[k]) == bits(network_ee)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.floats(0.0, 1.0))
+def test_full_power_rated_alone_is_the_full_row_of_any_batch(seed, rings, share):
+    """``full_power``, rated in one pass on (B,) arrays, equals in every
+    field the full-power row of a batch, wherever that row sits, on grids
+    with sleeping sites and with none active."""
+    rng = np.random.default_rng(seed)
+    ctx = loaded_hex_step(rings, rng, share)
+    plans = rng.integers(ctx.n_levels, size=(int(rng.integers(1, 12)), ctx.n_sites))
+    row = int(rng.integers(len(plans)))
+    plans[row] = ctx.n_levels - 1
+    assert_same_eval(ctx.full_power, ctx.evaluate(plans).row(row))
+
+
 def test_uniform_reduction_is_feasible(three_site_scenario):
     ctx = manual_step(three_site_scenario, [1e5] * three_site_scenario.n_users)
     ev = ctx.evaluate(np.zeros(ctx.n_sites, dtype=int))
@@ -432,13 +473,19 @@ def test_next_features_reflect_chosen_power(three_site_scenario):
     lo = ctx.next_features(ctx.evaluate(np.zeros(ctx.n_sites, dtype=int)))
     hi = ctx.next_features(ctx.evaluate(np.full(ctx.n_sites, ctx.n_levels - 1)))
     # lower transmit power means weaker serving RSRP in the next state
-    assert np.all(lo[ctx.active_sites, 1] < hi[ctx.active_sites, 1])
+    assert lo.shape == hi.shape == (ctx.active_sites.size, 2)
+    assert np.all(lo[:, 1] < hi[:, 1])
     assert np.all((0.0 <= lo) & (lo <= 1.5))
 
 
 def eager_features(scn, ctx):
-    """The features as build_step computed them before any controller ran."""
-    return ctx._site_features(ctx.residual_bits, scn.power_levels_w[scn.current_power_idx])
+    """The features as build_step computed them before any controller ran:
+    the active stations' rows, and zeros for the sleeping ones."""
+    feats = np.zeros((ctx.n_sites, 2))
+    feats[ctx.active_sites] = ctx._site_features(
+        ctx.residual_bits, scn.power_levels_w[scn.current_power_idx]
+    )
+    return feats
 
 
 @pytest.mark.parametrize("moving", [False, True])

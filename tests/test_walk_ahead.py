@@ -160,6 +160,52 @@ def test_a_failing_mobility_process_names_its_error(tmp_path, monkeypatch, forks
     assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
+class HalfReads:
+    """A buffered reader whose every ``readinto`` fills half the array: a
+    read that comes back short while the writer is still writing."""
+
+    def __init__(self, pipe):
+        self.pipe = pipe
+
+    def readinto(self, array):
+        view = memoryview(array).cast("B")
+        return self.pipe.readinto(view[: len(view) // 2])
+
+    def close(self):
+        self.pipe.close()
+
+
+def test_a_short_read_raises_instead_of_waiting_on_a_blocked_writer(tmp_path, monkeypatch,
+                                                                     forks):
+    """A read that comes back short while the mobility process is still
+    walking closes the pipe before reaping: the process, blocked on the
+    full pipe, gets EPIPE and ends, and the run raises ``RanPowerError``.
+    Reaping first would wait on it forever; the alarm turns that into a
+    failure within 20 seconds."""
+    real_open = open
+
+    def half_reads(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return HalfReads(fh) if mode == "rb" else fh
+
+    def hung(signum, frame):
+        raise TimeoutError("the run waited on a mobility process blocked on its pipe")
+
+    monkeypatch.setattr(runner, "open", half_reads, raising=False)
+    set_cpus(monkeypatch, 2)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        with pytest.raises(RanPowerError, match="mobility process ended early"):
+            runner.run(waypoint_cfg(episodes=2000), tmp_path / "out")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(forks) == 1
+    assert_reaped(forks[0])
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
 def test_cli_exits_two_when_the_mobility_process_dies(tmp_path, monkeypatch, forks, capsys):
     set_cpus(monkeypatch, 2)
     monkeypatch.setattr(cli, "run", functools.partial(

@@ -4,11 +4,11 @@
 
 Run from the repository root.  Each shape in ``SHAPES`` runs at each seed
 through ``python -m ranpower.cli run``: once on a ``git archive REV`` copy
-in a temp directory and once on this working tree.  A waypoint shape runs
-on the working tree a second time, pinned to one CPU by
-``os.sched_setaffinity`` in that subprocess alone, so its users walk in the
-run's own process instead of a forked one: both walkers are checked
-against the revision's bytes.  The sha256 of ``metrics.csv`` and, where
+in a temp directory and once on this working tree, the two at the same
+time.  A waypoint shape then runs on the working tree a second time, alone
+and pinned to one CPU by ``os.sched_setaffinity`` in that subprocess, so its
+users walk in the run's own process instead of a forked one: both walkers
+are checked against the revision's bytes.  The sha256 of ``metrics.csv`` and, where
 either side writes one, ``weights.bin`` must match, and so must
 ``summary.json``, which carries the ``learner`` block that no CSV byte
 shows, without ``wall_clock_s`` and ``config.out_dir``: the first varies
@@ -26,6 +26,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -116,6 +117,14 @@ def run_once(tree: Path, config: dict, seed: int, out: Path,
             "summary.json": summary_sha256(out / "summary.json")}
 
 
+def attempt(fn, *args):
+    """``fn(*args)``, or the ``RuntimeError`` a failed run raised."""
+    try:
+        return fn(*args)
+    except RuntimeError as exc:
+        return exc
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare the working tree against")
@@ -136,19 +145,24 @@ def main(argv: list[str] | None = None) -> int:
         subprocess.run(["tar", "-x", "-f", str(tar), "-C", str(base)], check=True)
         runs = 0
         for name, config in SHAPES.items():
-            passes = (False, True) if config.get("mobility") == "waypoint" else (False,)
             for seed in args.seeds:
-                want = None
-                for pinned in passes:
+                tag = f"{name}/{seed}"
+                # The pool's thread ends before a pinned run: preexec_fn is
+                # not safe while another thread runs.
+                with ThreadPoolExecutor(max_workers=1) as pool:
+                    rev = pool.submit(run_once, base, config, seed, Path(tmp) / "a" / tag)
+                    here = attempt(run_once, ROOT, config, seed, Path(tmp) / "b" / tag)
+                    want = attempt(rev.result)
+                passes = [(f"{name} seed={seed}", here)]
+                if config.get("mobility") == "waypoint":
+                    passes.append((f"{name} seed={seed} one-cpu", None))
+                for label, got in passes:
                     runs += 1
-                    label = f"{name} seed={seed}{' one-cpu' if pinned else ''}"
-                    tag = f"{name}/{seed}"
-                    try:
-                        want = want or run_once(base, config, seed, Path(tmp) / "a" / tag)
-                        got = run_once(ROOT, config, seed,
-                                       Path(tmp) / ("c" if pinned else "b") / tag, pinned)
-                    except RuntimeError as exc:
-                        print(f"{label}: FAILED {exc}")
+                    if got is None:
+                        got = attempt(run_once, ROOT, config, seed, Path(tmp) / "c" / tag, True)
+                    failed = next((r for r in (want, got) if isinstance(r, RuntimeError)), None)
+                    if failed is not None:
+                        print(f"{label}: FAILED {failed}")
                         differ += 1
                         continue
                     diff = [k for k in want if want[k] != got[k]]
