@@ -12,7 +12,9 @@ same config and seed produce byte-identical CSV output.  The mobility
 stream is drawn from by whichever process walks the users, this one or a
 forked copy of it (see :func:`_moving_users`), so where they walk does not
 change a byte.  A forked copy sends each slot's positions and gains back
-through a pipe, which each process wraps in a buffered file object.
+through a pipe, which each process wraps in a buffered file object, and it
+and the run pin themselves to different CPUs while it walks, so that they
+do not share one core; the run's CPU set is restored when it ends.
 """
 
 from __future__ import annotations
@@ -97,20 +99,33 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _pin(cpus: set[int]) -> bool:
+    """Pin this process to ``cpus``; False, with nothing changed, where the
+    platform refuses."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        return False
+    return True
+
+
 def _walk_ahead_child(scn: Scenario, rng: np.random.Generator, slots: int,
-                      fds: tuple[int, int]) -> None:
-    """The forked mobility process: walk ``slots`` times and write the
-    positions and all-user gains that each walk leaves to the pipe ``fds``
-    through a buffered file, flushed once a slot, so a slot's bytes are all
-    in the pipe before the next walk.  It leaves only through ``os._exit``, so
-    nothing the parent buffered is flushed twice and no traceback is
-    printed; a closed pipe (the parent has stopped reading or is gone) ends
-    it with status 0, any other failure with status 1, after one line
-    naming the exception on stderr."""
+                      fds: tuple[int, int], cpu: int | None) -> None:
+    """The forked mobility process: pin itself to ``cpu`` unless it is None,
+    then walk ``slots`` times and write the positions and all-user gains
+    that each walk leaves to the pipe ``fds`` through a buffered file,
+    flushed once a slot, so a slot's bytes are all in the pipe before the
+    next walk.  It leaves only through ``os._exit``, so nothing the parent
+    buffered is flushed twice and no traceback is printed; a closed pipe
+    (the parent has stopped reading or is gone) ends it with status 0, any
+    other failure with status 1, after one line naming the exception on
+    stderr."""
     code = 1
     try:
         read_fd, write_fd = fds
         os.close(read_fd)
+        if cpu is not None:
+            _pin({cpu})
         with open(write_fd, "wb") as pipe:
             for _ in range(slots):
                 scn.walk(rng)
@@ -142,10 +157,19 @@ def _moving_users(scn: Scenario, rng: np.random.Generator, slots: int,
     ``scn.user_xy`` and ``scn.gains`` with ``readinto`` on a buffered reader
     of the pipe, which returns fewer bytes than an array holds only once the
     child has closed its end.  Both processes run the same walk, so every
-    output byte is the same.  Elsewhere, or where the fork fails, the step
-    is that walk, here.  The child is reaped on the way out, whether
-    the block returns or raises; a short read makes the step close the pipe,
-    reap the child and raise ``RanPowerError``.
+    output byte is the same.  Elsewhere, or where the pipe or the fork
+    fails, the step is that walk, here.
+
+    Where this process may run on two or more CPUs and can set its
+    affinity, the child pins itself to the highest of them and this process
+    pins itself to the rest, until the block ends and its own set is
+    restored.  A kernel that does not balance load between CPUs otherwise
+    tends to leave the child on its parent's CPU, where the two share one
+    core.  A pin the platform refuses leaves that process where it was.
+
+    The child is reaped on the way out, whether the block returns or
+    raises; a short read makes the step close the pipe, reap the child and
+    raise ``RanPowerError``.
     """
     if scn.user_speed_mps <= 0.0:
         yield lambda: None
@@ -154,18 +178,22 @@ def _moving_users(scn: Scenario, rng: np.random.Generator, slots: int,
     if not (walk_ahead and hasattr(os, "fork") and usable_cpus() >= 2):
         yield walk_here
         return
-    read_fd, write_fd = os.pipe()
-    try:
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+    walker_cpu = max(cpus) if len(cpus) >= 2 else None
+    fds: tuple[int, ...] = ()
+    pid = None
+    with suppress(OSError):  # no descriptor or process to spare
+        fds = os.pipe()
         pid = os.fork()
-    except OSError:  # no process to spare: the walk stays here, with the same bytes
-        pid = None
     if pid == 0:
-        _walk_ahead_child(scn, rng, slots, (read_fd, write_fd))
-    os.close(write_fd)
-    if pid is None:
-        os.close(read_fd)
+        _walk_ahead_child(scn, rng, slots, fds, walker_cpu)
+    if pid is None:  # the walk stays here, with the same bytes
+        for fd in fds:
+            os.close(fd)
         yield walk_here
         return
+    read_fd, write_fd = fds
+    os.close(write_fd)
     reaped = False
     pipe = open(read_fd, "rb")
 
@@ -184,12 +212,15 @@ def _moving_users(scn: Scenario, rng: np.random.Generator, slots: int,
                 f"no positions for slot {scn.t - 1} of {slots}"
             )
 
+    pinned = walker_cpu is not None and _pin(cpus - {walker_cpu})
     try:
         yield read
     finally:
         pipe.close()  # a child still walking stops at its next write
         if not reaped:
             os.waitpid(pid, 0)
+        if pinned:
+            _pin(cpus)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,12 @@
 
 ``runner.run`` forks that process for waypoint runs when ``os.fork`` exists
 and ``runner.usable_cpus`` reads at least two; these tests set the count
-themselves, so they hold on any host that can fork.
+themselves, so they hold on any host that can fork.  Where the test process
+may run on two or more CPUs, the run and its mobility process pin
+themselves to different ones; the tests of that skip elsewhere.
 """
 
+import errno
 import functools
 import hashlib
 import json
@@ -21,8 +24,24 @@ from ranpower.scenario import Scenario
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 
+def affinity():
+    """This process's CPU set, or None where the platform reports none."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+needs_two_cpus = pytest.mark.skipif(len(affinity() or ()) < 2,
+                                    reason="needs an affinity of two or more CPUs")
+
+
 def set_cpus(monkeypatch, n):
     monkeypatch.setattr(runner, "usable_cpus", lambda: n)
+
+
+def refuse_affinity(monkeypatch, error):
+    def refuse(pid, cpus):
+        raise error
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
 
 
 def assert_reaped(pid):
@@ -100,13 +119,65 @@ def test_a_one_page_pipe_writes_the_bytes_of_an_in_process_walk(tmp_path, monkey
     assert digests(tmp_path / "ahead") == digests(tmp_path / "here")
 
 
+@needs_two_cpus
+def test_the_run_and_its_mobility_process_pin_different_cpus(tmp_path, monkeypatch, forks):
+    """While the users walk, the mobility process holds exactly one CPU of
+    the run's starting set and the run holds the rest; the run gets its
+    whole set back when it returns."""
+    start = os.sched_getaffinity(0)
+    seen = []
+
+    def look(t, ctx, outcome):
+        if t == 3:
+            seen.append((os.sched_getaffinity(0), os.sched_getaffinity(forks[-1])))
+
+    set_cpus(monkeypatch, 2)
+    runner.run(waypoint_cfg(episodes=20), tmp_path / "out", episode_hook=look)
+    [(run_cpus, walker_cpus)] = seen
+    assert walker_cpus == {max(start)}
+    assert run_cpus.isdisjoint(walker_cpus)
+    assert run_cpus | walker_cpus == start
+    assert os.sched_getaffinity(0) == start
+
+
+def test_a_refused_pin_writes_the_bytes_of_an_in_process_walk(tmp_path, monkeypatch, forks):
+    """Where every pin raises ``OSError``, in the run and in the mobility
+    process, which inherits the patch, both stay where they were and the run
+    writes the bytes of an in-process walk."""
+    cfg = waypoint_cfg(episodes=60)
+    start = affinity()
+    set_cpus(monkeypatch, 1)
+    runner.run(cfg, tmp_path / "here")
+    refuse_affinity(monkeypatch, PermissionError(errno.EPERM, "not allowed"))
+    set_cpus(monkeypatch, 2)
+    runner.run(cfg, tmp_path / "ahead")
+    assert len(forks) == 1
+    assert_reaped(forks[0])
+    assert affinity() == start
+    assert digests(tmp_path / "ahead") == digests(tmp_path / "here")
+
+
+@pytest.mark.parametrize("cpus, walk_ahead", [(1, True), (2, False)], ids=["one-cpu", "here"])
+def test_a_run_that_walks_here_never_sets_affinity(tmp_path, monkeypatch, forks,
+                                                   cpus, walk_ahead):
+    """A waypoint run on one CPU, or with ``walk_ahead`` False as a sweep's
+    pool job runs, forks nothing and pins nothing."""
+    refuse_affinity(monkeypatch, AssertionError("a run that walks here set its affinity"))
+    set_cpus(monkeypatch, cpus)
+    runner.run(waypoint_cfg(episodes=20), tmp_path / "out", walk_ahead=walk_ahead)
+    assert forks == []
+
+
 def test_no_mobility_process_outlives_a_run(tmp_path, monkeypatch, forks):
-    """A run reaps its one mobility process when it returns, and when an
-    ``episode_hook`` raises at slot 3 while the process is still walking."""
+    """A run reaps its one mobility process and gets its CPU set back when
+    it returns, and when an ``episode_hook`` raises at slot 3 while the
+    process is still walking."""
+    start = affinity()
     set_cpus(monkeypatch, 2)
     runner.run(waypoint_cfg(episodes=20), tmp_path / "done")
     assert len(forks) == 1
     assert_reaped(forks[0])
+    assert affinity() == start
 
     def stop(t, ctx, outcome):
         if t == 3:
@@ -116,6 +187,7 @@ def test_no_mobility_process_outlives_a_run(tmp_path, monkeypatch, forks):
         runner.run(waypoint_cfg(), tmp_path / "stopped", episode_hook=stop)
     assert len(forks) == 2
     assert_reaped(forks[1])
+    assert affinity() == start
     assert not (tmp_path / "stopped" / "metrics.csv").exists()
 
 
@@ -126,14 +198,16 @@ def kill_the_mobility_process(forks, t, ctx, outcome):
 
 def test_a_killed_mobility_process_fails_the_run(tmp_path, monkeypatch, forks):
     """Once the slots the killed process wrote are read, the run raises
-    ``RanPowerError`` naming the signal, reaps the process and writes no
-    ``metrics.csv``."""
+    ``RanPowerError`` naming the signal, reaps the process, gets its CPU set
+    back and writes no ``metrics.csv``."""
+    start = affinity()
     set_cpus(monkeypatch, 2)
     with pytest.raises(RanPowerError, match=r"mobility process ended early \(killed by signal 9\)"):
         runner.run(waypoint_cfg(), tmp_path / "out",
                    episode_hook=functools.partial(kill_the_mobility_process, forks))
     assert len(forks) == 1
     assert_reaped(forks[0])
+    assert affinity() == start
     assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
@@ -222,7 +296,8 @@ def test_cli_exits_two_when_the_mobility_process_dies(tmp_path, monkeypatch, for
 
 
 def test_a_static_run_never_forks(tmp_path, monkeypatch):
-    """Static users neither fork a mobility process nor walk here."""
+    """Static users neither fork a mobility process, nor walk here, nor set
+    the run's affinity."""
     def no_fork():
         raise AssertionError("a static run forked")
 
@@ -232,6 +307,7 @@ def test_a_static_run_never_forks(tmp_path, monkeypatch):
     set_cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(Scenario, "walk", no_walk)
+    refuse_affinity(monkeypatch, AssertionError("a static run set its affinity"))
     result = runner.run(RunConfig(rings=1, agent="sleep", episodes=30), tmp_path / "out")
     assert result.csv_path.exists()
 
@@ -248,4 +324,20 @@ def test_a_failed_fork_keeps_the_walk_in_process(tmp_path, monkeypatch):
     set_cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", no_fork)
     runner.run(cfg, tmp_path / "fallback")
+    assert digests(tmp_path / "fallback") == digests(tmp_path / "here")
+
+
+def test_a_failed_pipe_keeps_the_walk_in_process(tmp_path, monkeypatch, forks):
+    """Where no descriptor is left for the pipe, the run forks nothing and
+    walks its users here, with the bytes of a one-CPU run."""
+    def no_pipe():
+        raise OSError(errno.EMFILE, "too many open files")
+
+    cfg = waypoint_cfg(episodes=40)
+    set_cpus(monkeypatch, 1)
+    runner.run(cfg, tmp_path / "here")
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    runner.run(cfg, tmp_path / "fallback")
+    assert forks == []
     assert digests(tmp_path / "fallback") == digests(tmp_path / "here")

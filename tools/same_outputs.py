@@ -5,8 +5,10 @@
 Run from the repository root.  Each shape in ``SHAPES`` runs at each seed
 through ``python -m ranpower.cli run``: once on a ``git archive REV`` copy
 in a temp directory and once on this working tree, the two at the same
-time.  A waypoint shape then runs on the working tree a second time, alone
-and pinned to one CPU by ``os.sched_setaffinity`` in that subprocess, so its
+time.  In that concurrent pass each waypoint run forks its own mobility
+process and pins it and itself to different CPUs, as any run does.  A
+waypoint shape then runs on the working tree a second time, alone and
+pinned to one CPU by ``os.sched_setaffinity`` in that subprocess, so its
 users walk in the run's own process instead of a forked one: both walkers
 are checked against the revision's bytes.  The sha256 of ``metrics.csv`` and, where
 either side writes one, ``weights.bin`` must match, and so must
