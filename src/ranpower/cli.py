@@ -7,6 +7,9 @@ Subcommands:
 * ``sweep``   - cartesian sweep over ``--vary key=v1,v2,...`` lists
 * ``oracle``  - run a small instance and score it against exhaustive search
 
+Each subcommand prints its lines from what the library returns, which
+itself writes nothing to stdout; ``--quiet`` prints none.
+
 Exit codes: 0 on success, 1 for bad input (an unreadable config file, or a
 ``ValidationError``: a config that does not parse or validate, a ``--vary``
 key or value given twice, a bad worker count, an oracle grid beyond the
@@ -98,6 +101,10 @@ def _parse_vary(specs: list[str]) -> dict[str, list]:
     return vary
 
 
+def _ee(entry: dict) -> str:
+    return f"{entry['ee_overall_mbps_per_dbw']:.4f}"
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -111,28 +118,25 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     try:
-        if args.command == "run":
-            run(cfg, args.out, quiet=args.quiet)
-        elif args.command == "compare":
-            table = run_compare(cfg, args.out, quiet=args.quiet)
-            if not args.quiet:
-                for entry in table:
-                    print(
-                        f"{entry['agent']:>10}: "
-                        f"ee={entry['ee_overall_mbps_per_dbw']:.4f} Mbps/dBW"
-                    )
+        if args.command in ("run", "compare"):
+            table = (run_compare(cfg, args.out) if args.command == "compare"
+                     else [run(cfg, args.out).summary])
+            lines = [f"[{e['agent']}] seed={cfg.seed} episodes={cfg.episodes} ee={_ee(e)}"
+                     for e in table]
+            if args.command == "compare":
+                lines += [f"{e['agent']:>10}: ee={_ee(e)} Mbps/dBW" for e in table]
         elif args.command == "sweep":
-            entries = run_sweep(cfg, vary, args.out, workers=args.workers)
-            if not args.quiet:
-                for entry in entries:
-                    print(f"{entry['out']}: ee={entry['ee_overall_mbps_per_dbw']:.4f}")
-        elif args.command == "oracle":
+            lines = [f"{e['out']}: ee={_ee(e)}"
+                     for e in run_sweep(cfg, vary, args.out, workers=args.workers)]
+        else:  # oracle
             stats = run_oracle_check(cfg, args.out)
-            if not args.quiet and stats["mean_ratio"] is not None:
-                print(
-                    f"oracle check: {stats['steps_scored']} steps, "
-                    f"mean ratio {stats['mean_ratio']:.4f}, min {stats['min_ratio']:.4f}"
-                )
+            lines = [] if stats["mean_ratio"] is None else [
+                f"oracle check: {stats['steps_scored']} steps, "
+                f"mean ratio {stats['mean_ratio']:.4f}, min {stats['min_ratio']:.4f}"
+            ]
+        if not args.quiet:
+            for line in lines:
+                print(line)
     except ValidationError as exc:  # a --vary combo or the oracle grid; nothing written yet
         print(f"config error: {exc}", file=sys.stderr)
         return 1

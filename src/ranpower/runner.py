@@ -15,6 +15,10 @@ change a byte.  A forked copy sends each slot's positions and gains back
 through a pipe, which each process wraps in a buffered file object, and it
 and the run pin themselves to different CPUs while it walks, so that they
 do not share one core; the run's CPU set is restored when it ends.
+
+Independent runs, a sweep's combos or ``compare``'s agents, go through one
+job runner, :func:`_run_jobs`.  Nothing here writes to stdout: the CLI
+prints what each entry point returns.
 """
 
 from __future__ import annotations
@@ -231,14 +235,9 @@ class RunResult:
     summary: dict
 
 
-def run(
-    cfg: RunConfig,
-    out_dir: str | Path | None = None,
-    quiet: bool = True,
-    episode_hook: Callable[[int, object, EpisodeOutcome], None] | None = None,
-    *,
-    walk_ahead: bool = True,
-) -> RunResult:
+def run(cfg: RunConfig, out_dir: str | Path | None = None,
+        episode_hook: Callable[[int, object, EpisodeOutcome], None] | None = None,
+        *, walk_ahead: bool = True) -> RunResult:
     """Execute one configured run and write ``metrics.csv`` + ``summary.json``.
 
     The summary's config records the output directory actually used.
@@ -292,37 +291,44 @@ def run(
             "replay_fill": len(agent.memory),
         }
     _write_json(out / "summary.json", summary)
-    if not quiet:
-        ee = summary["ee_overall_mbps_per_dbw"]
-        print(f"[{cfg.agent}] seed={cfg.seed} episodes={cfg.episodes} ee={ee:.4f}")
     return RunResult(cfg, out, csv_path, summary)
 
 
-def run_compare(
-    cfg: RunConfig, out_dir: str | Path | None = None, quiet: bool = True
-) -> list[dict]:
-    """Run every agent on the same seed and write a joined comparison table."""
+def _run_jobs(jobs: Sequence[tuple[str, RunConfig]], workers: int) -> list[dict]:
+    """Run each ``(out_dir, cfg)`` job and return its summary, in job order.
+
+    Jobs are independent runs, so ``workers > 1`` executes them in parallel
+    processes without changing any output.  The pool never holds more
+    processes than there are jobs or usable CPUs, and its jobs run with
+    ``walk_ahead`` False, so its workers move their users themselves and it
+    keeps at most ``workers`` processes busy.  Left with one process, the
+    jobs run here: each like :func:`run` when ``workers`` is 2 or more, and
+    with ``walk_ahead`` False when it is 1.
+    """
+    pool_size = min(workers, len(jobs), usable_cpus())
+    if pool_size <= 1:
+        return [run(cfg, out, walk_ahead=workers > 1).summary for out, cfg in jobs]
+    # Imported here: it loads multiprocessing, which no single run needs.
+    from concurrent.futures import ProcessPoolExecutor
+
+    outs, cfgs = zip(*jobs)
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
+        results = pool.map(functools.partial(run, walk_ahead=False), cfgs, outs)
+        return [result.summary for result in results]
+
+
+def run_compare(cfg: RunConfig, out_dir: str | Path | None = None) -> list[dict]:
+    """Run every agent on the same seed, one job per agent through
+    :func:`_run_jobs` with a worker each, and write a joined comparison
+    table."""
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    table: list[dict] = []
-    for agent in AGENTS:
-        result = run(replace(cfg, agent=agent), out / agent, quiet=quiet)
-        table.append({"agent": agent, **{k: result.summary[k] for k in COMPARE_KEYS}})
+    jobs = [(str(out / agent), replace(cfg, agent=agent)) for agent in AGENTS]
+    table = [{"agent": summary["agent"], **{k: summary[k] for k in COMPARE_KEYS}}
+             for summary in _run_jobs(jobs, len(AGENTS))]
     with _replacing(out / "comparison.csv") as tmp, open(tmp, "w", newline="") as fh:
         fh.write(",".join(table[0]) + "\n")
         fh.writelines(format_row(entry.values()) for entry in table)
     return table
-
-
-def _sweep_one(args: tuple[str, RunConfig, bool]) -> dict:
-    out, cfg, walk_ahead = args
-    result = run(cfg, out, walk_ahead=walk_ahead)
-    return {
-        "out": out,
-        "agent": cfg.agent,
-        "seed": cfg.seed,
-        "ee_overall_mbps_per_dbw": result.summary["ee_overall_mbps_per_dbw"],
-    }
 
 
 def run_sweep(
@@ -333,16 +339,11 @@ def run_sweep(
 ) -> list[dict]:
     """Cartesian sweep over the listed keys; one subdirectory per combo.
 
-    Combos are independent runs, so ``workers > 1`` executes them in
-    parallel processes without changing any output.  The pool never holds
-    more processes than there are combos or usable CPUs, and its jobs run
-    with ``walk_ahead`` False, so its workers move their users themselves
-    and it keeps at most ``workers`` processes busy.  A sweep left with one
-    process runs its combos here: each like :func:`run` when ``workers`` is
-    2 or more, and with ``walk_ahead`` False when it is 1.  A combo whose
-    config is invalid, or two combos that would share a subdirectory (a
-    repeated value, such as ``500`` and ``500.0`` for a float key), raise
-    ``ValidationError`` before anything is written.
+    The combos run through :func:`_run_jobs` with ``workers``, which sets
+    how many processes they keep busy.  A combo whose config is invalid, or
+    two combos that would share a subdirectory (a repeated value, such as
+    ``500`` and ``500.0`` for a float key), raise ``ValidationError`` before
+    anything is written.
     """
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     keys = sorted(vary)
@@ -354,15 +355,9 @@ def run_sweep(
             raise ValidationError(f"vary repeats a value: two combos would both write {sub}")
         jobs[sub] = replace(cfg, **tags)
     out.mkdir(parents=True, exist_ok=True)  # after every combo is built
-    pool_size = min(workers, len(jobs), usable_cpus())
-    if pool_size > 1:
-        # Imported here: it loads multiprocessing, which no single run needs.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            entries = list(pool.map(_sweep_one, [(sub, job, False) for sub, job in jobs.items()]))
-    else:
-        entries = [_sweep_one((sub, job, workers > 1)) for sub, job in jobs.items()]
+    summaries = _run_jobs(list(jobs.items()), workers)
+    entries = [{"out": sub, **{k: summary[k] for k in ("agent", "seed", "ee_overall_mbps_per_dbw")}}
+               for sub, summary in zip(jobs, summaries)]
     _write_json(out / "sweep.json", entries)
     return entries
 
@@ -384,7 +379,6 @@ def run_oracle_check(cfg: RunConfig, out_dir: str | Path | None = None) -> dict:
             f"{MAX_ORACLE_NODES} cap"
         )
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ratios: list[tuple[int, float, float, float]] = []
 
     def hook(t: int, ctx, outcome: EpisodeOutcome) -> None:

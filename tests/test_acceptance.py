@@ -19,7 +19,7 @@ from ranpower.config import RunConfig
 from ranpower.errors import InvariantViolation
 from ranpower.radio import dbw_to_watts, watts_to_dbw
 from ranpower.rl import empirical_policy_prob, minibatch_targets
-from ranpower.runner import make_streams, run
+from ranpower.runner import make_streams, run, run_sweep, usable_cpus
 from ranpower.scenario import Scenario, StepEval
 
 from conftest import GOLDEN_PATH, build_golden_scenario
@@ -95,36 +95,42 @@ def small_dqn_run():
 
 @pytest.fixture(scope="module")
 def desk_runs(tmp_path_factory):
-    """All three agents, shared seeds 0..4, on the 7-station grid."""
+    """All three agents, shared seeds 0..4, on the 7-station grid.
+
+    The 15 runs go through a sweep on every usable CPU, and their figures
+    are read from the files each run writes.  A hook cannot cross the pool,
+    so the per-slot rows of the DQN's seed-0 run come from one more run of
+    it here, whose ``metrics.csv`` must equal the pooled run's.  Every run's
+    accepted plans are already checked slot by slot: ``_search`` and
+    ``SleepAgent`` pass each one through ``_check_accepted``, which raises
+    ``InvariantViolation`` on an infeasible plan and so fails this fixture.
+    """
     base_dir = tmp_path_factory.mktemp("desk")
     base_cfg = RunConfig(rings=1, episodes=2000, search_iters=50)
     started = time.perf_counter()
+    agents = ("dqn", "qlearning", "sleep")
+    run_sweep(base_cfg, {"agent": agents, "seed": range(5)}, base_dir, workers=usable_cpus())
+    summaries = {
+        agent: [json.loads((base_dir / f"agent={agent}_seed={seed}" / "summary.json").read_text())
+                for seed in range(5)]
+        for agent in agents
+    }
+    dqn_csv = {seed: read_metrics(base_dir / f"agent=dqn_seed={seed}" / "metrics.csv")
+               for seed in range(5)}
+
     rows0 = []  # the DQN seed-0 run's slots, for the per-row reference
 
-    def guard(t, ctx, outcome):
-        assert not outcome.feasible or is_feasible(outcome.ev.rate_delta_sum)
-
     def guard_and_keep(t, ctx, outcome):
-        guard(t, ctx, outcome)
+        assert not outcome.feasible or is_feasible(outcome.ev.rate_delta_sum)
         rows0.append(row_from_outcome(t, ctx.phi, outcome))
 
-    ee = {}
-    iters = {}
-    dqn_csv = {}
-    for agent in ("dqn", "qlearning", "sleep"):
-        ee[agent] = []
-        iters[agent] = []
-        for seed in range(5):
-            cfg = replace(base_cfg, agent=agent, seed=seed)
-            hook = guard_and_keep if (agent, seed) == ("dqn", 0) else guard
-            res = run(cfg, base_dir / f"{agent}-{seed}", episode_hook=hook)
-            ee[agent].append(res.summary["ee_overall_mbps_per_dbw"])
-            iters[agent].append(res.summary["iterations_overall"])
-            if agent == "dqn":
-                dqn_csv[seed] = read_metrics(res.csv_path)
+    res = run(replace(base_cfg, agent="dqn", seed=0), base_dir / "dqn-0-rows",
+              episode_hook=guard_and_keep)
+    assert (res.csv_path.read_bytes()
+            == (base_dir / "agent=dqn_seed=0" / "metrics.csv").read_bytes())
     return {
-        "ee": ee,
-        "iters": iters,
+        "ee": {a: [s["ee_overall_mbps_per_dbw"] for s in summaries[a]] for a in agents},
+        "iters": {a: [s["iterations_overall"] for s in summaries[a]] for a in agents},
         "dqn_csv": dqn_csv,
         "rows0": rows0,
         "elapsed_s": time.perf_counter() - started,

@@ -205,6 +205,46 @@ def test_run_compare_covers_all_agents(tmp_path):
     assert lines[0].startswith("agent,ee_overall_mbps_per_dbw")
 
 
+def run_files(out):
+    """A run's output files by name, ``summary.json`` without the fields that
+    differ between two runs of one config in two directories."""
+    summary = json.loads((out / "summary.json").read_text())
+    del summary["wall_clock_s"], summary["config"]["out_dir"]
+    return {"summary.json": summary,
+            **{name: (out / name).read_bytes() if (out / name).exists() else None
+               for name in ("metrics.csv", "weights.bin")}}
+
+
+def test_compare_through_a_pool_writes_what_serial_runs_write(tmp_path, monkeypatch, forks):
+    """Through a two-worker pool, ``compare`` writes the bytes of three
+    serial ``run`` calls, and a ``comparison.csv`` built from their
+    summaries."""
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+    cfg = small_cfg(rings=1, episodes=30)
+    run_compare(cfg, tmp_path / "cmp")
+    assert len(forks) == 2
+    serial = [run(replace(cfg, agent=agent), tmp_path / "serial" / agent).summary
+              for agent in ("dqn", "qlearning", "sleep")]
+    for summary in serial:
+        agent = summary["agent"]
+        assert run_files(tmp_path / "cmp" / agent) == run_files(tmp_path / "serial" / agent)
+    want = ",".join(["agent", *runner.COMPARE_KEYS]) + "\n" + "".join(
+        format_row([s["agent"], *(s[k] for k in runner.COMPARE_KEYS)]) for s in serial)
+    assert (tmp_path / "cmp" / "comparison.csv").read_text() == want
+
+
+@pytest.mark.parametrize("cpus, pool", [(1, []), (2, [2]), (64, [3])])
+def test_compare_takes_one_worker_per_agent_and_cpu(tmp_path, monkeypatch, cpus, pool):
+    """``compare`` asks for a worker per agent, clamped to the usable CPUs;
+    with one CPU it starts no pool."""
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(runner, "usable_cpus", lambda: cpus)
+    table = run_compare(small_cfg(episodes=3), tmp_path / "cmp")
+    assert RecordingPool.sizes == pool
+    assert [entry["agent"] for entry in table] == ["dqn", "qlearning", "sleep"]
+
+
 def test_run_sweep_serial_and_parallel_agree(tmp_path):
     cfg = small_cfg(episodes=20)
     vary = {"seed": [0, 1], "agent": ["sleep"]}
@@ -234,8 +274,8 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, jobs):
-        return map(fn, jobs)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.mark.parametrize(
@@ -329,7 +369,7 @@ def test_pool_jobs_walk_their_users_in_process(tmp_path, monkeypatch, forks):
     assert forks == []
 
 
-def _die_in_the_pool(job):
+def _die_in_the_pool(*args, **kwargs):
     os._exit(3)
 
 
@@ -338,7 +378,7 @@ def test_sweep_exits_two_when_a_pool_worker_dies(tmp_path, monkeypatch, capsys, 
     naming ``BrokenProcessPool``, exit 2, no ``sweep.json``, and both
     workers, the only processes started, reaped."""
     monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(runner, "_sweep_one", _die_in_the_pool)
+    monkeypatch.setattr(runner, "run", _die_in_the_pool)
     out = tmp_path / "sw"
     assert main(["sweep", "--config", waypoint_sweep_cfg(tmp_path), "--vary", "seed=0,1",
                  "--workers", "2", "--out", str(out), "--quiet"]) == 2
@@ -512,6 +552,26 @@ def test_cli_compare_and_sweep_end_to_end(tmp_path):
         == 0
     )
     assert (tmp_path / "sw" / "sweep.json").exists()
+
+
+def test_cli_run_and_compare_print_their_lines(tmp_path, capsys):
+    """Without ``--quiet``, ``run`` prints one line for its run, and
+    ``compare`` one such line per agent and then its table, from the files
+    they write."""
+    cfg = write_cfg(tmp_path, "rings = 0\nepisodes = 15\nsearch_iters = 5\nseed = 1\n")
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--agent", "qlearning", "--out", str(out)]) == 0
+    ee = json.loads((out / "summary.json").read_text())["ee_overall_mbps_per_dbw"]
+    assert capsys.readouterr().out == f"[qlearning] seed=1 episodes=15 ee={ee:.4f}\n"
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg, "--seed", "2", "--out", str(out)]) == 0
+    agents = ("dqn", "qlearning", "sleep")
+    ees = [json.loads((out / agent / "summary.json").read_text())["ee_overall_mbps_per_dbw"]
+           for agent in agents]
+    assert capsys.readouterr().out == "".join(
+        [f"[{agent}] seed=2 episodes=15 ee={ee:.4f}\n" for agent, ee in zip(agents, ees)]
+        + [f"{agent:>10}: ee={ee:.4f} Mbps/dBW\n" for agent, ee in zip(agents, ees)]
+    )
 
 
 def test_cli_sweep_and_oracle_print_their_tables(tmp_path, capsys):

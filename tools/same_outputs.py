@@ -3,14 +3,17 @@
     python3 tools/same_outputs.py REV [--seeds 1 2 ...]
 
 Run from the repository root.  Each shape in ``SHAPES`` runs at each seed
-through ``python -m ranpower.cli run``: once on a ``git archive REV`` copy
-in a temp directory and once on this working tree, the two at the same
-time.  In that concurrent pass each waypoint run forks its own mobility
-process and pins it and itself to different CPUs, as any run does.  A
-waypoint shape then runs on the working tree a second time, alone and
-pinned to one CPU by ``os.sched_setaffinity`` in that subprocess, so its
-users walk in the run's own process instead of a forked one: both walkers
-are checked against the revision's bytes.  The sha256 of ``metrics.csv`` and, where
+through ``ranpower.cli.main``'s ``run``: once on a ``git archive REV``
+copy in a temp directory and once on this working tree, the two at the
+same time, each pinned to its own CPU (the lowest and the highest of this
+process's affinity) by ``os.sched_setaffinity`` in its own ``-c`` command.
+A run that may use one CPU walks its users in its own process, so neither
+side's waypoint run forks a mobility process there, and no two runs share
+a core.  A waypoint shape then runs on the working tree a second time,
+alone and with every CPU, so it forks a mobility process and pins it and
+itself to different CPUs, as any run does: both walkers are checked
+against the revision's bytes.  With one CPU both sides share it and the
+second pass walks in process too.  The sha256 of ``metrics.csv`` and, where
 either side writes one, ``weights.bin`` must match, and so must
 ``summary.json``, which carries the ``learner`` block that no CSV byte
 shows, without ``wall_clock_s`` and ``config.out_dir``: the first varies
@@ -97,22 +100,24 @@ def summary_sha256(path: Path) -> str:
     return hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
 
 
-def one_cpu() -> None:
-    """``preexec_fn`` of a pinned run: this child may use one CPU only."""
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+# ``python -c PINNED CPU ARGS...``: pin to CPU, then ``ranpower ARGS...``.
+PINNED = ("import os, sys; os.sched_setaffinity(0, {int(sys.argv[1])}); "
+          "from ranpower.cli import main; sys.exit(main(sys.argv[2:]))")
 
 
 def run_once(tree: Path, config: dict, seed: int, out: Path,
-             pinned: bool = False) -> dict[str, str | None]:
+             cpu: int | None) -> dict[str, str | None]:
+    """Run ``config`` at ``seed`` from ``tree`` into ``out``, pinned to
+    ``cpu`` unless it is None, and digest what it wrote."""
     out.mkdir(parents=True, exist_ok=True)
     cfg = out / "run.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    cmd = [sys.executable, "-m", "ranpower.cli", "run", "--config", str(cfg),
+    where = ["-m", "ranpower.cli"] if cpu is None else ["-c", PINNED, str(cpu)]
+    cmd = [sys.executable, *where, "run", "--config", str(cfg),
            "--seed", str(seed), "--out", str(out), "--quiet"]
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True,
-                          preexec_fn=one_cpu if pinned else None)
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr.strip()}")
     return {**{name: sha256(out / name) for name in OUTPUTS},
@@ -146,22 +151,23 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         subprocess.run(["tar", "-x", "-f", str(tar), "-C", str(base)], check=True)
         runs = 0
+        cpus = sorted(os.sched_getaffinity(0))
         for name, config in SHAPES.items():
             for seed in args.seeds:
                 tag = f"{name}/{seed}"
-                # The pool's thread ends before a pinned run: preexec_fn is
-                # not safe while another thread runs.
                 with ThreadPoolExecutor(max_workers=1) as pool:
-                    rev = pool.submit(run_once, base, config, seed, Path(tmp) / "a" / tag)
-                    here = attempt(run_once, ROOT, config, seed, Path(tmp) / "b" / tag)
+                    rev = pool.submit(run_once, base, config, seed, Path(tmp) / "a" / tag,
+                                      cpus[0])
+                    here = attempt(run_once, ROOT, config, seed, Path(tmp) / "b" / tag,
+                                   cpus[-1])
                     want = attempt(rev.result)
                 passes = [(f"{name} seed={seed}", here)]
                 if config.get("mobility") == "waypoint":
-                    passes.append((f"{name} seed={seed} one-cpu", None))
+                    passes.append((f"{name} seed={seed} walk-ahead", None))
                 for label, got in passes:
                     runs += 1
                     if got is None:
-                        got = attempt(run_once, ROOT, config, seed, Path(tmp) / "c" / tag, True)
+                        got = attempt(run_once, ROOT, config, seed, Path(tmp) / "c" / tag, None)
                     failed = next((r for r in (want, got) if isinstance(r, RuntimeError)), None)
                     if failed is not None:
                         print(f"{label}: FAILED {failed}")
